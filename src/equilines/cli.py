@@ -136,11 +136,6 @@ def cmd_remark(pipeline):
 def cmd_spectrum(pipeline):
     cert = seidel.certify_spectrum(pipeline.seidel_matrix, S54_SPECTRUM)
     cert.claim_id = "spectrum.S"
-    s = pipeline.seidel_matrix
-    tr2 = exactlin.trace(exactlin.mat_mul(s.as_lists(), s.as_lists()))
-    cert.details["trace_square"] = tr2
-    if tr2 != s.n * (s.n - 1):
-        cert.status = "fail"
     return cert
 
 
@@ -180,9 +175,6 @@ def cmd_aut(pipeline):
         "definition_mismatch_flag",
         perm_result.order != S54_AUT_ORDER,
     )
-    b.check("order_216_under_some_definition",
-            S54_AUT_ORDER in (perm_result.order, signed_result.order),
-            {"permutation": perm_result.order, "signed": signed_result.order})
     b.check("signed_order_216", signed_result.order == S54_AUT_ORDER,
             signed_result.order)
     return b.build()
@@ -342,6 +334,8 @@ def _parse_args(argv):
         if not set(orders) <= {50, 51, 52, 53}:
             parser.error("orders must be a subset of 50,51,52,53")
     drop = getattr(args, "drop_line", None)
+    if drop is not None and not 1 <= drop <= 54:
+        parser.error("--drop-line must be between 1 and 54")
     return RunConfig(
         command=args.command,
         orders=orders,

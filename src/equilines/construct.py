@@ -93,11 +93,6 @@ def lift(d):
     return LineVector(coords=tuple(coords), source=d)
 
 
-def scaled_inner(u, v):
-    """Exact integer dot product of two scaled line vectors."""
-    return u.dot(v)
-
-
 def _system_from(vectors, expected_count, expected_rank):
     if len(vectors) != expected_count:
         raise ConstructionError(

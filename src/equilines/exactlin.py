@@ -31,10 +31,6 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
 
@@ -72,6 +68,29 @@ def bareiss_det(m):
             rowi[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def positive_definite(m):
+    """True iff the symmetric integer matrix m is positive definite: by
+    Sylvester's criterion, iff every leading principal minor is positive,
+    and these minors are the Bareiss pivots taken without row swaps."""
+    n, c = dims(m)
+    if n != c:
+        raise ValueError("definiteness of non-square matrix")
+    a = [list(row) for row in m]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        rowk = a[k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            rowi = a[i]
+            for j in range(k + 1, n):
+                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
+        prev = pivot
+    return True
 
 
 def rank(m):
@@ -191,10 +210,9 @@ def char_poly(m):
 def solve_rational(m, rhs):
     """Solve m x = rhs exactly over the rationals.
 
-    Returns a list of Fractions, or None if the system is inconsistent.
-    Raises SingularMatrixError for a square singular (but consistent
-    ambiguity is resolved by returning one particular solution when the
-    system is not square-nonsingular yet consistent).
+    Returns a solution as a list of Fractions (any free variables 0), or
+    None if the system is inconsistent. Raises SingularMatrixError if the
+    system is square, consistent and singular.
     """
     nr, nc = dims(m)
     if len(rhs) != nr:

@@ -1,13 +1,17 @@
 """Exhaustive searches: non-extendibility and the integral-spectrum sub-scan.
 
-Both searches are range-partitioned for parallel execution; chunk results
-are merged in a fixed order so the report never depends on worker count.
+Both searches are range-partitioned for parallel execution by _range_map;
+chunk results are merged in a fixed order so the report never depends on
+worker count. Neither search decides anything by floating point: the
+sub-scan screens each submatrix with an exact annihilator test modulo a
+prime, and confirms every survivor with exact nullities.
 """
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -15,8 +19,9 @@ import numpy as np
 from . import exactlin, seidel
 from .construct import SCALED_ANGLE, SCALED_NORM
 
-INTEGRALITY_TOL = 1e-6
-AMBIGUITY_TOL = 1e-4
+SCREEN_PRIME = 1_048_573        # prime, below 2^20
+SCREEN_SEED = 54                # fixes the screen vector v
+SCREEN_BATCH = 4096             # subsets per matrix product
 
 
 @dataclass
@@ -33,7 +38,19 @@ class SubScanResult:
     hits: list                   # (order, removed indices, SpectrumClaim)
     equivalence_classes: dict    # canonical form -> list of hit positions
     subsets_examined: dict       # order -> count
-    screened_ambiguous: int = 0
+    screened_ambiguous: int = 0  # screen survivors that exact confirmation rejected
+
+
+def _range_map(fn, total, jobs, *args):
+    """[fn((lo, hi, *args)) for consecutive slices [lo, hi) of range(total)],
+    one slice per job, in slice order; a Pool runs them when jobs > 1."""
+    jobs = max(jobs, 1)
+    bounds = [total * i // jobs for i in range(jobs + 1)]
+    tasks = [(lo, hi, *args) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(jobs) as pool:
+            return pool.map(fn, tasks)
+    return [fn(t) for t in tasks]
 
 
 def greedy_basis(rows, target_rank):
@@ -110,28 +127,18 @@ def check_extendibility(system, ambient_dim=None, jobs=1, progress=None):
     det = exactlin.bareiss_det(gram)
     if det <= 0:
         raise AssertionError("basis Gram matrix not positive definite")
-    adjugate = []
-    for j in range(r):
-        e = [det if i == j else 0 for i in range(r)]
-        col = exactlin.solve_rational(gram, e)
-        adjugate.append([int(x) for x in col])
-    adjugate = exactlin.transpose(adjugate)   # symmetric anyway
+    cols = [exactlin.solve_rational(gram, [det * (i == j) for i in range(r)])
+            for j in range(r)]
+    if any(x.denominator != 1 for col in cols for x in col):
+        raise AssertionError("adjugate entry is not an integer")
+    adjugate = [[x.numerator for x in row] for row in zip(*cols)]
     # inner[i] @ eps = det * <v_i, candidate>
     lift_mat = exactlin.mat_mul(exactlin.transpose(bmat), adjugate)  # 24 x r
     inner = exactlin.mat_mul(rows, lift_mat)                         # members x r
 
     total = 1 << r
-    bounds = [total * i // max(jobs, 1) for i in range(max(jobs, 1) + 1)]
-    tasks = [
-        (bounds[i], bounds[i + 1], r, det, adjugate, inner, allow_slack)
-        for i in range(len(bounds) - 1)
-        if bounds[i] < bounds[i + 1]
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            chunk_hits = pool.map(_extend_scan_range, tasks)
-    else:
-        chunk_hits = [_extend_scan_range(t) for t in tasks]
+    chunk_hits = _range_map(_extend_scan_range, total, jobs,
+                            r, det, adjugate, inner, allow_slack)
     if progress:
         progress(total)
 
@@ -162,106 +169,94 @@ def _verify_witness(rows, w, allow_slack):
         # parallel would force |ip| = 80; +/-16 already rules it out
 
 
-def unrank_combination(rank_index, n, k):
-    """Lexicographic unranking of a k-subset of range(n)."""
-    out = []
-    x = 0
-    for slot in range(k, 0, -1):
-        while math.comb(n - x - 1, slot - 1) <= rank_index:
-            rank_index -= math.comb(n - x - 1, slot - 1)
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
+def integer_window(s):
+    """range(lo, hi + 1) holding every integer in [lambda_min(s), lambda_max(s)].
 
+    lo moves down from 0 until s - (lo-1)I is positive definite, so
+    lambda_min > lo - 1; hi is found the same way on -s. Starting at 0 is
+    valid because tr s = 0 puts 0 between the extreme eigenvalues.
+    """
+    def least(m):
+        lo = 0
+        while not exactlin.positive_definite(
+                [[x - (lo - 1) * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(m)]):
+            lo -= 1
+        return lo
 
-def _combinations_from(start, n, k):
-    """Lexicographic k-subsets of range(n) starting at the given subset."""
-    cur = list(start)
-    while True:
-        yield tuple(cur)
-        i = k - 1
-        while i >= 0 and cur[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return
-        cur[i] += 1
-        for j in range(i + 1, k):
-            cur[j] = cur[j - 1] + 1
+    return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
 
 
 def _screen_range(args):
-    """Float-screen removed-index subsets with lexicographic ranks [lo, hi).
-
-    Returns (survivors, ambiguous_count). A subset survives when every
-    eigenvalue of the corresponding principal submatrix is within the
-    integrality tolerance of an integer; near-threshold cases are also
-    passed on (conservatively) and counted as ambiguous.
-    """
-    s_float, n, k, lo, hi = args
+    """Removed-index subsets with lexicographic ranks [lo, hi) that pass
+    p_L(M) v = 0 (mod P). Row b of x is subset b's vector, zero off the
+    kept indices, so masked x @ (S - lam I) applies M - lam I to each row."""
+    lo, hi, s_float, k, lams, v = args
+    n = len(v)
+    factors = [s_float - lam * np.eye(n) for lam in lams]
+    subsets = islice(combinations(range(n), k), lo, hi)
     survivors = []
-    ambiguous = 0
-    idx = np.arange(n)
-    count = 0
-    gen = _combinations_from(unrank_combination(lo, n, k), n, k)
-    for removed in gen:
-        if count >= hi - lo:
-            break
-        count += 1
-        keep = np.delete(idx, removed)
-        sub = s_float[np.ix_(keep, keep)]
-        ev = np.linalg.eigvalsh(sub)
-        dev = np.abs(ev - np.round(ev))
-        worst = float(dev.max())
-        if worst < INTEGRALITY_TOL:
-            survivors.append((removed, sorted(set(int(x) for x in np.round(ev)))))
-        elif worst < AMBIGUITY_TOL:
-            survivors.append((removed, sorted(set(int(x) for x in np.round(ev)))))
-            ambiguous += 1
-    return survivors, ambiguous
+    while batch := list(islice(subsets, SCREEN_BATCH)):
+        mask = np.ones((len(batch), n))
+        mask[np.arange(len(batch))[:, None], np.array(batch, dtype=np.intp)] = 0.0
+        x = mask * v
+        for factor in factors:
+            x = np.mod(x @ factor, SCREEN_PRIME) * mask
+        survivors.extend(batch[i] for i in np.flatnonzero(~x.any(axis=1)))
+    return survivors
 
 
 def subseidel_scan(s, orders=(50, 51, 52, 53), jobs=1, progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
 
-    Every float-screen survivor is certified exactly: integer eigenvalue
-    multiplicities are exact nullities and must sum to the order.
+    A submatrix M of order m survives the screen iff p_L(M) v = 0 (mod P),
+    where p_L(x) = prod_{lam in L} (x - lam), v is a fixed vector and L is
+    integer_window(s), keeping only its odd members when m is even.
+
+    - No false negatives. M is symmetric, hence diagonalisable, so its
+      minimal polynomial is prod (x - lam) over its distinct eigenvalues.
+      Cauchy interlacing puts them in [lambda_min(s), lambda_max(s)]; if
+      they are integers (odd ones for even m, see parity) they lie in L,
+      so the minimal polynomial divides p_L and p_L(M) = 0.
+    - Parity. Off-diagonal entries are odd, so M = J - I (mod 2) and
+      det(xI - M) = (x - m + 1)(x + 1)^(m-1) = (x + 1)^m (mod 2) for even
+      m. An integer root of this monic integer polynomial is therefore a
+      root of (x + 1)^m over GF(2), that is, odd.
+    - Exact float64. Entries of x lie in [0, P) and those of S - lam I
+      are at most max(1, |lam|) <= n - 1 in absolute value, so every
+      partial sum of x @ (S - lam I) is an integer below 2nP < 2^53 in
+      absolute value: no BLAS summation order can round, and np.mod of
+      an exact integer is exact.
+    - Survivors are not trusted. Each goes to compute_spectrum with L as
+      a proven superset of its integer eigenvalues, whose exact
+      nullities must sum to m. Survivors it rejects (the residue vanished
+      only modulo P, or only for this v) are counted in screened_ambiguous.
     """
     n = s.n
+    window = integer_window(s)
     s_float = np.array(s.as_lists(), dtype=float)
+    rng = random.Random(SCREEN_SEED)
+    v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)
     hits = []
     subsets_examined = {}
-    ambiguous_total = 0
+    rejected = 0
     for order in sorted(orders, reverse=True):
         k = n - order
         total = math.comb(n, k)
         subsets_examined[order] = total
-        bounds = [total * i // max(jobs, 1) for i in range(max(jobs, 1) + 1)]
-        tasks = [
-            (s_float, n, k, bounds[i], bounds[i + 1])
-            for i in range(len(bounds) - 1)
-            if bounds[i] < bounds[i + 1]
-        ]
-        if jobs > 1 and len(tasks) > 1:
-            with Pool(jobs) as pool:
-                results = pool.map(_screen_range, tasks)
-        else:
-            results = [_screen_range(t) for t in tasks]
-        survivors = []
-        for chunk, amb in results:
-            survivors.extend(chunk)
-            ambiguous_total += amb
-        survivors.sort()
-        for removed, candidates in survivors:
-            keep = [i for i in range(n) if i not in removed]
-            sub = s.principal_submatrix(keep)
+        lams = [lam for lam in window if order % 2 or lam % 2]
+        chunks = _range_map(_screen_range, total, jobs, s_float, k, lams, v)
+        for removed in (r for chunk in chunks for r in chunk):
+            sub = s.principal_submatrix(i for i in range(n) if i not in removed)
             try:
-                claim = seidel.compute_spectrum(sub, candidates=candidates)
+                claim = seidel.compute_spectrum(sub, candidates=lams)
             except seidel.IrrationalPartError:
-                continue
-            if claim.quadratic is None:
+                claim = None
+            if claim is not None and claim.quadratic is None:
                 hits.append((order, removed, claim))
+            else:
+                rejected += 1
         if progress:
             progress(order, total)
 
@@ -274,5 +269,5 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), jobs=1, progress=None):
         hits=hits,
         equivalence_classes=classes,
         subsets_examined=subsets_examined,
-        screened_ambiguous=ambiguous_total,
+        screened_ambiguous=rejected,
     )

@@ -137,34 +137,23 @@ def compute_spectrum(s, candidates=None):
     """Exact spectrum of a Seidel matrix as integer roots plus at most one
     integer quadratic.
 
-    Integer eigenvalues are certified by exact nullities. With no
-    candidate hint the whole Gershgorin window [-(n-1), n-1] is swept;
-    a candidate list (e.g. from a floating-point screen) restricts the
-    sweep, and any shortfall falls back to the full window before the
-    quadratic cofactor is attempted.
+    Integer eigenvalues are certified by exact nullities at the values in
+    candidates, which must be a proven superset of the integer eigenvalues
+    (the sub-matrix scan passes its interlacing window); the default is
+    the Gershgorin window [-(n-1), n-1].
     """
     n = s.n
     m = s.as_lists()
-    window = range(-(n - 1), n) if n > 0 else range(0, 1)
-    if candidates is not None:
-        candidates = sorted(set(int(c) for c in candidates))
+    if candidates is None:
+        candidates = range(-(n - 1), n) if n > 0 else range(0, 1)
     eigs = {}
-
-    def sweep(values):
-        for lam in values:
-            if lam in eigs:
-                continue
-            mult = exactlin.nullity_at(m, lam)
-            if mult:
-                eigs[lam] = mult
+    for lam in sorted(set(candidates)):
+        mult = exactlin.nullity_at(m, lam)
+        if mult:
+            eigs[lam] = mult
             if sum(eigs.values()) == n:
                 break
-
-    sweep(candidates if candidates is not None else window)
     deficit = n - sum(eigs.values())
-    if deficit and candidates is not None:
-        sweep(window)
-        deficit = n - sum(eigs.values())
 
     if deficit == 0:
         return SpectrumClaim.make(eigs)
@@ -197,11 +186,17 @@ def compute_spectrum(s, candidates=None):
 
 def certify_spectrum(s, claim):
     """Exact check that char_poly(s) equals the claimed factorization,
-    with an independent nullity cross-check for every integer eigenvalue."""
+    with an independent nullity cross-check for every integer eigenvalue.
+
+    Also checks tr(S^2), the sum of squared entries, against n(n-1).
+    """
     b = CertificateBuilder(
         "spectrum", {"matrix": s.rows, "claim": claim.as_dict()}
     )
     b.note("claim", claim.as_dict())
+    trace_square = sum(x * x for row in s.rows for x in row)
+    b.note("trace_square", trace_square)
+    b.check("matrix_trace_square", trace_square == s.n * (s.n - 1), trace_square)
     if not b.check("multiplicities_sum_to_n", claim.total_multiplicity == s.n,
                    claim.total_multiplicity):
         return b.build()

@@ -69,6 +69,11 @@ def test_bad_orders_rejected():
     assert run(["subscan", "--orders", "49"]) == 2
 
 
+@pytest.mark.parametrize("line", ["0", "55", "-1"])
+def test_drop_line_out_of_range_rejected(line):
+    assert run(["maximality", "--drop-line", line]) == 2
+
+
 def test_invalid_jobs_rejected():
     assert run(["golay", "--jobs", "0"]) == 2
 

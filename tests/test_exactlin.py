@@ -25,6 +25,14 @@ def test_nullity_at_identity():
     assert exactlin.nullity_at(exactlin.identity(3), 0) == 0
 
 
+def test_positive_definite():
+    assert exactlin.positive_definite(exactlin.identity(3))
+    assert exactlin.positive_definite([[2, -1], [-1, 2]])
+    assert not exactlin.positive_definite([[1, 1], [1, 1]])          # singular
+    assert not exactlin.positive_definite([[-2, 1], [1, -2]])        # negative definite
+    assert not exactlin.positive_definite([[1, 2], [2, 1]])          # indefinite
+
+
 def test_char_poly_swap():
     assert exactlin.char_poly([[0, 1], [1, 0]]) == [-1, 0, 1]
 

@@ -1,9 +1,9 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 
-import pytest
+import numpy as np
 
 from equilines import construct, exactlin, golay, search, seidel
 
@@ -14,20 +14,6 @@ def drop_member(system, index):
         vectors=tuple(kept),
         ambient_dim=exactlin.rank([list(v.coords) for v in kept]),
     )
-
-
-def test_unrank_combination_matches_itertools():
-    n, k = 9, 3
-    expected = list(combinations(range(n), k))
-    for rank_index, combo in enumerate(expected):
-        assert search.unrank_combination(rank_index, n, k) == combo
-
-
-def test_combinations_from_resumes_mid_stream():
-    n, k = 8, 3
-    full = list(combinations(range(n), k))
-    start = search.unrank_combination(17, n, k)
-    assert list(search._combinations_from(start, n, k)) == full[17:]
 
 
 def test_gray_signs_cover_all_patterns():
@@ -133,20 +119,59 @@ def test_hit_trace_identities(s54):
 
 
 def test_screen_accepts_true_integral_submatrix(s54):
-    # the known hit must survive the float screen on its own
+    # every known order-52 hit must survive the mod-p screen on its own
     result = search.subseidel_scan(s54, orders=(52,))
-    removed = result.hits[0][1]
-    survivors, ambiguous = search._screen_range(
-        (
-            __import__("numpy").array(s54.as_lists(), dtype=float),
-            54,
-            2,
-            0,
-            math.comb(54, 2),
-        )
+    lams = [lam for lam in search.integer_window(s54) if lam % 2]
+    v = np.arange(1, 55, dtype=float)
+    survivors = search._screen_range(
+        (0, math.comb(54, 2), np.array(s54.as_lists(), dtype=float), 2, lams, v)
     )
-    assert removed in {r for r, _ in survivors}
-    assert ambiguous == 0
+    assert {removed for _, removed, _ in result.hits} <= set(survivors)
+    assert len(survivors) < math.comb(54, 2)
+
+
+def test_integer_window_j_minus_i():
+    # J - I of order 8 has spectrum {7, -1}
+    j_minus_i = [[0 if i == j else 1 for j in range(8)] for i in range(8)]
+    assert search.integer_window(
+        seidel.SeidelMatrix.from_rows(j_minus_i)) == range(-1, 8)
+
+
+def test_integer_window_s54(s54):
+    # spectrum of S54: -5 up to 12 + sqrt(37) = 18.08...
+    assert search.integer_window(s54) == range(-5, 19)
+
+
+def petersen_seidel_flipped():
+    """Seidel matrix (-1 on edges) of the Petersen graph, entry (0,1) negated."""
+    edges = ({(i, (i + 1) % 5) for i in range(5)}
+             | {(i, i + 5) for i in range(5)}
+             | {(5 + i, 5 + (i + 2) % 5) for i in range(5)})
+    rows = [[0 if i == j else -1 if (i, j) in edges or (j, i) in edges else 1
+             for j in range(10)] for i in range(10)]
+    rows[0][1] = rows[1][0] = -rows[0][1]
+    return seidel.SeidelMatrix.from_rows(rows)
+
+
+def test_subscan_matches_brute_force_oracle():
+    s = petersen_seidel_flipped()
+    orders = (6, 7, 8, 9)
+    expected = []
+    for order in sorted(orders, reverse=True):
+        for removed in combinations(range(10), 10 - order):
+            sub = s.principal_submatrix([i for i in range(10) if i not in removed])
+            try:
+                claim = seidel.compute_spectrum(sub)
+            except seidel.IrrationalPartError:
+                continue
+            if claim.quadratic is None:
+                expected.append((order, removed, claim))
+    counts = {o: sum(1 for order, _, _ in expected if order == o) for o in orders}
+    assert counts == {6: 20, 7: 64, 8: 17, 9: 2}
+    assert all(counts[o] < math.comb(10, 10 - o) for o in orders)
+    result = search.subseidel_scan(s, orders=orders, jobs=2)
+    assert result.hits == expected
+    assert result.screened_ambiguous == 0
 
 
 def test_progress_callback_invoked(s54):
