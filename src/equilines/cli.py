@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -212,10 +213,15 @@ def cmd_subscan(pipeline):
         "subscan.unique",
         {"command": "subscan", "orders": sorted(config.orders)},
     )
-    result = search.subseidel_scan(
-        pipeline.seidel_matrix, orders=config.orders, jobs=config.jobs
-    )
+    s = pipeline.seidel_matrix
+    result = search.subseidel_scan(s, orders=config.orders)
     b.note("subsets_examined", {str(k): v for k, v in sorted(result.subsets_examined.items())})
+    b.note("orbit_representatives",
+           {str(k): v for k, v in sorted(result.orbit_representatives.items())})
+    uncovered = {str(order): [count, math.comb(s.n, s.n - order)]
+                 for order, count in sorted(result.subsets_examined.items())
+                 if count != math.comb(s.n, s.n - order)}
+    b.check("subsets_covered", not uncovered, uncovered)
     b.note(
         "hits",
         [
@@ -316,12 +322,12 @@ def _parse_args(argv):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", dest="output_path")
-        p.add_argument("--emit-vectors", action="store_true")
         if name in ("golay", "all"):
             p.add_argument("--corrupt-generator", action="store_true",
                            help="negative control: flip one generator bit")
         if name == "construct":
             p.add_argument("--stage", choices=("asche", "final"), default="final")
+            p.add_argument("--emit-vectors", action="store_true")
         if name == "maximality":
             p.add_argument("--drop-line", type=int, default=None,
                            help="control run: remove this member (1-based) first")
@@ -341,7 +347,7 @@ def _parse_args(argv):
         orders=orders,
         jobs=args.jobs,
         output_path=args.output_path,
-        emit_vectors=args.emit_vectors,
+        emit_vectors=getattr(args, "emit_vectors", False),
         corrupt_generator=getattr(args, "corrupt_generator", False),
         drop_line=None if drop is None else drop - 1,
         stage=getattr(args, "stage", "final"),

@@ -81,10 +81,6 @@ class LineSystem:
     def matrix(self):
         return [list(v.coords) for v in self.vectors]
 
-    def gram(self):
-        rows = self.matrix()
-        return exactlin.mat_mul(rows, exactlin.transpose(rows))
-
 
 def lift(d):
     """Scaled lift of a codeword mask: 4d - 4*e1 - e_all, as integers."""

@@ -1,17 +1,17 @@
 """Exhaustive searches: non-extendibility and the integral-spectrum sub-scan.
 
-Both searches are range-partitioned for parallel execution by _range_map;
-chunk results are merged in a fixed order so the report never depends on
-worker count. Neither search decides anything by floating point: the
-sub-scan screens each submatrix with an exact annihilator test modulo a
-prime, and confirms every survivor with exact nullities.
+The extendibility search is range-partitioned for parallel execution by
+_range_map; chunk results are merged in a fixed order so the report never
+depends on worker count. The sub-scan runs in one process: it examines one
+removed-index set per orbit of the automorphism group, screens each with
+an exact annihilator test modulo a prime, and confirms every survivor with
+exact nullities. Neither search decides anything by floating point.
 """
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from multiprocessing import Pool
 
 import numpy as np
@@ -21,7 +21,7 @@ from .construct import SCALED_ANGLE, SCALED_NORM
 
 SCREEN_PRIME = 1_048_573        # prime, below 2^20
 SCREEN_SEED = 54                # fixes the screen vector v
-SCREEN_BATCH = 4096             # subsets per matrix product
+SCREEN_BATCH = 128              # subsets per batch; small keeps memory flat
 
 
 @dataclass
@@ -37,7 +37,8 @@ class ExtendibilityReport:
 class SubScanResult:
     hits: list                   # (order, removed indices, SpectrumClaim)
     equivalence_classes: dict    # canonical form -> list of hit positions
-    subsets_examined: dict       # order -> count
+    subsets_examined: dict       # order -> subsets covered by the orbits
+    orbit_representatives: dict  # order -> removed-index sets examined
     screened_ambiguous: int = 0  # screen survivors that exact confirmation rejected
 
 
@@ -187,28 +188,76 @@ def integer_window(s):
     return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
 
 
-def _screen_range(args):
-    """Removed-index subsets with lexicographic ranks [lo, hi) that pass
-    p_L(M) v = 0 (mod P). Row b of x is subset b's vector, zero off the
-    kept indices, so masked x @ (S - lam I) applies M - lam I to each row."""
-    lo, hi, s_float, k, lams, v = args
-    n = len(v)
-    factors = [s_float - lam * np.eye(n) for lam in lams]
-    subsets = islice(combinations(range(n), k), lo, hi)
-    survivors = []
+def switching_automorphisms(s):
+    """The permutation parts of the signed automorphisms of s, as a group:
+    the closure of the parts of the verified generators."""
+    parts = [tuple(t for t, _ in g)
+             for g in seidel.signed_automorphism_group(s).generators]
+    return seidel._closure(s.n, parts)
+
+
+def orbit_representatives(perms, n, k):
+    """The k-subsets of range(n) whose bitmask is least among its images
+    under perms, in combinations order, and how many distinct images each
+    has.
+
+    For a permutation group G these are one subset per G-orbit, and each
+    count is the orbit size |G| / |Stab|, so the counts sum to C(n, k).
+    Counting distinct images needs no division: a set that is not a group
+    gives a wrong total, never a truncated quotient. The subsets are
+    streamed in batches of SCREEN_BATCH.
+    """
+    bits = np.left_shift(np.int64(1), np.array(list(perms), dtype=np.int64).T)
+    subsets = combinations(range(n), k)
+    reps, sizes = [], []
     while batch := list(islice(subsets, SCREEN_BATCH)):
-        mask = np.ones((len(batch), n))
-        mask[np.arange(len(batch))[:, None], np.array(batch, dtype=np.intp)] = 0.0
-        x = mask * v
-        for factor in factors:
-            x = np.mod(x @ factor, SCREEN_PRIME) * mask
-        survivors.extend(batch[i] for i in np.flatnonzero(~x.any(axis=1)))
-    return survivors
+        idx = np.array(batch, dtype=np.intp).reshape(len(batch), k)
+        images = np.zeros((len(batch), bits.shape[1]), dtype=np.int64)
+        for j in range(k):                      # row b: the masks of p(K_b)
+            images += bits[idx[:, j]]
+        least = np.flatnonzero(images.min(axis=1) == (1 << idx).sum(axis=1))
+        steps = np.diff(np.sort(images[least], axis=1), axis=1)
+        reps.extend(batch[b] for b in least)
+        sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
+    return reps, sizes
 
 
-def subseidel_scan(s, orders=(50, 51, 52, 53), jobs=1, progress=None):
+def _orbit(perms, removed):
+    """The images of one removed-index set under perms, sorted."""
+    return sorted({tuple(sorted(p[i] for i in removed)) for p in perms})
+
+
+def _screen(factors, v, removed):
+    """Which rows of removed, an array of removed-index sets, pass
+    p_L(M) v = 0 (mod P). Row b of x is set b's vector, zero off the kept
+    indices, so masked x @ (S - lam I) applies M - lam I to each row."""
+    mask = np.ones((len(removed), len(v)))
+    mask[np.arange(len(removed))[:, None], removed] = 0.0
+    x = mask * v
+    for factor in factors:
+        x = np.mod(x @ factor, SCREEN_PRIME) * mask
+    return ~x.any(axis=1)
+
+
+def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None, perms=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
+
+    Only one removed-index set per orbit of perms is screened, confirmed
+    and classified. perms must be a group of permutation parts of signed
+    automorphisms of s; the default is switching_automorphisms(s).
+
+    - Orbits. A signed automorphism (pi, d) has S[pi(i), pi(j)] =
+      d_i d_j S[i, j]. So the submatrix kept after removing pi(K) is a
+      signed permutation conjugate of the one kept after removing K: the
+      two have the same spectrum and lie in the same switching class.
+      The representative from orbit_representatives therefore decides
+      its whole orbit: a confirmed one contributes every member, with
+      its spectrum, and one canonical form classifies them all. Hits are
+      sorted by order descending, then in combinations order, as a scan
+      of every subset would list them. Orbits partition the k-subsets,
+      so subsets_examined, the sum of the orbit sizes, must be C(n, k);
+      the certificate checks it.
 
     A submatrix M of order m survives the screen iff p_L(M) v = 0 (mod P),
     where p_L(x) = prod_{lam in L} (x - lam), v is a fixed vector and L is
@@ -232,42 +281,57 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), jobs=1, progress=None):
       a proven superset of its integer eigenvalues, whose exact
       nullities must sum to m. Survivors it rejects (the residue vanished
       only modulo P, or only for this v) are counted in screened_ambiguous.
+
+    progress(order, subsets covered) is called after each order's screen
+    and confirmation, before classification.
     """
     n = s.n
+    if perms is None:
+        perms = switching_automorphisms(s)
     window = integer_window(s)
     s_float = np.array(s.as_lists(), dtype=float)
     rng = random.Random(SCREEN_SEED)
     v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)
-    hits = []
+    found = []
     subsets_examined = {}
+    representatives = {}
     rejected = 0
     for order in sorted(orders, reverse=True):
         k = n - order
-        total = math.comb(n, k)
-        subsets_examined[order] = total
+        reps, sizes = orbit_representatives(perms, n, k)
+        subsets_examined[order] = sum(sizes)
+        representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
-        chunks = _range_map(_screen_range, total, jobs, s_float, k, lams, v)
-        for removed in (r for chunk in chunks for r in chunk):
-            sub = s.principal_submatrix(i for i in range(n) if i not in removed)
-            try:
-                claim = seidel.compute_spectrum(sub, candidates=lams)
-            except seidel.IrrationalPartError:
-                claim = None
-            if claim is not None and claim.quadratic is None:
-                hits.append((order, removed, claim))
-            else:
-                rejected += 1
+        factors = [s_float - lam * np.eye(n) for lam in lams]
+        for lo in range(0, len(reps), SCREEN_BATCH):
+            batch = reps[lo:lo + SCREEN_BATCH]
+            passed = _screen(factors, v, np.array(batch, dtype=np.intp).reshape(len(batch), k))
+            for removed in compress(batch, passed):
+                sub = s.principal_submatrix(i for i in range(n) if i not in removed)
+                try:
+                    claim = seidel.compute_spectrum(sub, candidates=lams)
+                except seidel.IrrationalPartError:
+                    claim = None
+                if claim is not None and claim.quadratic is None:
+                    found.append((order, removed, claim))
+                else:
+                    rejected += 1
         if progress:
-            progress(order, total)
+            progress(order, subsets_examined[order])
 
-    classes = {}
-    for pos, (order, removed, _claim) in enumerate(hits):
-        keep = [i for i in range(n) if i not in removed]
+    members = []
+    for order, rep, claim in found:
+        keep = [i for i in range(n) if i not in rep]
         form = seidel.switching_canonical_form(s.principal_submatrix(keep))
+        members.extend((order, removed, claim, form) for removed in _orbit(perms, rep))
+    members.sort(key=lambda hit: (-hit[0], hit[1]))
+    classes = {}
+    for pos, (_order, _removed, _claim, form) in enumerate(members):
         classes.setdefault(form, []).append(pos)
     return SubScanResult(
-        hits=hits,
+        hits=[(order, removed, claim) for order, removed, claim, _form in members],
         equivalence_classes=classes,
         subsets_examined=subsets_examined,
+        orbit_representatives=representatives,
         screened_ambiguous=rejected,
     )

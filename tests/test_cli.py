@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from equilines import cli
+from equilines import cli, search
 
 
 def run(args):
@@ -58,6 +58,10 @@ def test_construct_emit_vectors(tmp_path):
     assert all(len(o) == 8 and 1 in o for o in octads)
 
 
+def test_emit_vectors_only_for_construct():
+    assert run(["golay", "--emit-vectors"]) == 2
+
+
 def test_report_round_trip(tmp_path):
     out = tmp_path / "r.json"
     assert run(["construct", "--out", str(out)]) == 0
@@ -85,6 +89,20 @@ def test_subscan_restricted_orders(tmp_path):
     (cert,) = report["certificates"]
     assert cert["details"]["hits"] == []
     assert cert["details"]["subsets_examined"] == {"53": 54}
+
+
+def test_subscan_coverage_fails_for_non_group(monkeypatch):
+    # a 3-cycle without its square is not closed: orbit counts overshoot
+    cycle = (1, 2, 0) + tuple(range(3, 54))
+    scan = search.subseidel_scan
+    monkeypatch.setattr(
+        search, "subseidel_scan",
+        lambda s, **kw: scan(s, perms=[tuple(range(54)), cycle], **kw))
+    cert = cli.cmd_subscan(cli.Pipeline(cli.RunConfig(command="subscan", orders=(53,))))
+    assert not cert.passed
+    assert cert.details["checks"]["subsets_covered"] is False
+    assert cert.details["first_failure"] == {
+        "check": "subsets_covered", "witness": {"53": [55, 54]}}
 
 
 def test_maximality_control_run(tmp_path):

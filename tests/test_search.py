@@ -93,12 +93,48 @@ def test_subscan_order_52(s54):
     assert len(result.equivalence_classes) == 1
 
 
-def test_subscan_parallel_agrees(s54):
-    serial = search.subseidel_scan(s54, orders=(52, 53))
-    parallel = search.subseidel_scan(s54, orders=(52, 53), jobs=4)
-    assert serial.hits == parallel.hits
-    assert serial.subsets_examined == parallel.subsets_examined
-    assert set(serial.equivalence_classes) == set(parallel.equivalence_classes)
+def screen_all(s, order):
+    """Every removed-index set of one order that passes the screen, and the
+    window L used for it."""
+    lams = [lam for lam in search.integer_window(s) if order % 2 or lam % 2]
+    factors = [np.array(s.as_lists(), dtype=float) - lam * np.eye(s.n) for lam in lams]
+    subsets = list(combinations(range(s.n), s.n - order))
+    passed = search._screen(factors, np.arange(1, s.n + 1, dtype=float),
+                            np.array(subsets).reshape(len(subsets), -1))
+    return [r for r, ok in zip(subsets, passed) if ok], lams
+
+
+def full_scan(s, orders):
+    """The screen and exact confirmation run on every removed-index set."""
+    hits = []
+    for order in sorted(orders, reverse=True):
+        survivors, lams = screen_all(s, order)
+        for removed in survivors:
+            sub = s.principal_submatrix(i for i in range(s.n) if i not in removed)
+            claim = seidel.compute_spectrum(sub, candidates=lams)
+            if claim.quadratic is None:
+                hits.append((order, removed, claim))
+    return hits
+
+
+def test_subscan_orbit_scan_agrees_with_full_scan(s54):
+    result = search.subseidel_scan(s54, orders=(52, 53))
+    assert result.orbit_representatives == {52: 25, 53: 3}
+    assert result.subsets_examined == {52: 1431, 53: 54}
+    expected = full_scan(s54, (52, 53))
+    assert len(expected) == 9
+    assert result.hits == expected
+
+
+def test_orbit_representatives_s54(s54):
+    perms = search.switching_automorphisms(s54)
+    assert len(perms) == 108
+    for k, count in zip((1, 2, 3, 4), (3, 25, 279, 3111)):
+        reps, sizes = search.orbit_representatives(perms, 54, k)
+        assert len(reps) == len(sizes) == count
+        assert reps == sorted(reps)
+        assert sum(sizes) == math.comb(54, k)
+        assert all(108 % size == 0 for size in sizes)
 
 
 def test_automorphisms_map_hits_to_hits(s54):
@@ -121,11 +157,7 @@ def test_hit_trace_identities(s54):
 def test_screen_accepts_true_integral_submatrix(s54):
     # every known order-52 hit must survive the mod-p screen on its own
     result = search.subseidel_scan(s54, orders=(52,))
-    lams = [lam for lam in search.integer_window(s54) if lam % 2]
-    v = np.arange(1, 55, dtype=float)
-    survivors = search._screen_range(
-        (0, math.comb(54, 2), np.array(s54.as_lists(), dtype=float), 2, lams, v)
-    )
+    survivors, _ = screen_all(s54, 52)
     assert {removed for _, removed, _ in result.hits} <= set(survivors)
     assert len(survivors) < math.comb(54, 2)
 
@@ -142,36 +174,68 @@ def test_integer_window_s54(s54):
     assert search.integer_window(s54) == range(-5, 19)
 
 
-def petersen_seidel_flipped():
-    """Seidel matrix (-1 on edges) of the Petersen graph, entry (0,1) negated."""
+def petersen_seidel(flip=False):
+    """Seidel matrix (-1 on edges) of the Petersen graph; with flip, entry
+    (0,1) negated."""
     edges = ({(i, (i + 1) % 5) for i in range(5)}
              | {(i, i + 5) for i in range(5)}
              | {(5 + i, 5 + (i + 2) % 5) for i in range(5)})
     rows = [[0 if i == j else -1 if (i, j) in edges or (j, i) in edges else 1
              for j in range(10)] for i in range(10)]
-    rows[0][1] = rows[1][0] = -rows[0][1]
+    if flip:
+        rows[0][1] = rows[1][0] = -rows[0][1]
     return seidel.SeidelMatrix.from_rows(rows)
 
 
-def test_subscan_matches_brute_force_oracle():
-    s = petersen_seidel_flipped()
-    orders = (6, 7, 8, 9)
-    expected = []
+def brute_force_hits(s, orders):
+    """compute_spectrum over every removed-index set, no screen, no orbits."""
+    hits = []
     for order in sorted(orders, reverse=True):
-        for removed in combinations(range(10), 10 - order):
-            sub = s.principal_submatrix([i for i in range(10) if i not in removed])
+        for removed in combinations(range(s.n), s.n - order):
+            sub = s.principal_submatrix([i for i in range(s.n) if i not in removed])
             try:
                 claim = seidel.compute_spectrum(sub)
             except seidel.IrrationalPartError:
                 continue
             if claim.quadratic is None:
-                expected.append((order, removed, claim))
-    counts = {o: sum(1 for order, _, _ in expected if order == o) for o in orders}
+                hits.append((order, removed, claim))
+    return hits
+
+
+def hit_counts(hits, orders):
+    return {o: sum(1 for order, _, _ in hits if order == o) for o in orders}
+
+
+def test_subscan_matches_brute_force_oracle():
+    s = petersen_seidel(flip=True)
+    orders = (6, 7, 8, 9)
+    expected = brute_force_hits(s, orders)
+    counts = hit_counts(expected, orders)
     assert counts == {6: 20, 7: 64, 8: 17, 9: 2}
     assert all(counts[o] < math.comb(10, 10 - o) for o in orders)
-    result = search.subseidel_scan(s, orders=orders, jobs=2)
+    result = search.subseidel_scan(s, orders=orders)
     assert result.hits == expected
     assert result.screened_ambiguous == 0
+
+
+def test_orbit_scan_matches_brute_force_on_petersen():
+    # unflipped, the Petersen switching class has a large group: the
+    # scan examines 7 representatives for 385 subsets
+    s = petersen_seidel()
+    assert seidel.signed_automorphism_group(s).order == 1440
+    orders = (6, 7, 8, 9)
+    expected = brute_force_hits(s, orders)
+    assert hit_counts(expected, orders) == {6: 30, 7: 120, 8: 45, 9: 10}
+    result = search.subseidel_scan(s, orders=orders)
+    assert result.orbit_representatives == {6: 3, 7: 2, 8: 1, 9: 1}
+    assert result.subsets_examined == {o: math.comb(10, 10 - o) for o in orders}
+    assert result.hits == expected
+    assert result.screened_ambiguous == 0
+    for form, positions in result.equivalence_classes.items():
+        for pos in positions:
+            order, removed, _ = result.hits[pos]
+            sub = s.principal_submatrix(i for i in range(10) if i not in removed)
+            assert seidel.switching_canonical_form(sub) == form
 
 
 def test_progress_callback_invoked(s54):
