@@ -39,7 +39,7 @@ class SubScanResult:
     equivalence_classes: dict    # canonical form -> list of hit positions
     subsets_examined: dict       # order -> subsets covered by the orbits
     orbit_representatives: dict  # order -> removed-index sets examined
-    screened_ambiguous: int = 0  # screen survivors that exact confirmation rejected
+    screened_ambiguous: int = 0  # subsets whose orbit passed the screen, failed confirmation
 
 
 def _range_map(fn, total, jobs, *args):
@@ -239,13 +239,12 @@ def _screen(factors, v, removed):
     return ~x.any(axis=1)
 
 
-def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None, perms=None):
+def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
 
-    Only one removed-index set per orbit of perms is screened, confirmed
-    and classified. perms must be a group of permutation parts of signed
-    automorphisms of s; the default is switching_automorphisms(s).
+    Only one removed-index set per orbit of switching_automorphisms(s) is
+    screened, confirmed and classified.
 
     - Orbits. A signed automorphism (pi, d) has S[pi(i), pi(j)] =
       d_i d_j S[i, j]. So the submatrix kept after removing pi(K) is a
@@ -279,15 +278,16 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None, perms=None):
       an exact integer is exact.
     - Survivors are not trusted. Each goes to compute_spectrum with L as
       a proven superset of its integer eigenvalues, whose exact
-      nullities must sum to m. Survivors it rejects (the residue vanished
-      only modulo P, or only for this v) are counted in screened_ambiguous.
+      nullities must sum to m. A survivor it rejects (the residue vanished
+      only modulo P, or only for this v) adds its orbit size to
+      screened_ambiguous, so that field counts subsets, as a scan of every
+      subset would.
 
     progress(order, subsets covered) is called after each order's screen
     and confirmation, before classification.
     """
     n = s.n
-    if perms is None:
-        perms = switching_automorphisms(s)
+    perms = switching_automorphisms(s)
     window = integer_window(s)
     s_float = np.array(s.as_lists(), dtype=float)
     rng = random.Random(SCREEN_SEED)
@@ -306,7 +306,7 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None, perms=None):
         for lo in range(0, len(reps), SCREEN_BATCH):
             batch = reps[lo:lo + SCREEN_BATCH]
             passed = _screen(factors, v, np.array(batch, dtype=np.intp).reshape(len(batch), k))
-            for removed in compress(batch, passed):
+            for removed, size in compress(zip(batch, sizes[lo:lo + SCREEN_BATCH]), passed):
                 sub = s.principal_submatrix(i for i in range(n) if i not in removed)
                 try:
                     claim = seidel.compute_spectrum(sub, candidates=lams)
@@ -315,7 +315,7 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None, perms=None):
                 if claim is not None and claim.quadratic is None:
                     found.append((order, removed, claim))
                 else:
-                    rejected += 1
+                    rejected += size
         if progress:
             progress(order, subsets_examined[order])
 

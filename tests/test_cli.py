@@ -94,10 +94,8 @@ def test_subscan_restricted_orders(tmp_path):
 def test_subscan_coverage_fails_for_non_group(monkeypatch):
     # a 3-cycle without its square is not closed: orbit counts overshoot
     cycle = (1, 2, 0) + tuple(range(3, 54))
-    scan = search.subseidel_scan
-    monkeypatch.setattr(
-        search, "subseidel_scan",
-        lambda s, **kw: scan(s, perms=[tuple(range(54)), cycle], **kw))
+    monkeypatch.setattr(search, "switching_automorphisms",
+                        lambda s: [tuple(range(54)), cycle])
     cert = cli.cmd_subscan(cli.Pipeline(cli.RunConfig(command="subscan", orders=(53,))))
     assert not cert.passed
     assert cert.details["checks"]["subsets_covered"] is False

@@ -238,6 +238,18 @@ def test_orbit_scan_matches_brute_force_on_petersen():
             assert seidel.switching_canonical_form(sub) == form
 
 
+def test_screened_ambiguous_counts_subsets(monkeypatch):
+    # a screen that passes everything sends every representative to exact
+    # confirmation; each one rejected counts its whole orbit
+    s = petersen_seidel()
+    orders = (6, 7, 8, 9)
+    monkeypatch.setattr(search, "_screen",
+                        lambda factors, v, removed: np.ones(len(removed), dtype=bool))
+    result = search.subseidel_scan(s, orders=orders)
+    assert result.hits == brute_force_hits(s, orders)
+    assert result.screened_ambiguous == 385 - 205
+
+
 def test_progress_callback_invoked(s54):
     calls = []
     search.subseidel_scan(s54, orders=(53,), progress=lambda o, t: calls.append((o, t)))
