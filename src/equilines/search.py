@@ -170,24 +170,6 @@ def _verify_witness(rows, w, allow_slack):
         # parallel would force |ip| = 80; +/-16 already rules it out
 
 
-def integer_window(s):
-    """range(lo, hi + 1) holding every integer in [lambda_min(s), lambda_max(s)].
-
-    lo moves down from 0 until s - (lo-1)I is positive definite, so
-    lambda_min > lo - 1; hi is found the same way on -s. Starting at 0 is
-    valid because tr s = 0 puts 0 between the extreme eigenvalues.
-    """
-    def least(m):
-        lo = 0
-        while not exactlin.positive_definite(
-                [[x - (lo - 1) * (i == j) for j, x in enumerate(row)]
-                 for i, row in enumerate(m)]):
-            lo -= 1
-        return lo
-
-    return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
-
-
 def switching_automorphisms(s):
     """The permutation parts of the signed automorphisms of s, as a group:
     the closure of the parts of the verified generators."""
@@ -260,7 +242,7 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
 
     A submatrix M of order m survives the screen iff p_L(M) v = 0 (mod P),
     where p_L(x) = prod_{lam in L} (x - lam), v is a fixed vector and L is
-    integer_window(s), keeping only its odd members when m is even.
+    seidel.integer_window(s), keeping only its odd members when m is even.
 
     - No false negatives. M is symmetric, hence diagonalisable, so its
       minimal polynomial is prod (x - lam) over its distinct eigenvalues.
@@ -288,7 +270,7 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
     """
     n = s.n
     perms = switching_automorphisms(s)
-    window = integer_window(s)
+    window = seidel.integer_window(s)
     s_float = np.array(s.as_lists(), dtype=float)
     rng = random.Random(SCREEN_SEED)
     v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)

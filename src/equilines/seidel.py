@@ -6,6 +6,7 @@ with edge set {ij : S_ij = -1}, which drives both the automorphism
 search and the switching-class canonical form.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -67,6 +68,10 @@ class SpectrumClaim:
 
     integer_eigs: tuple          # ((value, multiplicity), ...) sorted by value
     quadratic: tuple = None      # (b, c) or None
+
+    def __post_init__(self):         # certify_spectrum relies on distinct values
+        if [v for v, _ in self.integer_eigs] != sorted({v for v, _ in self.integer_eigs}):
+            raise ValueError("integer eigenvalues must be distinct and sorted")
 
     @classmethod
     def make(cls, eigs, quadratic=None):
@@ -133,19 +138,39 @@ def seidel_from(system):
     return SeidelMatrix.from_rows(rows)
 
 
+def integer_window(s):
+    """range(lo, hi + 1) holding every integer in [lambda_min(s), lambda_max(s)].
+
+    lo moves down from 0 until s - (lo-1)I is positive definite, so
+    lambda_min > lo - 1; hi is found the same way on -s. Starting at 0 is
+    valid because tr s = 0 puts 0 between the extreme eigenvalues.
+    """
+    def least(m):
+        lo = 0
+        while not exactlin.positive_definite(
+                [[x - (lo - 1) * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(m)]):
+            lo -= 1
+        return lo
+
+    return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
+
+
 def compute_spectrum(s, candidates=None):
     """Exact spectrum of a Seidel matrix as integer roots plus at most one
     integer quadratic.
 
-    Integer eigenvalues are certified by exact nullities at the values in
-    candidates, which must be a proven superset of the integer eigenvalues
-    (the sub-matrix scan passes its interlacing window); the default is
-    the Gershgorin window [-(n-1), n-1].
+    candidates must be a proven superset of the integer eigenvalues
+    (default integer_window(s)), so the nullity sweep finds each with its
+    multiplicity. If two eigenvalues are left, they are not integers; the
+    trace identities fix their sum -b and product c, and they are roots of
+    a monic integer factor of det(xI - S), so a non-integral c or a
+    rational root cannot occur: either raises.
     """
     n = s.n
     m = s.as_lists()
     if candidates is None:
-        candidates = range(-(n - 1), n) if n > 0 else range(0, 1)
+        candidates = integer_window(s)
     eigs = {}
     for lam in sorted(set(candidates)):
         mult = exactlin.nullity_at(m, lam)
@@ -161,12 +186,10 @@ def compute_spectrum(s, candidates=None):
         raise IrrationalPartError(
             f"non-integer spectral part has degree {deficit}"
         )
-    # the quadratic cofactor is forced by the trace identities:
     # sum of all eigenvalues = 0, sum of squares = n(n-1)
-    int_sum = sum(v * k for v, k in eigs.items())
-    int_sq = sum(v * v * k for v, k in eigs.items())
-    b = int_sum                       # roots of the quadratic sum to -b
-    rest_sq = n * (n - 1) - int_sq
+    known = SpectrumClaim.make(eigs)
+    b = known.eig_sum()               # roots of the quadratic sum to -b
+    rest_sq = n * (n - 1) - known.eig_square_sum()
     if (b * b - rest_sq) % 2:
         raise IrrationalPartError("quadratic cofactor is not integral")
     c = (b * b - rest_sq) // 2
@@ -175,55 +198,60 @@ def compute_spectrum(s, candidates=None):
         raise IrrationalPartError(
             "residual quadratic has integer roots the nullity sweep missed"
         )
-    claim = SpectrumClaim.make(eigs, quadratic=(b, c))
-    cert = certify_spectrum(s, claim)
-    if not cert.passed:
-        raise IrrationalPartError(
-            f"quadratic cofactor failed exact certification: {cert.details}"
-        )
-    return claim
+    return SpectrumClaim.make(eigs, quadratic=(b, c))
 
 
 def certify_spectrum(s, claim):
-    """Exact check that char_poly(s) equals the claimed factorization,
-    with an independent nullity cross-check for every integer eigenvalue.
+    """Exact check that det(xI - S) = claim.to_poly() by exact nullities and
+    the two trace identities. Once multiplicities_sum_to_n holds,
+    char_poly_matches holds iff every nullity_at_<v> and both trace
+    identities do; otherwise its witness names the failed premises.
 
-    Also checks tr(S^2), the sum of squared entries, against n(n-1).
+    - S is symmetric, so nullity_at(S, lam) is the multiplicity of lam. If
+      the claimed multiplicities equal the nullities (nullity_at_<v>) and
+      sum to n - d (multiplicities_sum_to_n), with d = 2 for a quadratic
+      and 0 without, the claim's values (distinct) hold n - d eigenvalues,
+      and the d others, mu, avoid them. For d = 0 that is the claim.
+    - A Seidel matrix has tr S = 0 (zero diagonal) and tr S^2 = sum S_ij^2
+      = n(n-1), as matrix_trace_square re-checks. So sum mu = -sum m lam
+      and sum mu^2 = n(n-1) - sum m lam^2.
+    - For d = 2, trace_identity and trace_square_identity say that the
+      roots of x^2 + bx + c have that sum and sum of squares, hence the
+      product (sum^2 - sum of squares) / 2 = mu1 mu2. So they are mu1
+      and mu2, and det(xI - S) = claim.to_poly().
+
+    exactlin.char_poly (interpolation) is not used; the tests compare
+    this check against it.
     """
     b = CertificateBuilder(
         "spectrum", {"matrix": s.rows, "claim": claim.as_dict()}
     )
     b.note("claim", claim.as_dict())
+    n = s.n
     trace_square = sum(x * x for row in s.rows for x in row)
     b.note("trace_square", trace_square)
-    b.check("matrix_trace_square", trace_square == s.n * (s.n - 1), trace_square)
-    if not b.check("multiplicities_sum_to_n", claim.total_multiplicity == s.n,
+    b.check("matrix_trace_square", trace_square == n * (n - 1), trace_square)
+    if not b.check("multiplicities_sum_to_n", claim.total_multiplicity == n,
                    claim.total_multiplicity):
         return b.build()
     if claim.quadratic:
         bq, cq = claim.quadratic
         disc = bq * bq - 4 * cq
-        b.check(
-            "quadratic_irreducible",
-            disc < 0 or math.isqrt(disc) ** 2 != disc,
-            disc,
-        )
-    cp = exactlin.char_poly(s.as_lists())
-    claimed = claim.to_poly()
-    mismatch = next(
-        (i for i in range(max(len(cp), len(claimed)))
-         if (cp[i] if i < len(cp) else 0) != (claimed[i] if i < len(claimed) else 0)),
-        None,
-    )
-    b.check("char_poly_matches", mismatch is None,
-            None if mismatch is None else {"coefficient_index": mismatch})
+        b.check("quadratic_irreducible", disc < 0 or math.isqrt(disc) ** 2 != disc,
+                disc)
     m = s.as_lists()
-    for value, mult in claim.integer_eigs:
-        got = exactlin.nullity_at(m, value)
-        b.check(f"nullity_at_{value}", got == mult, {"claimed": mult, "exact": got})
-    b.check("trace_identity", claim.eig_sum() == 0, claim.eig_sum())
-    b.check("trace_square_identity",
-            claim.eig_square_sum() == s.n * (s.n - 1), claim.eig_square_sum())
+    exact = {value: exactlin.nullity_at(m, value) for value, _ in claim.integer_eigs}
+    premises = [(f"nullity_at_{value}", exact[value] == mult,
+                 {"claimed": mult, "exact": exact[value]})
+                for value, mult in claim.integer_eigs]
+    premises += [("trace_identity", claim.eig_sum() == 0, claim.eig_sum()),
+                 ("trace_square_identity", claim.eig_square_sum() == n * (n - 1),
+                  claim.eig_square_sum())]
+    failed = [name for name, ok, _ in premises if not ok]
+    b.check("char_poly_matches", not failed,
+            {"failed_premises": failed} if failed else None)
+    for premise in premises:
+        b.check(*premise)
     return b.build()
 
 
@@ -504,6 +532,7 @@ def _extend_to_signed(s, perm):
     return m
 
 
+@functools.lru_cache(maxsize=1)
 def signed_automorphism_group(s):
     """The group of signed permutation matrices preserving S.
 
@@ -513,7 +542,8 @@ def signed_automorphism_group(s):
     isomorphism of descendants extends uniquely up to global sign). The
     closure is enumerated and its order cross-checked against the
     descendant counting identity |group| = 2 * |Aut(descendant_0)| *
-    #matching vertices.
+    #matching vertices. The result for the last (frozen) matrix is
+    cached, so aut.order and the sub-matrix scan share it.
     """
     n = s.n
     if n == 0:
@@ -584,21 +614,7 @@ def switching_canonical_form(s):
         return "0:"
     if n == 1:
         return "1:"
-    best = None
-    for v in range(n):
-        rest = [j for j in range(n) if j != v]
-        adj = []
-        for a_pos, a in enumerate(rest):
-            mask = 0
-            for b_pos, b in enumerate(rest):
-                if a == b:
-                    continue
-                if s.rows[a][b] * s.rows[v][a] * s.rows[v][b] == -1:
-                    mask |= 1 << b_pos
-            adj.append(mask)
-        form = canonical_graph_form(n - 1, adj)
-        if best is None or form < best:
-            best = form
+    best = min(canonical_graph_form(n - 1, _descendant(s, v)[1]) for v in range(n))
     return f"{n}:{best[1]:x}"
 
 

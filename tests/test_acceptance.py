@@ -70,9 +70,11 @@ def test_criterion_4_spectrum(s54):
     claimed = cli.S54_SPECTRUM.to_poly()
     explicit = exactlin.poly_from_roots([-5] * 36 + [7] * 6 + [11] * 8 + [13] * 2)
     explicit = exactlin.poly_mul(explicit, [107, -24, 1])
-    ok = cert.passed and claimed == explicit
+    ok = (cert.passed and claimed == explicit
+          and exactlin.char_poly(s54.as_lists()) == claimed)
     report(4, ok, f"char poly = (x+5)^36 (x-7)^6 (x-11)^8 (x-13)^2 "
-                  f"(x^2-24x+107), nullities cross-checked "
+                  f"(x^2-24x+107), by nullities and trace identities, "
+                  f"cross-checked by interpolation "
                   f"({time.monotonic() - t0:.2f}s)")
 
 

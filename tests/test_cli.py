@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from equilines import cli, search
+from equilines import cli, search, seidel
 
 
 def run(args):
@@ -101,6 +101,15 @@ def test_subscan_coverage_fails_for_non_group(monkeypatch):
     assert cert.details["checks"]["subsets_covered"] is False
     assert cert.details["first_failure"] == {
         "check": "subsets_covered", "witness": {"53": [55, 54]}}
+
+
+def test_signed_group_computed_once_per_pipeline():
+    seidel.signed_automorphism_group.cache_clear()
+    pipeline = cli.Pipeline(cli.RunConfig(command="all", orders=(53,)))
+    assert cli.cmd_aut(pipeline).passed
+    assert cli.cmd_subscan(pipeline).passed
+    info = seidel.signed_automorphism_group.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_maximality_control_run(tmp_path):

@@ -96,7 +96,7 @@ def test_subscan_order_52(s54):
 def screen_all(s, order):
     """Every removed-index set of one order that passes the screen, and the
     window L used for it."""
-    lams = [lam for lam in search.integer_window(s) if order % 2 or lam % 2]
+    lams = [lam for lam in seidel.integer_window(s) if order % 2 or lam % 2]
     factors = [np.array(s.as_lists(), dtype=float) - lam * np.eye(s.n) for lam in lams]
     subsets = list(combinations(range(s.n), s.n - order))
     passed = search._screen(factors, np.arange(1, s.n + 1, dtype=float),
@@ -165,13 +165,13 @@ def test_screen_accepts_true_integral_submatrix(s54):
 def test_integer_window_j_minus_i():
     # J - I of order 8 has spectrum {7, -1}
     j_minus_i = [[0 if i == j else 1 for j in range(8)] for i in range(8)]
-    assert search.integer_window(
+    assert seidel.integer_window(
         seidel.SeidelMatrix.from_rows(j_minus_i)) == range(-1, 8)
 
 
 def test_integer_window_s54(s54):
     # spectrum of S54: -5 up to 12 + sqrt(37) = 18.08...
-    assert search.integer_window(s54) == range(-5, 19)
+    assert seidel.integer_window(s54) == range(-5, 19)
 
 
 def petersen_seidel(flip=False):

@@ -100,8 +100,92 @@ def test_s54_perturbed_multiplicity_fails(s54):
     )
     cert = seidel.certify_spectrum(s54, bad)
     assert not cert.passed
-    failing = cert.details["first_failure"]["check"]
-    assert "nullity_at_-5" in cert.details["checks"] or failing
+    assert cert.details["checks"]["nullity_at_-5"] is False
+    assert cert.details["checks"]["char_poly_matches"] is False
+    assert cert.details["first_failure"] == {
+        "check": "char_poly_matches",
+        "witness": {"failed_premises": ["nullity_at_-5", "nullity_at_7",
+                                        "trace_identity", "trace_square_identity"]},
+    }
+
+
+@pytest.mark.parametrize("eigs, quadratic, failed", [
+    ({-5: 36, 3: 2, 7: 6, 11: 8}, (-24, 107),
+     ["nullity_at_3", "trace_identity", "trace_square_identity"]),
+    ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), ["trace_square_identity"]),
+], ids=["replaced_eigenvalue", "shifted_quadratic_constant"])
+def test_s54_wrong_claim_names_failed_premise(s54, eigs, quadratic, failed):
+    cert = seidel.certify_spectrum(s54, seidel.SpectrumClaim.make(eigs, quadratic))
+    assert cert.details["checks"]["char_poly_matches"] is False
+    assert cert.details["first_failure"] == {
+        "check": "char_poly_matches", "witness": {"failed_premises": failed}}
+
+
+def nonzero_claim(eigs, quadratic):
+    return seidel.SpectrumClaim.make({v: m for v, m in eigs.items() if m}, quadratic)
+
+
+def perturbed_claims(rng, claim, n):
+    """Wrong claims near a true one, plus a random claim of total n."""
+    eigs = dict(claim.integer_eigs)
+    out = []
+    if len(eigs) > 1:                                   # move one multiplicity
+        src, dst = rng.sample(sorted(eigs), 2)
+        out.append(nonzero_claim({**eigs, src: eigs[src] - 1, dst: eigs[dst] + 1},
+                                 claim.quadratic))
+    if eigs:                                            # replace one value
+        old = rng.choice(sorted(eigs))
+        new = rng.choice([v for v in range(-n, n + 1) if v not in eigs])
+        replaced = dict(eigs)
+        replaced[new] = replaced.pop(old)
+        out.append(nonzero_claim(replaced, claim.quadratic))
+    if claim.quadratic:                                 # shift b or c
+        b, c = claim.quadratic
+        shift = rng.choice([-2, -1, 1, 2])
+        out.append(nonzero_claim(
+            eigs, (b + shift, c) if rng.random() < 0.5 else (b, c + shift)))
+    elif sum(eigs.values()) >= 2:                       # two eigenvalues as a quadratic
+        a, b = rng.sample([v for v, m in eigs.items() for _ in range(m)], 2)
+        rest = dict(eigs)
+        rest[a] -= 1
+        rest[b] -= 1
+        out.append(nonzero_claim(rest, (-(a + b), a * b)))
+    d = rng.choice([0, 2]) if n >= 2 else 0
+    values = rng.sample(range(-n, n + 1), rng.randint(1, 3))
+    random_eigs = dict.fromkeys(values, 0)
+    for _ in range(n - d):
+        random_eigs[rng.choice(values)] += 1
+    out.append(nonzero_claim(
+        random_eigs, (rng.randint(-6, 6), rng.randint(-12, 12)) if d else None))
+    return out
+
+
+def test_char_poly_matches_agrees_with_interpolation_oracle():
+    # char_poly_matches implies the interpolated characteristic polynomial;
+    # the converse needs a quadratic that is absent or irreducible
+    rng = random.Random(404)
+    outcomes = {True: 0, False: 0}
+    quadratic_matches = 0
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        s = random_seidel(rng, n)
+        cp = exactlin.char_poly(s.as_lists())
+        try:
+            true = seidel.compute_spectrum(s)
+            claims = [true] + perturbed_claims(rng, true, n)
+        except seidel.IrrationalPartError:
+            claims = perturbed_claims(rng, seidel.SpectrumClaim.make({}), n)
+        for claim in claims:
+            checks = seidel.certify_spectrum(s, claim).details["checks"]
+            matches = checks.get("char_poly_matches", False)
+            equal = claim.to_poly() == cp
+            if matches:
+                assert equal, claim
+            if equal and checks.get("quadratic_irreducible", True):
+                assert matches, claim
+            outcomes[matches] += 1
+            quadratic_matches += matches and claim.quadratic is not None
+    assert min(outcomes.values()) > 800 and quadratic_matches > 200
 
 
 def test_compute_spectrum_irrational_part_raises():
