@@ -25,7 +25,7 @@ T52_SPECTRUM = seidel.SpectrumClaim.make(
 class RunConfig:
     command: str = "all"
     orders: tuple = (50, 51, 52, 53)
-    jobs: int = 1
+    jobs: int = 1                # must be >= 1; every search runs in one process
     output_path: str = None
     emit_vectors: bool = False
     corrupt_generator: bool = False
@@ -193,7 +193,7 @@ def cmd_maximality(pipeline):
             vectors=tuple(kept),
             ambient_dim=exactlin.rank([list(v.coords) for v in kept]),
         )
-    report = search.check_extendibility(system, jobs=config.jobs)
+    report = search.check_extendibility(system)
     b.note("patterns_examined", report.patterns_examined)
     b.note("basis_indices_1based", [i + 1 for i in report.basis_indices])
     if config.drop_line is None:
@@ -320,7 +320,10 @@ def _parse_args(argv):
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (must be >= 1); every "
+                            "search runs in one process, so it changes neither "
+                            "the report nor the run time")
         p.add_argument("--out", dest="output_path")
         if name in ("golay", "all"):
             p.add_argument("--corrupt-generator", action="store_true",

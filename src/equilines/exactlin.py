@@ -8,10 +8,6 @@ so results can serve as certificates.
 from fractions import Fraction
 
 
-class SingularMatrixError(ValueError):
-    """Square system has no unique solution."""
-
-
 def dims(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -91,6 +87,48 @@ def positive_definite(m):
                 rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
         prev = pivot
     return True
+
+
+def adjugate(m):
+    """(det m, adj m) for a symmetric positive definite integer matrix m.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]
+    without row swaps: after step k every entry is, up to sign, a minor
+    of order k+1 of [m | I], so each division by the previous pivot is
+    exact (Sylvester's determinant identity), and at the end [m | I] has
+    become [det I | adj m]. The pivot of step k is the leading principal
+    minor of order k+1, which Sylvester's criterion requires to be
+    positive; a pivot <= 0 raises ValueError. The result is certified by
+    check_adjugate before it is returned.
+    """
+    n, c = dims(m)
+    if n != c:
+        raise ValueError("adjugate of non-square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        rowk = a[k]
+        pivot = rowk[k]
+        if pivot <= 0:
+            raise ValueError(f"leading minor {k + 1} is {pivot}: not positive definite")
+        for i in range(n):
+            if i != k:
+                rowi = a[i]
+                aik = rowi[k]
+                for j in range(2 * n):
+                    rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
+        prev = pivot
+    adj = [row[n:] for row in a]
+    check_adjugate(m, prev, adj)
+    return prev, adj
+
+
+def check_adjugate(m, det, adj):
+    """Raise AssertionError unless det != 0 and m @ adj == det I, which
+    makes adj / det the inverse of m."""
+    if det == 0 or mat_mul(m, adj) != [[det * (i == j) for j in range(len(m))]
+                                        for i in range(len(m))]:
+        raise AssertionError("m @ adj != det I")
 
 
 def rank(m):
@@ -205,44 +243,3 @@ def char_poly(m):
     if out[-1] != 1:
         raise ArithmeticError("characteristic polynomial not monic")
     return out
-
-
-def solve_rational(m, rhs):
-    """Solve m x = rhs exactly over the rationals.
-
-    Returns a solution as a list of Fractions (any free variables 0), or
-    None if the system is inconsistent. Raises SingularMatrixError if the
-    system is square, consistent and singular.
-    """
-    nr, nc = dims(m)
-    if len(rhs) != nr:
-        raise ValueError("rhs length mismatch")
-    a = [[Fraction(m[i][j]) for j in range(nc)] + [Fraction(rhs[i])] for i in range(nr)]
-    pivots = []
-    r = 0
-    for col in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if a[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
-    if nr == nc and r < nc:
-        raise SingularMatrixError("square system is singular")
-    x = [Fraction(0)] * nc
-    for row, col in enumerate(pivots):
-        x[col] = a[row][nc]
-    return x

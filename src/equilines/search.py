@@ -1,18 +1,19 @@
 """Exhaustive searches: non-extendibility and the integral-spectrum sub-scan.
 
-The extendibility search is range-partitioned for parallel execution by
-_range_map; chunk results are merged in a fixed order so the report never
-depends on worker count. The sub-scan runs in one process: it examines one
-removed-index set per orbit of the automorphism group, screens each with
-an exact annihilator test modulo a prime, and confirms every survivor with
-exact nullities. Neither search decides anything by floating point.
+Both run in one process. The extendibility search tests all 2^rank sign
+patterns at once in exact int64 arithmetic, after dividing the exact
+adjugate by its content, and re-checks every hit with Fractions. The
+sub-scan examines one removed-index set per orbit of the automorphism
+group, screens each with an exact annihilator test modulo a prime, and
+confirms every survivor with exact nullities. Neither search decides
+anything by floating point.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress, islice
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .construct import SCALED_ANGLE, SCALED_NORM
 SCREEN_PRIME = 1_048_573        # prime, below 2^20
 SCREEN_SEED = 54                # fixes the screen vector v
 SCREEN_BATCH = 128              # subsets per batch; small keeps memory flat
+SCAN_BLOCK = 1 << 14            # int64 entries per pattern-scan block (128 KiB)
 
 
 @dataclass
@@ -42,18 +44,6 @@ class SubScanResult:
     screened_ambiguous: int = 0  # subsets whose orbit passed the screen, failed confirmation
 
 
-def _range_map(fn, total, jobs, *args):
-    """[fn((lo, hi, *args)) for consecutive slices [lo, hi) of range(total)],
-    one slice per job, in slice order; a Pool runs them when jobs > 1."""
-    jobs = max(jobs, 1)
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    tasks = [(lo, hi, *args) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            return pool.map(fn, tasks)
-    return [fn(t) for t in tasks]
-
-
 def greedy_basis(rows, target_rank):
     """First linearly independent subset of the rows, in given order."""
     chosen = []
@@ -65,47 +55,71 @@ def greedy_basis(rows, target_rank):
     raise ValueError(f"rows span rank {len(chosen)} < {target_rank}")
 
 
-def _gray_flip_bit(k):
-    """Bit flipped when stepping from Gray code of k-1 to Gray code of k."""
-    return (k & -k).bit_length() - 1
+def _sign_rows(bits):
+    """Row p holds s_j = +1 where bit j of p is set, else -1: shape (2^bits, bits)."""
+    p = np.arange(1 << bits)
+    return np.where(p[:, None] >> np.arange(bits) & 1, 1, -1).astype(np.int64)
 
 
-def _gray_signs(index, r):
-    g = index ^ (index >> 1)
-    return [SCALED_ANGLE if g >> j & 1 else -SCALED_ANGLE for j in range(r)]
+def _pattern_scan(a, d, inner, allow_slack):
+    """The sign vectors s in {+1, -1}^r, r = len(a), that pass the
+    reduced norm and angle tests below, as bit masks g (bit j set means
+    s_j = +1) in the order of a Gray-code walk: by increasing k with
+    g = k ^ (k >> 1). a and inner are integer lists, d > 0.
 
+    The norm test: SCALED_ANGLE^2 s^T a s = SCALED_NORM d, or with slack
+    0 < SCALED_ANGLE^2 s^T a s <= SCALED_NORM d. For integer q = s^T a s
+    that is lowest <= q <= top, with top, rem the quotient and remainder
+    of SCALED_NORM d by SCALED_ANGLE^2 and lowest = 1 with slack, else
+    top if rem = 0 (else top + 1: no pattern passes). The angle test:
+    every entry of inner @ s is +d or -d.
 
-def _extend_scan_range(args):
-    """Scan sign-pattern indices [lo, hi) over the basis.
-
-    adjugate is det * Gram(B)^-1, inner is V * B^T * adjugate, so for a
-    pattern eps the candidate's scaled norm is eps^T adjugate eps / det
-    and its scaled inner products with all members are inner @ eps / det.
+    q is computed for all 2^r patterns at once from a split into the
+    low r // 2 coordinates and the rest:
+    q = s_lo^T a_ll s_lo + 2 s_lo^T a_lh s_hi + s_hi^T a_hh s_hi,
+    in blocks of SCAN_BLOCK entries. Every value computed, partial sums
+    included, is a signed sum of entries of a, of a row of inner, or d,
+    so its absolute value is at most the bound checked before the scan,
+    below 2^62: int64 never wraps. (The cross term's factor 2 is covered
+    because a is symmetric: 2 sum |a_lh| = sum |a_lh| + sum |a_hl|.)
     """
-    lo, hi, r, det, adjugate, inner, allow_slack = args
-    eps = _gray_signs(lo, r)
-    z = [sum(adjugate[i][j] * eps[j] for j in range(r)) for i in range(r)]
-    norm_target = SCALED_NORM * det
+    r = len(a)
+    top, rem = divmod(SCALED_NORM * d, SCALED_ANGLE ** 2)
+    lowest = 1 if allow_slack else top + (rem != 0)
+    bound = max([d, sum(abs(x) for row in a for x in row)]
+                + [sum(abs(x) for x in row) for row in inner])
+    if bound >= 1 << 62:
+        raise AssertionError(f"reduced entries reach {bound}, beyond the int64 scan")
+    a = np.array(a, dtype=np.int64)
+    inner = np.array(inner, dtype=np.int64)
+    lo = r // 2
+    s_lo, s_hi = _sign_rows(lo), _sign_rows(r - lo)
+    q_lo = ((s_lo @ a[:lo, :lo]) * s_lo).sum(axis=1)
+    q_hi = ((s_hi @ a[lo:, lo:]) * s_hi).sum(axis=1)
+    x_lo = 2 * (s_lo @ a[:lo, lo:])
+    step = max(1, SCAN_BLOCK >> (r - lo))
     hits = []
-    k = lo
-    while k < hi:
-        norm_num = sum(e * zi for e, zi in zip(eps, z))
-        if norm_num == norm_target or (allow_slack and 0 < norm_num <= norm_target):
-            prods = [sum(row[j] * eps[j] for j in range(r)) for row in inner]
-            target = SCALED_ANGLE * det
-            if all(p == target or p == -target for p in prods):
-                hits.append((k, tuple(eps)))
-        k += 1
-        if k < hi:
-            b = _gray_flip_bit(k)
-            delta = -2 * eps[b]
-            eps[b] += delta
-            for i in range(r):
-                z[i] += delta * adjugate[i][b]
-    return hits
+    for b in range(0, len(s_lo), step):
+        q = x_lo[b:b + step] @ s_hi.T
+        q += q_lo[b:b + step, None]
+        q += q_hi
+        i, j = np.nonzero((lowest <= q) & (q <= top))
+        signs = np.hstack([s_lo[b + i], s_hi[j]])
+        angles_ok = (np.abs(signs @ inner.T) == d).all(axis=1)
+        hits.extend((j[angles_ok] << lo | (b + i[angles_ok])).tolist())
+    return sorted(hits, key=_gray_index)
 
 
-def check_extendibility(system, ambient_dim=None, jobs=1, progress=None):
+def _gray_index(g):
+    """The k with k ^ (k >> 1) == g."""
+    k = 0
+    while g:
+        k ^= g
+        g >>= 1
+    return k
+
+
+def check_extendibility(system, ambient_dim=None, progress=None):
     """Exhaustively decide whether one more line at the common angle fits.
 
     Any valid new line w must satisfy <w, b> in {+16, -16} for each member
@@ -115,6 +129,22 @@ def check_extendibility(system, ambient_dim=None, jobs=1, progress=None):
     scaled norm must be exactly 80; with ambient_dim above the rank a
     norm deficit can be absorbed by an orthogonal component, so any
     pattern with norm at most 80 extends.
+
+    For a pattern eps = 16 s, s in {+1, -1}^r, the candidate is
+    w = B^T G^-1 eps, where G = B B^T is positive definite.
+    exactlin.adjugate gives det = det G > 0 and adj = det G^-1, certified
+    by G @ adj = det I. Let g be the gcd of det and every entry of adj, so
+    g divides each of them: a = adj / g and d = det / g > 0 are integers,
+    a is symmetric and a / d = G^-1. Then w = B^T a eps / d, its scaled
+    norm is eps^T a eps / d and its scaled inner products with the
+    members V are inner @ eps / d, where inner = V B^T a is an integer
+    matrix. Multiplying by d > 0 and dividing by 16, the norm test
+    eps^T G^-1 eps = 80 is 256 s^T a s = 80 d (with slack,
+    0 < 256 s^T a s <= 80 d), and the angle test V w = +-16 is
+    inner @ s = +-d in every entry. _pattern_scan runs these tests
+    exactly, in int64. Every pattern it returns is re-derived as an
+    exact Fraction witness and re-checked against every member by
+    _verify_witness.
     """
     rows = system.matrix()
     r = system.ambient_dim
@@ -124,32 +154,23 @@ def check_extendibility(system, ambient_dim=None, jobs=1, progress=None):
     allow_slack = ambient_dim > r
     basis = greedy_basis(rows, r)
     bmat = [rows[i] for i in basis]
-    gram = exactlin.mat_mul(bmat, exactlin.transpose(bmat))
-    det = exactlin.bareiss_det(gram)
-    if det <= 0:
-        raise AssertionError("basis Gram matrix not positive definite")
-    cols = [exactlin.solve_rational(gram, [det * (i == j) for i in range(r)])
-            for j in range(r)]
-    if any(x.denominator != 1 for col in cols for x in col):
-        raise AssertionError("adjugate entry is not an integer")
-    adjugate = [[x.numerator for x in row] for row in zip(*cols)]
-    # inner[i] @ eps = det * <v_i, candidate>
-    lift_mat = exactlin.mat_mul(exactlin.transpose(bmat), adjugate)  # 24 x r
-    inner = exactlin.mat_mul(rows, lift_mat)                         # members x r
-
+    det, adjugate = exactlin.adjugate(exactlin.mat_mul(bmat, exactlin.transpose(bmat)))
+    g = math.gcd(det, *(x for row in adjugate for x in row))
+    a, d = [[x // g for x in row] for row in adjugate], det // g
+    lift_mat = exactlin.mat_mul(exactlin.transpose(bmat), a)  # 24 x r
+    inner = exactlin.mat_mul(rows, lift_mat)                  # members x r
+    hits = _pattern_scan(a, d, inner, allow_slack)
     total = 1 << r
-    chunk_hits = _range_map(_extend_scan_range, total, jobs,
-                            r, det, adjugate, inner, allow_slack)
     if progress:
         progress(total)
 
     witnesses = []
-    for hits in chunk_hits:
-        for k, eps in hits:
-            w = [Fraction(sum(lift_mat[i][j] * eps[j] for j in range(r)), det)
-                 for i in range(24)]
-            _verify_witness(rows, w, allow_slack)
-            witnesses.append(tuple(w))
+    for pattern in hits:
+        eps = [SCALED_ANGLE if pattern >> j & 1 else -SCALED_ANGLE for j in range(r)]
+        w = [Fraction(sum(lift_mat[i][j] * eps[j] for j in range(r)), d)
+             for i in range(24)]
+        _verify_witness(rows, w, allow_slack)
+        witnesses.append(tuple(w))
     return ExtendibilityReport(
         extendible=bool(witnesses),
         witness=witnesses[0] if witnesses else None,

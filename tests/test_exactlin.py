@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -48,35 +47,35 @@ def test_char_poly_empty_and_single():
     assert exactlin.char_poly([[5]]) == [-5, 1]
 
 
-def test_solve_rational_examples():
-    assert exactlin.solve_rational(exactlin.identity(2), [Fraction(1, 5), Fraction(-1, 5)]) == [
-        Fraction(1, 5),
-        Fraction(-1, 5),
-    ]
-    assert exactlin.solve_rational([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+def test_adjugate_known():
+    assert exactlin.adjugate([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
+    assert exactlin.adjugate([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == (
+        4, [[3, -2, 1], [-2, 4, -2], [1, -2, 3]])
 
 
-def test_solve_rational_singular_raises():
-    with pytest.raises(exactlin.SingularMatrixError):
-        exactlin.solve_rational([[1, 1], [1, 1]], [1, 1])
-
-
-def test_solve_rational_inconsistent_returns_none():
-    assert exactlin.solve_rational([[1, 1], [2, 2]], [1, 3]) is None
-
-
-def test_solve_rational_remultiplication_random():
+def test_adjugate_random_positive_definite():
     rng = random.Random(3)
     for _ in range(30):
-        n = rng.randint(1, 6)
-        m = random_matrix(rng, n)
-        rhs = [rng.randint(-9, 9) for _ in range(n)]
-        try:
-            x = exactlin.solve_rational(m, rhs)
-        except exactlin.SingularMatrixError:
-            continue
-        back = [sum(Fraction(m[i][j]) * x[j] for j in range(n)) for i in range(n)]
-        assert back == [Fraction(r) for r in rhs]
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        b = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
+        m = exactlin.mat_mul(b, exactlin.transpose(b))
+        for i in range(n):
+            m[i][i] += 1
+        det, adj = exactlin.adjugate(m)
+        assert exactlin.mat_mul(m, adj) == [[det * (i == j) for j in range(n)]
+                                            for i in range(n)]
+        assert det == exactlin.bareiss_det(m)
+
+
+@pytest.mark.parametrize("m", [
+    [[1, 1], [1, 1]],
+    [[1, 2], [2, 1]],
+    [[-2, 1], [1, -2]],
+    [[0, 1], [1, 0]],                # a row swap would hide the zero pivot
+], ids=["singular", "indefinite", "negative_definite", "zero_pivot"])
+def test_adjugate_rejects_non_positive_definite(m):
+    with pytest.raises(ValueError):
+        exactlin.adjugate(m)
 
 
 def test_char_poly_trace_det_identities_random():

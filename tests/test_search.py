@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from equilines import construct, exactlin, golay, search, seidel
 
@@ -14,12 +15,6 @@ def drop_member(system, index):
         vectors=tuple(kept),
         ambient_dim=exactlin.rank([list(v.coords) for v in kept]),
     )
-
-
-def test_gray_signs_cover_all_patterns():
-    r = 4
-    seen = {tuple(search._gray_signs(i, r)) for i in range(1 << r)}
-    assert len(seen) == 1 << r
 
 
 def test_greedy_basis_is_independent(final54):
@@ -36,12 +31,77 @@ def test_not_extendible(final54):
     assert report.patterns_examined == 1 << 18
 
 
-def test_not_extendible_parallel_agrees(final54):
-    serial = search.check_extendibility(final54)
-    parallel = search.check_extendibility(final54, jobs=4)
-    assert serial.extendible == parallel.extendible
-    assert serial.witnesses == parallel.witnesses
-    assert serial.patterns_examined == parallel.patterns_examined
+def gray_loop_witnesses(system, ambient_dim=None):
+    """The witnesses of check_extendibility by the pure-Python reference:
+    a Gray-code walk over all 2^r sign patterns eps that keeps
+    z = adj @ eps up to date with one column per step and tests each
+    pattern on the unreduced adjugate, in increasing Gray index."""
+    rows = system.matrix()
+    r = system.ambient_dim
+    allow_slack = ambient_dim is not None and ambient_dim > r
+    bmat = [rows[i] for i in search.greedy_basis(rows, r)]
+    det, adj = exactlin.adjugate(exactlin.mat_mul(bmat, exactlin.transpose(bmat)))
+    lift = exactlin.mat_mul(exactlin.transpose(bmat), adj)
+    inner = exactlin.mat_mul(rows, lift)
+    eps = [-16] * r
+    z = [sum(adj[i][j] * eps[j] for j in range(r)) for i in range(r)]
+    witnesses = []
+    for k in range(1 << r):
+        if k:
+            b = (k & -k).bit_length() - 1      # bit flipped from Gray(k - 1)
+            delta = -2 * eps[b]
+            eps[b] += delta
+            for i in range(r):
+                z[i] += delta * adj[i][b]
+        norm = sum(e * zi for e, zi in zip(eps, z))
+        if norm == 80 * det or (allow_slack and 0 < norm <= 80 * det):
+            prods = [sum(row[j] * eps[j] for j in range(r)) for row in inner]
+            if all(abs(p) == 16 * det for p in prods):
+                witnesses.append(tuple(Fraction(sum(lift[i][j] * eps[j] for j in range(r)), det)
+                                       for i in range(24)))
+    return witnesses
+
+
+def test_pattern_scan_matches_gray_loop_oracle(final54):
+    # S54, the drop-line systems of three seeded lines, and four lines
+    # with a spare dimension (the slack path): (system, ambient_dim, count)
+    four = construct.LineSystem(
+        vectors=final54.vectors[:4],
+        ambient_dim=exactlin.rank([list(v.coords) for v in final54.vectors[:4]]))
+    cases = ([(final54, None, 0)]
+             + [(drop_member(final54, i), None, 2)
+                for i in random.Random(5).sample(range(54), 3)]
+             + [(four, four.ambient_dim + 1, 16)])
+    for system, ambient_dim, count in cases:
+        expected = gray_loop_witnesses(system, ambient_dim)
+        report = search.check_extendibility(system, ambient_dim)
+        assert report.witnesses == expected
+        assert report.patterns_examined == 1 << system.ambient_dim
+        assert len(expected) == count
+
+
+def test_adjugate_off_by_one_entry_fails_check(final54):
+    rows = final54.matrix()
+    bmat = [rows[i] for i in search.greedy_basis(rows, 18)]
+    gram = exactlin.mat_mul(bmat, exactlin.transpose(bmat))
+    det, adj = exactlin.adjugate(gram)
+    assert det.bit_length() > 64          # the raw adjugate is beyond int64
+    exactlin.check_adjugate(gram, det, adj)
+    adj[3][11] += 1
+    with pytest.raises(AssertionError):
+        exactlin.check_adjugate(gram, det, adj)
+
+
+def test_int64_bound_raises_before_any_scan(monkeypatch):
+    # each entry fits int64 but s^T a s reaches 4 * 2^62 = 2^64, which wraps
+    def no_scan(bits):
+        raise RuntimeError("scan started")
+    monkeypatch.setattr(search, "_sign_rows", no_scan)
+    big = 1 << 62
+    with pytest.raises(AssertionError):
+        search._pattern_scan([[big, big], [big, big]], 5, [[1, 1]], False)
+    with pytest.raises(RuntimeError):          # just below the bound it scans
+        search._pattern_scan([[big - 1]], 5, [[1]], False)
 
 
 def test_single_line_extendible_in_larger_ambient(final54):
