@@ -313,7 +313,7 @@ def _parse_args(argv):
         "construct": "build the 72- and 54-line systems and certify the "
                      "structure of the 18 removed lines",
         "spectrum": "certify the exact Seidel spectrum",
-        "aut": "compute the permutation automorphism group",
+        "aut": "certify the order-216 signed automorphism group",
         "maximality": "exhaustive non-extendibility search",
         "subscan": "integral-spectrum scan over sub-Seidel matrices",
         "all": "run every certificate in dependency order",
@@ -339,7 +339,7 @@ def _parse_args(argv):
     args = parser.parse_args(argv)
     orders = (50, 51, 52, 53)
     if getattr(args, "orders", None):
-        orders = tuple(sorted(int(x) for x in args.orders.split(",")))
+        orders = tuple(sorted({int(x) for x in args.orders.split(",")}))
         if not set(orders) <= {50, 51, 52, 53}:
             parser.error("orders must be a subset of 50,51,52,53")
     drop = getattr(args, "drop_line", None)

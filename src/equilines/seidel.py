@@ -1,9 +1,14 @@
-"""Seidel matrices: exact spectra, permutation automorphisms, switching classes.
+"""Seidel matrices: exact spectra, automorphism groups, switching classes.
 
 A Seidel matrix is symmetric with zero diagonal and +/-1 off-diagonal.
-Internally each one also carries the adjacency bitmasks of the graph
-with edge set {ij : S_ij = -1}, which drives both the automorphism
-search and the switching-class canonical form.
+Every graph question goes to one engine, canonical_graph_form: an
+individualization-refinement search that returns a graph's canonical
+form, a canonical labelling and its whole automorphism group.
+Isomorphisms are composed from two labellings. The permutation group of
+S is Aut of the graph {ij : S_ij = -1}. The signed group and the
+switching canonical form come from one search over the descendants of S
+(switch row v to all +1, drop v), which labels one vertex per orbit of
+the signed automorphisms found so far (_switching_search).
 """
 
 import functools
@@ -256,7 +261,7 @@ def certify_spectrum(s, claim):
 
 
 # ---------------------------------------------------------------------------
-# graph machinery: equitable refinement, automorphisms, canonical labeling
+# graph machinery: one individualization-refinement search
 # ---------------------------------------------------------------------------
 
 def _refine(n, adj, cells):
@@ -290,7 +295,6 @@ def _refine(n, adj, cells):
 def _adjacency_bits(adj, perm):
     """Upper-triangle adjacency bits of the relabeled graph, as an int."""
     n = len(perm)
-    pos = {v: i for i, v in enumerate(perm)}
     bits = 0
     k = 0
     for i in range(n):
@@ -302,105 +306,74 @@ def _adjacency_bits(adj, perm):
     return bits
 
 
-def canonical_graph_form(n, adj):
-    """Canonical upper-triangle bitstring of a graph up to isomorphism.
+@dataclass(frozen=True)
+class CanonicalLabelling:
+    bits: int                    # adjacency bits of the least leaf: the form
+    labelling: tuple             # least leaf: position i holds vertex labelling[i]
+    automorphisms: tuple         # all of Aut, as tuples of images of 0..n-1
 
-    Individualization-refinement search taking the minimum adjacency
-    encoding over all discrete leaves.
+
+def canonical_graph_form(n, adj):
+    """Canonical form, canonical labelling and automorphism group of a graph,
+    from one individualization-refinement search with no pruning.
+
+    Each node refines its ordered partition and branches on every vertex
+    of the first non-singleton cell; a discrete leaf is a labelling.
+    Refinement and the choice of cell use adjacency counts and cell
+    positions only, so an isomorphism phi maps the tree of a graph onto the
+    tree of its image, leaf q to leaf phi.q, with equal adjacency bits.
+    Hence the least bits are a canonical form, and for the first least
+    leaf b the automorphisms are exactly b[i] -> q[i] over the leaves q
+    with the least bits: every such map preserves adjacency, and each g in
+    Aut arises from the leaf g.b alone (two leaves differ at the position
+    where their paths first individualize different vertices).
     """
-    best = None
+    best_bits, best_leaves = None, []
 
     def rec(cells):
-        nonlocal best
+        nonlocal best_bits, best_leaves
         cells = _refine(n, adj, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            perm = [c[0] for c in cells]
-            bits = _adjacency_bits(adj, perm)
-            if best is None or bits < best:
-                best = bits
+            leaf = tuple(c[0] for c in cells)
+            bits = _adjacency_bits(adj, leaf)
+            if best_bits is None or bits < best_bits:
+                best_bits, best_leaves = bits, [leaf]
+            elif bits == best_bits:
+                best_leaves.append(leaf)
             return
         cell = cells[target]
         for v in sorted(cell):
-            branched = (
-                cells[:target]
-                + [[v], [w for w in cell if w != v]]
-                + cells[target + 1:]
-            )
-            rec(branched)
+            rec(cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:])
 
     rec([list(range(n))])
-    return (n, best if best is not None else 0)
+    first = best_leaves[0]
+    automorphisms = []
+    for leaf in best_leaves:
+        g = [0] * n
+        for a, b in zip(first, leaf):
+            g[a] = b
+        automorphisms.append(tuple(g))
+    return CanonicalLabelling(best_bits, first, tuple(automorphisms))
 
 
 def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
-    """All edge-preserving bijections from one graph onto another, via
-    backtracking with forward-checked candidate domains seeded by
-    equitable refinement of both graphs.
-
-    The refinement process is determined by cell order and invariant
-    counts only, so corresponding cells of the two refinements must match
-    under any isomorphism; mismatched cell size sequences mean there is
-    none.
-    """
-    full = (1 << n) - 1
-    src_cells = _refine(n, adj_src, [list(range(n))])
-    dst_cells = _refine(n, adj_dst, [list(range(n))])
-    if [len(c) for c in src_cells] != [len(c) for c in dst_cells]:
+    """All edge-preserving bijections from one graph onto another: none if
+    the canonical forms differ, else phi.g over g in Aut(src), with phi
+    taking the canonical labelling of src onto that of dst."""
+    src = canonical_graph_form(n, adj_src)
+    dst = canonical_graph_form(n, adj_dst)
+    if src.bits != dst.bits:
         return []
-    color_mask = {}
-    for src_cell, dst_cell in zip(src_cells, dst_cells):
-        mask = 0
-        for v in dst_cell:
-            mask |= 1 << v
-        for v in src_cell:
-            color_mask[v] = mask
-    order = [v for cell in src_cells for v in cell]
-    found = []
-
-    def rec(depth, images, domains, used):
-        if limit is not None and len(found) >= limit:
-            return
-        if depth == n:
-            found.append(tuple(images[v] for v in range(n)))
-            return
-        # most-constrained unmapped vertex, ties by fixed order
-        v = min(
-            (u for u in order if images[u] is None),
-            key=lambda u: (domains[u].bit_count(), order.index(u)),
-        )
-        dom = domains[v] & ~used
-        while dom:
-            w = (dom & -dom).bit_length() - 1
-            dom &= dom - 1
-            images[v] = w
-            new_domains = dict(domains)
-            ok = True
-            for u in order:
-                if images[u] is not None or u == v:
-                    continue
-                if adj_src[v] >> u & 1:
-                    nd = new_domains[u] & adj_dst[w]
-                else:
-                    nd = new_domains[u] & ~adj_dst[w] & full & ~(1 << w)
-                if not nd & ~(used | (1 << w)):
-                    ok = False
-                    break
-                new_domains[u] = nd
-            if ok:
-                rec(depth + 1, images, new_domains, used | (1 << w))
-            images[v] = None
-            if limit is not None and len(found) >= limit:
-                return
-        return
-
-    rec(0, {v: None for v in range(n)}, dict(color_mask), 0)
-    return found
+    phi = [0] * n
+    for a, b in zip(src.labelling, dst.labelling):
+        phi[a] = b
+    return [tuple(phi[v] for v in g) for g in src.automorphisms[:limit]]
 
 
 def enumerate_automorphisms(n, adj, limit=None):
     """All adjacency-preserving permutations of a graph."""
-    return enumerate_isomorphisms(n, adj, adj, limit=limit)
+    return list(canonical_graph_form(n, adj).automorphisms[:limit])
 
 
 def find_isomorphism(n, adj_src, adj_dst):
@@ -413,15 +386,20 @@ def _compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def _closure(n, gens):
-    identity = tuple(range(n))
+def _signed_compose(a, b):
+    """Apply b, then a."""
+    return tuple((a[tb][0], sb * a[tb][1]) for tb, sb in b)
+
+
+def _generate(identity, gens, compose):
+    """All elements of the finite group generated by gens (breadth first)."""
     group = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for g in frontier:
             for h in gens:
-                p = _compose(h, g)
+                p = compose(h, g)
                 if p not in group:
                     group.add(p)
                     nxt.append(p)
@@ -429,15 +407,29 @@ def _closure(n, gens):
     return group
 
 
-def minimal_generators(n, elements):
-    """Greedy generating subset of a permutation group given all elements."""
+def _greedy_generators(identity, elements, compose):
+    """The generators taken, in sorted order, from elements that are not
+    yet generated by those taken before."""
     gens = []
-    group = {tuple(range(n))}
+    group = {identity}
     for p in sorted(elements):
         if p not in group:
             gens.append(p)
-            group = _closure(n, gens)
+            group = _generate(identity, gens, compose)
     return gens
+
+
+def _closure(n, gens):
+    return _generate(tuple(range(n)), gens, _compose)
+
+
+def _signed_closure(n, gens):
+    return _generate(tuple((i, 1) for i in range(n)), gens, _signed_compose)
+
+
+def minimal_generators(n, elements):
+    """Greedy generating subset of a permutation group given all elements."""
+    return _greedy_generators(tuple(range(n)), elements, _compose)
 
 
 def automorphism_order(s):
@@ -488,11 +480,6 @@ class SignedAutGroupResult:
     generators: tuple
 
 
-def _signed_compose(a, b):
-    """Apply b, then a."""
-    return tuple((a[tb][0], sb * a[tb][1]) for tb, sb in b)
-
-
 def _signed_preserves(s, m):
     n = s.n
     return all(
@@ -500,22 +487,6 @@ def _signed_preserves(s, m):
         for i in range(n)
         for j in range(i + 1, n)
     )
-
-
-def _signed_closure(n, gens):
-    identity = tuple((i, 1) for i in range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = _signed_compose(h, g)
-                if p not in group:
-                    group.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return group
 
 
 def _extend_to_signed(s, perm):
@@ -533,65 +504,88 @@ def _extend_to_signed(s, perm):
 
 
 @functools.lru_cache(maxsize=1)
-def signed_automorphism_group(s):
-    """The group of signed permutation matrices preserving S.
+def _switching_search(s):
+    """Canonical labellings of the descendants of S (n >= 1), pruned by the
+    switching automorphisms they reveal; read by signed_automorphism_group
+    and switching_canonical_form. Returns (least descendant form,
+    |Aut(descendant_0)|, generators of the signed group).
 
-    Built from three kinds of verified generators: the negated identity,
-    plain permutation automorphisms, and one switching automorphism into
-    each vertex whose descendant graph is isomorphic to vertex 0's (an
-    isomorphism of descendants extends uniquely up to global sign). The
-    closure is enumerated and its order cross-checked against the
-    descendant counting identity |group| = 2 * |Aut(descendant_0)| *
-    #matching vertices. The result for the last (frozen) matrix is
-    cached, so aut.order and the sub-matrix scan share it.
+    A signed automorphism taking v to w carries the descendant at v
+    (_descendant) onto the one at w. Conversely an isomorphism of the
+    descendants matches their all-+1 switched rows, so with v -> w it
+    extends to a signed automorphism, unique up to sign (_extend_to_signed
+    builds and verifies it). The generators are -I, the extensions of
+    Aut(descendant_0), and one extended isomorphism 0 -> w for each
+    labelled w whose descendant has descendant_0's form.
+
+    w is skipped if the generators found so far map a labelled u onto it;
+    then its descendant has u's form. So (a) the least form over the
+    labelled vertices is the least over all vertices, and (b) every w with
+    descendant_0's form is in the orbit of 0 under the generators: a
+    labelled one is 0 or got a generator 0 -> w, and a skipped one is the
+    image of a labelled u with that form. With the stabilizer of 0 (+/-
+    the extensions of Aut(descendant_0)) the generators therefore generate
+    the whole group, of order 2 |Aut(descendant_0)| |orbit of 0|.
     """
     n = s.n
-    if n == 0:
-        return SignedAutGroupResult(order=1, generators=())
-    perm_group = automorphism_order(s)
+    rest0, adj0 = _descendant(s, 0)
+    first = canonical_graph_form(n - 1, adj0)
     gens = [tuple((i, -1) for i in range(n))]
-    gens += [tuple((g[i], 1) for i in range(n)) for g in perm_group.generators]
-    rest0 = [j for j in range(n) if j != 0]
-    _, adj0 = _descendant(s, 0)
-    descendant_autos = enumerate_automorphisms(n - 1, adj0)
-    aut0 = len(descendant_autos)
-    # the stabilizer of vertex 0 in the switching group is exactly the
-    # extension of Aut(descendant_0)
-    for g in minimal_generators(n - 1, descendant_autos):
+    for g in minimal_generators(n - 1, first.automorphisms):
         perm = [0] * n
         for pos, v in enumerate(rest0):
             perm[v] = rest0[g[pos]]
         gens.append(_extend_to_signed(s, tuple(perm)))
-    matching = 1
+    labelled = [0]
+    best = first.bits
     for w in range(1, n):
-        rest, adjw = _descendant(s, w)
-        iso = find_isomorphism(n - 1, adj0, adjw)
-        if iso is None:
+        reached, frontier = set(labelled), list(labelled)
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                if g[v][0] not in reached:
+                    reached.add(g[v][0])
+                    frontier.append(g[v][0])
+        if w in reached:
             continue
-        matching += 1
-        # positions back to vertex labels; vertex 0 maps to w
-        perm = [0] * n
-        perm[0] = w
-        for pos, v in enumerate(rest0):
-            perm[v] = rest[iso[pos]]
-        gens.append(_extend_to_signed(s, tuple(perm)))
+        labelled.append(w)
+        rest, adj = _descendant(s, w)
+        form = canonical_graph_form(n - 1, adj)
+        best = min(best, form.bits)
+        if form.bits == first.bits:
+            perm = [0] * n
+            perm[0] = w
+            for a, b in zip(first.labelling, form.labelling):
+                perm[rest0[a]] = rest[b]
+            gens.append(_extend_to_signed(s, tuple(perm)))
+    return best, len(first.automorphisms), tuple(gens)
+
+
+@functools.lru_cache(maxsize=1)
+def signed_automorphism_group(s):
+    """The group of signed permutation matrices preserving S.
+
+    Its generators come from _switching_search, which proves that they
+    generate the whole group. Each is re-verified, the closure is
+    enumerated, and its order is checked by orbit-stabilizer at vertex 0:
+    |group| = 2 * |Aut(descendant_0)| * |orbit of 0|. The result for the
+    last (frozen) matrix is cached, so aut.order and the sub-matrix scan
+    share it.
+    """
+    n = s.n
+    if n == 0:
+        return SignedAutGroupResult(order=1, generators=())
+    _, aut0, gens = _switching_search(s)
     for g in gens:
         if not _signed_preserves(s, g):
             raise AssertionError("signed generator fails to preserve S")
     group = _signed_closure(n, gens)
-    expected = 2 * aut0 * matching
+    expected = 2 * aut0 * len({g[0][0] for g in group})
     if len(group) != expected:
         raise AssertionError(
-            f"signed closure has order {len(group)}, descendant count gives {expected}"
+            f"signed closure has order {len(group)}, orbit-stabilizer gives {expected}"
         )
-    minimal = []
-    span = {tuple((i, 1) for i in range(n))}
-    for g in sorted(group):
-        if g not in span:
-            minimal.append(g)
-            span = _signed_closure(n, minimal)
-            if len(span) == len(group):
-                break
+    minimal = _greedy_generators(tuple((i, 1) for i in range(n)), group, _signed_compose)
     return SignedAutGroupResult(order=len(group), generators=tuple(minimal))
 
 
@@ -605,17 +599,16 @@ def switching_canonical_form(s):
 
     For each distinguished vertex v, switch so that row v becomes all +1,
     drop v, and canonically label the graph {ij : switched S_ij = -1} on
-    the rest; the form is the lexicographic minimum over v. Two Seidel
-    matrices are switching-plus-permutation equivalent iff their forms
-    are equal.
+    the rest; the form is the least of these over v, which
+    _switching_search finds from one vertex per orbit. Two Seidel matrices
+    are switching-plus-permutation equivalent iff their forms are equal.
     """
     n = s.n
     if n == 0:
         return "0:"
     if n == 1:
         return "1:"
-    best = min(canonical_graph_form(n - 1, _descendant(s, v)[1]) for v in range(n))
-    return f"{n}:{best[1]:x}"
+    return f"{n}:{_switching_search(s)[0]:x}"
 
 
 def switch(s, signs):

@@ -112,6 +112,16 @@ def test_signed_group_computed_once_per_pipeline():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_duplicate_orders_are_scanned_once(tmp_path):
+    reports = []
+    for orders in ("52,52", "52"):
+        out = tmp_path / "subscan.json"
+        assert run(["subscan", "--orders", orders, "--out", str(out)]) == 0
+        reports.append(cli.report_without_timings(json.loads(out.read_text())))
+    assert reports[0] == reports[1]
+    assert len(reports[0]["certificates"][0]["details"]["hits"]) == 9
+
+
 def test_maximality_control_run(tmp_path):
     out = tmp_path / "m.json"
     assert run(["maximality", "--drop-line", "3", "--out", str(out)]) == 0

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from itertools import permutations
 
 import pytest
 
@@ -313,3 +315,112 @@ def test_signed_automorphism_group_consistency():
                     if seidel._signed_preserves(s, m):
                         count += 1
             assert count == result.order
+
+
+def random_graph(rng, n, density):
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def relabel_graph(adj, perm):
+    """The image of a graph under the vertex map v -> perm[v]."""
+    out = [0] * len(adj)
+    for v, mask in enumerate(adj):
+        for u in range(len(adj)):
+            if mask >> u & 1:
+                out[perm[v]] |= 1 << perm[u]
+    return out
+
+
+def brute_force_isomorphisms(n, src, dst):
+    return sorted(
+        p for p in permutations(range(n))
+        if all((src[i] >> j & 1) == (dst[p[i]] >> p[j] & 1)
+               for i in range(n) for j in range(n))
+    )
+
+
+def test_isomorphisms_match_brute_force_random():
+    rng = random.Random(61)
+    hexagon = [0b100010, 0b000101, 0b001010, 0b010100, 0b101000, 0b010001]
+    triangles = [0b000110, 0b000101, 0b000011, 0b110000, 0b101000, 0b011000]
+    pairs = [(6, hexagon, triangles), (6, hexagon, relabel_graph(hexagon, (3, 1, 4, 0, 5, 2)))]
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        src = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs.append((n, src, relabel_graph(src, perm)))
+        pairs.append((n, src, random_graph(rng, n, 0.5)))
+    isomorphic = 0
+    for n, src, dst in pairs:
+        expected = brute_force_isomorphisms(n, src, dst)
+        assert sorted(seidel.enumerate_isomorphisms(n, src, dst)) == expected
+        first = seidel.enumerate_isomorphisms(n, src, dst, limit=1)
+        assert len(first) == min(1, len(expected)) and set(first) <= set(expected)
+        found = seidel.find_isomorphism(n, src, dst)
+        assert found in expected if expected else found is None
+        isomorphic += bool(expected)
+    assert 0 < isomorphic < len(pairs)
+    assert not seidel.enumerate_isomorphisms(6, hexagon, triangles)
+
+
+def all_descendants_form(s):
+    """The switching form from every descendant, with no pruning."""
+    best = min(seidel.canonical_graph_form(s.n - 1, seidel._descendant(s, v)[1]).bits
+               for v in range(s.n))
+    return f"{s.n}:{best:x}"
+
+
+def test_pruned_switching_form_matches_all_descendants_random():
+    rng = random.Random(63)
+    for _ in range(150):
+        s = random_seidel(rng, rng.randint(2, 8))
+        assert seidel.switching_canonical_form(s) == all_descendants_form(s)
+
+
+@pytest.fixture
+def fresh_switching_caches():
+    def clear():
+        seidel.signed_automorphism_group.cache_clear()
+        seidel._switching_search.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_switching_search_labels_few_descendants(s54, monkeypatch, fresh_switching_caches):
+    real = seidel.canonical_graph_form
+    calls = []
+
+    def counted(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(seidel, "canonical_graph_form", counted)
+    assert seidel.signed_automorphism_group(s54).order == 216
+    form = seidel.switching_canonical_form(s54)
+    assert len(calls) <= 10
+    monkeypatch.undo()
+    assert form == all_descendants_form(s54)
+
+
+def test_dropped_descendant_automorphism_fails_orbit_stabilizer(
+        s54, monkeypatch, fresh_switching_caches):
+    real = seidel.canonical_graph_form
+    adj0 = seidel._descendant(s54, 0)[1]
+
+    def lossy(n, adj):
+        result = real(n, adj)
+        if adj == adj0:
+            return dataclasses.replace(result, automorphisms=result.automorphisms[:-1])
+        return result
+
+    monkeypatch.setattr(seidel, "canonical_graph_form", lossy)
+    with pytest.raises(AssertionError, match="orbit-stabilizer"):
+        seidel.signed_automorphism_group(s54)
