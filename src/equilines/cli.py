@@ -4,7 +4,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import construct, exactlin, golay, search, seidel
 from .certificate import CertificateBuilder
@@ -143,15 +143,17 @@ def cmd_spectrum(pipeline):
 def cmd_aut(pipeline):
     """Automorphism group certificate.
 
-    Computes the group under both definitions: plain permutations
-    (P^T S P = S) and signed permutation matrices. The claimed order 216
-    is attained by the signed group; when the permutation group order
+    Computes the group under both definitions: signed permutation matrices
+    first, then the plain permutations (P^T S P = S), which are read off
+    the signed group as its elements with all signs +1. The claimed order
+    216 is attained by the signed group; when the permutation group order
     differs from 216 the discrepancy is flagged in the details rather
     than hidden, and the certificate passes iff the signed order is 216
     and all generators verify.
     """
     b = CertificateBuilder("aut.order", {"command": "aut"})
     s = pipeline.seidel_matrix
+    signed_result = seidel.signed_automorphism_group(s)
     perm_result = seidel.automorphism_order(s)
     b.note("permutation_order", perm_result.order)
     b.note(
@@ -162,7 +164,6 @@ def cmd_aut(pipeline):
         "permutation_generators_preserve_matrix",
         all(seidel.permute(s, g).rows == s.rows for g in perm_result.generators),
     )
-    signed_result = seidel.signed_automorphism_group(s)
     b.note("signed_order", signed_result.order)
     b.note(
         "signed_generators_1based",
@@ -261,6 +262,9 @@ def cmd_subscan(pipeline):
     return b.build()
 
 
+ALL_FNS = [cmd_golay, cmd_construct, cmd_remark, cmd_spectrum, cmd_aut,
+           cmd_maximality, cmd_subscan]
+
 COMMANDS = {
     "golay": [cmd_golay],
     "construct": [cmd_construct, cmd_remark],
@@ -268,22 +272,18 @@ COMMANDS = {
     "aut": [cmd_aut],
     "maximality": [cmd_maximality],
     "subscan": [cmd_subscan],
+    "all": ALL_FNS,
 }
-
-ALL_FNS = [cmd_golay, cmd_construct, cmd_remark, cmd_spectrum, cmd_aut,
-           cmd_maximality, cmd_subscan]
-
-
-def certify_all(config):
-    pipeline = Pipeline(config)
-    return [fn(pipeline) for fn in ALL_FNS]
 
 
 def run_command(config):
     pipeline = Pipeline(config)
-    if config.command == "all":
-        return certify_all(config)
     return [fn(pipeline) for fn in COMMANDS[config.command]]
+
+
+def certify_all(config):
+    """Every certificate, in dependency order, whatever config.command names."""
+    return run_command(replace(config, command="all"))
 
 
 def report_dict(certificates):
@@ -338,7 +338,7 @@ def _parse_args(argv):
             p.add_argument("--orders", default="50,51,52,53")
     args = parser.parse_args(argv)
     orders = (50, 51, 52, 53)
-    if getattr(args, "orders", None):
+    if hasattr(args, "orders"):                 # "" fails int(): a usage error
         orders = tuple(sorted({int(x) for x in args.orders.split(",")}))
         if not set(orders) <= {50, 51, 52, 53}:
             parser.error("orders must be a subset of 50,51,52,53")

@@ -72,8 +72,6 @@ class FilterSet:
 class LineSystem:
     vectors: tuple              # LineVector, canonical octad order
     ambient_dim: int            # rank of the span
-    scaled_angle: int = SCALED_ANGLE
-    denominator: int = SCALED_NORM
 
     def __len__(self):
         return len(self.vectors)

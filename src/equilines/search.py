@@ -192,11 +192,8 @@ def _verify_witness(rows, w, allow_slack):
 
 
 def switching_automorphisms(s):
-    """The permutation parts of the signed automorphisms of s, as a group:
-    the closure of the parts of the verified generators."""
-    parts = [tuple(t for t, _ in g)
-             for g in seidel.signed_automorphism_group(s).generators]
-    return seidel._closure(s.n, parts)
+    """The permutation parts of the signed automorphisms of s, a group."""
+    return {tuple(t for t, _ in g) for g in seidel.signed_automorphism_group(s).elements}
 
 
 def orbit_representatives(perms, n, k):

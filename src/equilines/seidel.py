@@ -4,11 +4,11 @@ A Seidel matrix is symmetric with zero diagonal and +/-1 off-diagonal.
 Every graph question goes to one engine, canonical_graph_form: an
 individualization-refinement search that returns a graph's canonical
 form, a canonical labelling and its whole automorphism group.
-Isomorphisms are composed from two labellings. The permutation group of
-S is Aut of the graph {ij : S_ij = -1}. The signed group and the
+Isomorphisms are composed from two labellings. The signed group and the
 switching canonical form come from one search over the descendants of S
 (switch row v to all +1, drop v), which labels one vertex per orbit of
-the signed automorphisms found so far (_switching_search).
+the signed automorphisms found so far (_switching_search); the
+permutation group of S is the part of the signed group with all signs +1.
 """
 
 import functools
@@ -53,17 +53,6 @@ class SeidelMatrix:
         return SeidelMatrix.from_rows(
             [[self.rows[i][j] for j in keep] for i in keep]
         )
-
-    def minus_graph_masks(self):
-        """Adjacency bitmasks of the graph on edges {ij : S_ij = -1}."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in range(self.n):
-                if i != j and self.rows[i][j] == -1:
-                    m |= 1 << j
-            masks.append(m)
-        return masks
 
 
 @dataclass(frozen=True)
@@ -114,12 +103,6 @@ class SpectrumClaim:
             "integer_eigs": [[v, m] for v, m in self.integer_eigs],
             "quadratic": list(self.quadratic) if self.quadratic else None,
         }
-
-
-@dataclass(frozen=True)
-class AutGroupResult:
-    order: int
-    generators: tuple            # tuples: images of 0..n-1
 
 
 def seidel_from(system):
@@ -371,11 +354,6 @@ def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
     return [tuple(phi[v] for v in g) for g in src.automorphisms[:limit]]
 
 
-def enumerate_automorphisms(n, adj, limit=None):
-    """All adjacency-preserving permutations of a graph."""
-    return list(canonical_graph_form(n, adj).automorphisms[:limit])
-
-
 def find_isomorphism(n, adj_src, adj_dst):
     """One isomorphism between two graphs, or None."""
     found = enumerate_isomorphisms(n, adj_src, adj_dst, limit=1)
@@ -419,30 +397,27 @@ def _greedy_generators(identity, elements, compose):
     return gens
 
 
-def _closure(n, gens):
-    return _generate(tuple(range(n)), gens, _compose)
-
-
-def _signed_closure(n, gens):
-    return _generate(tuple((i, 1) for i in range(n)), gens, _signed_compose)
-
-
 def minimal_generators(n, elements):
     """Greedy generating subset of a permutation group given all elements."""
     return _greedy_generators(tuple(range(n)), elements, _compose)
 
 
 def automorphism_order(s):
-    """Permutation automorphism group {P : P^T S P = S} of a Seidel matrix."""
-    adj = s.minus_graph_masks()
-    autos = enumerate_automorphisms(s.n, adj)
-    gens = minimal_generators(s.n, autos)
-    for g in gens:
-        if not _preserves(s, g):
-            raise AssertionError("automorphism engine returned a non-automorphism")
-    if len(_closure(s.n, gens)) != len(autos):
-        raise AssertionError("generator closure disagrees with enumeration")
-    return AutGroupResult(order=len(autos), generators=tuple(gens))
+    """Permutation automorphism group {P : P^T S P = S} of a Seidel matrix,
+    read off signed_automorphism_group(s) with no search of its own.
+
+    P preserves S iff the signed matrix (P, all signs +1) does, so the
+    group is the permutation parts of the signed elements whose signs are
+    all +1. It is complete because the signed group is (its order is
+    checked by orbit-stabilizer), and it is a subgroup: products and
+    inverses of permutation matrices are permutation matrices. The greedy
+    generators generate it by construction: an element is taken whenever
+    those taken before do not generate it.
+    """
+    plain = [tuple(t for t, _ in g) for g in signed_automorphism_group(s).elements
+             if all(sign == 1 for _, sign in g)]
+    return AutGroupResult(generators=tuple(minimal_generators(s.n, plain)),
+                          elements=tuple(plain))
 
 
 def _preserves(s, perm):
@@ -469,15 +444,18 @@ def _descendant(s, v):
 
 
 @dataclass(frozen=True)
-class SignedAutGroupResult:
-    """Signed permutation matrices M with M^T S M = S.
+class AutGroupResult:
+    """A group preserving S: permutations P (tuples of the images of
+    0..n-1) with P^T S P = S, or signed permutation matrices M with
+    M^T S M = S, as tuples of (target, sign) pairs: column i of M has its
+    nonzero entry sign at row target."""
 
-    Each element is a tuple of (target, sign) pairs: column i of M has its
-    nonzero entry sign at row target.
-    """
-
-    order: int
     generators: tuple
+    elements: tuple              # the whole group, sorted
+
+    @property
+    def order(self):
+        return len(self.elements)
 
 
 def _signed_preserves(s, m):
@@ -563,30 +541,33 @@ def _switching_search(s):
 
 @functools.lru_cache(maxsize=1)
 def signed_automorphism_group(s):
-    """The group of signed permutation matrices preserving S.
+    """The group of signed permutation matrices preserving S, with all of
+    its elements.
 
     Its generators come from _switching_search, which proves that they
     generate the whole group. Each is re-verified, the closure is
     enumerated, and its order is checked by orbit-stabilizer at vertex 0:
     |group| = 2 * |Aut(descendant_0)| * |orbit of 0|. The result for the
-    last (frozen) matrix is cached, so aut.order and the sub-matrix scan
-    share it.
+    last (frozen) matrix is cached, and every other group is read off it:
+    the permutation group (automorphism_order) and the sub-matrix scan's
+    group (search.switching_automorphisms).
     """
     n = s.n
     if n == 0:
-        return SignedAutGroupResult(order=1, generators=())
+        return AutGroupResult(generators=(), elements=((),))
     _, aut0, gens = _switching_search(s)
     for g in gens:
         if not _signed_preserves(s, g):
             raise AssertionError("signed generator fails to preserve S")
-    group = _signed_closure(n, gens)
+    identity = tuple((i, 1) for i in range(n))
+    group = _generate(identity, gens, _signed_compose)
     expected = 2 * aut0 * len({g[0][0] for g in group})
     if len(group) != expected:
         raise AssertionError(
             f"signed closure has order {len(group)}, orbit-stabilizer gives {expected}"
         )
-    minimal = _greedy_generators(tuple((i, 1) for i in range(n)), group, _signed_compose)
-    return SignedAutGroupResult(order=len(group), generators=tuple(minimal))
+    minimal = _greedy_generators(identity, group, _signed_compose)
+    return AutGroupResult(generators=tuple(minimal), elements=tuple(sorted(group)))
 
 
 def brute_force_automorphism_count(s):

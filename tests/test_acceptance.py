@@ -81,9 +81,10 @@ def test_criterion_4_spectrum(s54):
 def test_criterion_5_automorphism_order(s54):
     # The permutation group {P : P^T S P = S} has order 36, not 216; the
     # claimed 216 is attained by the group of signed permutation matrices
-    # preserving S (216 = 2 * 4 * 27 by descendant counting). Both are
-    # computed with verified generators and the definition mismatch is
-    # flagged rather than hidden.
+    # preserving S (216 = 2 * 4 * 27 by descendant counting). The signed
+    # group is computed with verified generators; the permutation group is
+    # read off it as its elements with all signs +1, and the definition
+    # mismatch is flagged rather than hidden.
     t0 = time.monotonic()
     perm = seidel.automorphism_order(s54)
     signed = seidel.signed_automorphism_group(s54)

@@ -82,6 +82,12 @@ def test_invalid_jobs_rejected():
     assert run(["golay", "--jobs", "0"]) == 2
 
 
+def test_empty_orders_rejected(capsys):
+    assert run(["subscan", "--orders", ""]) == 2
+    assert run(["all", "--orders", ""]) == 2
+    assert "[PASS]" not in capsys.readouterr().out
+
+
 def test_subscan_restricted_orders(tmp_path):
     out = tmp_path / "s.json"
     assert run(["subscan", "--orders", "53", "--out", str(out)]) == 0
@@ -109,7 +115,8 @@ def test_signed_group_computed_once_per_pipeline():
     assert cli.cmd_aut(pipeline).passed
     assert cli.cmd_subscan(pipeline).passed
     info = seidel.signed_automorphism_group.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    # one search; read back by automorphism_order and the scan
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_duplicate_orders_are_scanned_once(tmp_path):

@@ -239,8 +239,47 @@ def test_automorphisms_match_brute_force_random():
 def test_generators_generate_whole_group():
     s = cycle_seidel(6)
     result = seidel.automorphism_order(s)
-    closure = seidel._closure(s.n, list(result.generators))
+    closure = seidel._generate(tuple(range(s.n)), list(result.generators), seidel._compose)
     assert len(closure) == result.order
+
+
+def minus_graph_automorphisms(s):
+    """Reference: Aut of the graph {ij : S_ij = -1} by a graph search."""
+    adj = [sum(1 << j for j in range(s.n) if s.rows[i][j] == -1) for i in range(s.n)]
+    return set(seidel.canonical_graph_form(s.n, adj).automorphisms)
+
+
+def petersen_seidel():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    rows = [[0 if i == j else 1 for j in range(10)] for i in range(10)]
+    for a, b in outer + inner + spokes:
+        rows[a][b] = rows[b][a] = -1
+    return seidel.SeidelMatrix.from_rows(rows)
+
+
+def test_plain_group_matches_minus_graph_search(s54):
+    rng = random.Random(7)
+    matrices = [s54, petersen_seidel()]
+    matrices += [random_seidel(rng, rng.randint(1, 9)) for _ in range(100)]
+    for s in matrices:
+        expected = minus_graph_automorphisms(s)
+        got = seidel.automorphism_order(s)
+        assert set(got.elements) == expected and got.order == len(expected)
+        assert list(got.generators) == seidel.minimal_generators(s.n, expected)
+    assert seidel.automorphism_order(s54).order == 36
+    assert seidel.automorphism_order(petersen_seidel()).order == 120
+
+
+def test_plain_group_does_no_graph_search_of_its_own(s54, monkeypatch):
+    seidel.signed_automorphism_group(s54)
+    calls = []
+    search = seidel.canonical_graph_form
+    monkeypatch.setattr(seidel, "canonical_graph_form",
+                        lambda *args: calls.append(args) or search(*args))
+    assert seidel.automorphism_order(s54).order == 36
+    assert calls == []
 
 
 def test_switching_canonical_form_small_classes():
