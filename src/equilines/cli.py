@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import construct, exactlin, golay, search, seidel
 from .certificate import CertificateBuilder
@@ -38,45 +39,34 @@ class RunConfig:
 
 
 class Pipeline:
-    """Caches the construction stages shared by the certificate commands."""
+    """Caches the construction stages shared by the certificate commands;
+    a stage whose build raises is not cached."""
 
     def __init__(self, config):
         self.config = config
-        self._code = None
-        self._asche = None
-        self._final = None
-        self._seidel = None
         self.filters = construct.FilterSet.standard()
 
-    @property
+    @cached_property
     def code(self):
-        if self._code is None:
-            generator = golay.build_generator()
-            if self.config.corrupt_generator:
-                generator = tuple(
-                    row ^ (1 << 13) if i == 0 else row
-                    for i, row in enumerate(generator)
-                )
-            self._code = golay.generate_code(generator)
-        return self._code
+        generator = golay.build_generator()
+        if self.config.corrupt_generator:
+            generator = tuple(
+                row ^ (1 << 13) if i == 0 else row
+                for i, row in enumerate(generator)
+            )
+        return golay.generate_code(generator)
 
-    @property
+    @cached_property
     def asche(self):
-        if self._asche is None:
-            self._asche = construct.asche_system(self.code, self.filters)
-        return self._asche
+        return construct.asche_system(self.code, self.filters)
 
-    @property
+    @cached_property
     def final(self):
-        if self._final is None:
-            self._final = construct.final_system(self.code, self.filters)
-        return self._final
+        return construct.final_system(self.code, self.filters)
 
-    @property
+    @cached_property
     def seidel_matrix(self):
-        if self._seidel is None:
-            self._seidel = seidel.seidel_from(self.final)
-        return self._seidel
+        return seidel.seidel_from(self.final)
 
 
 def cmd_golay(pipeline):
@@ -338,10 +328,12 @@ def _parse_args(argv):
             p.add_argument("--orders", default="50,51,52,53")
     args = parser.parse_args(argv)
     orders = (50, 51, 52, 53)
-    if hasattr(args, "orders"):                 # "" fails int(): a usage error
-        orders = tuple(sorted({int(x) for x in args.orders.split(",")}))
-        if not set(orders) <= {50, 51, 52, 53}:
-            parser.error("orders must be a subset of 50,51,52,53")
+    if hasattr(args, "orders"):                 # "", "52," and "x" are usage errors
+        entries = [x.strip() for x in args.orders.split(",")]
+        if not set(entries) <= {"50", "51", "52", "53"}:
+            parser.error(f"--orders must be a comma-separated subset of 50,51,52,53, "
+                         f"not {args.orders!r}")
+        orders = tuple(sorted({int(x) for x in entries}))
     drop = getattr(args, "drop_line", None)
     if drop is not None and not 1 <= drop <= 54:
         parser.error("--drop-line must be between 1 and 54")

@@ -1,8 +1,9 @@
 """Exact integer/rational linear algebra.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).
-Everything here is division-free or rational-exact; no floating point,
-so results can serve as certificates.
+One fraction-free (Bareiss) elimination, pivots, answers every rank,
+nullity, determinant and definiteness question; the adjugate is the only
+other. No floating point, so results can serve as certificates.
 """
 
 from fractions import Fraction
@@ -12,10 +13,6 @@ def dims(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     return rows, cols
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -31,62 +28,66 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def trace(m):
-    return sum(m[i][i] for i in range(len(m)))
+def pivots(m):
+    """Fraction-free (Bareiss) row echelon form of the integer matrix m.
+
+    Yields (row, col, pivot) for pivot k = 0, 1, ...: col is the first
+    column with a nonzero entry at or below row k, and row >= k is where
+    that entry's row was before it was swapped into place k (row == k: no
+    swap). Each step is yielded before its elimination, so a caller that
+    stops early pays for no further step. By Sylvester's determinant
+    identity every entry left after step k is a minor of order k+2 of the
+    row-permuted m, so each division by the previous pivot is exact. With
+    no swap and no skipped column before step k, pivot k is the leading
+    principal minor of order k+1; a swap or a skipped column at step k
+    means that minor is 0.
+    """
+    nr, nc = dims(m)
+    a = [list(row) for row in m]
+    prev, k = 1, 0
+    for col in range(nc):
+        row = next((i for i in range(k, nr) if a[i][col]), None)
+        if row is None:
+            continue
+        a[k], a[row] = a[row], a[k]
+        rowk = a[k]
+        pivot = rowk[col]
+        yield row, col, pivot
+        for rowi in a[k + 1:]:
+            aic = rowi[col]
+            for j in range(col + 1, nc):
+                rowi[j] = (rowi[j] * pivot - aic * rowk[j]) // prev
+        prev = pivot
+        k += 1
 
 
 def bareiss_det(m):
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant: 0 below full rank, else the last pivot times
+    (-1)^(number of swaps)."""
     n, c = dims(m)
     if n != c:
         raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    steps = list(pivots(m))
+    if len(steps) < n:
+        return 0
+    swaps = sum(row != k for k, (row, _, _) in enumerate(steps))
+    return (-1) ** swaps * steps[-1][2] if steps else 1
 
 
 def positive_definite(m):
     """True iff the symmetric integer matrix m is positive definite: by
     Sylvester's criterion, iff every leading principal minor is positive,
-    and these minors are the Bareiss pivots taken without row swaps."""
+    that is, iff pivot k sits at (k, k) with no swap and is positive for
+    every k < n. Stops at the first pivot that fails."""
     n, c = dims(m)
     if n != c:
         raise ValueError("definiteness of non-square matrix")
-    a = [list(row) for row in m]
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
+    k = 0
+    for row, col, pivot in pivots(m):
+        if row != k or col != k or pivot <= 0:
             return False
-        rowk = a[k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-        prev = pivot
-    return True
+        k += 1
+    return k == n
 
 
 def adjugate(m):
@@ -99,7 +100,8 @@ def adjugate(m):
     become [det I | adj m]. The pivot of step k is the leading principal
     minor of order k+1, which Sylvester's criterion requires to be
     positive; a pivot <= 0 raises ValueError. The result is certified by
-    check_adjugate before it is returned.
+    check_adjugate before it is returned. Kept apart from pivots: it also
+    eliminates above each pivot, which would roughly double every rank's cost.
     """
     n, c = dims(m)
     if n != c:
@@ -132,32 +134,8 @@ def check_adjugate(m, det, adj):
 
 
 def rank(m):
-    """Rank over the rationals via fraction-free elimination."""
-    nr, nc = dims(m)
-    a = [list(row) for row in m]
-    r = 0
-    prev = 1
-    for col in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if a[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        for i in range(r + 1, nr):
-            aic = a[i][col]
-            rowi = a[i]
-            rowr = a[r]
-            for j in range(col, nc):
-                rowi[j] = (rowi[j] * pivot - aic * rowr[j]) // prev
-        prev = pivot
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank over the rationals: the number of pivots."""
+    return sum(1 for _ in pivots(m))
 
 
 def nullity_at(m, lam):

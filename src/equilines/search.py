@@ -45,14 +45,14 @@ class SubScanResult:
 
 
 def greedy_basis(rows, target_rank):
-    """First linearly independent subset of the rows, in given order."""
-    chosen = []
-    for i, row in enumerate(rows):
-        if exactlin.rank([rows[j] for j in chosen] + [row]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == target_rank:
-                return chosen
-    raise ValueError(f"rows span rank {len(chosen)} < {target_rank}")
+    """The first target_rank rows independent of the rows before them: the
+    first pivot columns of the transpose, as column j of an echelon form is
+    a pivot column iff it is not in the span of columns 0..j-1."""
+    steps = islice(exactlin.pivots(exactlin.transpose(rows)), target_rank)
+    chosen = [col for _, col, _ in steps]
+    if len(chosen) < target_rank:
+        raise ValueError(f"rows span rank {len(chosen)} < {target_rank}")
+    return chosen
 
 
 def _sign_rows(bits):

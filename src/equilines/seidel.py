@@ -129,17 +129,27 @@ def seidel_from(system):
 def integer_window(s):
     """range(lo, hi + 1) holding every integer in [lambda_min(s), lambda_max(s)].
 
-    lo moves down from 0 until s - (lo-1)I is positive definite, so
-    lambda_min > lo - 1; hi is found the same way on -s. Starting at 0 is
-    valid because tr s = 0 puts 0 between the extreme eigenvalues.
+    m - cI is positive definite iff c < lambda_min(m), a test monotone in
+    c. Bisection on [-n, 0], keeping the test true at the left end and
+    false at the right, finds the greatest integer c where it holds, and
+    lo = c + 1 is at most every integer >= lambda_min. Both ends are valid
+    for a Seidel matrix of order n >= 1: s + nI has diagonal n above its
+    off-diagonal row sums n - 1, so it is strictly diagonally dominant,
+    hence positive definite; tr s = 0 makes lambda_min <= 0, so s is not.
+    hi is found the same way on -s, also a Seidel matrix; for S54 that is
+    12 definiteness tests.
     """
     def least(m):
-        lo = 0
-        while not exactlin.positive_definite(
-                [[x - (lo - 1) * (i == j) for j, x in enumerate(row)]
-                 for i, row in enumerate(m)]):
-            lo -= 1
-        return lo
+        good, bad = -len(m), 0
+        while bad - good > 1:
+            c = (good + bad) // 2
+            if exactlin.positive_definite(
+                    [[x - c * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(m)]):
+                good = c
+            else:
+                bad = c
+        return bad
 
     return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
 

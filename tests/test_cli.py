@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from equilines import cli, search, seidel
+from equilines import cli, construct, search, seidel
 
 
 def run(args):
@@ -82,10 +82,24 @@ def test_invalid_jobs_rejected():
     assert run(["golay", "--jobs", "0"]) == 2
 
 
-def test_empty_orders_rejected(capsys):
-    assert run(["subscan", "--orders", ""]) == 2
-    assert run(["all", "--orders", ""]) == 2
-    assert "[PASS]" not in capsys.readouterr().out
+@pytest.mark.parametrize("orders", ["", "52,", "x"],
+                         ids=["empty", "trailing_comma", "non_integer"])
+def test_empty_orders_rejected(capsys, orders):
+    for command in ("subscan", "all"):
+        assert run([command, "--orders", orders]) == 2
+        out, err = capsys.readouterr()
+        assert "[PASS]" not in out
+        assert "--orders" in err and "50,51,52,53" in err
+
+
+def test_failed_stage_build_is_not_cached():
+    # the corrupted code builds but fails its gates; the line system built
+    # from it raises, and each access must try again
+    pipeline = cli.Pipeline(cli.RunConfig(command="all", corrupt_generator=True))
+    for _ in range(2):
+        with pytest.raises(construct.ConstructionError):
+            pipeline.asche
+    assert "asche" not in vars(pipeline)
 
 
 def test_subscan_restricted_orders(tmp_path):

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from equilines import exactlin
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def random_matrix(rng, n, lo=-5, hi=5):
@@ -10,7 +14,7 @@ def random_matrix(rng, n, lo=-5, hi=5):
 
 
 def test_rank_identity_and_ones():
-    assert exactlin.rank(exactlin.identity(3)) == 3
+    assert exactlin.rank(I3) == 3
     assert exactlin.rank([[1] * 4 for _ in range(4)]) == 1
 
 
@@ -20,12 +24,12 @@ def test_rank_rectangular():
 
 
 def test_nullity_at_identity():
-    assert exactlin.nullity_at(exactlin.identity(3), 1) == 3
-    assert exactlin.nullity_at(exactlin.identity(3), 0) == 0
+    assert exactlin.nullity_at(I3, 1) == 3
+    assert exactlin.nullity_at(I3, 0) == 0
 
 
 def test_positive_definite():
-    assert exactlin.positive_definite(exactlin.identity(3))
+    assert exactlin.positive_definite(I3)
     assert exactlin.positive_definite([[2, -1], [-1, 2]])
     assert not exactlin.positive_definite([[1, 1], [1, 1]])          # singular
     assert not exactlin.positive_definite([[-2, 1], [1, -2]])        # negative definite
@@ -85,7 +89,7 @@ def test_char_poly_trace_det_identities_random():
         m = random_matrix(rng, n)
         p = exactlin.char_poly(m)
         assert len(p) == n + 1 and p[-1] == 1
-        assert p[n - 1] == -exactlin.trace(m)
+        assert p[n - 1] == -sum(m[i][i] for i in range(n))
         assert p[0] == (-1) ** n * exactlin.bareiss_det(m)
 
 
@@ -120,3 +124,81 @@ def test_bareiss_det_known():
     assert exactlin.bareiss_det([[0, 1], [1, 0]]) == -1
     assert exactlin.bareiss_det([[2]]) == 2
     assert exactlin.bareiss_det([[1, 1], [1, 1]]) == 0
+
+
+def fraction_echelon(m):
+    """Reference: Gaussian elimination over Fractions, taking the first
+    nonzero entry of each column as pivot. Returns the pivot columns and,
+    for a square m, its determinant."""
+    a = [[Fraction(x) for x in row] for row in m]
+    cols, det = [], Fraction(1)
+    for col in range(len(a[0]) if a else 0):
+        r = len(cols)
+        row = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if row is None:
+            continue
+        if row != r:
+            a[r], a[row] = a[row], a[r]
+            det = -det
+        det *= a[r][col]
+        for i in range(r + 1, len(a)):
+            f = a[i][col] / a[r][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        cols.append(col)
+    return cols, det if len(cols) == len(a) else 0
+
+
+def leading_minors_positive(m):
+    """Reference for Sylvester's criterion: every leading principal minor,
+    each by its own Fraction elimination, is positive."""
+    return all(fraction_echelon([row[:k] for row in m[:k]])[1] > 0
+               for k in range(1, len(m) + 1))
+
+
+def random_oracle_matrix(rng):
+    """A random integer matrix, square or not, symmetric a third of the
+    time, often rank deficient or with zero leading entries."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+    if rng.random() < 1 / 3:
+        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        m = exactlin.mat_mul(b, exactlin.transpose(b))
+        shift = rng.randint(-2, 2)
+        for i in range(nr):
+            m[i][i] += shift
+    else:
+        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+    nr, nc = exactlin.dims(m)
+    if nr > 1 and rng.random() < 0.5:           # a row combined from others
+        i, j, k = (rng.randrange(nr) for _ in range(3))
+        m[i] = [rng.randint(-2, 2) * x + y for x, y in zip(m[j], m[k])]
+    if rng.random() < 0.3:                      # zero leading entries
+        for row in m[:rng.randint(1, nr)]:
+            row[0] = 0
+    return m
+
+
+def test_pivots_match_fraction_elimination():
+    rng = random.Random(17)
+    for _ in range(300):
+        m = random_oracle_matrix(rng)
+        n, c = exactlin.dims(m)
+        cols, det = fraction_echelon(m)
+        assert [col for _, col, _ in exactlin.pivots(m)] == cols
+        assert exactlin.rank(m) == len(cols)
+        if n == c:
+            assert exactlin.bareiss_det(m) == det
+            assert exactlin.nullity_at(m, 0) == n - len(cols)
+            if m == exactlin.transpose(m):
+                assert exactlin.positive_definite(m) == leading_minors_positive(m)
+
+
+@pytest.mark.parametrize("m, steps, det", [
+    ([[0, 1], [1, 0]], [(1, 0, 1), (1, 1, 1)], -1),    # one swap
+    ([[0, 0], [0, 1]], [(1, 1, 1)], 0),                 # column 0 skipped
+    ([[1, 0], [0, 0]], [(0, 0, 1)], 0),                 # no last pivot
+], ids=["swap", "skipped_column", "missing_last_pivot"])
+def test_pivots_fixed_cases(m, steps, det):
+    assert list(exactlin.pivots(m)) == steps
+    assert exactlin.rank(m) == len(steps)
+    assert exactlin.bareiss_det(m) == det
+    assert not exactlin.positive_definite(m)

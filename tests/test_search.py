@@ -24,6 +24,27 @@ def test_greedy_basis_is_independent(final54):
     assert exactlin.rank([rows[i] for i in basis]) == 18
 
 
+def incremental_rank_basis(rows, target_rank):
+    """Reference for greedy_basis: keep each row that raises the rank."""
+    chosen = []
+    for i, row in enumerate(rows):
+        if exactlin.rank([rows[j] for j in chosen] + [row]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == target_rank:
+                return chosen
+    raise ValueError(f"rows span rank {len(chosen)} < {target_rank}")
+
+
+@pytest.mark.parametrize("drop", [None, 0, 4, 23])
+def test_greedy_basis_matches_incremental_rank(final54, drop):
+    system = final54 if drop is None else drop_member(final54, drop)
+    rows = system.matrix()
+    r = system.ambient_dim
+    assert search.greedy_basis(rows, r) == incremental_rank_basis(rows, r)
+    with pytest.raises(ValueError):
+        search.greedy_basis(rows, r + 1)
+
+
 def test_not_extendible(final54):
     report = search.check_extendibility(final54)
     assert not report.extendible
@@ -232,6 +253,35 @@ def test_integer_window_j_minus_i():
 def test_integer_window_s54(s54):
     # spectrum of S54: -5 up to 12 + sqrt(37) = 18.08...
     assert seidel.integer_window(s54) == range(-5, 19)
+
+
+def linear_window(s):
+    """Reference for integer_window: step down from 0 one integer at a
+    time until the shifted matrix is positive definite, on s and on -s."""
+    def least(m):
+        lo = 0
+        while not exactlin.positive_definite(
+                [[x - (lo - 1) * (i == j) for j, x in enumerate(row)]
+                 for i, row in enumerate(m)]):
+            lo -= 1
+        return lo
+
+    return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
+
+
+def test_integer_window_bisection_matches_linear_scan(s54):
+    rng = random.Random(23)
+    j_minus_i = seidel.SeidelMatrix.from_rows(
+        [[0 if i == j else 1 for j in range(8)] for i in range(8)])
+    matrices = [s54, j_minus_i, petersen_seidel()]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice([1, -1])
+        matrices.append(seidel.SeidelMatrix.from_rows(rows))
+    for s in matrices:
+        assert seidel.integer_window(s) == linear_window(s)
 
 
 def petersen_seidel(flip=False):

@@ -58,9 +58,9 @@ def test_seidel_from_rejects_non_equiangular():
 
 
 def test_s54_trace_identities(s54):
-    assert exactlin.trace(s54.as_lists()) == 0
+    assert sum(s54.rows[i][i] for i in range(54)) == 0
     sq = exactlin.mat_mul(s54.as_lists(), s54.as_lists())
-    assert exactlin.trace(sq) == 54 * 53
+    assert sum(sq[i][i] for i in range(54)) == 54 * 53
 
 
 def test_compute_spectrum_order_one():
