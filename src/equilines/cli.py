@@ -252,8 +252,14 @@ def cmd_subscan(pipeline):
     return b.build()
 
 
-ALL_FNS = [cmd_golay, cmd_construct, cmd_remark, cmd_spectrum, cmd_aut,
-           cmd_maximality, cmd_subscan]
+CLAIM_IDS = {cmd_golay: "golay.gates", cmd_construct: "theorem1.count",
+             cmd_remark: "remark.cliques", cmd_spectrum: "spectrum.S",
+             cmd_aut: "aut.order", cmd_maximality: "maximality",
+             cmd_subscan: "subscan.unique"}
+ALL_FNS = list(CLAIM_IDS)
+# what a Pipeline stage raises when its input is not what the claims need
+STAGE_ERRORS = (golay.CodeValidationError, golay.GeneratorAssemblyError,
+                construct.ConstructionError, seidel.NotEquiangularError)
 
 COMMANDS = {
     "golay": [cmd_golay],
@@ -267,8 +273,19 @@ COMMANDS = {
 
 
 def run_command(config):
+    """The command's certificates. One whose Pipeline stage raises fails,
+    with the stage error as its witness."""
     pipeline = Pipeline(config)
-    return [fn(pipeline) for fn in COMMANDS[config.command]]
+    certificates = []
+    for fn in COMMANDS[config.command]:
+        try:
+            certificates.append(fn(pipeline))
+        except STAGE_ERRORS as exc:
+            b = CertificateBuilder(CLAIM_IDS[fn], {"command": config.command,
+                                                   "corrupt": config.corrupt_generator})
+            b.check("stages_built", False, f"{type(exc).__name__}: {exc}")
+            certificates.append(b.build())
+    return certificates
 
 
 def certify_all(config):
@@ -366,9 +383,14 @@ def main(argv=None):
     for cert in certificates:
         print(f"[{cert.status.upper():4}] {cert.claim_id} ({cert.runtime_ms} ms)")
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write report to {config.output_path}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     return 0 if all(c.passed for c in certificates) else 1
 
 

@@ -1,12 +1,29 @@
 """Exact integer/rational linear algebra.
 
-Matrices are plain lists of rows of Python ints (arbitrary precision).
-One fraction-free (Bareiss) elimination, pivots, answers every rank,
-nullity, determinant and definiteness question; the adjugate is the only
-other. No floating point, so results can serve as certificates.
+Matrices are plain lists of rows of Python ints. Rank (hence nullity)
+and positive definiteness are decided over the rationals from numpy
+int64 eliminations modulo the word-size primes PRIMES, each answer
+certified by a Hadamard bound on the minors it rests on. Determinants
+(hence the characteristic polynomial) and bases come from one
+fraction-free (Bareiss) elimination on Python ints, pivots, which the
+tests also use as the oracle for the modular answers; the adjugate has
+its own. No floating point, so results can serve as certificates.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+# the 24 largest primes below 2^31, ascending: residues are below 2^31,
+# so every product of two and every difference of such products is below
+# 2^62 in absolute value and int64 arithmetic is exact
+PRIMES = (
+    2147483059, 2147483069, 2147483077, 2147483123, 2147483137, 2147483171,
+    2147483179, 2147483237, 2147483249, 2147483269, 2147483323, 2147483353,
+    2147483399, 2147483423, 2147483477, 2147483489, 2147483497, 2147483543,
+    2147483549, 2147483563, 2147483579, 2147483587, 2147483629, 2147483647,
+)
 
 
 def dims(m):
@@ -74,22 +91,6 @@ def bareiss_det(m):
     return (-1) ** swaps * steps[-1][2] if steps else 1
 
 
-def positive_definite(m):
-    """True iff the symmetric integer matrix m is positive definite: by
-    Sylvester's criterion, iff every leading principal minor is positive,
-    that is, iff pivot k sits at (k, k) with no swap and is positive for
-    every k < n. Stops at the first pivot that fails."""
-    n, c = dims(m)
-    if n != c:
-        raise ValueError("definiteness of non-square matrix")
-    k = 0
-    for row, col, pivot in pivots(m):
-        if row != k or col != k or pivot <= 0:
-            return False
-        k += 1
-    return k == n
-
-
 def adjugate(m):
     """(det m, adj m) for a symmetric positive definite integer matrix m.
 
@@ -133,9 +134,143 @@ def check_adjugate(m, det, adj):
         raise AssertionError("m @ adj != det I")
 
 
+def _int64(m):
+    """m as an int64 array of its shape; ValueError if an entry does not fit."""
+    try:
+        return np.array(m, dtype=np.int64).reshape(dims(m))
+    except OverflowError:
+        raise ValueError("matrix entry does not fit in int64") from None
+
+
+def _squared_row_norms(a):
+    return [sum(x * x for x in row) for row in a.tolist()]
+
+
+def _more_primes(product, bound, start):
+    """The fewest primes PRIMES[start:stop] with (product times their
+    product)^2 > bound; AssertionError if PRIMES runs out first."""
+    stop = start
+    while product * product <= bound:
+        if stop == len(PRIMES):
+            raise AssertionError("PRIMES is too short for the Hadamard bound")
+        product *= PRIMES[stop]
+        stop += 1
+    return PRIMES[start:stop]
+
+
+def _modular_pivots(a, primes, swap=True):
+    """Gaussian elimination of the int64 matrix a modulo every prime in
+    primes at once, one (P, rows, cols) array for the P primes.
+
+    Yields (pivots, primes) per pivot, both arrays over the primes still
+    eliminated, before that step's elimination. Row i becomes row i -
+    (a_ic / pivot) row k, all mod p: residues are below 2^31, so each
+    product is below 2^62. With swap, each prime takes as pivot the
+    first nonzero entry of the column at or below row k; a prime with
+    none there while another prime has one is dropped (that column
+    depends on the leading ones modulo it alone), so the primes kept
+    share one pivot count. Without swap, pivot k is the entry (k, k),
+    which the caller must stop at if it is 0 modulo some prime.
+    """
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    x = a % p
+    nr, nc = a.shape
+    k = 0
+    for col in range(nc):
+        if k == nr:
+            return
+        if swap and not x[:, k, col].all():
+            nonzero = x[:, k:, col] != 0
+            found = nonzero.any(axis=1)
+            if not found.any():
+                continue
+            if not found.all():
+                x, p, nonzero = x[found], p[found], nonzero[found]
+            lanes, row = np.arange(len(p)), k + nonzero.argmax(axis=1)
+            top = x[lanes, row]
+            x[lanes, row] = x[:, k]
+            x[:, k] = top
+        pivot, q = x[:, k, col], p[:, 0, 0]
+        yield pivot, q
+        inverse = np.array([pow(v, -1, m) for v, m in zip(pivot.tolist(), q.tolist())])
+        factor = x[:, k + 1:, col] * inverse[:, None] % p[:, 0]
+        block = x[:, k + 1:, col + 1:]
+        block -= factor[:, :, None] * x[:, k, None, col + 1:]
+        np.remainder(block, p, out=block)
+        k += 1
+
+
 def rank(m):
-    """Rank over the rationals: the number of pivots."""
-    return sum(1 for _ in pivots(m))
+    """Rank over the rationals, from ranks modulo PRIMES.
+
+    Reducing mod p keeps every vanishing minor vanishing, so rank_p <=
+    rank_Q for every prime p. Let r be the largest rank_p seen; then
+    rank_Q >= r. If r is full, min(rows, cols), it is rank_Q, and the
+    first prime usually decides there. Otherwise every prime seen
+    divides every (r + 1)-minor M, since none has rank above r, so their
+    product P divides M. Hadamard's inequality bounds |M| by the product
+    H of the norms of its rows, each at most the norm of the whole row,
+    so H^2 <= the product of the r + 1 largest squared row norms. Once
+    P^2 > 4 H^2 (compared as exact integers), |M| < P forces M = 0 for
+    every such M, and rank_Q = r. Primes are added, fewest first, until
+    that holds; a prime dropped by _modular_pivots (its rank is not
+    known) does not count and is replaced by the next one. AssertionError
+    if PRIMES runs out.
+    """
+    a = _int64(m)
+    full = min(a.shape)
+    r, product, used, batch, squares = 0, 1, 0, PRIMES[:1], None
+    while full and batch:
+        steps, kept = 0, batch
+        for _, kept in _modular_pivots(a, batch):
+            steps += 1
+        r, product, used = max(r, steps), product * math.prod(map(int, kept)), used + len(batch)
+        if r == full:
+            break
+        squares = squares or sorted(_squared_row_norms(a), reverse=True)
+        batch = _more_primes(product, 4 * math.prod(squares[:r + 1]), used)
+    return r
+
+
+def positive_definite(m):
+    """True iff the symmetric integer matrix m is positive definite, from
+    its leading principal minors modulo PRIMES.
+
+    By Sylvester's criterion m is positive definite iff every leading
+    principal minor D_1, ..., D_n is positive. Gaussian elimination
+    without swaps modulo p has pivot k equal to D_(k+1) / D_k, so the
+    running product of the pivots is D_(k+1) mod p. Each D_k is a minor
+    through the first k rows, so Hadamard's inequality bounds |D_k| by H,
+    the product of the (at least 1) row norms of m. With the fewest
+    primes whose product P has P^2 > 4 H^2, D_k is the residue of the
+    Chinese remainder theorem taken in (-P/2, P/2). The minors are
+    recovered in order and the call stops at the first that is <= 0.
+    A pivot that vanishes mod p, with D_(k+1) > 0, makes p unlucky: the
+    elimination cannot go on modulo p, so p is replaced by the next prime
+    and the elimination starts again. AssertionError if PRIMES runs out.
+    """
+    n, c = dims(m)
+    if n != c:
+        raise ValueError("definiteness of non-square matrix")
+    a = _int64(m)
+    bound = 4 * math.prod(max(1, q) for q in _squared_row_norms(a))
+    kept, used = (), 0
+    while True:
+        primes = kept + _more_primes(math.prod(kept), bound, used)
+        used += len(primes) - len(kept)
+        modulus = math.prod(primes)
+        crt = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+        minors = 1
+        for pivot, p in _modular_pivots(a, primes, swap=False):
+            minors = minors * pivot % p
+            minor = sum(r * e for r, e in zip(minors.tolist(), crt)) % modulus
+            if minor == 0 or minor > modulus // 2:
+                return False
+            if not pivot.all():
+                break
+        else:
+            return True
+        kept = tuple(q for q, v in zip(primes, pivot.tolist()) if v)
 
 
 def nullity_at(m, lam):

@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -229,16 +231,28 @@ def test_criterion_8e_switching_form_invariance():
                      f"({time.monotonic() - t0:.2f}s)")
 
 
-def test_criterion_9_determinism_across_job_counts():
+@pytest.fixture(scope="module")
+def all_reports():
+    """The whole-run report, without timings, at jobs 1 and 8, and the
+    seconds the two runs took."""
     t0 = time.monotonic()
-    reports = []
-    for jobs in (1, 8):
-        config = cli.RunConfig(command="all", jobs=jobs)
-        certs = cli.certify_all(config)
-        reports.append(cli.report_without_timings(cli.report_dict(certs)))
-    ok = reports[0] == reports[1] and all(
-        c["status"] == "pass" for c in reports[0]["certificates"]
+    reports = {jobs: cli.report_without_timings(cli.report_dict(
+                   cli.certify_all(cli.RunConfig(command="all", jobs=jobs))))
+               for jobs in (1, 8)}
+    return reports, time.monotonic() - t0
+
+
+def test_criterion_9_determinism_across_job_counts(all_reports):
+    reports, seconds = all_reports
+    ok = reports[1] == reports[8] and all(
+        c["status"] == "pass" for c in reports[1]["certificates"]
     )
     report(9, ok, f"full certificate report identical for jobs=1 and "
-                  f"jobs=8, all 7 certificates pass "
-                  f"({time.monotonic() - t0:.2f}s)")
+                  f"jobs=8, all 7 certificates pass ({seconds:.2f}s)")
+
+
+def test_whole_run_report_matches_golden(all_reports):
+    # tests/data/all_report.json: `equilines all` after report_without_timings
+    reports, _ = all_reports
+    golden = json.loads((Path(__file__).parent / "data" / "all_report.json").read_text())
+    assert reports[1] == golden

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from equilines import cli, construct, search, seidel
+from equilines import cli, construct, golay, search, seidel
 
 
 def run(args):
@@ -164,3 +164,40 @@ def test_exit_code_one_on_certificate_failure():
     config = cli.RunConfig(command="golay", corrupt_generator=True)
     certs = cli.run_command(config)
     assert not certs[0].passed
+
+
+def test_whole_run_negative_control_reports(tmp_path):
+    # the corrupted code builds and fails its gates; every later stage raises
+    out = tmp_path / "r.json"
+    assert run(["all", "--corrupt-generator", "--out", str(out)]) == 1
+    certs = json.loads(out.read_text())["certificates"]
+    assert [c["claim_id"] for c in certs] == list(cli.CLAIM_IDS.values())
+    assert all(c["status"] == "fail" for c in certs)
+    gates = certs[0]["details"]["checks"]
+    assert not all(gates.values()) and "stages_built" not in gates
+    for cert in certs[1:]:
+        assert cert["details"]["first_failure"] == {
+            "check": "stages_built",
+            "witness": "ConstructionError: expected 72 lines, got 0"}
+
+
+def test_code_error_fails_every_certificate(monkeypatch):
+    def reject():
+        raise golay.GeneratorAssemblyError("no generator")
+    monkeypatch.setattr(golay, "build_generator", reject)
+    certs = cli.run_command(cli.RunConfig(command="all"))
+    assert [c.claim_id for c in certs] == list(cli.CLAIM_IDS.values())
+    assert certs[0].details["first_failure"] == {"check": "code_generated",
+                                                 "witness": "no generator"}
+    assert all(c.details["first_failure"] == {
+        "check": "stages_built", "witness": "GeneratorAssemblyError: no generator"}
+        for c in certs[1:])
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["golay", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write report to {out}")
+    assert err.count("\n") == 1
+    assert not out.exists()

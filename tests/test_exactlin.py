@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -202,3 +203,137 @@ def test_pivots_fixed_cases(m, steps, det):
     assert exactlin.rank(m) == len(steps)
     assert exactlin.bareiss_det(m) == det
     assert not exactlin.positive_definite(m)
+
+
+# ---------------------------------------------------------------------------
+# rank, nullity and definiteness modulo PRIMES, against the pivots oracle
+# ---------------------------------------------------------------------------
+
+P0, P1 = exactlin.PRIMES[:2]
+
+
+def pivots_rank(m):
+    return sum(1 for _ in exactlin.pivots(m))
+
+
+def pivots_positive_definite(m):
+    """Sylvester's criterion read off the Bareiss pivots: pivot k sits at
+    (k, k) with no swap and is positive for every k < n."""
+    steps = list(exactlin.pivots(m))
+    return len(steps) == len(m) and all(
+        (row, col) == (k, k) and pivot > 0 for k, (row, col, pivot) in enumerate(steps))
+
+
+def wide_oracle_matrix(rng):
+    """A random integer matrix with entries large enough that the Hadamard
+    bound needs several primes: rectangular, rank deficient (a product
+    through a narrow middle), symmetric (a Gram matrix, definite when
+    shifted up, singular when narrow, or indefinite) or plain."""
+    nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+    big = 10 ** rng.choice((1, 3, 6))
+    kind = rng.choice(("plain", "deficient", "gram", "symmetric"))
+    if kind == "plain":
+        return [[rng.randint(-big, big) for _ in range(nc)] for _ in range(nr)]
+    if kind == "deficient":
+        r = rng.randint(0, min(nr, nc))
+        b = [[rng.randint(-big, big) for _ in range(r)] for _ in range(nr)]
+        c = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(r)]
+        return exactlin.mat_mul(b, c) if r else [[0] * nc for _ in range(nr)]
+    if kind == "gram":
+        width = rng.randint(1, nc)
+        b = [[rng.randint(-big, big) for _ in range(width)] for _ in range(nr)]
+        m = exactlin.mat_mul(b, exactlin.transpose(b))
+        shift = rng.choice((0, 1, -1))
+        return [[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    m = [[0] * nr for _ in range(nr)]
+    for i in range(nr):
+        for j in range(i, nr):
+            m[i][j] = m[j][i] = rng.randint(-big, big)
+    for i in range(nr):
+        m[i][i] = abs(m[i][i]) + rng.choice((0, nr * big))
+    return m
+
+
+def test_modular_rank_nullity_definiteness_match_pivots():
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        m = wide_oracle_matrix(rng)
+        n, c = exactlin.dims(m)
+        assert exactlin.rank(m) == pivots_rank(m)
+        if n == c:
+            lam = rng.randint(-3, 3)
+            shifted = [[x - lam * (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(m)]
+            assert exactlin.nullity_at(m, lam) == n - pivots_rank(shifted)
+            if m == exactlin.transpose(m):
+                definite = pivots_positive_definite(m)
+                assert exactlin.positive_definite(m) == definite
+                seen[definite] += 1
+    assert min(seen.values()) > 20
+
+
+def test_modular_edge_cases():
+    assert exactlin.rank([]) == 0
+    assert exactlin.rank([[]]) == 0
+    assert exactlin.rank([[0, 0], [0, 0]]) == 0
+    assert exactlin.positive_definite([])
+    assert not exactlin.positive_definite([[0]])
+
+
+def test_rank_survives_a_prime_that_drops_it():
+    # rank 1 modulo PRIMES[0]; the Hadamard bound calls for more primes
+    assert exactlin.rank([[1, 0], [0, P0]]) == 2
+    assert exactlin.nullity_at([[1, 0], [0, P0]], 0) == 0
+    assert exactlin.rank([[P0, P0], [P0, P0]]) == 1
+
+
+def test_definite_despite_a_minor_divisible_by_the_first_prime():
+    assert exactlin.positive_definite([[P0, 1], [1, 1]])
+    assert not exactlin.positive_definite([[P0, 1], [1, 0]])
+    assert not exactlin.positive_definite([[-P0, 1], [1, 1]])
+
+
+def test_dropped_prime_is_not_counted(monkeypatch):
+    # rows 0 + 1 = row 2: rank 2, and rank 1 modulo P1. The batch after P0
+    # drops P1, and P0 P2 alone is below the bound, so three primes are
+    # not enough and a fourth is
+    m = [[1, 0, 1], [0, P1, P1], [1, P1, 1 + P1]]
+    assert exactlin.rank(m) == 2
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:3])
+    with pytest.raises(AssertionError):
+        exactlin.rank(m)
+
+
+def test_unlucky_prime_is_replaced_not_used(monkeypatch):
+    # two primes meet the bound, but P0 divides the first minor, so a
+    # third must replace it
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:2])
+    with pytest.raises(AssertionError):
+        exactlin.positive_definite([[P0, 1], [1, 1]])
+
+
+def test_too_few_primes_raise(monkeypatch):
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:1])
+    with pytest.raises(AssertionError):
+        exactlin.rank([[P0, P0], [P0, P0]])
+    with pytest.raises(AssertionError):
+        exactlin.positive_definite([[P1, 1], [1, P1]])
+    assert exactlin.rank([[1, 2], [3, 4]]) == 2     # full rank needs no bound
+
+
+@pytest.mark.parametrize("m", [[[2 ** 63]], [[1, -2 ** 63 - 1]]], ids=["high", "low"])
+def test_entries_beyond_int64_raise(m):
+    with pytest.raises(ValueError):
+        exactlin.rank(m)
+    with pytest.raises(ValueError):
+        exactlin.positive_definite([[m[0][-1]]])
+    with pytest.raises(ValueError):
+        exactlin.nullity_at([[2 ** 63 - 1]], -1)
+
+
+def test_primes_are_distinct_sorted_word_size_primes():
+    primes = exactlin.PRIMES
+    assert list(primes) == sorted(set(primes))
+    assert all(p < 2 ** 31 for p in primes)
+    assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
