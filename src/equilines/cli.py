@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -377,7 +378,9 @@ def main(argv=None):
     try:
         certificates = run_command(config)
     except Exception as exc:  # internal error, not a failed certificate
-        print(f"error: {exc}", file=sys.stderr)
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error: {type(exc).__name__}: {exc}\n"
+              f"  raised at {where.filename}:{where.lineno} in {where.name}", file=sys.stderr)
         return 2
     report = report_dict(certificates)
     for cert in certificates:

@@ -3,17 +3,18 @@
 Both run in one process. The extendibility search tests all 2^rank sign
 patterns at once in exact int64 arithmetic, after dividing the exact
 adjugate by its content, and re-checks every hit with Fractions. The
-sub-scan examines one removed-index set per orbit of the automorphism
-group, screens each with an exact annihilator test modulo a prime, and
-confirms every survivor with exact nullities. Neither search decides
-anything by floating point.
+sub-scan examines the lexicographically least removed-index set of each
+orbit of the automorphism group, generated level by level, screens each
+with an exact annihilator test modulo a prime, and confirms every
+survivor with exact nullities. Neither search decides anything by
+floating point.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -197,29 +198,54 @@ def switching_automorphisms(s):
 
 
 def orbit_representatives(perms, n, k):
-    """The k-subsets of range(n) whose bitmask is least among its images
-    under perms, in combinations order, and how many distinct images each
-    has.
+    """The k-subsets of range(n) that are lexicographically least among
+    their images under perms, in combinations order, and how many distinct
+    images each has.
 
     For a permutation group G these are one subset per G-orbit, and each
-    count is the orbit size |G| / |Stab|, so the counts sum to C(n, k).
-    Counting distinct images needs no division: a set that is not a group
-    gives a wrong total, never a truncated quotient. The subsets are
-    streamed in batches of SCREEN_BATCH.
+    count is the orbit size, so the counts sum to C(n, k). Counting
+    distinct images needs no division: a set that is not a group gives a
+    wrong total, never a truncated quotient.
+
+    - Masks. A set T is the int64 sum of 2^(n-1-t), t in T, so n <= 63.
+      For A != B of equal size, sorted A and sorted B first differ at the
+      least element i of their symmetric difference; if i is in A then
+      A <lex B, and bit n-1-i, the highest one that differs, is set in A's
+      mask: mask(A) > mask(B). Lex-least among the images is greatest
+      mask among them.
+    - Heredity. Let T = {t1 < ... < tk} be lex-least among its images and
+      T' = T minus tk. For g in perms, sorted g(T) is sorted g(T') with
+      g(tk) inserted, which can only lower each of its first k-1 entries.
+      So g(T') <lex T' would give g(T) <lex T: T' is lex-least too. The
+      k-subsets kept are therefore the lex-least extensions R + {x},
+      x > max R, of the (k-1)-subsets R kept, each reached once, from its
+      own R = T'. _orbit_levels builds them so, for any perms.
     """
-    bits = np.left_shift(np.int64(1), np.array(list(perms), dtype=np.int64).T)
-    subsets = combinations(range(n), k)
-    reps, sizes = [], []
-    while batch := list(islice(subsets, SCREEN_BATCH)):
-        idx = np.array(batch, dtype=np.intp).reshape(len(batch), k)
-        images = np.zeros((len(batch), bits.shape[1]), dtype=np.int64)
-        for j in range(k):                      # row b: the masks of p(K_b)
-            images += bits[idx[:, j]]
-        least = np.flatnonzero(images.min(axis=1) == (1 << idx).sum(axis=1))
-        steps = np.diff(np.sort(images[least], axis=1), axis=1)
-        reps.extend(batch[b] for b in least)
-        sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
-    return reps, sizes
+    return _orbit_levels(perms, n, [k])[k]
+
+
+def _orbit_levels(perms, n, ks):
+    """orbit_representatives(perms, n, k) for k = 0..max(ks), each level
+    built from the one before. Per parent R one (n - start, |perms|) int64
+    array holds the image masks of every candidate R + {x}."""
+    if n > 63:
+        raise ValueError(f"{n} points do not fit in int64 subset masks (at most 63)")
+    if min(ks, default=0) < 0:
+        raise ValueError(f"negative subset size in {sorted(ks)}")
+    bits = np.left_shift(np.int64(1), n - 1 - np.array(list(perms), dtype=np.int64).T)
+    own = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
+    levels = [([()], [1])]
+    for _ in range(max(ks, default=0)):
+        reps, sizes = [], []
+        for rep in levels[-1][0]:
+            start = rep[-1] + 1 if rep else 0
+            candidates = bits[list(rep)].sum(axis=0) + bits[start:]  # row x - start: g(rep + {x})
+            keep = np.flatnonzero(candidates.max(axis=1) <= own[list(rep)].sum() + own[start:])
+            steps = np.diff(np.sort(candidates[keep], axis=1), axis=1)
+            sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
+            reps.extend(rep + (x,) for x in (start + keep).tolist())
+        levels.append((reps, sizes))
+    return levels
 
 
 def _orbit(perms, removed):
@@ -250,8 +276,9 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
       d_i d_j S[i, j]. So the submatrix kept after removing pi(K) is a
       signed permutation conjugate of the one kept after removing K: the
       two have the same spectrum and lie in the same switching class.
-      The representative from orbit_representatives therefore decides
-      its whole orbit: a confirmed one contributes every member, with
+      The lex-least representative from orbit_representatives therefore
+      decides its whole orbit (levels 1..max k are generated once, each
+      from the one before): a confirmed one contributes every member, with
       its spectrum, and one canonical form classifies them all. Hits are
       sorted by order descending, then in combinations order, as a scan
       of every subset would list them. Orbits partition the k-subsets,
@@ -296,9 +323,10 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
     subsets_examined = {}
     representatives = {}
     rejected = 0
+    levels = _orbit_levels(perms, n, [n - order for order in orders])
     for order in sorted(orders, reverse=True):
         k = n - order
-        reps, sizes = orbit_representatives(perms, n, k)
+        reps, sizes = levels[k]
         subsets_examined[order] = sum(sizes)
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]

@@ -123,6 +123,19 @@ def test_subscan_coverage_fails_for_non_group(monkeypatch):
         "check": "subsets_covered", "witness": {"53": [55, 54]}}
 
 
+def test_subscan_coverage_fails_for_non_group_pairs(monkeypatch):
+    # the same 3-cycle at k = 2: {0, 1} and {0, 2}, {1, 2} overlap, so the
+    # distinct-image counts overshoot C(54, 2) = 1431
+    cycle = (1, 2, 0) + tuple(range(3, 54))
+    monkeypatch.setattr(search, "switching_automorphisms",
+                        lambda s: [tuple(range(54)), cycle])
+    cert = cli.cmd_subscan(cli.Pipeline(cli.RunConfig(command="subscan", orders=(52,))))
+    assert not cert.passed
+    assert cert.details["checks"]["subsets_covered"] is False
+    assert cert.details["first_failure"] == {
+        "check": "subsets_covered", "witness": {"52": [1481, 1431]}}
+
+
 def test_signed_group_computed_once_per_pipeline():
     seidel.signed_automorphism_group.cache_clear()
     pipeline = cli.Pipeline(cli.RunConfig(command="all", orders=(53,)))
@@ -201,3 +214,14 @@ def test_unwritable_out_is_an_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot write report to {out}")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_internal_error_names_type_and_place(monkeypatch, capsys):
+    def fail(config):
+        raise KeyError("stage")
+    monkeypatch.setattr(cli, "run_command", fail)
+    assert run(["golay"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: KeyError: 'stage'\n")
+    line = fail.__code__.co_firstlineno + 1
+    assert f"raised at {__file__}:{line} in fail" in err

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -216,6 +216,99 @@ def test_orbit_representatives_s54(s54):
         assert reps == sorted(reps)
         assert sum(sizes) == math.comb(54, k)
         assert all(108 % size == 0 for size in sizes)
+
+
+def least_bitmask_representatives(perms, n, k):
+    """Reference for orbit_representatives: image every k-subset under
+    perms, in batches, and keep those whose mask (bit i for element i) is
+    least among their images, with their number of distinct images."""
+    bits = np.left_shift(np.int64(1), np.array(list(perms), dtype=np.int64).T)
+    subsets = combinations(range(n), k)
+    reps, sizes = [], []
+    while batch := list(islice(subsets, 128)):
+        idx = np.array(batch, dtype=np.intp).reshape(len(batch), k)
+        images = np.zeros((len(batch), bits.shape[1]), dtype=np.int64)
+        for j in range(k):
+            images += bits[idx[:, j]]
+        least = np.flatnonzero(images.min(axis=1) == (1 << idx).sum(axis=1))
+        steps = np.diff(np.sort(images[least], axis=1), axis=1)
+        reps.extend(batch[b] for b in least)
+        sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
+    return reps, sizes
+
+
+def images_of(perms, subset):
+    return {tuple(sorted(p[i] for i in subset)) for p in perms}
+
+
+def random_groups(count, seed, cap=1000):
+    """Closures of 1-3 random generators, each moving at most 5 of n <= 10
+    points; a closure passing cap elements is dropped and drawn again."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(1, 10)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(n), rng.randint(1, min(n, 5)))
+            g = list(range(n))
+            for i, j in zip(moved, rng.sample(moved, len(moved))):
+                g[i] = j
+            gens.append(tuple(g))
+        group, frontier = {tuple(range(n))}, [tuple(range(n))]
+        while frontier and len(group) <= cap:
+            frontier = [p for p in {seidel._compose(h, g) for g in frontier for h in gens}
+                        if p not in group]
+            group.update(frontier)
+        if len(group) <= cap:
+            count -= 1
+            yield n, group
+
+
+def group_cases(s54):
+    yield 54, search.switching_automorphisms(s54), 4
+    for flip in (False, True):
+        yield 10, search.switching_automorphisms(petersen_seidel(flip)), 4
+    for n, group in random_groups(50, seed=31):
+        yield n, group, min(n, 5)
+
+
+def test_orbit_representatives_match_least_bitmask_oracle(s54):
+    for n, perms, top in group_cases(s54):
+        for k in range(1, top + 1):
+            reps, sizes = search.orbit_representatives(perms, n, k)
+            orbits = [images_of(perms, rep) for rep in reps]
+            assert all(rep == min(orbit) for rep, orbit in zip(reps, orbits))
+            assert sizes == [len(orbit) for orbit in orbits]
+            expected, expected_sizes = least_bitmask_representatives(perms, n, k)
+            assert ({frozenset(orbit) for orbit in orbits}
+                    == {frozenset(images_of(perms, rep)) for rep in expected})
+            assert sorted(sizes) == sorted(expected_sizes)
+            assert sum(sizes) == math.comb(n, k)
+
+
+def test_orbit_representatives_of_any_perm_set():
+    # heredity holds for any set of permutations, group or not: the kept
+    # subsets are all those with no lexicographically smaller image, and
+    # each size is a count of distinct images, not |perms| / |stabiliser|
+    rng = random.Random(37)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 4))]
+        for k in range(n + 1):
+            kept = [t for t in combinations(range(n), k) if min(images_of(perms, t)) >= t]
+            assert search.orbit_representatives(perms, n, k) == (
+                kept, [len(images_of(perms, t)) for t in kept])
+
+
+def test_orbit_representatives_mask_width():
+    mirror = tuple(range(62, -1, -1))
+    reps, sizes = search.orbit_representatives([tuple(range(63)), mirror], 63, 1)
+    assert reps == [(i,) for i in range(32)]
+    assert sizes == [2] * 31 + [1]
+    with pytest.raises(ValueError):
+        search.orbit_representatives([tuple(range(64))], 64, 1)
+    with pytest.raises(ValueError):
+        search.orbit_representatives([tuple(range(5))], 5, -1)
 
 
 def test_automorphisms_map_hits_to_hits(s54):
