@@ -9,12 +9,15 @@ switching canonical form come from one search over the descendants of S
 (switch row v to all +1, drop v), which labels one vertex per orbit of
 the signed automorphisms found so far (_switching_search); the
 permutation group of S is the part of the signed group with all signs +1.
+Refinement is McKay's splitter queue (_refine): canonical_graph_form
+proves that it yields the coarsest equitable partition, in an order that
+commutes with relabelling.
 """
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import exactlin
 from .certificate import CertificateBuilder
@@ -257,31 +260,48 @@ def certify_spectrum(s, claim):
 # graph machinery: one individualization-refinement search
 # ---------------------------------------------------------------------------
 
-def _refine(n, adj, cells):
-    """Equitable refinement of an ordered partition, deterministic order."""
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        for splitter_cell in list(cells):
-            splitter = 0
-            for v in splitter_cell:
-                splitter |= 1 << v
-            new_cells = []
-            for cell in cells:
-                if len(cell) == 1:
-                    new_cells.append(cell)
-                    continue
-                groups = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    changed = True
-                for key in sorted(groups):
-                    new_cells.append(groups[key])
-            cells = new_cells
-            if changed:
-                break
+def _refine(adj, cells, splitters):
+    """Coarsest equitable refinement of an ordered partition, a list of
+    vertex lists left unmodified. splitters are cells of it such that any
+    refinement stable against them is stable against every cell.
+
+    McKay's splitter queue: pop a queued cell C and split every cell, in
+    place, by its vertices' neighbour counts in C, pieces in increasing
+    count order. The pieces join the queue in that order: all of them if
+    the cell was queued (its entry is dropped), else all but the first
+    largest. Stop when the queue is empty or the partition is discrete.
+    canonical_graph_form proves the result and its order.
+    """
+    queue = deque(splitters)
+    queued = {id(c) for c in queue}     # queued cells stay alive, so ids are unique
+    while queue and len(cells) < len(adj):
+        splitter = queue.popleft()
+        if id(splitter) not in queued:
+            continue                    # a queued cell that has since split
+        queued.remove(id(splitter))
+        mask = 0
+        for v in splitter:
+            mask |= 1 << v
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            counts = [(adj[v] & mask).bit_count() for v in cell]
+            keys = set(counts)
+            if len(keys) == 1:
+                refined.append(cell)
+                continue
+            pieces = [[v for v, c in zip(cell, counts) if c == k] for k in sorted(keys)]
+            refined += pieces
+            if id(cell) in queued:
+                queued.remove(id(cell))
+            else:
+                largest = max(pieces, key=len)
+                pieces = [p for p in pieces if p is not largest]
+            queue.extend(pieces)
+            queued.update(map(id, pieces))
+        cells = refined
     return cells
 
 
@@ -310,8 +330,37 @@ def canonical_graph_form(n, adj):
     """Canonical form, canonical labelling and automorphism group of a graph,
     from one individualization-refinement search with no pruning.
 
-    Each node refines its ordered partition and branches on every vertex
-    of the first non-singleton cell; a discrete leaf is a labelling.
+    Each node refines its ordered partition to the coarsest equitable one
+    and branches on every vertex of the first non-singleton cell; a
+    discrete leaf is a labelling. A cell X is stable against a vertex set
+    C if all vertices of X have equally many neighbours in C, and the
+    partition is equitable if every cell is stable against every cell.
+    Stability passes to subsets of X. _refine (a splitter queue) is right:
+
+    - Its queue, the order of the pieces and the positions they take
+      depend only on neighbour counts, cell positions and sizes, so
+      refining phi(P) with splitters phi(Q) gives phi of the refinement of
+      P, cell by cell, for any relabelling phi.
+    - If X is stable against C and against every piece of C but one, it
+      is stable against that one too: its count there is the count in C
+      less the others (Hopcroft). So the invariant "a refinement of the
+      current partition stable against every queued cell is stable
+      against every current cell" survives a pass against C: the
+      partition is then stable against C, a split queued cell has all its
+      pieces queued, an unqueued one all but one. When the queue is
+      empty the partition itself is such a refinement, so it is equitable
+      (a discrete one always is).
+    - The invariant holds at the start. At the root the whole vertex set
+      is queued. A child replaces a cell T of its equitable parent by {v}
+      and T - v. Its refinements are stable against every parent cell,
+      T included, so those stable against {v} are stable against T - v:
+      the child queues only {v}.
+    - Every split is forced. By induction every cell, the splitters
+      included, is a union of cells of any equitable refinement E of the
+      input, and the vertices of an E-cell have equal counts in it, so no
+      split divides an E-cell. The result is the coarsest equitable
+      refinement, unique as a set of cells.
+
     Refinement and the choice of cell use adjacency counts and cell
     positions only, so an isomorphism phi maps the tree of a graph onto the
     tree of its image, leaf q to leaf phi.q, with equal adjacency bits.
@@ -323,9 +372,9 @@ def canonical_graph_form(n, adj):
     """
     best_bits, best_leaves = None, []
 
-    def rec(cells):
+    def rec(cells, splitters):
         nonlocal best_bits, best_leaves
-        cells = _refine(n, adj, cells)
+        cells = _refine(adj, cells, splitters)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             leaf = tuple(c[0] for c in cells)
@@ -337,9 +386,12 @@ def canonical_graph_form(n, adj):
             return
         cell = cells[target]
         for v in sorted(cell):
-            rec(cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:])
+            single = [v]
+            rec(cells[:target] + [single, [w for w in cell if w != v]] + cells[target + 1:],
+                [single])
 
-    rec([list(range(n))])
+    root = [list(range(n))] if n else []
+    rec(root, root)
     first = best_leaves[0]
     automorphisms = []
     for leaf in best_leaves:
@@ -428,15 +480,6 @@ def automorphism_order(s):
              if all(sign == 1 for _, sign in g)]
     return AutGroupResult(generators=tuple(minimal_generators(s.n, plain)),
                           elements=tuple(plain))
-
-
-def _preserves(s, perm):
-    n = s.n
-    return all(
-        s.rows[perm[i]][perm[j]] == s.rows[i][j]
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
 
 
 def _descendant(s, v):
@@ -578,11 +621,6 @@ def signed_automorphism_group(s):
         )
     minimal = _greedy_generators(identity, group, _signed_compose)
     return AutGroupResult(generators=tuple(minimal), elements=tuple(sorted(group)))
-
-
-def brute_force_automorphism_count(s):
-    """Reference count by enumerating all n! permutations; small n only."""
-    return sum(1 for p in permutations(range(s.n)) if _preserves(s, p))
 
 
 def switching_canonical_form(s):

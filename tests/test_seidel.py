@@ -21,6 +21,20 @@ def clique_seidel(n):
     )
 
 
+def preserves(s, perm):
+    n = s.n
+    return all(
+        s.rows[perm[i]][perm[j]] == s.rows[i][j]
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def brute_force_automorphism_count(s):
+    """Reference count by enumerating all n! permutations; small n only."""
+    return sum(1 for p in permutations(range(s.n)) if preserves(s, p))
+
+
 def cycle_seidel(n):
     rows = [[1] * n for _ in range(n)]
     for i in range(n):
@@ -223,7 +237,7 @@ def test_automorphisms_pentagon():
     s = cycle_seidel(5)
     result = seidel.automorphism_order(s)
     assert result.order == 10
-    assert seidel.brute_force_automorphism_count(s) == 10
+    assert brute_force_automorphism_count(s) == 10
 
 
 def test_automorphisms_match_brute_force_random():
@@ -232,7 +246,7 @@ def test_automorphisms_match_brute_force_random():
         n = rng.randint(2, 7)
         s = random_seidel(rng, n)
         got = seidel.automorphism_order(s)
-        assert got.order == seidel.brute_force_automorphism_count(s)
+        assert got.order == brute_force_automorphism_count(s)
         assert all(seidel.permute(s, g).rows == s.rows for g in got.generators)
 
 
@@ -409,6 +423,110 @@ def test_isomorphisms_match_brute_force_random():
     assert not seidel.enumerate_isomorphisms(6, hexagon, triangles)
 
 
+def reference_refine(n, adj, cells):
+    """Oracle for _refine: test every cell against every cell as a
+    splitter and start over after each split, until nothing splits."""
+    cells = [list(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        for splitter_cell in list(cells):
+            splitter = 0
+            for v in splitter_cell:
+                splitter |= 1 << v
+            new_cells = []
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    changed = True
+                for key in sorted(groups):
+                    new_cells.append(groups[key])
+            cells = new_cells
+            if changed:
+                break
+    return cells
+
+
+def is_equitable(adj, cells):
+    masks = [sum(1 << v for v in c) for c in cells]
+    return all(len({(adj[v] & m).bit_count() for v in cell}) == 1
+               for cell in cells for m in masks)
+
+
+def cell_set(cells):
+    return {frozenset(c) for c in cells}
+
+
+def test_splitter_queue_refinement_matches_reference_oracle(monkeypatch):
+    real = seidel._refine
+
+    def equitable_refine(adj, cells, splitters):
+        refined = real(adj, cells, splitters)
+        assert is_equitable(adj, refined)
+        return refined
+
+    rng = random.Random(67)
+    for _ in range(110):
+        for density in (0.2, 0.5, 0.8):
+            n = rng.randint(1, 10)
+            adj = random_graph(rng, n, density)
+            unit = [list(range(n))]
+            root = seidel._refine(adj, unit, unit)
+            assert is_equitable(adj, root)
+            assert cell_set(root) == cell_set(reference_refine(n, adj, unit))
+            targets = [i for i, c in enumerate(root) if len(c) > 1]
+            if targets:
+                i = rng.choice(targets)
+                v = rng.choice(root[i])
+                single = [v]
+                child = root[:i] + [single, [w for w in root[i] if w != v]] + root[i + 1:]
+                got = seidel._refine(adj, child, [single])
+                assert is_equitable(adj, got)
+                assert cell_set(got) == cell_set(reference_refine(n, adj, child))
+
+            with monkeypatch.context() as m:
+                m.setattr(seidel, "_refine", equitable_refine)
+                form = seidel.canonical_graph_form(n, adj)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert seidel.canonical_graph_form(n, relabel_graph(adj, perm)).bits == form.bits
+            with monkeypatch.context() as m:
+                m.setattr(seidel, "_refine", lambda adj, cells, splitters:
+                          reference_refine(len(adj), adj, cells))
+                oracle = seidel.canonical_graph_form(n, adj)
+            assert set(form.automorphisms) == set(oracle.automorphisms)
+
+
+@pytest.mark.parametrize("n, adj, bits", [
+    (0, [], 0),
+    (1, [0], 0),
+    (4, [0] * 4, 0),
+    (5, [0b11111 ^ 1 << v for v in range(5)], (1 << 10) - 1),
+])
+def test_canonical_graph_form_of_equitable_root(n, adj, bits, monkeypatch):
+    refined = []
+    real = seidel._refine
+
+    def spy(adj, cells, splitters):
+        out = real(adj, cells, splitters)
+        refined.append((cells, out))
+        return out
+
+    monkeypatch.setattr(seidel, "_refine", spy)
+    form = seidel.canonical_graph_form(n, adj)
+    root_in, root_out = refined[0]
+    assert root_out == root_in == ([list(range(n))] if n else [])
+    assert form.bits == bits
+    assert form.labelling == tuple(range(n))
+    assert form.automorphisms[0] == tuple(range(n))
+    assert sorted(form.automorphisms) == sorted(permutations(range(n)))
+
+
 def all_descendants_form(s):
     """The switching form from every descendant, with no pruning."""
     best = min(seidel.canonical_graph_form(s.n - 1, seidel._descendant(s, v)[1]).bits
@@ -444,7 +562,7 @@ def test_switching_search_labels_few_descendants(s54, monkeypatch, fresh_switchi
     monkeypatch.setattr(seidel, "canonical_graph_form", counted)
     assert seidel.signed_automorphism_group(s54).order == 216
     form = seidel.switching_canonical_form(s54)
-    assert len(calls) <= 10
+    assert len(calls) == 4
     monkeypatch.undo()
     assert form == all_descendants_form(s54)
 
