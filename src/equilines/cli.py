@@ -69,6 +69,13 @@ class Pipeline:
     def seidel_matrix(self):
         return seidel.seidel_from(self.final)
 
+    @cached_property
+    def spectrum(self):
+        """The spectrum.S certificate: S54_SPECTRUM checked against S."""
+        cert = seidel.certify_spectrum(self.seidel_matrix, S54_SPECTRUM)
+        cert.claim_id = "spectrum.S"
+        return cert
+
 
 def cmd_golay(pipeline):
     config = pipeline.config
@@ -126,9 +133,7 @@ def cmd_remark(pipeline):
 
 
 def cmd_spectrum(pipeline):
-    cert = seidel.certify_spectrum(pipeline.seidel_matrix, S54_SPECTRUM)
-    cert.claim_id = "spectrum.S"
-    return cert
+    return pipeline.spectrum
 
 
 def cmd_aut(pipeline):
@@ -206,7 +211,12 @@ def cmd_subscan(pipeline):
         {"command": "subscan", "orders": sorted(config.orders)},
     )
     s = pipeline.seidel_matrix
-    result = search.subseidel_scan(s, orders=config.orders)
+    spectrum = pipeline.spectrum
+    if not spectrum.passed:
+        raise seidel.SpectrumNotCertifiedError(
+            f"spectrum.S failed {spectrum.details['first_failure']['check']}, "
+            "so S has no certified interlacing window")
+    result = search.subseidel_scan(s, S54_SPECTRUM.integer_window(), orders=config.orders)
     b.note("subsets_examined", {str(k): v for k, v in sorted(result.subsets_examined.items())})
     b.note("orbit_representatives",
            {str(k): v for k, v in sorted(result.orbit_representatives.items())})
@@ -260,7 +270,8 @@ CLAIM_IDS = {cmd_golay: "golay.gates", cmd_construct: "theorem1.count",
 ALL_FNS = list(CLAIM_IDS)
 # what a Pipeline stage raises when its input is not what the claims need
 STAGE_ERRORS = (golay.CodeValidationError, golay.GeneratorAssemblyError,
-                construct.ConstructionError, seidel.NotEquiangularError)
+                construct.ConstructionError, seidel.NotEquiangularError,
+                seidel.SpectrumNotCertifiedError)
 
 COMMANDS = {
     "golay": [cmd_golay],

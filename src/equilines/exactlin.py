@@ -1,13 +1,13 @@
 """Exact integer/rational linear algebra.
 
 Matrices are plain lists of rows of Python ints. Rank (hence nullity)
-and positive definiteness are decided over the rationals from numpy
-int64 eliminations modulo the word-size primes PRIMES, each answer
-certified by a Hadamard bound on the minors it rests on. Determinants
-(hence the characteristic polynomial) and bases come from one
-fraction-free (Bareiss) elimination on Python ints, pivots, which the
-tests also use as the oracle for the modular answers; the adjugate has
-its own. No floating point, so results can serve as certificates.
+is decided over the rationals from numpy int64 eliminations modulo the
+word-size primes PRIMES, each answer certified by a Hadamard bound on
+the minors it rests on. Determinants (hence the characteristic
+polynomial) and bases come from one fraction-free (Bareiss) elimination
+on Python ints, pivots, which the tests also use as the oracle for the
+modular answers; the adjugate has its own. No floating point, so results
+can serve as certificates.
 """
 
 import math
@@ -158,19 +158,17 @@ def _more_primes(product, bound, start):
     return PRIMES[start:stop]
 
 
-def _modular_pivots(a, primes, swap=True):
+def _modular_pivots(a, primes):
     """Gaussian elimination of the int64 matrix a modulo every prime in
     primes at once, one (P, rows, cols) array for the P primes.
 
     Yields (pivots, primes) per pivot, both arrays over the primes still
     eliminated, before that step's elimination. Row i becomes row i -
     (a_ic / pivot) row k, all mod p: residues are below 2^31, so each
-    product is below 2^62. With swap, each prime takes as pivot the
-    first nonzero entry of the column at or below row k; a prime with
-    none there while another prime has one is dropped (that column
-    depends on the leading ones modulo it alone), so the primes kept
-    share one pivot count. Without swap, pivot k is the entry (k, k),
-    which the caller must stop at if it is 0 modulo some prime.
+    product is below 2^62. Each prime takes as pivot the first nonzero
+    entry of the column at or below row k; a prime with none there while
+    another prime has one is dropped (that column depends on the leading
+    ones modulo it alone), so the primes kept share one pivot count.
     """
     p = np.array(primes, dtype=np.int64)[:, None, None]
     x = a % p
@@ -179,7 +177,7 @@ def _modular_pivots(a, primes, swap=True):
     for col in range(nc):
         if k == nr:
             return
-        if swap and not x[:, k, col].all():
+        if not x[:, k, col].all():
             nonzero = x[:, k:, col] != 0
             found = nonzero.any(axis=1)
             if not found.any():
@@ -230,47 +228,6 @@ def rank(m):
         squares = squares or sorted(_squared_row_norms(a), reverse=True)
         batch = _more_primes(product, 4 * math.prod(squares[:r + 1]), used)
     return r
-
-
-def positive_definite(m):
-    """True iff the symmetric integer matrix m is positive definite, from
-    its leading principal minors modulo PRIMES.
-
-    By Sylvester's criterion m is positive definite iff every leading
-    principal minor D_1, ..., D_n is positive. Gaussian elimination
-    without swaps modulo p has pivot k equal to D_(k+1) / D_k, so the
-    running product of the pivots is D_(k+1) mod p. Each D_k is a minor
-    through the first k rows, so Hadamard's inequality bounds |D_k| by H,
-    the product of the (at least 1) row norms of m. With the fewest
-    primes whose product P has P^2 > 4 H^2, D_k is the residue of the
-    Chinese remainder theorem taken in (-P/2, P/2). The minors are
-    recovered in order and the call stops at the first that is <= 0.
-    A pivot that vanishes mod p, with D_(k+1) > 0, makes p unlucky: the
-    elimination cannot go on modulo p, so p is replaced by the next prime
-    and the elimination starts again. AssertionError if PRIMES runs out.
-    """
-    n, c = dims(m)
-    if n != c:
-        raise ValueError("definiteness of non-square matrix")
-    a = _int64(m)
-    bound = 4 * math.prod(max(1, q) for q in _squared_row_norms(a))
-    kept, used = (), 0
-    while True:
-        primes = kept + _more_primes(math.prod(kept), bound, used)
-        used += len(primes) - len(kept)
-        modulus = math.prod(primes)
-        crt = [modulus // q * pow(modulus // q, -1, q) for q in primes]
-        minors = 1
-        for pivot, p in _modular_pivots(a, primes, swap=False):
-            minors = minors * pivot % p
-            minor = sum(r * e for r, e in zip(minors.tolist(), crt)) % modulus
-            if minor == 0 or minor > modulus // 2:
-                return False
-            if not pivot.all():
-                break
-        else:
-            return True
-        kept = tuple(q for q, v in zip(primes, pivot.tolist()) if v)
 
 
 def nullity_at(m, lam):

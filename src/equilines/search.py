@@ -265,9 +265,14 @@ def _screen(factors, v, removed):
     return ~x.any(axis=1)
 
 
-def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
+def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
+
+    Precondition: window holds every integer in [lambda_min(s),
+    lambda_max(s)] and none outside [1 - n, n - 1], as
+    SpectrumClaim.integer_window of a claim certified for s does; the
+    scan proves nothing about the spectrum of s itself.
 
     Only one removed-index set per orbit of switching_automorphisms(s) is
     screened, confirmed and classified.
@@ -287,7 +292,7 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
 
     A submatrix M of order m survives the screen iff p_L(M) v = 0 (mod P),
     where p_L(x) = prod_{lam in L} (x - lam), v is a fixed vector and L is
-    seidel.integer_window(s), keeping only its odd members when m is even.
+    window, keeping only its odd members when m is even.
 
     - No false negatives. M is symmetric, hence diagonalisable, so its
       minimal polynomial is prod (x - lam) over its distinct eigenvalues.
@@ -315,7 +320,6 @@ def subseidel_scan(s, orders=(50, 51, 52, 53), progress=None):
     """
     n = s.n
     perms = switching_automorphisms(s)
-    window = seidel.integer_window(s)
     s_float = np.array(s.as_lists(), dtype=float)
     rng = random.Random(SCREEN_SEED)
     v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)

@@ -31,6 +31,10 @@ class IrrationalPartError(ValueError):
     """Non-integer spectral part has degree > 2; not representable here."""
 
 
+class SpectrumNotCertifiedError(ValueError):
+    """A spectrum claim that facts are read from failed its certificate."""
+
+
 @dataclass(frozen=True)
 class SeidelMatrix:
     n: int
@@ -92,6 +96,29 @@ class SpectrumClaim:
             s += b * b - 2 * c
         return s
 
+    def integer_window(self):
+        """range(lo, hi + 1) holding every integer in [lambda_min,
+        lambda_max] of a matrix with this spectrum.
+
+        The extremes are integer values or roots (-b +- sqrt(d)) / 2 of
+        the quadratic, d = b^2 - 4c. For real x, floor(x / 2) =
+        floor(floor(x) / 2), so with r = isqrt(d) = floor(sqrt(d)) the
+        greater root has floor (r - b) // 2 and the smaller root, the
+        negative of (b + sqrt(d)) / 2, has ceiling -((b + r) // 2).
+        ValueError if d < 0: the roots are not real. (A certified claim
+        has d = (mu1 - mu2)^2 >= 0 for the two real eigenvalues with its
+        sum and product.)
+        """
+        values = [v for v, _ in self.integer_eigs]
+        if self.quadratic:
+            b, c = self.quadratic
+            d = b * b - 4 * c
+            if d < 0:
+                raise ValueError(f"quadratic x^2 + {b}x + {c} has no real roots")
+            r = math.isqrt(d)
+            values += [-((b + r) // 2), (r - b) // 2]
+        return range(min(values, default=0), max(values, default=-1) + 1)
+
     def to_poly(self):
         p = exactlin.poly_from_roots(
             [v for v, m in self.integer_eigs for _ in range(m)]
@@ -129,49 +156,22 @@ def seidel_from(system):
     return SeidelMatrix.from_rows(rows)
 
 
-def integer_window(s):
-    """range(lo, hi + 1) holding every integer in [lambda_min(s), lambda_max(s)].
-
-    m - cI is positive definite iff c < lambda_min(m), a test monotone in
-    c. Bisection on [-n, 0], keeping the test true at the left end and
-    false at the right, finds the greatest integer c where it holds, and
-    lo = c + 1 is at most every integer >= lambda_min. Both ends are valid
-    for a Seidel matrix of order n >= 1: s + nI has diagonal n above its
-    off-diagonal row sums n - 1, so it is strictly diagonally dominant,
-    hence positive definite; tr s = 0 makes lambda_min <= 0, so s is not.
-    hi is found the same way on -s, also a Seidel matrix; for S54 that is
-    12 definiteness tests.
-    """
-    def least(m):
-        good, bad = -len(m), 0
-        while bad - good > 1:
-            c = (good + bad) // 2
-            if exactlin.positive_definite(
-                    [[x - c * (i == j) for j, x in enumerate(row)]
-                     for i, row in enumerate(m)]):
-                good = c
-            else:
-                bad = c
-        return bad
-
-    return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
-
-
 def compute_spectrum(s, candidates=None):
     """Exact spectrum of a Seidel matrix as integer roots plus at most one
     integer quadratic.
 
-    candidates must be a proven superset of the integer eigenvalues
-    (default integer_window(s)), so the nullity sweep finds each with its
-    multiplicity. If two eigenvalues are left, they are not integers; the
-    trace identities fix their sum -b and product c, and they are roots of
-    a monic integer factor of det(xI - S), so a non-integral c or a
-    rational root cannot occur: either raises.
+    candidates must be a proven superset of the integer eigenvalues, so
+    the nullity sweep finds each with its multiplicity. The default,
+    range(1 - n, n), is one: every |lambda| is at most the largest row
+    sum of |s|, which is n - 1. If two eigenvalues are left, they are not
+    integers; the trace identities fix their sum -b and product c, and
+    they are roots of a monic integer factor of det(xI - S), so a
+    non-integral c or a rational root cannot occur: either raises.
     """
     n = s.n
     m = s.as_lists()
     if candidates is None:
-        candidates = integer_window(s)
+        candidates = range(1 - n, n)
     eigs = {}
     for lam in sorted(set(candidates)):
         mult = exactlin.nullity_at(m, lam)

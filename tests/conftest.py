@@ -1,6 +1,6 @@
 import pytest
 
-from equilines import construct, golay, seidel
+from equilines import cli, construct, golay, seidel
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +21,10 @@ def final54(code):
 @pytest.fixture(scope="session")
 def s54(final54):
     return seidel.seidel_from(final54)
+
+
+@pytest.fixture(scope="session")
+def s54_window(s54):
+    """The sub-scan's window for S54, from its certified spectrum claim."""
+    assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
+    return cli.S54_SPECTRUM.integer_window()

@@ -16,8 +16,8 @@ from test_seidel import brute_force_automorphism_count
 
 
 @pytest.fixture(scope="module")
-def full_scan(s54):
-    return search.subseidel_scan(s54, orders=(50, 51, 52, 53))
+def full_scan(s54, s54_window):
+    return search.subseidel_scan(s54, s54_window, orders=(50, 51, 52, 53))
 
 
 def report(number, ok, detail):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from equilines import cli, construct, golay, search, seidel
+from equilines import cli, construct, exactlin, golay, search, seidel
 
 
 def run(args):
@@ -154,6 +154,60 @@ def test_duplicate_orders_are_scanned_once(tmp_path):
         reports.append(cli.report_without_timings(json.loads(out.read_text())))
     assert reports[0] == reports[1]
     assert len(reports[0]["certificates"][0]["details"]["hits"]) == 9
+
+
+def test_uncertified_spectrum_stops_the_scan_before_any_screen(tmp_path, monkeypatch):
+    # the quadratic's constant term moved: lambda_max would be
+    # 12 + sqrt(19) = 16.36..., a window that drops the eigenvalue 17 of
+    # every order-52 hit
+    wrong = seidel.SpectrumClaim.make(dict(cli.S54_SPECTRUM.integer_eigs),
+                                      quadratic=(-24, 125))
+    assert wrong.integer_window() == range(-5, 17)
+    screened = []
+
+    def no_screen(factors, v, removed):
+        screened.append(len(removed))
+        raise AssertionError("screened with an uncertified window")
+
+    monkeypatch.setattr(cli, "S54_SPECTRUM", wrong)
+    monkeypatch.setattr(search, "_screen", no_screen)
+    out = tmp_path / "r.json"
+    assert run(["all", "--out", str(out)]) == 1
+    certs = {c["claim_id"]: c for c in json.loads(out.read_text())["certificates"]}
+    assert certs["spectrum.S"]["details"]["first_failure"]["check"] == "char_poly_matches"
+    assert certs["subscan.unique"]["details"]["first_failure"] == {
+        "check": "stages_built",
+        "witness": "SpectrumNotCertifiedError: spectrum.S failed char_poly_matches, "
+                   "so S has no certified interlacing window"}
+    assert [c for c, cert in certs.items() if cert["status"] == "fail"] == [
+        "spectrum.S", "subscan.unique"]
+    assert not screened
+
+
+def test_subscan_alone_matches_the_whole_run(tmp_path):
+    out = tmp_path / "s.json"
+    assert run(["subscan", "--out", str(out)]) == 0
+    alone = cli.report_without_timings(json.loads(out.read_text()))["certificates"]
+    whole = cli.report_without_timings(cli.report_dict(cli.certify_all(cli.RunConfig())))
+    assert alone == [c for c in whole["certificates"] if c["claim_id"] == "subscan.unique"]
+
+
+def test_exact_spectral_work_of_a_whole_run_is_sixteen_nullities(monkeypatch):
+    # 4 for spectrum.S (at -5, 7, 11, 13) and 12 to confirm the one
+    # order-52 representative (the odd members of the window); certifying
+    # the spectrum again for the scan would make 20
+    real = exactlin.nullity_at
+    orders = []
+
+    def counted(m, lam):
+        orders.append(len(m))
+        return real(m, lam)
+
+    monkeypatch.setattr(exactlin, "nullity_at", counted)
+    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert sorted(orders) == [52] * 12 + [54] * 4
+    assert not hasattr(exactlin, "positive_definite")
+    assert not hasattr(seidel, "integer_window")
 
 
 def test_maximality_control_run(tmp_path):

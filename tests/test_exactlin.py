@@ -2,12 +2,74 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from equilines import exactlin
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def swap_free_pivots(a, primes):
+    """Gaussian elimination of the square int64 matrix a without row swaps
+    modulo every prime in primes at once, one (P, n, n) array for the P
+    primes. Yields (pivots, primes) per step k before its elimination:
+    pivot k is the entry (k, k), which the caller must stop at if it is 0
+    modulo some prime. Row i becomes row i - (a_ik / pivot) row k, all mod
+    p: residues are below 2^31, so each product is below 2^62."""
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    x = a % p
+    for k in range(len(a)):
+        pivot, q = x[:, k, k], p[:, 0, 0]
+        yield pivot, q
+        inverse = np.array([pow(v, -1, m) for v, m in zip(pivot.tolist(), q.tolist())])
+        factor = x[:, k + 1:, k] * inverse[:, None] % p[:, 0]
+        block = x[:, k + 1:, k + 1:]
+        block -= factor[:, :, None] * x[:, k, None, k + 1:]
+        np.remainder(block, p, out=block)
+
+
+def positive_definite(m):
+    """True iff the symmetric integer matrix m is positive definite, from
+    its leading principal minors modulo exactlin.PRIMES: the definiteness
+    oracle of the tests.
+
+    By Sylvester's criterion m is positive definite iff every leading
+    principal minor D_1, ..., D_n is positive. Gaussian elimination
+    without swaps modulo p has pivot k equal to D_(k+1) / D_k, so the
+    running product of the pivots is D_(k+1) mod p. Each D_k is a minor
+    through the first k rows, so Hadamard's inequality bounds |D_k| by H,
+    the product of the (at least 1) row norms of m. With the fewest
+    primes whose product P has P^2 > 4 H^2, D_k is the residue of the
+    Chinese remainder theorem taken in (-P/2, P/2). The minors are
+    recovered in order and the call stops at the first that is <= 0.
+    A pivot that vanishes mod p, with D_(k+1) > 0, makes p unlucky: the
+    elimination cannot go on modulo p, so p is replaced by the next prime
+    and the elimination starts again. AssertionError if PRIMES runs out.
+    """
+    n, c = exactlin.dims(m)
+    if n != c:
+        raise ValueError("definiteness of non-square matrix")
+    a = exactlin._int64(m)
+    bound = 4 * math.prod(max(1, q) for q in exactlin._squared_row_norms(a))
+    kept, used = (), 0
+    while True:
+        primes = kept + exactlin._more_primes(math.prod(kept), bound, used)
+        used += len(primes) - len(kept)
+        modulus = math.prod(primes)
+        crt = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+        minors = 1
+        for pivot, p in swap_free_pivots(a, primes):
+            minors = minors * pivot % p
+            minor = sum(r * e for r, e in zip(minors.tolist(), crt)) % modulus
+            if minor == 0 or minor > modulus // 2:
+                return False
+            if not pivot.all():
+                break
+        else:
+            return True
+        kept = tuple(q for q, v in zip(primes, pivot.tolist()) if v)
 
 
 def random_matrix(rng, n, lo=-5, hi=5):
@@ -30,11 +92,11 @@ def test_nullity_at_identity():
 
 
 def test_positive_definite():
-    assert exactlin.positive_definite(I3)
-    assert exactlin.positive_definite([[2, -1], [-1, 2]])
-    assert not exactlin.positive_definite([[1, 1], [1, 1]])          # singular
-    assert not exactlin.positive_definite([[-2, 1], [1, -2]])        # negative definite
-    assert not exactlin.positive_definite([[1, 2], [2, 1]])          # indefinite
+    assert positive_definite(I3)
+    assert positive_definite([[2, -1], [-1, 2]])
+    assert not positive_definite([[1, 1], [1, 1]])          # singular
+    assert not positive_definite([[-2, 1], [1, -2]])        # negative definite
+    assert not positive_definite([[1, 2], [2, 1]])          # indefinite
 
 
 def test_char_poly_swap():
@@ -190,7 +252,7 @@ def test_pivots_match_fraction_elimination():
             assert exactlin.bareiss_det(m) == det
             assert exactlin.nullity_at(m, 0) == n - len(cols)
             if m == exactlin.transpose(m):
-                assert exactlin.positive_definite(m) == leading_minors_positive(m)
+                assert positive_definite(m) == leading_minors_positive(m)
 
 
 @pytest.mark.parametrize("m, steps, det", [
@@ -202,11 +264,12 @@ def test_pivots_fixed_cases(m, steps, det):
     assert list(exactlin.pivots(m)) == steps
     assert exactlin.rank(m) == len(steps)
     assert exactlin.bareiss_det(m) == det
-    assert not exactlin.positive_definite(m)
+    assert not positive_definite(m)
 
 
 # ---------------------------------------------------------------------------
-# rank, nullity and definiteness modulo PRIMES, against the pivots oracle
+# rank and nullity modulo PRIMES, and the tests' definiteness oracle,
+# against the pivots oracle
 # ---------------------------------------------------------------------------
 
 P0, P1 = exactlin.PRIMES[:2]
@@ -268,7 +331,7 @@ def test_modular_rank_nullity_definiteness_match_pivots():
             assert exactlin.nullity_at(m, lam) == n - pivots_rank(shifted)
             if m == exactlin.transpose(m):
                 definite = pivots_positive_definite(m)
-                assert exactlin.positive_definite(m) == definite
+                assert positive_definite(m) == definite
                 seen[definite] += 1
     assert min(seen.values()) > 20
 
@@ -277,8 +340,8 @@ def test_modular_edge_cases():
     assert exactlin.rank([]) == 0
     assert exactlin.rank([[]]) == 0
     assert exactlin.rank([[0, 0], [0, 0]]) == 0
-    assert exactlin.positive_definite([])
-    assert not exactlin.positive_definite([[0]])
+    assert positive_definite([])
+    assert not positive_definite([[0]])
 
 
 def test_rank_survives_a_prime_that_drops_it():
@@ -289,9 +352,9 @@ def test_rank_survives_a_prime_that_drops_it():
 
 
 def test_definite_despite_a_minor_divisible_by_the_first_prime():
-    assert exactlin.positive_definite([[P0, 1], [1, 1]])
-    assert not exactlin.positive_definite([[P0, 1], [1, 0]])
-    assert not exactlin.positive_definite([[-P0, 1], [1, 1]])
+    assert positive_definite([[P0, 1], [1, 1]])
+    assert not positive_definite([[P0, 1], [1, 0]])
+    assert not positive_definite([[-P0, 1], [1, 1]])
 
 
 def test_dropped_prime_is_not_counted(monkeypatch):
@@ -310,7 +373,7 @@ def test_unlucky_prime_is_replaced_not_used(monkeypatch):
     # third must replace it
     monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:2])
     with pytest.raises(AssertionError):
-        exactlin.positive_definite([[P0, 1], [1, 1]])
+        positive_definite([[P0, 1], [1, 1]])
 
 
 def test_too_few_primes_raise(monkeypatch):
@@ -318,7 +381,7 @@ def test_too_few_primes_raise(monkeypatch):
     with pytest.raises(AssertionError):
         exactlin.rank([[P0, P0], [P0, P0]])
     with pytest.raises(AssertionError):
-        exactlin.positive_definite([[P1, 1], [1, P1]])
+        positive_definite([[P1, 1], [1, P1]])
     assert exactlin.rank([[1, 2], [3, 4]]) == 2     # full rank needs no bound
 
 
@@ -327,7 +390,7 @@ def test_entries_beyond_int64_raise(m):
     with pytest.raises(ValueError):
         exactlin.rank(m)
     with pytest.raises(ValueError):
-        exactlin.positive_definite([[m[0][-1]]])
+        positive_definite([[m[0][-1]]])
     with pytest.raises(ValueError):
         exactlin.nullity_at([[2 ** 63 - 1]], -1)
 

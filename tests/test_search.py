@@ -6,7 +6,8 @@ from itertools import combinations, islice
 import numpy as np
 import pytest
 
-from equilines import construct, exactlin, golay, search, seidel
+from equilines import cli, construct, exactlin, search, seidel
+from test_exactlin import positive_definite
 
 
 def drop_member(system, index):
@@ -152,15 +153,15 @@ def test_witnesses_verified_exactly(final54):
             assert abs(sum(a * b for a, b in zip(row, w))) == 16
 
 
-def test_subscan_order_53_has_no_hits(s54):
-    result = search.subseidel_scan(s54, orders=(53,))
+def test_subscan_order_53_has_no_hits(s54, s54_window):
+    result = search.subseidel_scan(s54, s54_window, orders=(53,))
     assert result.subsets_examined == {53: 54}
     assert result.hits == []
     assert result.equivalence_classes == {}
 
 
-def test_subscan_order_52(s54):
-    result = search.subseidel_scan(s54, orders=(52,))
+def test_subscan_order_52(s54, s54_window):
+    result = search.subseidel_scan(s54, s54_window, orders=(52,))
     assert result.subsets_examined == {52: math.comb(54, 2)}
     assert len(result.hits) == 9
     expected = seidel.SpectrumClaim.make(
@@ -174,10 +175,10 @@ def test_subscan_order_52(s54):
     assert len(result.equivalence_classes) == 1
 
 
-def screen_all(s, order):
+def screen_all(s, window, order):
     """Every removed-index set of one order that passes the screen, and the
-    window L used for it."""
-    lams = [lam for lam in seidel.integer_window(s) if order % 2 or lam % 2]
+    members L of window used for it."""
+    lams = [lam for lam in window if order % 2 or lam % 2]
     factors = [np.array(s.as_lists(), dtype=float) - lam * np.eye(s.n) for lam in lams]
     subsets = list(combinations(range(s.n), s.n - order))
     passed = search._screen(factors, np.arange(1, s.n + 1, dtype=float),
@@ -185,11 +186,11 @@ def screen_all(s, order):
     return [r for r, ok in zip(subsets, passed) if ok], lams
 
 
-def full_scan(s, orders):
+def full_scan(s, window, orders):
     """The screen and exact confirmation run on every removed-index set."""
     hits = []
     for order in sorted(orders, reverse=True):
-        survivors, lams = screen_all(s, order)
+        survivors, lams = screen_all(s, window, order)
         for removed in survivors:
             sub = s.principal_submatrix(i for i in range(s.n) if i not in removed)
             claim = seidel.compute_spectrum(sub, candidates=lams)
@@ -198,11 +199,11 @@ def full_scan(s, orders):
     return hits
 
 
-def test_subscan_orbit_scan_agrees_with_full_scan(s54):
-    result = search.subseidel_scan(s54, orders=(52, 53))
+def test_subscan_orbit_scan_agrees_with_full_scan(s54, s54_window):
+    result = search.subseidel_scan(s54, s54_window, orders=(52, 53))
     assert result.orbit_representatives == {52: 25, 53: 3}
     assert result.subsets_examined == {52: 1431, 53: 54}
-    expected = full_scan(s54, (52, 53))
+    expected = full_scan(s54, s54_window, (52, 53))
     assert len(expected) == 9
     assert result.hits == expected
 
@@ -311,8 +312,8 @@ def test_orbit_representatives_mask_width():
         search.orbit_representatives([tuple(range(5))], 5, -1)
 
 
-def test_automorphisms_map_hits_to_hits(s54):
-    result = search.subseidel_scan(s54, orders=(52,))
+def test_automorphisms_map_hits_to_hits(s54, s54_window):
+    result = search.subseidel_scan(s54, s54_window, orders=(52,))
     hit_sets = {frozenset(removed) for _, removed, _ in result.hits}
     aut = seidel.automorphism_order(s54)
     for g in aut.generators:
@@ -321,31 +322,79 @@ def test_automorphisms_map_hits_to_hits(s54):
             assert image in hit_sets
 
 
-def test_hit_trace_identities(s54):
-    result = search.subseidel_scan(s54, orders=(52,))
+def test_hit_trace_identities(s54, s54_window):
+    result = search.subseidel_scan(s54, s54_window, orders=(52,))
     for order, _removed, claim in result.hits:
         assert claim.eig_sum() == 0
         assert claim.eig_square_sum() == order * (order - 1)
 
 
-def test_screen_accepts_true_integral_submatrix(s54):
+def test_screen_accepts_true_integral_submatrix(s54, s54_window):
     # every known order-52 hit must survive the mod-p screen on its own
-    result = search.subseidel_scan(s54, orders=(52,))
-    survivors, _ = screen_all(s54, 52)
+    result = search.subseidel_scan(s54, s54_window, orders=(52,))
+    survivors, _ = screen_all(s54, s54_window, 52)
     assert {removed for _, removed, _ in result.hits} <= set(survivors)
     assert len(survivors) < math.comb(54, 2)
 
 
+def integer_window(s):
+    """Oracle for SpectrumClaim.integer_window: range(lo, hi + 1) holding
+    every integer in [lambda_min(s), lambda_max(s)], by definiteness tests.
+
+    m - cI is positive definite iff c < lambda_min(m), a test monotone in
+    c. Bisection on [-n, 0], keeping the test true at the left end and
+    false at the right, finds the greatest integer c where it holds, and
+    lo = c + 1 is at most every integer >= lambda_min. Both ends are valid
+    for a Seidel matrix of order n >= 1: s + nI has diagonal n above its
+    off-diagonal row sums n - 1, so it is strictly diagonally dominant,
+    hence positive definite; tr s = 0 makes lambda_min <= 0, so s is not.
+    hi is found the same way on -s, also a Seidel matrix.
+    """
+    def least(m):
+        good, bad = -len(m), 0
+        while bad - good > 1:
+            c = (good + bad) // 2
+            if positive_definite([[x - c * (i == j) for j, x in enumerate(row)]
+                                  for i, row in enumerate(m)]):
+                good = c
+            else:
+                bad = c
+        return bad
+
+    return range(least(s.rows), 1 - least([[-x for x in row] for row in s.rows]))
+
+
+def j_minus_i(n):
+    return seidel.SeidelMatrix.from_rows([[0 if i == j else 1 for j in range(n)]
+                                          for i in range(n)])
+
+
+def random_seidel_matrices(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice([1, -1])
+        yield seidel.SeidelMatrix.from_rows(rows)
+
+
+def certified_window(s, claim=None):
+    """The window of a claim (default compute_spectrum(s)) that certifies
+    for s."""
+    claim = claim or seidel.compute_spectrum(s)
+    assert seidel.certify_spectrum(s, claim).passed
+    return claim.integer_window()
+
+
 def test_integer_window_j_minus_i():
     # J - I of order 8 has spectrum {7, -1}
-    j_minus_i = [[0 if i == j else 1 for j in range(8)] for i in range(8)]
-    assert seidel.integer_window(
-        seidel.SeidelMatrix.from_rows(j_minus_i)) == range(-1, 8)
+    assert integer_window(j_minus_i(8)) == range(-1, 8)
 
 
-def test_integer_window_s54(s54):
+def test_integer_window_s54(s54, s54_window):
     # spectrum of S54: -5 up to 12 + sqrt(37) = 18.08...
-    assert seidel.integer_window(s54) == range(-5, 19)
+    assert integer_window(s54) == s54_window == range(-5, 19)
 
 
 def linear_window(s):
@@ -353,7 +402,7 @@ def linear_window(s):
     time until the shifted matrix is positive definite, on s and on -s."""
     def least(m):
         lo = 0
-        while not exactlin.positive_definite(
+        while not positive_definite(
                 [[x - (lo - 1) * (i == j) for j, x in enumerate(row)]
                  for i, row in enumerate(m)]):
             lo -= 1
@@ -363,18 +412,51 @@ def linear_window(s):
 
 
 def test_integer_window_bisection_matches_linear_scan(s54):
-    rng = random.Random(23)
-    j_minus_i = seidel.SeidelMatrix.from_rows(
-        [[0 if i == j else 1 for j in range(8)] for i in range(8)])
-    matrices = [s54, j_minus_i, petersen_seidel()]
-    for _ in range(200):
-        n = rng.randint(1, 9)
-        rows = [[0] * n for _ in range(n)]
-        for i, j in combinations(range(n), 2):
-            rows[i][j] = rows[j][i] = rng.choice([1, -1])
-        matrices.append(seidel.SeidelMatrix.from_rows(rows))
-    for s in matrices:
-        assert seidel.integer_window(s) == linear_window(s)
+    matrices = [s54, j_minus_i(8), petersen_seidel()]
+    for s in matrices + list(random_seidel_matrices(200, seed=23)):
+        assert integer_window(s) == linear_window(s)
+
+
+def test_claim_window_matches_integer_window_oracle(s54):
+    claims = [(s54, cli.S54_SPECTRUM), (j_minus_i(8), None), (petersen_seidel(), None)]
+    for s in random_seidel_matrices(300, seed=23):
+        try:
+            claims.append((s, seidel.compute_spectrum(s)))
+        except seidel.IrrationalPartError:
+            pass
+    assert len(claims) > 100 and sum(c is not None and c.quadratic is not None
+                                     for _, c in claims) > 30
+    for s, claim in claims:
+        assert certified_window(s, claim) == integer_window(s)
+    assert seidel.compute_spectrum(petersen_seidel()) == seidel.SpectrumClaim.make(
+        {-3: 5, 3: 5})
+
+
+def test_claim_window_rounds_irrational_extremes_inwards():
+    # x^2 - 24x + 107 has roots 12 -+ sqrt(37) = 5.91..., 18.08...;
+    # x^2 + 3x - 1 has roots (-3 -+ sqrt(13)) / 2 = -3.30..., 0.30...;
+    # x^2 - x - 1 has roots (1 -+ sqrt(5)) / 2 = -0.61..., 1.61...
+    assert seidel.SpectrumClaim.make({7: 1}, quadratic=(-24, 107)).integer_window() == range(6, 19)
+    assert seidel.SpectrumClaim.make({}, quadratic=(3, -1)).integer_window() == range(-3, 1)
+    assert seidel.SpectrumClaim.make({}, quadratic=(-1, -1)).integer_window() == range(0, 2)
+    assert seidel.SpectrumClaim.make({2: 3}).integer_window() == range(2, 3)
+    with pytest.raises(ValueError):
+        seidel.SpectrumClaim.make({0: 1}, quadratic=(1, 1)).integer_window()
+
+
+def test_compute_spectrum_default_matches_oracle_window_sweep():
+    # the default sweep, range(1 - n, n), against the window's own sweep
+    claims = 0
+    for s in random_seidel_matrices(300, seed=29):
+        try:
+            expected = seidel.compute_spectrum(s, candidates=integer_window(s))
+        except seidel.IrrationalPartError:
+            with pytest.raises(seidel.IrrationalPartError):
+                seidel.compute_spectrum(s)
+            continue
+        assert seidel.compute_spectrum(s) == expected
+        claims += 1
+    assert claims > 100
 
 
 def petersen_seidel(flip=False):
@@ -416,7 +498,7 @@ def test_subscan_matches_brute_force_oracle():
     counts = hit_counts(expected, orders)
     assert counts == {6: 20, 7: 64, 8: 17, 9: 2}
     assert all(counts[o] < math.comb(10, 10 - o) for o in orders)
-    result = search.subseidel_scan(s, orders=orders)
+    result = search.subseidel_scan(s, integer_window(s), orders=orders)
     assert result.hits == expected
     assert result.screened_ambiguous == 0
 
@@ -429,7 +511,7 @@ def test_orbit_scan_matches_brute_force_on_petersen():
     orders = (6, 7, 8, 9)
     expected = brute_force_hits(s, orders)
     assert hit_counts(expected, orders) == {6: 30, 7: 120, 8: 45, 9: 10}
-    result = search.subseidel_scan(s, orders=orders)
+    result = search.subseidel_scan(s, certified_window(s), orders=orders)
     assert result.orbit_representatives == {6: 3, 7: 2, 8: 1, 9: 1}
     assert result.subsets_examined == {o: math.comb(10, 10 - o) for o in orders}
     assert result.hits == expected
@@ -448,12 +530,13 @@ def test_screened_ambiguous_counts_subsets(monkeypatch):
     orders = (6, 7, 8, 9)
     monkeypatch.setattr(search, "_screen",
                         lambda factors, v, removed: np.ones(len(removed), dtype=bool))
-    result = search.subseidel_scan(s, orders=orders)
+    result = search.subseidel_scan(s, certified_window(s), orders=orders)
     assert result.hits == brute_force_hits(s, orders)
     assert result.screened_ambiguous == 385 - 205
 
 
-def test_progress_callback_invoked(s54):
+def test_progress_callback_invoked(s54, s54_window):
     calls = []
-    search.subseidel_scan(s54, orders=(53,), progress=lambda o, t: calls.append((o, t)))
+    search.subseidel_scan(s54, s54_window, orders=(53,),
+                          progress=lambda o, t: calls.append((o, t)))
     assert calls == [(53, 54)]
