@@ -8,6 +8,8 @@ import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
 from . import construct, exactlin, golay, search, seidel
 from .certificate import CertificateBuilder
 
@@ -49,13 +51,11 @@ class Pipeline:
 
     @cached_property
     def code(self):
-        generator = golay.build_generator()
-        if self.config.corrupt_generator:
-            generator = tuple(
-                row ^ (1 << 13) if i == 0 else row
-                for i, row in enumerate(generator)
-            )
-        return golay.generate_code(generator)
+        code = golay.standard_code()
+        if not self.config.corrupt_generator:
+            return code
+        return golay.generate_code(tuple(
+            row ^ (1 << 13) if i == 0 else row for i, row in enumerate(code.generator)))
 
     @cached_property
     def asche(self):
@@ -63,7 +63,7 @@ class Pipeline:
 
     @cached_property
     def final(self):
-        return construct.final_system(self.code, self.filters)
+        return construct.final_system(self.asche, self.filters)
 
     @cached_property
     def seidel_matrix(self):
@@ -112,13 +112,10 @@ def cmd_construct(pipeline):
         b.check("final_rank_18", final.ambient_dim == 18, final.ambient_dim)
         removed = construct.removed_vectors(full, final)
         b.check("removed_count_18", len(removed) == 18, len(removed))
-        offdiag = {
-            final.vectors[i].dot(final.vectors[j])
-            for i in range(54)
-            for j in range(i + 1, 54)
-        }
+        gram = final.gram
+        offdiag = set(gram[np.triu_indices(len(final), 1)].tolist())
         b.check("pairwise_scaled_angle_pm16", offdiag <= {16, -16}, sorted(offdiag))
-        norms = {v.dot(v) for v in final.vectors}
+        norms = set(np.diagonal(gram).tolist())
         b.check("scaled_norms_80", norms == {80}, sorted(norms))
         if config.emit_vectors:
             b.note("vectors", [list(v.coords) for v in final.vectors])

@@ -6,6 +6,9 @@ All geometry is done in scaled integers: a unit vector of the system is
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import exactlin
 from .certificate import CertificateBuilder
@@ -20,6 +23,7 @@ from .golay import (
 
 SCALED_NORM = 80
 SCALED_ANGLE = 16
+GRAM_COORD_BOUND = 1 << 29      # largest |coordinate| LineSystem.gram accepts
 
 # Entries of the separating vector, by 1-based coordinate.
 M_ENTRIES = {4: 2, 5: -1, 6: -1, 7: 2, 8: -1, 10: -1, 17: 2, 18: -1, 20: -1, 22: -3, 23: 3}
@@ -79,6 +83,23 @@ class LineSystem:
     def matrix(self):
         return [list(v.coords) for v in self.vectors]
 
+    @cached_property
+    def gram(self):
+        """The int64 Gram matrix V V^T of the members, computed once, read-only.
+
+        With c the largest absolute coordinate, every entry, and every
+        partial sum of one, is at most 24 c^2 in absolute value. c <= 2^29
+        keeps that at 24 * 2^58 < 2^63, so int64 cannot wrap; a larger c
+        raises ValueError.
+        """
+        c = max((abs(x) for v in self.vectors for x in v.coords), default=0)
+        if c > GRAM_COORD_BOUND:
+            raise ValueError(f"coordinate {c} beyond 2^29, the int64 Gram bound")
+        v = np.array(self.matrix(), dtype=np.int64).reshape(len(self), N_COORDS)
+        gram = v @ v.T
+        gram.flags.writeable = False
+        return gram
+
 
 def lift(d):
     """Scaled lift of a codeword mask: 4d - 4*e1 - e_all, as integers."""
@@ -105,33 +126,31 @@ def asche_system(code, filters=None):
     as the literal inner-product-zero condition on the lifted vector; the
     two must agree. The orthogonality of every member to 4*e1 + e_all is
     an identity for octads through coordinate 1 and is asserted, never
-    filtered on.
+    filtered on. The inner products are one int64 product of the lifts
+    with the five test vectors; every entry is at most 24 * 5 * 5 in
+    absolute value.
     """
     filters = filters or FilterSet.standard()
+    lifts = [lift(d) for d in code.octads if d & 1]
+    tests = [filters.aux["e1-e2"], filters.aux["e1-e3"],
+             [filters.c1 >> j & 1 for j in range(N_COORDS)],
+             [filters.c2 >> j & 1 for j in range(N_COORDS)], filters.aux["4e1+eS"]]
+    dots = (np.array([v.coords for v in lifts], dtype=np.int64).reshape(len(lifts), N_COORDS)
+            @ np.array(tests, dtype=np.int64).T).tolist()
     picked = []
-    for d in code.octads:
-        if not d & 1:
-            continue
-        v = lift(d)
+    for v, row in zip(lifts, dots):
+        d = v.source
         bit_tests = (
             not d & 0b010,
             not d & 0b100,
             weight(d & filters.c1) == 2,
             weight(d & filters.c2) == 2,
         )
-        c1_bits = [filters.c1 >> j & 1 for j in range(N_COORDS)]
-        c2_bits = [filters.c2 >> j & 1 for j in range(N_COORDS)]
-        dot_tests = (
-            v.dot(filters.aux["e1-e2"]) == 0,
-            v.dot(filters.aux["e1-e3"]) == 0,
-            v.dot(c1_bits) == 0,
-            v.dot(c2_bits) == 0,
-        )
-        if bit_tests != dot_tests:
+        if bit_tests != tuple(x == 0 for x in row[:4]):
             raise ConstructionError(
                 f"filter reformulation mismatch on octad {coords_from_mask(d)}"
             )
-        if v.dot(filters.aux["4e1+eS"]) != 0:
+        if row[4] != 0:
             raise ConstructionError(
                 f"octad through coordinate 1 violates the 4e1+eS identity: "
                 f"{coords_from_mask(d)}"
@@ -141,27 +160,37 @@ def asche_system(code, filters=None):
     return _system_from(picked, 72, 19)
 
 
-def final_system(code, filters=None):
-    """The 54-line subsystem: members of the 72-system orthogonal to m."""
+def final_system(full, filters=None):
+    """The 54-line subsystem: members of the 72-line system full that are
+    orthogonal to m."""
     filters = filters or FilterSet.standard()
-    full = asche_system(code, filters)
     kept = [v for v in full.vectors if v.dot(filters.m) == 0]
     system = _system_from(kept, 54, 18)
     _check_equiangular(system)
     return system
 
 
+def first_defect(gram):
+    """The first (i, j), i <= j, row by row, where gram is not equiangular:
+    a diagonal entry other than SCALED_NORM or an off-diagonal one other
+    than +/-SCALED_ANGLE. None if there is none."""
+    bad = np.abs(gram) != SCALED_ANGLE
+    np.fill_diagonal(bad, np.diagonal(gram) != SCALED_NORM)
+    found = np.argwhere(np.triu(bad))
+    return tuple(found[0].tolist()) if len(found) else None
+
+
 def _check_equiangular(system):
-    vecs = system.vectors
-    for i in range(len(vecs)):
-        if vecs[i].dot(vecs[i]) != SCALED_NORM:
-            raise ConstructionError(f"member {i} has scaled norm != {SCALED_NORM}")
-        for j in range(i + 1, len(vecs)):
-            if abs(vecs[i].dot(vecs[j])) != SCALED_ANGLE:
-                raise ConstructionError(
-                    f"members {i},{j} have scaled inner product "
-                    f"{vecs[i].dot(vecs[j])}, not +/-{SCALED_ANGLE}"
-                )
+    defect = first_defect(system.gram)
+    if defect is None:
+        return
+    i, j = defect
+    if i == j:
+        raise ConstructionError(f"member {i} has scaled norm != {SCALED_NORM}")
+    raise ConstructionError(
+        f"members {i},{j} have scaled inner product "
+        f"{int(system.gram[i, j])}, not +/-{SCALED_ANGLE}"
+    )
 
 
 def removed_vectors(full, final):

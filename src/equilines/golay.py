@@ -47,12 +47,15 @@ def weight(mask):
     return mask.bit_count()
 
 
+# _BYTE_REVERSED[b] is the byte b with its eight bits in reverse order
+_BYTE_REVERSED = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def lex_key(mask):
-    """Sort key putting coordinate 1 as the most significant bit."""
-    key = 0
-    for c in range(N_COORDS):
-        key = (key << 1) | (mask >> c & 1)
-    return key
+    """Sort key putting coordinate 1 as the most significant bit: the low
+    24 bits of mask reversed, one byte-table lookup per byte."""
+    return (_BYTE_REVERSED[mask & 255] << 16 | _BYTE_REVERSED[mask >> 8 & 255] << 8
+            | _BYTE_REVERSED[mask >> 16 & 255])
 
 
 @dataclass(frozen=True)
@@ -109,17 +112,11 @@ def gf2_rank(row_masks):
 
 
 def _span(generator):
-    words = []
-    for comb in range(1 << len(generator)):
-        w = 0
-        g = comb
-        i = 0
-        while g:
-            if g & 1:
-                w ^= generator[i]
-            g >>= 1
-            i += 1
-        words.append(w)
+    """Every combination of the rows: entry c is the XOR of the rows at the
+    set bits of c, built by doubling, one XOR per word."""
+    words = [0]
+    for row in generator:
+        words += [w ^ row for w in words]
     return words
 
 
@@ -167,11 +164,12 @@ def validation_gates(code):
     }
 
 
-def build_generator():
-    """Assemble the generator, resolving the circulant shift direction.
+def standard_code():
+    """Assemble the generator, resolving the circulant shift direction, and
+    return the code it generates, built once.
 
-    Tries the right-shift circulant first, then left-shift; whichever
-    passes every validation gate wins.
+    Tries the right-shift circulant first, then left-shift; the first whose
+    code passes every validation gate wins.
     """
     failures = {}
     for direction in ("right", "left"):
@@ -183,14 +181,14 @@ def build_generator():
             continue
         gates = validation_gates(code)
         if all(gates.values()):
-            return generator
+            return code
         failures[direction] = [k for k, v in gates.items() if not v]
     raise GeneratorAssemblyError(f"no assembly convention passed the gates: {failures}")
 
 
-def standard_code():
-    """Build and fully validate the code."""
-    return generate_code(build_generator())
+def build_generator():
+    """The 12 generator rows of standard_code()."""
+    return standard_code().generator
 
 
 def octads_through(code, coordinate):

@@ -39,7 +39,7 @@ class ExtendibilityReport:
 @dataclass
 class SubScanResult:
     hits: list                   # (order, removed indices, SpectrumClaim)
-    equivalence_classes: dict    # canonical form -> list of hit positions
+    equivalence_classes: list    # hit positions of each switching class
     subsets_examined: dict       # order -> subsets covered by the orbits
     orbit_representatives: dict  # order -> removed-index sets examined
     screened_ambiguous: int = 0  # subsets whose orbit passed the screen, failed confirmation
@@ -221,31 +221,31 @@ def orbit_representatives(perms, n, k):
       x > max R, of the (k-1)-subsets R kept, each reached once, from its
       own R = T'. _orbit_levels builds them so, for any perms.
     """
-    return _orbit_levels(perms, n, [k])[k]
+    if k < 0:
+        raise ValueError(f"negative subset size {k}")
+    return next(islice(_orbit_levels(perms, n), k, None))
 
 
-def _orbit_levels(perms, n, ks):
-    """orbit_representatives(perms, n, k) for k = 0..max(ks), each level
-    built from the one before. Per parent R one (n - start, |perms|) int64
-    array holds the image masks of every candidate R + {x}."""
+def _orbit_levels(perms, n):
+    """orbit_representatives(perms, n, k) for k = 0, 1, 2, ..., level k
+    built from level k - 1 only when it is asked for. Per parent R one
+    (n - start, |perms|) int64 array holds the image masks of every
+    candidate R + {x}."""
     if n > 63:
         raise ValueError(f"{n} points do not fit in int64 subset masks (at most 63)")
-    if min(ks, default=0) < 0:
-        raise ValueError(f"negative subset size in {sorted(ks)}")
     bits = np.left_shift(np.int64(1), n - 1 - np.array(list(perms), dtype=np.int64).T)
     own = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
-    levels = [([()], [1])]
-    for _ in range(max(ks, default=0)):
-        reps, sizes = [], []
-        for rep in levels[-1][0]:
+    reps, sizes = [()], [1]
+    while True:
+        yield reps, sizes
+        parents, reps, sizes = reps, [], []
+        for rep in parents:
             start = rep[-1] + 1 if rep else 0
             candidates = bits[list(rep)].sum(axis=0) + bits[start:]  # row x - start: g(rep + {x})
             keep = np.flatnonzero(candidates.max(axis=1) <= own[list(rep)].sum() + own[start:])
             steps = np.diff(np.sort(candidates[keep], axis=1), axis=1)
             sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
             reps.extend(rep + (x,) for x in (start + keep).tolist())
-        levels.append((reps, sizes))
-    return levels
 
 
 def _orbit(perms, removed):
@@ -282,13 +282,20 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
       signed permutation conjugate of the one kept after removing K: the
       two have the same spectrum and lie in the same switching class.
       The lex-least representative from orbit_representatives therefore
-      decides its whole orbit (levels 1..max k are generated once, each
-      from the one before): a confirmed one contributes every member, with
-      its spectrum, and one canonical form classifies them all. Hits are
-      sorted by order descending, then in combinations order, as a scan
-      of every subset would list them. Orbits partition the k-subsets,
-      so subsets_examined, the sum of the orbit sizes, must be C(n, k);
-      the certificate checks it.
+      decides its whole orbit: a confirmed one contributes every member,
+      with its spectrum. Orders run in descending order, so k = n - order
+      rises, and level k is built from level k - 1 just before order
+      n - k is screened. Hits are sorted by order descending, then in
+      combinations order, as a scan of every subset would list them.
+      Orbits partition the k-subsets, so subsets_examined, the sum of the
+      orbit sizes, must be C(n, k); the certificate checks it.
+    - Classes. equivalence_classes lists the hit positions of each
+      switching class (up to permutation), in order of first hit. By the
+      orbit argument every member of one hit orbit lies in the class of
+      its representative, so a single hit orbit is a single class and
+      needs no canonical form. Only when two or more orbits hit does each
+      representative get one switching_canonical_form, and orbits merge
+      iff their forms are equal, as equal forms mean the same class.
 
     A submatrix M of order m survives the screen iff p_L(M) v = 0 (mod P),
     where p_L(x) = prod_{lam in L} (x - lam), v is a fixed vector and L is
@@ -327,10 +334,12 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
     subsets_examined = {}
     representatives = {}
     rejected = 0
-    levels = _orbit_levels(perms, n, [n - order for order in orders])
+    levels = _orbit_levels(perms, n)
+    depth, (reps, sizes) = 0, next(levels)
     for order in sorted(orders, reverse=True):
         k = n - order
-        reps, sizes = levels[k]
+        while depth < k:
+            depth, (reps, sizes) = depth + 1, next(levels)
         subsets_examined[order] = sum(sizes)
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
@@ -351,10 +360,12 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
         if progress:
             progress(order, subsets_examined[order])
 
+    forms = [None] * len(found)
+    if len(found) > 1:
+        forms = [seidel.switching_canonical_form(
+            s.principal_submatrix(i for i in range(n) if i not in rep)) for _, rep, _ in found]
     members = []
-    for order, rep, claim in found:
-        keep = [i for i in range(n) if i not in rep]
-        form = seidel.switching_canonical_form(s.principal_submatrix(keep))
+    for (order, rep, claim), form in zip(found, forms):
         members.extend((order, removed, claim, form) for removed in _orbit(perms, rep))
     members.sort(key=lambda hit: (-hit[0], hit[1]))
     classes = {}
@@ -362,7 +373,7 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
         classes.setdefault(form, []).append(pos)
     return SubScanResult(
         hits=[(order, removed, claim) for order, removed, claim, _form in members],
-        equivalence_classes=classes,
+        equivalence_classes=list(classes.values()),
         subsets_examined=subsets_examined,
         orbit_representatives=representatives,
         screened_ambiguous=rejected,

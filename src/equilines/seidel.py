@@ -19,7 +19,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from . import exactlin
+import numpy as np
+
+from . import construct, exactlin
 from .certificate import CertificateBuilder
 
 
@@ -136,24 +138,22 @@ class SpectrumClaim:
 
 
 def seidel_from(system):
-    """Seidel matrix of an equiangular system at scaled angle 16, norm 80."""
-    vecs = system.vectors
-    n = len(vecs)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(0)
-                continue
-            ip = vecs[i].dot(vecs[j])
-            if ip not in (16, -16):
-                raise NotEquiangularError(
-                    f"scaled inner product {ip} between members {i},{j}"
-                )
-            row.append(ip // 16)
-        rows.append(row)
-    return SeidelMatrix.from_rows(rows)
+    """Seidel matrix of an equiangular system at scaled angle 16, norm 80:
+    S = (G - 80 I) / 16 for the Gram matrix G, once every entry of G is
+    checked, the diagonal included."""
+    g = system.gram
+    defect = construct.first_defect(g)
+    if defect is not None:
+        i, j = defect
+        if i == j:
+            raise NotEquiangularError(
+                f"scaled norm {int(g[i, i])} of member {i}, not {construct.SCALED_NORM}")
+        raise NotEquiangularError(
+            f"scaled inner product {int(g[i, j])} between members {i},{j}"
+        )
+    identity = np.eye(len(g), dtype=np.int64)
+    return SeidelMatrix.from_rows(
+        ((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE).tolist())
 
 
 def compute_spectrum(s, candidates=None):

@@ -14,8 +14,8 @@ def asche(code):
 
 
 @pytest.fixture(scope="session")
-def final54(code):
-    return construct.final_system(code)
+def final54(asche):
+    return construct.final_system(asche)
 
 
 @pytest.fixture(scope="session")

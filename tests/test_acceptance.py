@@ -170,6 +170,15 @@ def test_criterion_8b_inner_product_formula(asche):
                      f"72-system ({time.monotonic() - t0:.2f}s)")
 
 
+def test_s54_hits_share_one_switching_form(s54, full_scan):
+    # the scan classifies its one hit orbit without a form; check it here
+    forms = {seidel.switching_canonical_form(
+                s54.principal_submatrix(i for i in range(54) if i not in removed))
+             for _, removed, _ in full_scan.hits}
+    assert len(full_scan.hits) == 9 and len(forms) == 1
+    assert full_scan.equivalence_classes == [list(range(9))]
+
+
 def test_criterion_8c_trace_identities(full_scan):
     t0 = time.monotonic()
     claims = [(54, cli.S54_SPECTRUM)] + [

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -251,7 +252,7 @@ def test_whole_run_negative_control_reports(tmp_path):
 def test_code_error_fails_every_certificate(monkeypatch):
     def reject():
         raise golay.GeneratorAssemblyError("no generator")
-    monkeypatch.setattr(golay, "build_generator", reject)
+    monkeypatch.setattr(golay, "standard_code", reject)
     certs = cli.run_command(cli.RunConfig(command="all"))
     assert [c.claim_id for c in certs] == list(cli.CLAIM_IDS.values())
     assert certs[0].details["first_failure"] == {"check": "code_generated",
@@ -259,6 +260,22 @@ def test_code_error_fails_every_certificate(monkeypatch):
     assert all(c.details["first_failure"] == {
         "check": "stages_built", "witness": "GeneratorAssemblyError: no generator"}
         for c in certs[1:])
+
+
+def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):
+    calls = Counter()
+    for module, name in ((golay, "generate_code"), (construct, "asche_system")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert calls == {"generate_code": 1, "asche_system": 1}
+    # only the corrupted control generates a second code, from the flipped rows
+    calls.clear()
+    (cert,) = cli.run_command(cli.RunConfig(command="golay", corrupt_generator=True))
+    assert not cert.passed
+    assert calls == {"generate_code": 2}
 
 
 def test_unwritable_out_is_an_error(tmp_path, capsys):

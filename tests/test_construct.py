@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from equilines import construct, exactlin, golay
@@ -91,7 +94,7 @@ def test_gram_is_80I_plus_16S(final54):
 
 
 def test_ordering_deterministic(code, final54):
-    again = construct.final_system(code)
+    again = construct.final_system(construct.asche_system(code))
     assert [v.source for v in again.vectors] == [v.source for v in final54.vectors]
 
 
@@ -129,3 +132,82 @@ def test_construction_error_on_wrong_filters(code):
     broken = construct.FilterSet(c1=octad_with_1, c2=bad.c2, m=bad.m, aux=bad.aux)
     with pytest.raises(construct.ConstructionError):
         construct.asche_system(code, broken)
+
+
+def dot_gram(system):
+    """The Gram matrix from LineVector.dot: the oracle for LineSystem.gram."""
+    return [[u.dot(v) for v in system.vectors] for u in system.vectors]
+
+
+def reference_check_equiangular(system):
+    """The LineVector.dot loop that _check_equiangular replaced, as oracle."""
+    vecs = system.vectors
+    for i in range(len(vecs)):
+        if vecs[i].dot(vecs[i]) != construct.SCALED_NORM:
+            raise construct.ConstructionError(
+                f"member {i} has scaled norm != {construct.SCALED_NORM}")
+        for j in range(i + 1, len(vecs)):
+            if abs(vecs[i].dot(vecs[j])) != construct.SCALED_ANGLE:
+                raise construct.ConstructionError(
+                    f"members {i},{j} have scaled inner product "
+                    f"{vecs[i].dot(vecs[j])}, not +/-{construct.SCALED_ANGLE}")
+
+
+def random_systems(pool, count, seed):
+    """Small systems of members of pool, each negated at random; in about
+    half of them one coordinate is moved, so most of those are no longer
+    equiangular."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        vectors = []
+        for v in rng.sample(pool.vectors, rng.randint(1, 8)):
+            sign = rng.choice((1, -1))
+            vectors.append(construct.LineVector(tuple(sign * x for x in v.coords), v.source))
+        if rng.random() < 0.5:
+            i, c = rng.randrange(len(vectors)), rng.randrange(24)
+            coords = list(vectors[i].coords)
+            coords[c] += rng.choice((-4, -1, 1, 4))
+            vectors[i] = construct.LineVector(tuple(coords), vectors[i].source)
+        systems.append(construct.LineSystem(vectors=tuple(vectors), ambient_dim=0))
+    return systems
+
+
+def outcome(check, system):
+    try:
+        check(system)
+    except construct.ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def test_gram_and_equiangular_check_match_dot_oracle(asche, final54):
+    systems = [final54, asche] + random_systems(asche, 200, 21)
+    failures = 0
+    for system in systems:
+        assert system.gram.dtype == np.int64
+        assert system.gram.tolist() == dot_gram(system)
+        expected = outcome(reference_check_equiangular, system)
+        assert outcome(construct._check_equiangular, system) == expected
+        failures += expected is not None
+    assert 50 < failures < 150
+    with pytest.raises(ValueError):
+        final54.gram[0, 0] = 0                  # the cached matrix is read-only
+
+
+def test_gram_int64_bound():
+    # |G_ij| <= 24 c^2 fits int64 for c <= 2^29 and is refused beyond it
+    edge = construct.LineVector(tuple([1 << 29] * 24), 0)
+    system = construct.LineSystem(vectors=(edge, edge), ambient_dim=1)
+    assert system.gram.tolist() == dot_gram(system) == [[24 << 58] * 2] * 2
+    beyond = construct.LineVector(tuple([1 << 30] + [0] * 23), 0)
+    with pytest.raises(ValueError, match="int64"):
+        construct.LineSystem(vectors=(beyond,), ambient_dim=1).gram
+
+
+def test_final_system_checks_the_rank_before_the_angles(final54):
+    # 54 copies of one member pass the count; the rank-18 check stops them
+    v = final54.vectors[0]
+    full = construct.LineSystem(vectors=(v,) * 54, ambient_dim=1)
+    with pytest.raises(construct.ConstructionError, match="expected span of rank 18, got 1"):
+        construct.final_system(full)

@@ -119,3 +119,51 @@ def test_rank_deficient_generator_rejected(code):
 def test_canonical_order_is_lexicographic(code):
     keys = [golay.lex_key(w) for w in code.words]
     assert keys == sorted(keys)
+
+
+def reference_lex_key(mask):
+    """The 24-step loop that lex_key replaces: the oracle for its byte table."""
+    key = 0
+    for c in range(golay.N_COORDS):
+        key = (key << 1) | (mask >> c & 1)
+    return key
+
+
+def reference_span(generator):
+    """Word c is the XOR of the rows at the set bits of c, decoded bit by
+    bit: the oracle for the doubling _span."""
+    words = []
+    for comb in range(1 << len(generator)):
+        w, g, i = 0, comb, 0
+        while g:
+            if g & 1:
+                w ^= generator[i]
+            g >>= 1
+            i += 1
+        words.append(w)
+    return words
+
+
+def random_rank_12_generators(count, seed):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        rows = tuple(rng.getrandbits(golay.N_COORDS) for _ in range(12))
+        if golay.gf2_rank(rows) == 12:
+            found.append(rows)
+    return found
+
+
+def test_span_and_sort_match_reference_loops(code):
+    generators = [code.generator] + random_rank_12_generators(50, 5)
+    for generator in generators:
+        span = golay._span(generator)
+        assert span == reference_span(generator)
+        assert [golay.lex_key(w) for w in span] == [reference_lex_key(w) for w in span]
+        words = tuple(sorted(set(span), key=reference_lex_key))
+        assert golay.generate_code(generator).words == words
+    rng = random.Random(6)
+    for _ in range(2000):
+        mask = rng.getrandbits(32)          # bits past coordinate 24 are ignored
+        assert golay.lex_key(mask) == reference_lex_key(mask)
+

@@ -157,7 +157,7 @@ def test_subscan_order_53_has_no_hits(s54, s54_window):
     result = search.subseidel_scan(s54, s54_window, orders=(53,))
     assert result.subsets_examined == {53: 54}
     assert result.hits == []
-    assert result.equivalence_classes == {}
+    assert result.equivalence_classes == []
 
 
 def test_subscan_order_52(s54, s54_window):
@@ -172,7 +172,40 @@ def test_subscan_order_52(s54, s54_window):
         assert len(removed) == 2
         assert claim == expected
         assert claim.total_multiplicity == 52
-    assert len(result.equivalence_classes) == 1
+    assert result.equivalence_classes == [list(range(9))]
+
+
+def test_one_hit_orbit_is_classified_without_a_form(s54, s54_window, monkeypatch):
+    def no_form(s):
+        raise AssertionError("a single hit orbit needs no canonical form")
+    monkeypatch.setattr(seidel, "switching_canonical_form", no_form)
+    result = search.subseidel_scan(s54, s54_window, orders=(52, 53))
+    assert len(result.hits) == 9
+    assert result.equivalence_classes == [list(range(9))]
+
+
+def test_each_order_builds_only_its_own_orbit_level(s54, s54_window, monkeypatch):
+    # orders run 53, 52, 51, so level k = 54 - order is the deepest one
+    # built when order 54 - k reports
+    perms = search.switching_automorphisms(s54)
+    expected = [search.orbit_representatives(perms, 54, k) for k in range(4)]
+    built = []
+    levels = search._orbit_levels
+
+    def recorded(perms, n):
+        for level in levels(perms, n):
+            built.append(level)
+            yield level
+    monkeypatch.setattr(search, "_orbit_levels", recorded)
+    reported = []
+
+    def progress(order, total):
+        assert len(built) - 1 == 54 - order
+        reported.append(order)
+    result = search.subseidel_scan(s54, s54_window, orders=(51, 52, 53), progress=progress)
+    assert reported == [53, 52, 51]
+    assert result.orbit_representatives == {51: 279, 52: 25, 53: 3}
+    assert built == expected
 
 
 def screen_all(s, window, order):
@@ -516,11 +549,39 @@ def test_orbit_scan_matches_brute_force_on_petersen():
     assert result.subsets_examined == {o: math.comb(10, 10 - o) for o in orders}
     assert result.hits == expected
     assert result.screened_ambiguous == 0
-    for form, positions in result.equivalence_classes.items():
-        for pos in positions:
-            order, removed, _ = result.hits[pos]
-            sub = s.principal_submatrix(i for i in range(10) if i not in removed)
-            assert seidel.switching_canonical_form(sub) == form
+    # six hit orbits in six switching classes, though orders 6 and 7
+    # have two orbits each
+    assert len(hit_orbits(s, result.hits)) == 6
+    assert_classes_are_switching_classes(s, result)
+    assert len(result.equivalence_classes) == 6
+
+
+def hit_orbits(s, hits):
+    perms = search.switching_automorphisms(s)
+    return {tuple(search._orbit(perms, removed)) for _, removed, _ in hits}
+
+
+def assert_classes_are_switching_classes(s, result):
+    """The classes partition the hit positions, the members of each share
+    one switching_canonical_form, computed here, and no two classes do."""
+    assert sorted(p for c in result.equivalence_classes for p in c) == list(
+        range(len(result.hits)))
+    forms = [{seidel.switching_canonical_form(s.principal_submatrix(
+                i for i in range(s.n) if i not in result.hits[pos][1]))
+              for pos in positions}
+             for positions in result.equivalence_classes]
+    assert all(len(f) == 1 for f in forms)
+    assert len(set().union(*forms)) == len(forms)
+
+
+def test_hit_orbits_merge_by_form_on_flipped_petersen():
+    # the flipped matrix leaves a scan group of order 16: its 16 hit
+    # orbits lie in 6 switching classes, so orbits of one order must merge
+    s = petersen_seidel(flip=True)
+    result = search.subseidel_scan(s, integer_window(s), orders=(6, 7, 8, 9))
+    assert len(hit_orbits(s, result.hits)) == 16
+    assert_classes_are_switching_classes(s, result)
+    assert len(result.equivalence_classes) == 6
 
 
 def test_screened_ambiguous_counts_subsets(monkeypatch):

@@ -581,3 +581,50 @@ def test_dropped_descendant_automorphism_fails_orbit_stabilizer(
     monkeypatch.setattr(seidel, "canonical_graph_form", lossy)
     with pytest.raises(AssertionError, match="orbit-stabilizer"):
         seidel.signed_automorphism_group(s54)
+
+
+def reference_seidel_from(system):
+    """S from LineVector.dot, entry by entry with the diagonal: the oracle
+    for seidel_from's Gram-matrix path."""
+    vecs = system.vectors
+    rows = []
+    for i, u in enumerate(vecs):
+        if u.dot(u) != construct.SCALED_NORM:
+            raise seidel.NotEquiangularError(f"norm of {i}")
+        row = []
+        for j, v in enumerate(vecs):
+            ip = u.dot(v)
+            if j != i and abs(ip) != construct.SCALED_ANGLE:
+                raise seidel.NotEquiangularError(f"inner product {ip}")
+            row.append(0 if j == i else ip // construct.SCALED_ANGLE)
+        rows.append(row)
+    return seidel.SeidelMatrix.from_rows(rows)
+
+
+def seidel_outcome(fn, system):
+    try:
+        return fn(system)
+    except seidel.NotEquiangularError:
+        return None
+
+
+def test_seidel_from_matches_dot_oracle(asche, final54):
+    from test_construct import random_systems
+
+    assert seidel.seidel_from(final54) == reference_seidel_from(final54)
+    assert seidel.seidel_from(asche) == reference_seidel_from(asche)
+    outcomes = [(seidel_outcome(seidel.seidel_from, system),
+                 seidel_outcome(reference_seidel_from, system))
+                for system in random_systems(final54, 200, 22)]
+    assert all(new == old for new, old in outcomes)
+    assert 50 < sum(new is None for new, _ in outcomes) < 150
+
+
+def test_seidel_from_rejects_angle_16_at_wrong_norm():
+    # inner product 16 between the two, but scaled norms 16 and 20
+    a = construct.LineVector(coords=tuple([4] + [0] * 23), source=0)
+    b = construct.LineVector(coords=tuple([4, 2] + [0] * 22), source=1)
+    pair = construct.LineSystem(vectors=(a, b), ambient_dim=2)
+    assert a.dot(b) == 16
+    with pytest.raises(seidel.NotEquiangularError, match="scaled norm 16 of member 0"):
+        seidel.seidel_from(pair)
