@@ -50,12 +50,19 @@ class Pipeline:
         self.filters = construct.FilterSet.standard()
 
     @cached_property
-    def code(self):
-        code = golay.standard_code()
+    def gated_code(self):
+        """The code and its validation gates; the corrupted control's code
+        is generated from the flipped rows and gated again."""
+        code, gates = golay.standard_code()
         if not self.config.corrupt_generator:
-            return code
-        return golay.generate_code(tuple(
+            return code, gates
+        code = golay.generate_code(tuple(
             row ^ (1 << 13) if i == 0 else row for i, row in enumerate(code.generator)))
+        return code, golay.validation_gates(code)
+
+    @property
+    def code(self):
+        return self.gated_code[0]
 
     @cached_property
     def asche(self):
@@ -84,11 +91,10 @@ def cmd_golay(pipeline):
         {"command": "golay", "corrupt": config.corrupt_generator},
     )
     try:
-        code = pipeline.code
+        code, gates = pipeline.gated_code
     except (golay.CodeValidationError, golay.GeneratorAssemblyError) as exc:
         b.check("code_generated", False, str(exc))
         return b.build()
-    gates = golay.validation_gates(code)
     for name, ok in gates.items():
         b.check(name, ok)
     b.note("weight_distribution", {str(k): v for k, v in golay.weight_distribution(code).items()})

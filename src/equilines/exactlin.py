@@ -142,6 +142,21 @@ def _int64(m):
         raise ValueError("matrix entry does not fit in int64") from None
 
 
+def float_mod(y, p):
+    """y - floor(y / p) p: congruent to y modulo p and in (-p, p), for a
+    float64 array y of integers with |y| < 2^52 and integers 0 < p < 2^52
+    (or an array of them that broadcasts against y).
+
+    Let q = floor(y / p) over the reals. y / p is correctly rounded,
+    rounding is monotone and q, q + 1 are exact floats, so floor(fl(y / p))
+    is q or q + 1, and it is q when p divides y, as fl(y / p) = q then.
+    The product by p is an integer below |y| + p < 2^53 in absolute
+    value, so it is exact, and so is the difference: y - q p in [0, p), or
+    y - (q + 1) p in (-p, 0). A fraction of the cost of np.mod on float64.
+    """
+    return y - np.floor(y / p) * p
+
+
 def _squared_row_norms(a):
     return [sum(x * x for x in row) for row in a.tolist()]
 

@@ -166,7 +166,7 @@ def validation_gates(code):
 
 def standard_code():
     """Assemble the generator, resolving the circulant shift direction, and
-    return the code it generates, built once.
+    return the code it generates, built once, with its validation gates.
 
     Tries the right-shift circulant first, then left-shift; the first whose
     code passes every validation gate wins.
@@ -181,14 +181,14 @@ def standard_code():
             continue
         gates = validation_gates(code)
         if all(gates.values()):
-            return code
+            return code, gates
         failures[direction] = [k for k, v in gates.items() if not v]
     raise GeneratorAssemblyError(f"no assembly convention passed the gates: {failures}")
 
 
 def build_generator():
     """The 12 generator rows of standard_code()."""
-    return standard_code().generator
+    return standard_code()[0].generator
 
 
 def octads_through(code, coordinate):

@@ -6,8 +6,9 @@ adjugate by its content, and re-checks every hit with Fractions. The
 sub-scan examines the lexicographically least removed-index set of each
 orbit of the automorphism group, generated level by level, screens each
 with an exact annihilator test modulo a prime, and confirms every
-survivor with exact nullities. Neither search decides anything by
-floating point.
+survivor with the same test over the integers, run modulo enough
+word-size primes. Neither search decides anything by floating point:
+where they compute in float64, every value is an exact integer.
 """
 
 import math
@@ -256,12 +257,16 @@ def _orbit(perms, removed):
 def _screen(factors, v, removed):
     """Which rows of removed, an array of removed-index sets, pass
     p_L(M) v = 0 (mod P). Row b of x is set b's vector, zero off the kept
-    indices, so masked x @ (S - lam I) applies M - lam I to each row."""
+    indices, so masked x @ (S - lam I) applies M - lam I to each row.
+
+    Each product is reduced by exactlin.float_mod to a representative in
+    (-P, P), which is 0 modulo P iff it is 0, so the final test needs no
+    further reduction. Exactness is proved in subseidel_scan."""
     mask = np.ones((len(removed), len(v)))
     mask[np.arange(len(removed))[:, None], removed] = 0.0
     x = mask * v
     for factor in factors:
-        x = np.mod(x @ factor, SCREEN_PRIME) * mask
+        x = exactlin.float_mod(x @ factor, SCREEN_PRIME) * mask
     return ~x.any(axis=1)
 
 
@@ -310,17 +315,19 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
       det(xI - M) = (x - m + 1)(x + 1)^(m-1) = (x + 1)^m (mod 2) for even
       m. An integer root of this monic integer polynomial is therefore a
       root of (x + 1)^m over GF(2), that is, odd.
-    - Exact float64. Entries of x lie in [0, P) and those of S - lam I
-      are at most max(1, |lam|) <= n - 1 in absolute value, so every
-      partial sum of x @ (S - lam I) is an integer below 2nP < 2^53 in
-      absolute value: no BLAS summation order can round, and np.mod of
-      an exact integer is exact.
+    - Exact float64. Entries of x lie in (-P, P): v's are in [1, P),
+      and exactlin.float_mod returns that range. A column of S - lam I
+      has n - 1 entries +-1 and one -lam, |lam| <= n - 1, so every
+      partial sum of x @ (S - lam I) is an integer below 2(n - 1)P < 2^52
+      in absolute value (n <= 63): no BLAS summation order can round,
+      and float_mod of it is exact.
     - Survivors are not trusted. Each goes to compute_spectrum with L as
-      a proven superset of its integer eigenvalues, whose exact
-      nullities must sum to m. A survivor it rejects (the residue vanished
-      only modulo P, or only for this v) adds its orbit size to
-      screened_ambiguous, so that field counts subsets, as a scan of every
-      subset would.
+      a proven superset of its integer eigenvalues, which proves
+      p_L(M) = 0 over the integers with one annihilator chain modulo
+      enough primes and reads the multiplicities off the chain's traces.
+      A survivor it rejects (the residue vanished only modulo P, or only
+      for this v) adds its orbit size to screened_ambiguous, so that
+      field counts subsets, as a scan of every subset would.
 
     progress(order, subsets covered) is called after each order's screen
     and confirmation, before classification.

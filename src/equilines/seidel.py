@@ -18,6 +18,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -156,24 +157,107 @@ def seidel_from(system):
         ((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE).tolist())
 
 
+def _annihilator_chain(s, lams, primes):
+    """Whether X = prod_{lam in lams} (S - lam I) vanishes modulo every
+    prime, and tr X_k modulo primes[0] for the partial products X_k over
+    the first k of lams, k = 0..len(lams).
+
+    One (primes, n, n) float64 array holds X_k, k >= 1, modulo every
+    prime, each entry in (-p, p) by exactlin.float_mod. A column of S - lam I has
+    n - 1 entries +-1 and one -lam, so every partial sum of X_k (S - lam I)
+    is an integer below p (n - 1 + |lam|) in absolute value, checked below
+    2^52 first (ValueError): no summation order can round, and float_mod
+    of it is exact. A trace sums n entries, below n p < 2^52.
+    """
+    n, p0 = s.n, primes[0]
+    norm = n - 1 + max(map(abs, lams), default=0)
+    if max(primes) * norm >= 1 << 52:
+        raise ValueError(f"column sums up to {norm} overflow the exact float64 chain")
+    p = np.array(primes, dtype=float)[:, None, None]
+    a = np.array(s.rows, dtype=float)
+    x = np.eye(n)
+    traces = [n % p0]
+    for lam in lams:
+        x = exactlin.float_mod(x @ (a - lam * np.eye(n)), p)
+        traces.append(int(np.trace(x[0])) % p0)
+    return not x.any(), traces
+
+
+def _chain_multiplicities(s, lams):
+    """The multiplicity in S of each of lams, a sorted list of distinct
+    integers, if p_L(S) = prod_{lam in lams} (S - lam I) = 0 over the
+    integers; None if it is not, or PRIMES is too short to prove it.
+
+    - Vanishing. The chain modulo p0 = PRIMES[-1] decides most cases: a
+      nonzero residue means p_L(S) != 0. Every entry of a product A B is
+      at most max|A| times the largest column sum of |B|, n - 1 + |lam|
+      for B = S - lam I, so |entries of p_L(S)| <= bound = prod (n - 1 +
+      |lam|). The chain is run again modulo the fewest further primes
+      whose product with p0 exceeds bound; if it vanishes modulo all of
+      them, every entry is a multiple of that product below it in
+      absolute value, hence 0. S is symmetric, so its minimal polynomial
+      divides p_L and every eigenvalue is in lams.
+    - Multiplicities. With every eigenvalue in lams, t_k = tr X_k =
+      sum_j m_j prod_{i<k} (lam_j - lam_i) over the multiplicities m_j,
+      and the terms j < k vanish: a triangular system with diagonal
+      d_k = prod_{i<k} (lam_k - lam_i). It is solved from k = len - 1 down
+      modulo p0. Each factor of d_k is nonzero and, by the check in
+      _annihilator_chain, below p0 in absolute value, so p0 does not
+      divide d_k, and the residues are unique; as
+      0 <= m_j <= n < p0, the residues in [0, p0) are the m_j. That they
+      lie in [0, n] and sum to n is asserted.
+    """
+    n = s.n
+    p0 = exactlin.PRIMES[-1]
+    vanishes, traces = _annihilator_chain(s, lams, (p0,))
+    if not vanishes:
+        return None
+    bound = math.prod(n - 1 + abs(lam) for lam in lams)
+    primes = [p0]
+    for p in exactlin.PRIMES[:-1]:
+        if math.prod(primes) > bound:
+            break
+        primes.append(p)
+    if math.prod(primes) <= bound:
+        return None
+    if len(primes) > 1 and not _annihilator_chain(s, lams, primes[1:])[0]:
+        return None
+    rows, column = [], [1] * len(lams)       # column j: prod_{i<k} (lam_j - lam_i)
+    for lam in lams:
+        rows.append(column)
+        column = [c * (mu - lam) % p0 for c, mu in zip(column, lams)]
+    mults = [0] * len(lams)
+    for k in reversed(range(len(lams))):
+        rest = traces[k] - sum(c * m for c, m in zip(rows[k][k + 1:], mults[k + 1:]))
+        mults[k] = rest * pow(rows[k][k], -1, p0) % p0
+    if max(mults, default=0) > n or sum(mults) != n:
+        raise AssertionError(f"chain multiplicities {mults} do not sum to {n}")
+    return mults
+
+
 def compute_spectrum(s, candidates=None):
     """Exact spectrum of a Seidel matrix as integer roots plus at most one
     integer quadratic.
 
-    candidates must be a proven superset of the integer eigenvalues, so
-    the nullity sweep finds each with its multiplicity. The default,
-    range(1 - n, n), is one: every |lambda| is at most the largest row
-    sum of |s|, which is n - 1. If two eigenvalues are left, they are not
-    integers; the trace identities fix their sum -b and product c, and
-    they are roots of a monic integer factor of det(xI - S), so a
-    non-integral c or a rational root cannot occur: either raises.
+    candidates must be a proven superset of the integer eigenvalues. The
+    default, range(1 - n, n), is one: every |lambda| is at most the
+    largest row sum of |s|, which is n - 1. If every eigenvalue is a
+    candidate, _chain_multiplicities proves it and returns the
+    multiplicities. Otherwise a nullity sweep over the candidates finds
+    each integer eigenvalue with its multiplicity. If two eigenvalues are
+    left, they are not integers; the trace identities fix their sum -b
+    and product c, and they are roots of a monic integer factor of
+    det(xI - S), so a non-integral c or a rational root cannot occur:
+    either raises.
     """
     n = s.n
+    lams = sorted(set(range(1 - n, n) if candidates is None else candidates))
+    mults = _chain_multiplicities(s, lams)
+    if mults is not None:
+        return SpectrumClaim.make({lam: m for lam, m in zip(lams, mults) if m})
     m = s.as_lists()
-    if candidates is None:
-        candidates = range(1 - n, n)
     eigs = {}
-    for lam in sorted(set(candidates)):
+    for lam in lams:
         mult = exactlin.nullity_at(m, lam)
         if mult:
             eigs[lam] = mult
@@ -305,18 +389,22 @@ def _refine(adj, cells, splitters):
     return cells
 
 
-def _adjacency_bits(adj, perm):
-    """Upper-triangle adjacency bits of the relabeled graph, as an int."""
-    n = len(perm)
-    bits = 0
-    k = 0
-    for i in range(n):
-        vi = perm[i]
-        for j in range(i + 1, n):
-            if adj[vi] >> perm[j] & 1:
-                bits |= 1 << k
-            k += 1
-    return bits
+def _adjacency_rows(adj):
+    """Row v of the graph as a string: character u is '1' iff u ~ v."""
+    n = len(adj)
+    return [format(a, f"0{n}b")[::-1] for a in adj]
+
+
+def _adjacency_bits(rows, perm):
+    """Upper-triangle adjacency bits of the relabeled graph, as an int:
+    bit k is pair k of (0, 1), (0, 2), ..., (1, 2), ... in positions, set
+    iff perm[i] ~ perm[j]. rows are _adjacency_rows of the graph; row i of
+    the relabeled graph is rows[perm[i]] read in the order perm."""
+    if len(perm) < 2:
+        return 0
+    relabel = itemgetter(*perm)
+    upper = "".join("".join(relabel(rows[v]))[i + 1:] for i, v in enumerate(perm))
+    return int(upper[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -371,6 +459,7 @@ def canonical_graph_form(n, adj):
     where their paths first individualize different vertices).
     """
     best_bits, best_leaves = None, []
+    rows = _adjacency_rows(adj)
 
     def rec(cells, splitters):
         nonlocal best_bits, best_leaves
@@ -378,7 +467,7 @@ def canonical_graph_form(n, adj):
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             leaf = tuple(c[0] for c in cells)
-            bits = _adjacency_bits(adj, leaf)
+            bits = _adjacency_bits(rows, leaf)
             if best_bits is None or bits < best_bits:
                 best_bits, best_leaves = bits, [leaf]
             elif bits == best_bits:
@@ -431,31 +520,50 @@ def _signed_compose(a, b):
     return tuple((a[tb][0], sb * a[tb][1]) for tb, sb in b)
 
 
+def _extend(group, gens, compose):
+    """Grow group, the set of elements generated by gens[:-1], into the
+    group generated by gens, and return it: Dimino's algorithm.
+
+    With H the elements given, the set grows by whole cosets H.r: first
+    for r = gens[-1], then for each product r.g of a coset's
+    representative r and a g in gens that is not in the set yet. At the
+    end it is a union of cosets H.r holding r.g for every r and g, so for
+    x = h.r, x.g = h.(r.g) is in it. A finite set with the identity closed
+    under right multiplication by gens is the group they generate. Each
+    new element costs one product and each coset one per generator:
+    |G| + (|G| / |H|) |gens| products in all.
+    """
+    coset = list(group)
+    reps = [gens[-1]]
+    group.update(compose(h, gens[-1]) for h in coset)
+    for r in reps:                          # reps grows while it is read
+        for g in gens:
+            q = compose(r, g)
+            if q not in group:
+                reps.append(q)
+                group.update(compose(h, q) for h in coset)
+    return group
+
+
 def _generate(identity, gens, compose):
-    """All elements of the finite group generated by gens (breadth first)."""
+    """All elements of the finite group generated by gens, extended by one
+    generator at a time."""
     group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = compose(h, g)
-                if p not in group:
-                    group.add(p)
-                    nxt.append(p)
-        frontier = nxt
+    for k, g in enumerate(gens):
+        if g not in group:
+            _extend(group, gens[:k + 1], compose)
     return group
 
 
 def _greedy_generators(identity, elements, compose):
     """The generators taken, in sorted order, from elements that are not
-    yet generated by those taken before."""
+    yet generated by those taken before; the group grows with each."""
     gens = []
     group = {identity}
     for p in sorted(elements):
         if p not in group:
             gens.append(p)
-            group = _generate(identity, gens, compose)
+            _extend(group, gens, compose)
     return gens
 
 

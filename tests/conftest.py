@@ -5,7 +5,7 @@ from equilines import cli, construct, golay, seidel
 
 @pytest.fixture(scope="session")
 def code():
-    return golay.standard_code()
+    return golay.standard_code()[0]
 
 
 @pytest.fixture(scope="session")

@@ -193,20 +193,28 @@ def test_subscan_alone_matches_the_whole_run(tmp_path):
     assert alone == [c for c in whole["certificates"] if c["claim_id"] == "subscan.unique"]
 
 
-def test_exact_spectral_work_of_a_whole_run_is_sixteen_nullities(monkeypatch):
-    # 4 for spectrum.S (at -5, 7, 11, 13) and 12 to confirm the one
-    # order-52 representative (the odd members of the window); certifying
-    # the spectrum again for the scan would make 20
-    real = exactlin.nullity_at
-    orders = []
+def test_exact_spectral_work_of_a_whole_run_is_four_nullities_and_one_chain(monkeypatch):
+    # 4 nullities for spectrum.S (at -5, 7, 11, 13); the one order-52
+    # representative is confirmed by one compute_spectrum call, whose
+    # annihilator chain vanishes and so needs no nullity (a sweep over the
+    # odd members of the window made 12); certifying the spectrum again
+    # for the scan would make 8
+    nullities, spectra = [], []
+    real_nullity, real_spectrum = exactlin.nullity_at, seidel.compute_spectrum
 
-    def counted(m, lam):
-        orders.append(len(m))
-        return real(m, lam)
+    def counted_nullity(m, lam):
+        nullities.append(len(m))
+        return real_nullity(m, lam)
 
-    monkeypatch.setattr(exactlin, "nullity_at", counted)
+    def counted_spectrum(s, candidates=None):
+        spectra.append(s.n)
+        return real_spectrum(s, candidates)
+
+    monkeypatch.setattr(exactlin, "nullity_at", counted_nullity)
+    monkeypatch.setattr(seidel, "compute_spectrum", counted_spectrum)
     assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
-    assert sorted(orders) == [52] * 12 + [54] * 4
+    assert nullities == [54] * 4
+    assert spectra == [52]
     assert not hasattr(exactlin, "positive_definite")
     assert not hasattr(seidel, "integer_window")
 
@@ -276,6 +284,24 @@ def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):
     (cert,) = cli.run_command(cli.RunConfig(command="golay", corrupt_generator=True))
     assert not cert.passed
     assert calls == {"generate_code": 2}
+
+
+def test_certify_all_gates_the_code_once(monkeypatch):
+    # golay.gates reads the gates standard_code computed; only the
+    # corrupted control's code is gated again
+    real, gated, generator = golay.validation_gates, [], golay.build_generator()
+
+    def counted(code):
+        gated.append(code.generator)
+        return real(code)
+
+    monkeypatch.setattr(golay, "validation_gates", counted)
+    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert gated == [generator]
+    gated.clear()
+    (cert,) = cli.run_command(cli.RunConfig(command="golay", corrupt_generator=True))
+    assert not cert.passed
+    assert len(gated) == 2 and gated[0] != gated[1]
 
 
 def test_unwritable_out_is_an_error(tmp_path, capsys):

@@ -400,3 +400,21 @@ def test_primes_are_distinct_sorted_word_size_primes():
     assert list(primes) == sorted(set(primes))
     assert all(p < 2 ** 31 for p in primes)
     assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
+
+
+@pytest.mark.parametrize("p", [3, 1_048_573, exactlin.PRIMES[-1]])
+def test_float_mod_is_an_exact_representative_in_the_open_range(p):
+    # values at and around +-multiples of p, small and near the 2^52 limit
+    rng = random.Random(p)
+    ks = [0, 1, 2, 7] + [rng.randrange(1, ((1 << 52) - 4) // p) for _ in range(50)]
+    ks.append(((1 << 52) - 4) // p)
+    ys = sorted({sign * (k * p + d) for k in ks for d in range(-3, 4) for sign in (1, -1)
+                 if abs(k * p + d) < 1 << 52})
+    got = exactlin.float_mod(np.array(ys, dtype=float), p)
+    for y, r in zip(ys, got.tolist()):
+        assert r == int(r) and -p < r < p and (y - int(r)) % p == 0, (y, r)
+    # a broadcast array of primes reduces each slice by its own prime
+    primes = np.array([3.0, float(p)])[:, None]
+    both = exactlin.float_mod(np.array(ys, dtype=float)[None, :], primes)
+    assert (both[1] == got).all()
+    assert all((y - int(r)) % 3 == 0 and -3 < r < 3 for y, r in zip(ys, both[0].tolist()))

@@ -104,9 +104,14 @@ def test_octads_through_rejects_bad_coordinate(code):
 
 
 def test_generation_deterministic(code):
-    again = golay.standard_code()
+    again, _ = golay.standard_code()
     assert again.words == code.words
     assert again.octads == code.octads
+
+
+def test_standard_code_returns_the_gates_it_validated(code):
+    again, gates = golay.standard_code()
+    assert gates == golay.validation_gates(again) and all(gates.values())
 
 
 def test_rank_deficient_generator_rejected(code):

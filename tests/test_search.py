@@ -232,6 +232,50 @@ def full_scan(s, window, orders):
     return hits
 
 
+def mod_screen(factors, v, removed):
+    """Oracle for search._screen: np.mod after every product."""
+    mask = np.ones((len(removed), len(v)))
+    mask[np.arange(len(removed))[:, None], removed] = 0.0
+    x = mask * v
+    for factor in factors:
+        x = np.mod(x @ factor, search.SCREEN_PRIME) * mask
+    return ~x.any(axis=1)
+
+
+def test_screen_matches_np_mod_oracle(s54, s54_window):
+    p = search.SCREEN_PRIME
+    cases = []
+    for s, window, order in ((s54, s54_window, 52), (s54, s54_window, 53),
+                             (petersen_seidel(flip=True), None, 8),
+                             (petersen_seidel(), None, 6)):
+        window = window or integer_window(s)
+        lams = [lam for lam in window if order % 2 or lam % 2]
+        subsets = list(combinations(range(s.n), s.n - order))
+        cases.append((s, lams, np.arange(1, s.n + 1, dtype=float), subsets))
+    rng = random.Random(71)
+    for _ in range(80):
+        n = rng.randint(7, 54)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice([1, -1])
+        s = seidel.SeidelMatrix.from_rows(rows)
+        lams = sorted(rng.sample(range(1 - n, n), rng.randint(1, 12)))
+        # v near 0 and near P, so products land near +-multiples of P
+        v = np.array([rng.choice([1, 2, p - 1, p - 2, rng.randrange(1, p)])
+                      for _ in range(n)], dtype=float)
+        k = rng.randint(1, n // 2)
+        subsets = [tuple(rng.sample(range(n), k)) for _ in range(rng.randint(1, 300))]
+        cases.append((s, lams, v, subsets))
+    passed = 0
+    for s, lams, v, subsets in cases:
+        factors = [np.array(s.as_lists(), dtype=float) - lam * np.eye(s.n) for lam in lams]
+        removed = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
+        expected = mod_screen(factors, v, removed)
+        assert (search._screen(factors, v, removed) == expected).all()
+        passed += int(expected.sum())
+    assert passed > 50
+
+
 def test_subscan_orbit_scan_agrees_with_full_scan(s54, s54_window):
     result = search.subseidel_scan(s54, s54_window, orders=(52, 53))
     assert result.orbit_representatives == {52: 25, 53: 3}

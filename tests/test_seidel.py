@@ -1,10 +1,11 @@
 import dataclasses
+import math
 import random
 from itertools import permutations
 
 import pytest
 
-from equilines import construct, exactlin, seidel
+from equilines import construct, exactlin, search, seidel
 
 
 def random_seidel(rng, n):
@@ -628,3 +629,184 @@ def test_seidel_from_rejects_angle_16_at_wrong_norm():
     assert a.dot(b) == 16
     with pytest.raises(seidel.NotEquiangularError, match="scaled norm 16 of member 0"):
         seidel.seidel_from(pair)
+
+
+def nullity_spectrum(s, candidates=None):
+    """Oracle for compute_spectrum: a nullity sweep over the candidates,
+    then the quadratic from the two trace identities."""
+    n = s.n
+    m = s.as_lists()
+    if candidates is None:
+        candidates = range(1 - n, n)
+    eigs = {}
+    for lam in sorted(set(candidates)):
+        mult = exactlin.nullity_at(m, lam)
+        if mult:
+            eigs[lam] = mult
+            if sum(eigs.values()) == n:
+                break
+    deficit = n - sum(eigs.values())
+    if deficit == 0:
+        return seidel.SpectrumClaim.make(eigs)
+    if deficit != 2:
+        raise seidel.IrrationalPartError(f"non-integer spectral part has degree {deficit}")
+    known = seidel.SpectrumClaim.make(eigs)
+    b = known.eig_sum()
+    rest_sq = n * (n - 1) - known.eig_square_sum()
+    if (b * b - rest_sq) % 2:
+        raise seidel.IrrationalPartError("quadratic cofactor is not integral")
+    c = (b * b - rest_sq) // 2
+    disc = b * b - 4 * c
+    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+        raise seidel.IrrationalPartError("residual quadratic has integer roots")
+    return seidel.SpectrumClaim.make(eigs, quadratic=(b, c))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except seidel.IrrationalPartError:
+        return "irrational"
+
+
+@pytest.fixture(scope="module")
+def t52(s54, s54_window):
+    """An order-52 hit of S54 (the T52 class) and the odd window members."""
+    (_, removed, _), *_ = search.subseidel_scan(s54, s54_window, orders=(52,)).hits
+    sub = s54.principal_submatrix(i for i in range(54) if i not in removed)
+    return sub, [lam for lam in s54_window if lam % 2]
+
+
+def test_compute_spectrum_matches_nullity_sweep_oracle(s54, t52):
+    rng = random.Random(83)
+    cases = [(random_seidel(rng, rng.randint(0, 8)), None) for _ in range(300)]
+    cases += [(clique_seidel(n), None) for n in range(1, 11)]
+    cases += [(petersen_seidel(), None), (cycle_seidel(5), None), (cycle_seidel(7), None), t52,
+              (s54, range(-5, 19))]          # S54: not integral, the fallback names the quadratic
+    kinds = {"integral": 0, "quadratic": 0, "irrational": 0}
+    for s, candidates in cases:
+        got = outcome(seidel.compute_spectrum, s, candidates)
+        assert got == outcome(nullity_spectrum, s, candidates), s
+        kinds["irrational" if got == "irrational" else
+              "quadratic" if got.quadratic else "integral"] += 1
+    assert min(kinds.values()) > 20
+    assert seidel.compute_spectrum(*t52) == seidel.SpectrumClaim.make(
+        {-5: 34, 3: 1, 5: 1, 7: 6, 11: 7, 13: 2, 17: 1})
+    assert seidel.compute_spectrum(s54, range(-5, 19)).quadratic == (-24, 107)
+
+
+def test_chain_primes_exceed_the_entry_bound(t52, monkeypatch):
+    # a vanishing chain modulo p0 alone proves nothing: the primes used
+    # must multiply to more than prod (n - 1 + |lam|) >= every entry of p_L(M)
+    s, lams = t52
+    real, calls = seidel._annihilator_chain, []
+
+    def spy(s, lams, primes):
+        calls.append(tuple(primes))
+        return real(s, lams, primes)
+
+    monkeypatch.setattr(seidel, "_annihilator_chain", spy)
+    seidel.compute_spectrum(s, candidates=lams)
+    bound = math.prod(s.n - 1 + abs(lam) for lam in lams)
+    used = [p for primes in calls for p in primes]
+    assert calls[0] == (exactlin.PRIMES[-1],) and len(calls) == 2
+    assert len(set(used)) == len(used) and set(used) <= set(exactlin.PRIMES)
+    assert math.prod(used) > bound >= math.prod(used[:-1])
+
+
+def test_chain_falls_back_to_nullities_without_enough_primes(monkeypatch):
+    # J - I of order 10 over range(-9, 10): the chain vanishes, but its
+    # entry bound 9 (18! / 9!)^2 > 2^71 needs three primes, and two are left
+    s = clique_seidel(10)
+    expected = seidel.SpectrumClaim.make({-1: 9, 9: 1})
+    assert seidel.compute_spectrum(s) == expected
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[-2:])
+    real, nullities = exactlin.nullity_at, []
+    monkeypatch.setattr(exactlin, "nullity_at",
+                        lambda m, lam: nullities.append(lam) or real(m, lam))
+    assert seidel.compute_spectrum(s) == expected
+    assert nullities == list(range(-9, 10))
+
+
+def test_chain_beyond_exact_float64_raises():
+    with pytest.raises(ValueError, match="float64"):
+        seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 21])
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 20]) == (
+        seidel.SpectrumClaim.make({-1: 2, 2: 1}))
+
+
+def bfs_generate(identity, gens, compose):
+    """Oracle for _generate: breadth first from the identity, every
+    element times every generator."""
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                p = compose(h, g)
+                if p not in group:
+                    group.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return group
+
+
+def regenerating_greedy_generators(identity, elements, compose):
+    """Oracle for _greedy_generators: the whole group regenerated from the
+    identity after each generator taken."""
+    gens, group = [], {identity}
+    for p in sorted(elements):
+        if p not in group:
+            gens.append(p)
+            group = bfs_generate(identity, gens, compose)
+    return gens
+
+
+def test_group_closure_and_greedy_generators_match_bfs_oracles(s54):
+    rng = random.Random(89)
+    matrices = [s54, petersen_seidel(), clique_seidel(5), cycle_seidel(6)]
+    matrices += [random_seidel(rng, rng.randint(1, 8)) for _ in range(60)]
+    for s in matrices:
+        result = seidel.signed_automorphism_group(s)
+        signed = result.elements
+        identity = tuple((i, 1) for i in range(s.n))
+        gens = list(seidel._switching_search(s)[2]) if s.n else []
+        for some in (gens, gens[::-1], list(result.generators), signed[:3]):
+            assert (seidel._generate(identity, some, seidel._signed_compose)
+                    == bfs_generate(identity, some, seidel._signed_compose))
+        assert (seidel._greedy_generators(identity, signed, seidel._signed_compose)
+                == regenerating_greedy_generators(identity, signed, seidel._signed_compose))
+        plain = seidel.automorphism_order(s).elements
+        assert (seidel.minimal_generators(s.n, plain)
+                == regenerating_greedy_generators(tuple(range(s.n)), plain, seidel._compose))
+    symmetric = list(permutations(range(5)))
+    assert (seidel.minimal_generators(5, symmetric)
+            == regenerating_greedy_generators(tuple(range(5)), symmetric, seidel._compose))
+
+
+def double_loop_bits(adj, perm):
+    """Oracle for _adjacency_bits: one bit test per pair of positions."""
+    n = len(perm)
+    bits = 0
+    k = 0
+    for i in range(n):
+        vi = perm[i]
+        for j in range(i + 1, n):
+            if adj[vi] >> perm[j] & 1:
+                bits |= 1 << k
+            k += 1
+    return bits
+
+
+def test_adjacency_bits_match_double_loop_oracle(s54):
+    rng = random.Random(97)
+    graphs = [random_graph(rng, rng.randint(0, 12), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(300)]
+    graphs += [seidel._descendant(s54, v)[1] for v in range(0, 54, 13)]
+    for adj in graphs:
+        rows = seidel._adjacency_rows(adj)
+        for _ in range(3):
+            perm = list(range(len(adj)))
+            rng.shuffle(perm)
+            assert seidel._adjacency_bits(rows, perm) == double_loop_bits(adj, perm)
