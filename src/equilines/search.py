@@ -63,18 +63,16 @@ def _sign_rows(bits):
     return np.where(p[:, None] >> np.arange(bits) & 1, 1, -1).astype(np.int64)
 
 
-def _pattern_scan(a, d, inner, allow_slack):
+def _pattern_scan(a, d, inner):
     """The sign vectors s in {+1, -1}^r, r = len(a), that pass the
     reduced norm and angle tests below, as bit masks g (bit j set means
     s_j = +1) in the order of a Gray-code walk: by increasing k with
     g = k ^ (k >> 1). a and inner are integer lists, d > 0.
 
-    The norm test: SCALED_ANGLE^2 s^T a s = SCALED_NORM d, or with slack
-    0 < SCALED_ANGLE^2 s^T a s <= SCALED_NORM d. For integer q = s^T a s
-    that is lowest <= q <= top, with top, rem the quotient and remainder
-    of SCALED_NORM d by SCALED_ANGLE^2 and lowest = 1 with slack, else
-    top if rem = 0 (else top + 1: no pattern passes). The angle test:
-    every entry of inner @ s is +d or -d.
+    The norm test: SCALED_ANGLE^2 s^T a s = SCALED_NORM d. For integer
+    q = s^T a s that is q = top and rem = 0, with top, rem the quotient
+    and remainder of SCALED_NORM d by SCALED_ANGLE^2 (if rem != 0 no
+    pattern passes). The angle test: every entry of inner @ s is +d or -d.
 
     q is computed for all 2^r patterns at once from a split into the
     low r // 2 coordinates and the rest:
@@ -87,7 +85,6 @@ def _pattern_scan(a, d, inner, allow_slack):
     """
     r = len(a)
     top, rem = divmod(SCALED_NORM * d, SCALED_ANGLE ** 2)
-    lowest = 1 if allow_slack else top + (rem != 0)
     bound = max([d, sum(abs(x) for row in a for x in row)]
                 + [sum(abs(x) for x in row) for row in inner])
     if bound >= 1 << 62:
@@ -105,7 +102,7 @@ def _pattern_scan(a, d, inner, allow_slack):
         q = x_lo[b:b + step] @ s_hi.T
         q += q_lo[b:b + step, None]
         q += q_hi
-        i, j = np.nonzero((lowest <= q) & (q <= top))
+        i, j = np.nonzero((q == top) & (rem == 0))
         signs = np.hstack([s_lo[b + i], s_hi[j]])
         angles_ok = (np.abs(signs @ inner.T) == d).all(axis=1)
         hits.extend((j[angles_ok] << lo | (b + i[angles_ok])).tolist())
@@ -121,16 +118,14 @@ def _gray_index(g):
     return k
 
 
-def check_extendibility(system, ambient_dim=None, progress=None):
+def check_extendibility(system):
     """Exhaustively decide whether one more line at the common angle fits.
 
     Any valid new line w must satisfy <w, b> in {+16, -16} for each member
     b of an independent basis B, so sweeping all 2^rank sign patterns and
-    solving the exact Gram system for each is a complete search. With
-    ambient_dim equal to the span rank (the default) the candidate's
-    scaled norm must be exactly 80; with ambient_dim above the rank a
-    norm deficit can be absorbed by an orthogonal component, so any
-    pattern with norm at most 80 extends.
+    solving the exact Gram system for each is a complete search. The
+    ambient space is the span of the system, so a new line lies in it and
+    its scaled norm is exactly 80.
 
     For a pattern eps = 16 s, s in {+1, -1}^r, the candidate is
     w = B^T G^-1 eps, where G = B B^T is positive definite.
@@ -141,19 +136,14 @@ def check_extendibility(system, ambient_dim=None, progress=None):
     norm is eps^T a eps / d and its scaled inner products with the
     members V are inner @ eps / d, where inner = V B^T a is an integer
     matrix. Multiplying by d > 0 and dividing by 16, the norm test
-    eps^T G^-1 eps = 80 is 256 s^T a s = 80 d (with slack,
-    0 < 256 s^T a s <= 80 d), and the angle test V w = +-16 is
-    inner @ s = +-d in every entry. _pattern_scan runs these tests
-    exactly, in int64. Every pattern it returns is re-derived as an
-    exact Fraction witness and re-checked against every member by
+    eps^T G^-1 eps = 80 is 256 s^T a s = 80 d, and the angle test
+    V w = +-16 is inner @ s = +-d in every entry. _pattern_scan runs
+    these tests exactly, in int64. Every pattern it returns is re-derived
+    as an exact Fraction witness and re-checked against every member by
     _verify_witness.
     """
     rows = system.matrix()
     r = system.ambient_dim
-    ambient_dim = r if ambient_dim is None else ambient_dim
-    if ambient_dim < r:
-        raise ValueError("ambient dimension below the span rank")
-    allow_slack = ambient_dim > r
     basis = greedy_basis(rows, r)
     bmat = [rows[i] for i in basis]
     det, adjugate = exactlin.adjugate(exactlin.mat_mul(bmat, exactlin.transpose(bmat)))
@@ -161,30 +151,25 @@ def check_extendibility(system, ambient_dim=None, progress=None):
     a, d = [[x // g for x in row] for row in adjugate], det // g
     lift_mat = exactlin.mat_mul(exactlin.transpose(bmat), a)  # 24 x r
     inner = exactlin.mat_mul(rows, lift_mat)                  # members x r
-    hits = _pattern_scan(a, d, inner, allow_slack)
-    total = 1 << r
-    if progress:
-        progress(total)
-
+    hits = _pattern_scan(a, d, inner)
     witnesses = []
     for pattern in hits:
         eps = [SCALED_ANGLE if pattern >> j & 1 else -SCALED_ANGLE for j in range(r)]
         w = [Fraction(sum(lift_mat[i][j] * eps[j] for j in range(r)), d)
              for i in range(24)]
-        _verify_witness(rows, w, allow_slack)
+        _verify_witness(rows, w)
         witnesses.append(tuple(w))
     return ExtendibilityReport(
         extendible=bool(witnesses),
         witness=witnesses[0] if witnesses else None,
-        patterns_examined=total,
+        patterns_examined=1 << r,
         basis_indices=tuple(basis),
         witnesses=witnesses,
     )
 
 
-def _verify_witness(rows, w, allow_slack):
-    norm = sum(x * x for x in w)
-    if not (norm == SCALED_NORM or (allow_slack and 0 < norm <= SCALED_NORM)):
+def _verify_witness(rows, w):
+    if sum(x * x for x in w) != SCALED_NORM:
         raise AssertionError("witness failed the norm re-check")
     for i, row in enumerate(rows):
         ip = sum(a * b for a, b in zip(row, w))
@@ -321,13 +306,13 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
       partial sum of x @ (S - lam I) is an integer below 2(n - 1)P < 2^52
       in absolute value (n <= 63): no BLAS summation order can round,
       and float_mod of it is exact.
-    - Survivors are not trusted. Each goes to compute_spectrum with L as
-      a proven superset of its integer eigenvalues, which proves
-      p_L(M) = 0 over the integers with one annihilator chain modulo
-      enough primes and reads the multiplicities off the chain's traces.
-      A survivor it rejects (the residue vanished only modulo P, or only
-      for this v) adds its orbit size to screened_ambiguous, so that
-      field counts subsets, as a scan of every subset would.
+    - Survivors are not trusted. Each goes to compute_spectrum, which
+      proves p_L(M) = 0 over the integers with one annihilator chain
+      modulo enough primes and reads the multiplicities off the chain's
+      traces. A survivor whose chain does not vanish (the residue vanished
+      only modulo P, or only for this v) has an eigenvalue outside L, so
+      no integral spectrum: it adds its orbit size to screened_ambiguous,
+      so that field counts subsets, as a scan of every subset would.
 
     progress(order, subsets covered) is called after each order's screen
     and confirmation, before classification.
@@ -356,11 +341,8 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
             passed = _screen(factors, v, np.array(batch, dtype=np.intp).reshape(len(batch), k))
             for removed, size in compress(zip(batch, sizes[lo:lo + SCREEN_BATCH]), passed):
                 sub = s.principal_submatrix(i for i in range(n) if i not in removed)
-                try:
-                    claim = seidel.compute_spectrum(sub, candidates=lams)
-                except seidel.IrrationalPartError:
-                    claim = None
-                if claim is not None and claim.quadratic is None:
+                claim = seidel.compute_spectrum(sub, lams)
+                if claim is not None:
                     found.append((order, removed, claim))
                 else:
                     rejected += size

@@ -30,10 +30,6 @@ class NotEquiangularError(ValueError):
     """Input line system is not at the expected scaled angle."""
 
 
-class IrrationalPartError(ValueError):
-    """Non-integer spectral part has degree > 2; not representable here."""
-
-
 class SpectrumNotCertifiedError(ValueError):
     """A spectrum claim that facts are read from failed its certificate."""
 
@@ -157,15 +153,18 @@ def seidel_from(system):
         ((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE).tolist())
 
 
-def _annihilator_chain(s, lams, primes):
-    """Whether X = prod_{lam in lams} (S - lam I) vanishes modulo every
-    prime, and tr X_k modulo primes[0] for the partial products X_k over
-    the first k of lams, k = 0..len(lams).
+def _annihilator_chain(s, lams, primes, quadratic=None):
+    """Whether X = q(S) prod_{lam in lams} (S - lam I) vanishes modulo
+    every prime, and tr X_k modulo primes[0] for the partial products X_k
+    of q(S) and the first k of lams, k = 0..len(lams). q(x) = x^2 + bx + c
+    for quadratic = (b, c), else q = 1.
 
-    One (primes, n, n) float64 array holds X_k, k >= 1, modulo every
-    prime, each entry in (-p, p) by exactlin.float_mod. A column of S - lam I has
-    n - 1 entries +-1 and one -lam, so every partial sum of X_k (S - lam I)
-    is an integer below p (n - 1 + |lam|) in absolute value, checked below
+    One (primes, n, n) float64 array holds X_k modulo every prime, each
+    entry in (-p, p) by exactlin.float_mod. X_0 is float_mod of S^2 +
+    (b mod p) S + (c mod p) I, whose entries are integers below
+    n - 1 + 2p in absolute value. A column of S - lam I has n - 1
+    entries +-1 and one -lam, so every partial sum of X_k (S - lam I) is
+    an integer below p (n - 1 + |lam|) in absolute value, checked below
     2^52 first (ValueError): no summation order can round, and float_mod
     of it is exact. A trace sums n entries, below n p < 2^52.
     """
@@ -175,128 +174,132 @@ def _annihilator_chain(s, lams, primes):
         raise ValueError(f"column sums up to {norm} overflow the exact float64 chain")
     p = np.array(primes, dtype=float)[:, None, None]
     a = np.array(s.rows, dtype=float)
-    x = np.eye(n)
-    traces = [n % p0]
+    x = np.eye(n)[None]
+    if quadratic:
+        b, c = (np.array([v % prime for prime in primes], dtype=float)[:, None, None]
+                for v in quadratic)
+        x = exactlin.float_mod(a @ a + b * a + c * x, p)
+    traces = [int(np.trace(x[0])) % p0]
     for lam in lams:
         x = exactlin.float_mod(x @ (a - lam * np.eye(n)), p)
         traces.append(int(np.trace(x[0])) % p0)
     return not x.any(), traces
 
 
-def _chain_multiplicities(s, lams):
-    """The multiplicity in S of each of lams, a sorted list of distinct
-    integers, if p_L(S) = prod_{lam in lams} (S - lam I) = 0 over the
-    integers; None if it is not, or PRIMES is too short to prove it.
-
-    - Vanishing. The chain modulo p0 = PRIMES[-1] decides most cases: a
-      nonzero residue means p_L(S) != 0. Every entry of a product A B is
-      at most max|A| times the largest column sum of |B|, n - 1 + |lam|
-      for B = S - lam I, so |entries of p_L(S)| <= bound = prod (n - 1 +
-      |lam|). The chain is run again modulo the fewest further primes
-      whose product with p0 exceeds bound; if it vanishes modulo all of
-      them, every entry is a multiple of that product below it in
-      absolute value, hence 0. S is symmetric, so its minimal polynomial
-      divides p_L and every eigenvalue is in lams.
-    - Multiplicities. With every eigenvalue in lams, t_k = tr X_k =
-      sum_j m_j prod_{i<k} (lam_j - lam_i) over the multiplicities m_j,
-      and the terms j < k vanish: a triangular system with diagonal
-      d_k = prod_{i<k} (lam_k - lam_i). It is solved from k = len - 1 down
-      modulo p0. Each factor of d_k is nonzero and, by the check in
-      _annihilator_chain, below p0 in absolute value, so p0 does not
-      divide d_k, and the residues are unique; as
-      0 <= m_j <= n < p0, the residues in [0, p0) are the m_j. That they
-      lie in [0, n] and sum to n is asserted.
+def _chain_primes(n, lams, quadratic=None):
+    """The primes that prove the chain of _annihilator_chain vanishes over
+    the integers: p0 = PRIMES[-1], then the fewest further PRIMES whose
+    product with p0 exceeds the entry bound of _chain_multiplicities,
+    (n - 1 + |b| + |c|) prod (n - 1 + |lam|) with quadratic = (b, c), or
+    prod (n - 1 + |lam|) without. None if PRIMES is too short for it, or
+    if some |lam| puts the chain beyond exact float64.
     """
-    n = s.n
-    p0 = exactlin.PRIMES[-1]
-    vanishes, traces = _annihilator_chain(s, lams, (p0,))
-    if not vanishes:
+    if max(exactlin.PRIMES) * (n - 1 + max(map(abs, lams), default=0)) >= 1 << 52:
         return None
     bound = math.prod(n - 1 + abs(lam) for lam in lams)
-    primes = [p0]
+    if quadratic:
+        bound *= n - 1 + abs(quadratic[0]) + abs(quadratic[1])
+    primes = [exactlin.PRIMES[-1]]
     for p in exactlin.PRIMES[:-1]:
         if math.prod(primes) > bound:
             break
         primes.append(p)
-    if math.prod(primes) <= bound:
+    return primes if math.prod(primes) > bound else None
+
+
+def _chain_multiplicities(s, lams, quadratic=None):
+    """The multiplicity in S of each of lams, a sorted list of distinct
+    integers, if X = q(S) prod_{lam in lams} (S - lam I) = 0 over the
+    integers, with q as in _annihilator_chain; None if X != 0, or if
+    q(lam) = 0 (mod p0) for some lam, p0 = PRIMES[-1]. AssertionError if
+    PRIMES is too short to prove X = 0.
+
+    - Vanishing. The chain modulo p0 decides most cases: a nonzero
+      residue means X != 0. Every entry of a product A B is at most max|A|
+      times the largest column sum of |B|, n - 1 + |lam| for B = S - lam I.
+      S^2 has diagonal n - 1 and off-diagonal entries of at most n - 2,
+      so |entries of q(S)| <= n - 1 + |b| + |c|, and |entries of X| is at
+      most the bound of _chain_primes. The chain is run again modulo its
+      further primes; if it vanishes modulo all of them, every entry is a
+      multiple of their product, which exceeds the bound, hence 0. S is
+      symmetric, so its minimal polynomial divides q(x) prod (x - lam):
+      every eigenvalue of S is in lams or a root of q.
+    - Multiplicities. Then t_k = tr X_k = sum_mu q(mu) prod_{i<k} (mu -
+      lam_i) over the eigenvalues mu of S, with multiplicity. The roots
+      of q add 0, so t_k = sum_j m_j q(lam_j) prod_{i<k} (lam_j - lam_i)
+      over the multiplicities m_j of lams in S, and the terms j < k
+      vanish: a triangular system with diagonal d_k = q(lam_k)
+      prod_{i<k} (lam_k - lam_i). It is solved from k = len - 1 down
+      modulo p0. q(lam_k) is not 0 modulo p0 (checked first), and each
+      other factor of d_k is nonzero and, by the check in
+      _annihilator_chain, below p0 in absolute value, so p0 does not
+      divide d_k, and the residues are unique; as 0 <= m_j <= n < p0, the
+      residues in [0, p0) are the m_j. That they lie in [0, n] and sum to
+      at most n, and to n without q, is asserted.
+    """
+    n, p0 = s.n, exactlin.PRIMES[-1]
+    column = [1] * len(lams)            # column j: q(lam_j) prod_{i<k} (lam_j - lam_i)
+    if quadratic:
+        b, c = quadratic
+        column = [(lam * lam + b * lam + c) % p0 for lam in lams]
+        if 0 in column:
+            return None
+    vanishes, traces = _annihilator_chain(s, lams, (p0,), quadratic)
+    if not vanishes:
         return None
-    if len(primes) > 1 and not _annihilator_chain(s, lams, primes[1:])[0]:
+    primes = _chain_primes(n, lams, quadratic)
+    if primes is None:
+        raise AssertionError("PRIMES is too short for the chain's entry bound")
+    if len(primes) > 1 and not _annihilator_chain(s, lams, primes[1:], quadratic)[0]:
         return None
-    rows, column = [], [1] * len(lams)       # column j: prod_{i<k} (lam_j - lam_i)
+    rows = []
     for lam in lams:
         rows.append(column)
-        column = [c * (mu - lam) % p0 for c, mu in zip(column, lams)]
+        column = [f * (mu - lam) % p0 for f, mu in zip(column, lams)]
     mults = [0] * len(lams)
     for k in reversed(range(len(lams))):
-        rest = traces[k] - sum(c * m for c, m in zip(rows[k][k + 1:], mults[k + 1:]))
+        rest = traces[k] - sum(f * m for f, m in zip(rows[k][k + 1:], mults[k + 1:]))
         mults[k] = rest * pow(rows[k][k], -1, p0) % p0
-    if max(mults, default=0) > n or sum(mults) != n:
+    if max(mults, default=0) > n or sum(mults) > n or not quadratic and sum(mults) != n:
         raise AssertionError(f"chain multiplicities {mults} do not sum to {n}")
     return mults
 
 
-def compute_spectrum(s, candidates=None):
-    """Exact spectrum of a Seidel matrix as integer roots plus at most one
-    integer quadratic.
-
-    candidates must be a proven superset of the integer eigenvalues. The
-    default, range(1 - n, n), is one: every |lambda| is at most the
-    largest row sum of |s|, which is n - 1. If every eigenvalue is a
-    candidate, _chain_multiplicities proves it and returns the
-    multiplicities. Otherwise a nullity sweep over the candidates finds
-    each integer eigenvalue with its multiplicity. If two eigenvalues are
-    left, they are not integers; the trace identities fix their sum -b
-    and product c, and they are roots of a monic integer factor of
-    det(xI - S), so a non-integral c or a rational root cannot occur:
-    either raises.
+def compute_spectrum(s, candidates):
+    """The spectrum of a Seidel matrix whose eigenvalues are all among
+    candidates, integers, as a SpectrumClaim with no quadratic; None if
+    p_L(S) != 0 for L = candidates, that is, if some eigenvalue is not a
+    candidate. _chain_multiplicities proves p_L(S) = 0 and reads the
+    multiplicities off the chain's traces.
     """
-    n = s.n
-    lams = sorted(set(range(1 - n, n) if candidates is None else candidates))
+    lams = sorted(set(candidates))
     mults = _chain_multiplicities(s, lams)
-    if mults is not None:
-        return SpectrumClaim.make({lam: m for lam, m in zip(lams, mults) if m})
-    m = s.as_lists()
-    eigs = {}
-    for lam in lams:
-        mult = exactlin.nullity_at(m, lam)
-        if mult:
-            eigs[lam] = mult
-            if sum(eigs.values()) == n:
-                break
-    deficit = n - sum(eigs.values())
-
-    if deficit == 0:
-        return SpectrumClaim.make(eigs)
-    if deficit != 2:
-        raise IrrationalPartError(
-            f"non-integer spectral part has degree {deficit}"
-        )
-    # sum of all eigenvalues = 0, sum of squares = n(n-1)
-    known = SpectrumClaim.make(eigs)
-    b = known.eig_sum()               # roots of the quadratic sum to -b
-    rest_sq = n * (n - 1) - known.eig_square_sum()
-    if (b * b - rest_sq) % 2:
-        raise IrrationalPartError("quadratic cofactor is not integral")
-    c = (b * b - rest_sq) // 2
-    disc = b * b - 4 * c
-    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-        raise IrrationalPartError(
-            "residual quadratic has integer roots the nullity sweep missed"
-        )
-    return SpectrumClaim.make(eigs, quadratic=(b, c))
+    if mults is None:
+        return None
+    return SpectrumClaim.make({lam: m for lam, m in zip(lams, mults) if m})
 
 
 def certify_spectrum(s, claim):
-    """Exact check that det(xI - S) = claim.to_poly() by exact nullities and
-    the two trace identities. Once multiplicities_sum_to_n holds,
-    char_poly_matches holds iff every nullity_at_<v> and both trace
-    identities do; otherwise its witness names the failed premises.
+    """Exact check that det(xI - S) = claim.to_poly() by the exact
+    multiplicities of the claim's values and the two trace identities.
+    Once multiplicities_sum_to_n holds, char_poly_matches holds iff every
+    nullity_at_<v> and both trace identities do; otherwise its witness
+    names the failed premises.
 
-    - S is symmetric, so nullity_at(S, lam) is the multiplicity of lam. If
-      the claimed multiplicities equal the nullities (nullity_at_<v>) and
-      sum to n - d (multiplicities_sum_to_n), with d = 2 for a quadratic
-      and 0 without, the claim's values (distinct) hold n - d eigenvalues,
-      and the d others, mu, avoid them. For d = 0 that is the claim.
+    - Multiplicities. One annihilator chain over the claim's values, after
+      q(S) for its quadratic q (_chain_multiplicities), gives the exact
+      multiplicity of each value whenever the values and the roots of q
+      hold every eigenvalue of S, as for a true claim. Otherwise (the
+      chain does not vanish, q(v) = 0 modulo p0 for some value v, or
+      _chain_primes finds the chain beyond its exact range) it is
+      nullity_at(S, v): S is symmetric, so the nullity at v is the
+      multiplicity of v. nullity_at_<v> compares the same number either
+      way.
+    - If the claimed multiplicities equal the exact ones (nullity_at_<v>)
+      and sum to n - d (multiplicities_sum_to_n), with d = 2 for a
+      quadratic and 0 without, the claim's values (distinct) hold n - d
+      eigenvalues, and the d others, mu, avoid them. For d = 0 that is
+      the claim.
     - A Seidel matrix has tr S = 0 (zero diagonal) and tr S^2 = sum S_ij^2
       = n(n-1), as matrix_trace_square re-checks. So sum mu = -sum m lam
       and sum mu^2 = n(n-1) - sum m lam^2.
@@ -324,8 +327,14 @@ def certify_spectrum(s, claim):
         disc = bq * bq - 4 * cq
         b.check("quadratic_irreducible", disc < 0 or math.isqrt(disc) ** 2 != disc,
                 disc)
-    m = s.as_lists()
-    exact = {value: exactlin.nullity_at(m, value) for value, _ in claim.integer_eigs}
+    values = [value for value, _ in claim.integer_eigs]
+    mults = None
+    if _chain_primes(n, values, claim.quadratic):
+        mults = _chain_multiplicities(s, values, claim.quadratic)
+    if mults is None:
+        m = s.as_lists()
+        mults = [exactlin.nullity_at(m, value) for value in values]
+    exact = dict(zip(values, mults))
     premises = [(f"nullity_at_{value}", exact[value] == mult,
                  {"claimed": mult, "exact": exact[value]})
                 for value, mult in claim.integer_eigs]

@@ -193,12 +193,10 @@ def test_subscan_alone_matches_the_whole_run(tmp_path):
     assert alone == [c for c in whole["certificates"] if c["claim_id"] == "subscan.unique"]
 
 
-def test_exact_spectral_work_of_a_whole_run_is_four_nullities_and_one_chain(monkeypatch):
-    # 4 nullities for spectrum.S (at -5, 7, 11, 13); the one order-52
-    # representative is confirmed by one compute_spectrum call, whose
-    # annihilator chain vanishes and so needs no nullity (a sweep over the
-    # odd members of the window made 12); certifying the spectrum again
-    # for the scan would make 8
+def test_exact_spectral_work_of_a_whole_run_is_annihilator_chains(monkeypatch):
+    # spectrum.S is proved by one chain over -5, 7, 11, 13 after its
+    # quadratic (4 nullities before), and the one order-52 representative
+    # by one compute_spectrum call, whose chain vanishes: no nullity at all
     nullities, spectra = [], []
     real_nullity, real_spectrum = exactlin.nullity_at, seidel.compute_spectrum
 
@@ -206,14 +204,14 @@ def test_exact_spectral_work_of_a_whole_run_is_four_nullities_and_one_chain(monk
         nullities.append(len(m))
         return real_nullity(m, lam)
 
-    def counted_spectrum(s, candidates=None):
+    def counted_spectrum(s, candidates):
         spectra.append(s.n)
         return real_spectrum(s, candidates)
 
     monkeypatch.setattr(exactlin, "nullity_at", counted_nullity)
     monkeypatch.setattr(seidel, "compute_spectrum", counted_spectrum)
     assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
-    assert nullities == [54] * 4
+    assert nullities == []
     assert spectra == [52]
     assert not hasattr(exactlin, "positive_definite")
     assert not hasattr(seidel, "integer_window")

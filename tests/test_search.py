@@ -8,6 +8,7 @@ import pytest
 
 from equilines import cli, construct, exactlin, search, seidel
 from test_exactlin import positive_definite
+from test_seidel import nullity_spectrum
 
 
 def drop_member(system, index):
@@ -53,14 +54,13 @@ def test_not_extendible(final54):
     assert report.patterns_examined == 1 << 18
 
 
-def gray_loop_witnesses(system, ambient_dim=None):
+def gray_loop_witnesses(system):
     """The witnesses of check_extendibility by the pure-Python reference:
     a Gray-code walk over all 2^r sign patterns eps that keeps
     z = adj @ eps up to date with one column per step and tests each
     pattern on the unreduced adjugate, in increasing Gray index."""
     rows = system.matrix()
     r = system.ambient_dim
-    allow_slack = ambient_dim is not None and ambient_dim > r
     bmat = [rows[i] for i in search.greedy_basis(rows, r)]
     det, adj = exactlin.adjugate(exactlin.mat_mul(bmat, exactlin.transpose(bmat)))
     lift = exactlin.mat_mul(exactlin.transpose(bmat), adj)
@@ -76,7 +76,7 @@ def gray_loop_witnesses(system, ambient_dim=None):
             for i in range(r):
                 z[i] += delta * adj[i][b]
         norm = sum(e * zi for e, zi in zip(eps, z))
-        if norm == 80 * det or (allow_slack and 0 < norm <= 80 * det):
+        if norm == 80 * det:
             prods = [sum(row[j] * eps[j] for j in range(r)) for row in inner]
             if all(abs(p) == 16 * det for p in prods):
                 witnesses.append(tuple(Fraction(sum(lift[i][j] * eps[j] for j in range(r)), det)
@@ -85,18 +85,12 @@ def gray_loop_witnesses(system, ambient_dim=None):
 
 
 def test_pattern_scan_matches_gray_loop_oracle(final54):
-    # S54, the drop-line systems of three seeded lines, and four lines
-    # with a spare dimension (the slack path): (system, ambient_dim, count)
-    four = construct.LineSystem(
-        vectors=final54.vectors[:4],
-        ambient_dim=exactlin.rank([list(v.coords) for v in final54.vectors[:4]]))
-    cases = ([(final54, None, 0)]
-             + [(drop_member(final54, i), None, 2)
-                for i in random.Random(5).sample(range(54), 3)]
-             + [(four, four.ambient_dim + 1, 16)])
-    for system, ambient_dim, count in cases:
-        expected = gray_loop_witnesses(system, ambient_dim)
-        report = search.check_extendibility(system, ambient_dim)
+    # S54 and the drop-line systems of three seeded lines: (system, count)
+    cases = ([(final54, 0)]
+             + [(drop_member(final54, i), 2) for i in random.Random(5).sample(range(54), 3)])
+    for system, count in cases:
+        expected = gray_loop_witnesses(system)
+        report = search.check_extendibility(system)
         assert report.witnesses == expected
         assert report.patterns_examined == 1 << system.ambient_dim
         assert len(expected) == count
@@ -121,17 +115,9 @@ def test_int64_bound_raises_before_any_scan(monkeypatch):
     monkeypatch.setattr(search, "_sign_rows", no_scan)
     big = 1 << 62
     with pytest.raises(AssertionError):
-        search._pattern_scan([[big, big], [big, big]], 5, [[1, 1]], False)
+        search._pattern_scan([[big, big], [big, big]], 5, [[1, 1]])
     with pytest.raises(RuntimeError):          # just below the bound it scans
-        search._pattern_scan([[big - 1]], 5, [[1]], False)
-
-
-def test_single_line_extendible_in_larger_ambient(final54):
-    one = construct.LineSystem(vectors=(final54.vectors[0],), ambient_dim=1)
-    within_span = search.check_extendibility(one)
-    assert not within_span.extendible
-    in_plane = search.check_extendibility(one, ambient_dim=2)
-    assert in_plane.extendible
+        search._pattern_scan([[big - 1]], 5, [[1]])
 
 
 def test_drop_one_control_finds_removed_member(final54):
@@ -226,8 +212,8 @@ def full_scan(s, window, orders):
         survivors, lams = screen_all(s, window, order)
         for removed in survivors:
             sub = s.principal_submatrix(i for i in range(s.n) if i not in removed)
-            claim = seidel.compute_spectrum(sub, candidates=lams)
-            if claim.quadratic is None:
+            claim = seidel.compute_spectrum(sub, lams)
+            if claim is not None:
                 hits.append((order, removed, claim))
     return hits
 
@@ -457,9 +443,9 @@ def random_seidel_matrices(count, seed):
 
 
 def certified_window(s, claim=None):
-    """The window of a claim (default compute_spectrum(s)) that certifies
+    """The window of a claim (default the nullity sweep's) that certifies
     for s."""
-    claim = claim or seidel.compute_spectrum(s)
+    claim = claim or nullity_spectrum(s)
     assert seidel.certify_spectrum(s, claim).passed
     return claim.integer_window()
 
@@ -497,16 +483,14 @@ def test_integer_window_bisection_matches_linear_scan(s54):
 def test_claim_window_matches_integer_window_oracle(s54):
     claims = [(s54, cli.S54_SPECTRUM), (j_minus_i(8), None), (petersen_seidel(), None)]
     for s in random_seidel_matrices(300, seed=23):
-        try:
-            claims.append((s, seidel.compute_spectrum(s)))
-        except seidel.IrrationalPartError:
-            pass
+        claim = nullity_spectrum(s)
+        if claim is not None:
+            claims.append((s, claim))
     assert len(claims) > 100 and sum(c is not None and c.quadratic is not None
                                      for _, c in claims) > 30
     for s, claim in claims:
         assert certified_window(s, claim) == integer_window(s)
-    assert seidel.compute_spectrum(petersen_seidel()) == seidel.SpectrumClaim.make(
-        {-3: 5, 3: 5})
+    assert nullity_spectrum(petersen_seidel()) == seidel.SpectrumClaim.make({-3: 5, 3: 5})
 
 
 def test_claim_window_rounds_irrational_extremes_inwards():
@@ -522,17 +506,13 @@ def test_claim_window_rounds_irrational_extremes_inwards():
 
 
 def test_compute_spectrum_default_matches_oracle_window_sweep():
-    # the default sweep, range(1 - n, n), against the window's own sweep
+    # range(1 - n, n), the candidates any Seidel matrix may take by
+    # default (|lambda| <= n - 1), against the window's own candidates
     claims = 0
     for s in random_seidel_matrices(300, seed=29):
-        try:
-            expected = seidel.compute_spectrum(s, candidates=integer_window(s))
-        except seidel.IrrationalPartError:
-            with pytest.raises(seidel.IrrationalPartError):
-                seidel.compute_spectrum(s)
-            continue
-        assert seidel.compute_spectrum(s) == expected
-        claims += 1
+        expected = seidel.compute_spectrum(s, integer_window(s))
+        assert seidel.compute_spectrum(s, range(1 - s.n, s.n)) == expected
+        claims += expected is not None
     assert claims > 100
 
 
@@ -550,16 +530,13 @@ def petersen_seidel(flip=False):
 
 
 def brute_force_hits(s, orders):
-    """compute_spectrum over every removed-index set, no screen, no orbits."""
+    """The nullity sweep over every removed-index set, no screen, no orbits."""
     hits = []
     for order in sorted(orders, reverse=True):
         for removed in combinations(range(s.n), s.n - order):
             sub = s.principal_submatrix([i for i in range(s.n) if i not in removed])
-            try:
-                claim = seidel.compute_spectrum(sub)
-            except seidel.IrrationalPartError:
-                continue
-            if claim.quadratic is None:
+            claim = nullity_spectrum(sub)
+            if claim is not None and claim.quadratic is None:
                 hits.append((order, removed, claim))
     return hits
 

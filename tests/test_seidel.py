@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from equilines import construct, exactlin, search, seidel
+from equilines.certificate import CertificateBuilder
 
 
 def random_seidel(rng, n):
@@ -80,13 +81,15 @@ def test_s54_trace_identities(s54):
 
 def test_compute_spectrum_order_one():
     s = seidel.SeidelMatrix.from_rows([[0]])
-    claim = seidel.compute_spectrum(s)
+    claim = seidel.compute_spectrum(s, [0])
     assert claim.integer_eigs == ((0, 1),) and claim.quadratic is None
+    assert seidel.compute_spectrum(s, [1]) is None
 
 
 def test_compute_spectrum_triangle():
-    claim = seidel.compute_spectrum(clique_seidel(3))
+    claim = seidel.compute_spectrum(clique_seidel(3), range(-2, 3))
     assert claim.integer_eigs == ((-1, 2), (2, 1))
+    assert seidel.compute_spectrum(clique_seidel(3), [-1, 1]) is None
 
 
 def test_certify_spectrum_triangle():
@@ -104,11 +107,15 @@ def test_certify_spectrum_rejects_perturbed_claim():
 
 
 def test_s54_spectrum(s54):
-    claim = seidel.compute_spectrum(s54)
+    claim = nullity_spectrum(s54)
     assert claim.integer_eigs == ((-5, 36), (7, 6), (11, 8), (13, 2))
     assert claim.quadratic == (-24, 107)
     cert = seidel.certify_spectrum(s54, claim)
     assert cert.passed
+    assert certificate_fields(cert) == certificate_fields(
+        reference_certify_spectrum(s54, claim))
+    # not integral: one chain over every candidate proves it
+    assert seidel.compute_spectrum(s54, range(-53, 54)) is None
 
 
 def test_s54_perturbed_multiplicity_fails(s54):
@@ -116,6 +123,8 @@ def test_s54_perturbed_multiplicity_fails(s54):
         {-5: 35, 7: 7, 11: 8, 13: 2}, quadratic=(-24, 107)
     )
     cert = seidel.certify_spectrum(s54, bad)
+    assert certificate_fields(cert) == certificate_fields(
+        reference_certify_spectrum(s54, bad))
     assert not cert.passed
     assert cert.details["checks"]["nullity_at_-5"] is False
     assert cert.details["checks"]["char_poly_matches"] is False
@@ -132,10 +141,77 @@ def test_s54_perturbed_multiplicity_fails(s54):
     ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), ["trace_square_identity"]),
 ], ids=["replaced_eigenvalue", "shifted_quadratic_constant"])
 def test_s54_wrong_claim_names_failed_premise(s54, eigs, quadratic, failed):
-    cert = seidel.certify_spectrum(s54, seidel.SpectrumClaim.make(eigs, quadratic))
+    claim = seidel.SpectrumClaim.make(eigs, quadratic)
+    cert = seidel.certify_spectrum(s54, claim)
+    assert certificate_fields(cert) == certificate_fields(
+        reference_certify_spectrum(s54, claim))
     assert cert.details["checks"]["char_poly_matches"] is False
     assert cert.details["first_failure"] == {
         "check": "char_poly_matches", "witness": {"failed_premises": failed}}
+
+
+def reference_certify_spectrum(s, claim):
+    """Oracle for certify_spectrum: the same checks, with the exact
+    multiplicity of every claimed value from exactlin.nullity_at alone."""
+    b = CertificateBuilder(
+        "spectrum", {"matrix": s.rows, "claim": claim.as_dict()}
+    )
+    b.note("claim", claim.as_dict())
+    n = s.n
+    trace_square = sum(x * x for row in s.rows for x in row)
+    b.note("trace_square", trace_square)
+    b.check("matrix_trace_square", trace_square == n * (n - 1), trace_square)
+    if not b.check("multiplicities_sum_to_n", claim.total_multiplicity == n,
+                   claim.total_multiplicity):
+        return b.build()
+    if claim.quadratic:
+        bq, cq = claim.quadratic
+        disc = bq * bq - 4 * cq
+        b.check("quadratic_irreducible", disc < 0 or math.isqrt(disc) ** 2 != disc,
+                disc)
+    m = s.as_lists()
+    exact = {value: exactlin.nullity_at(m, value) for value, _ in claim.integer_eigs}
+    premises = [(f"nullity_at_{value}", exact[value] == mult,
+                 {"claimed": mult, "exact": exact[value]})
+                for value, mult in claim.integer_eigs]
+    premises += [("trace_identity", claim.eig_sum() == 0, claim.eig_sum()),
+                 ("trace_square_identity", claim.eig_square_sum() == n * (n - 1),
+                  claim.eig_square_sum())]
+    failed = [name for name, ok, _ in premises if not ok]
+    b.check("char_poly_matches", not failed,
+            {"failed_premises": failed} if failed else None)
+    for premise in premises:
+        b.check(*premise)
+    return b.build()
+
+
+def certificate_fields(cert):
+    """cert.to_dict() without runtime_ms."""
+    fields = cert.to_dict()
+    del fields["runtime_ms"]
+    return fields
+
+
+def spectrum_routes(monkeypatch):
+    """Spy on certify_spectrum's two sources of exact multiplicities: the
+    returned set gains "chain" when _chain_multiplicities gives them and
+    "nullity" when exactlin.nullity_at is called."""
+    used = set()
+    real_chain, real_nullity = seidel._chain_multiplicities, exactlin.nullity_at
+
+    def chain(*args):
+        mults = real_chain(*args)
+        if mults is not None:
+            used.add("chain")
+        return mults
+
+    def nullity(m, lam):
+        used.add("nullity")
+        return real_nullity(m, lam)
+
+    monkeypatch.setattr(seidel, "_chain_multiplicities", chain)
+    monkeypatch.setattr(exactlin, "nullity_at", nullity)
+    return used
 
 
 def nonzero_claim(eigs, quadratic):
@@ -177,23 +253,32 @@ def perturbed_claims(rng, claim, n):
     return out
 
 
-def test_char_poly_matches_agrees_with_interpolation_oracle():
+def test_char_poly_matches_agrees_with_interpolation_oracle(monkeypatch):
     # char_poly_matches implies the interpolated characteristic polynomial;
-    # the converse needs a quadratic that is absent or irreducible
+    # the converse needs a quadratic that is absent or irreducible. Every
+    # certificate equals the nullity-only oracle's, by either route.
     rng = random.Random(404)
     outcomes = {True: 0, False: 0}
     quadratic_matches = 0
+    routes = {"chain": 0, "nullity": 0}
+    used = spectrum_routes(monkeypatch)
     for _ in range(1000):
         n = rng.randint(1, 7)
         s = random_seidel(rng, n)
         cp = exactlin.char_poly(s.as_lists())
-        try:
-            true = seidel.compute_spectrum(s)
-            claims = [true] + perturbed_claims(rng, true, n)
-        except seidel.IrrationalPartError:
+        true = nullity_spectrum(s)
+        if true is None:
             claims = perturbed_claims(rng, seidel.SpectrumClaim.make({}), n)
+        else:
+            claims = [true] + perturbed_claims(rng, true, n)
         for claim in claims:
-            checks = seidel.certify_spectrum(s, claim).details["checks"]
+            used.clear()
+            cert = seidel.certify_spectrum(s, claim)
+            for route in used:
+                routes[route] += 1
+            assert certificate_fields(cert) == certificate_fields(
+                reference_certify_spectrum(s, claim)), claim
+            checks = cert.details["checks"]
             matches = checks.get("char_poly_matches", False)
             equal = claim.to_poly() == cp
             if matches:
@@ -203,30 +288,46 @@ def test_char_poly_matches_agrees_with_interpolation_oracle():
             outcomes[matches] += 1
             quadratic_matches += matches and claim.quadratic is not None
     assert min(outcomes.values()) > 800 and quadratic_matches > 200
+    assert min(routes.values()) > 100, routes
 
 
-def test_compute_spectrum_irrational_part_raises():
-    rng = random.Random(21)
-    raised = 0
-    for _ in range(50):
-        s = random_seidel(rng, 6)
-        try:
-            seidel.compute_spectrum(s)
-        except seidel.IrrationalPartError:
-            raised += 1
-    assert raised > 0
+def test_certify_spectrum_edge_claims_match_reference(s54, monkeypatch):
+    # a reducible quadratic with a root among the claimed values (q(v) = 0
+    # stops the chain), values beyond the chain's exact float64 range,
+    # and a quadratic whose entry bound no set of PRIMES covers: each
+    # takes the nullities and gives the oracle's certificate
+    claims = [
+        (clique_seidel(3), seidel.SpectrumClaim.make({-1: 1}, quadratic=(-1, -2))),
+        (clique_seidel(3), seidel.SpectrumClaim.make({-1: 0, 2: 1}, quadratic=(2, 1))),
+        (clique_seidel(3), seidel.SpectrumClaim.make({-1: 2, 2: 1, 1 << 40: 0})),
+        (clique_seidel(3), seidel.SpectrumClaim.make({-1: 2, 1 << 40: 1})),
+        (clique_seidel(3), seidel.SpectrumClaim.make({-1: 1, 2: 0}, quadratic=(0, 1 << 800))),
+        (s54, seidel.SpectrumClaim.make({-5: 36, 7: 6, 11: 8, 13: 2, 1 << 40: 0},
+                                        quadratic=(-24, 107))),
+    ]
+    used = spectrum_routes(monkeypatch)
+    for s, claim in claims:
+        used.clear()
+        cert = seidel.certify_spectrum(s, claim)
+        assert used == {"nullity"}, claim
+        assert certificate_fields(cert) == certificate_fields(
+            reference_certify_spectrum(s, claim)), claim
+    passed = [seidel.certify_spectrum(s, claim).passed for s, claim in claims]
+    assert passed == [False, False, True, False, False, True]
 
 
 def test_compute_spectrum_agrees_with_certify_random():
     rng = random.Random(33)
+    integral = 0
     for _ in range(60):
         s = random_seidel(rng, rng.randint(1, 6))
-        try:
-            claim = seidel.compute_spectrum(s)
-        except seidel.IrrationalPartError:
+        claim = seidel.compute_spectrum(s, range(1 - s.n, s.n))
+        if claim is None:
             continue
         assert claim.total_multiplicity == s.n
         assert seidel.certify_spectrum(s, claim).passed
+        integral += 1
+    assert integral > 10
 
 
 def test_automorphisms_four_clique():
@@ -632,8 +733,10 @@ def test_seidel_from_rejects_angle_16_at_wrong_norm():
 
 
 def nullity_spectrum(s, candidates=None):
-    """Oracle for compute_spectrum: a nullity sweep over the candidates,
-    then the quadratic from the two trace identities."""
+    """The spectrum of s by a nullity sweep over the candidates (default
+    range(1 - n, n)), then the quadratic from the two trace identities;
+    None if what is left is not a quadratic with integer coefficients and
+    no integer root."""
     n = s.n
     m = s.as_lists()
     if candidates is None:
@@ -649,24 +752,17 @@ def nullity_spectrum(s, candidates=None):
     if deficit == 0:
         return seidel.SpectrumClaim.make(eigs)
     if deficit != 2:
-        raise seidel.IrrationalPartError(f"non-integer spectral part has degree {deficit}")
+        return None
     known = seidel.SpectrumClaim.make(eigs)
     b = known.eig_sum()
     rest_sq = n * (n - 1) - known.eig_square_sum()
     if (b * b - rest_sq) % 2:
-        raise seidel.IrrationalPartError("quadratic cofactor is not integral")
+        return None
     c = (b * b - rest_sq) // 2
     disc = b * b - 4 * c
     if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-        raise seidel.IrrationalPartError("residual quadratic has integer roots")
+        return None
     return seidel.SpectrumClaim.make(eigs, quadratic=(b, c))
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except seidel.IrrationalPartError:
-        return "irrational"
 
 
 @pytest.fixture(scope="module")
@@ -678,54 +774,60 @@ def t52(s54, s54_window):
 
 
 def test_compute_spectrum_matches_nullity_sweep_oracle(s54, t52):
+    # equal to the sweep where every eigenvalue is a candidate, else None
     rng = random.Random(83)
     cases = [(random_seidel(rng, rng.randint(0, 8)), None) for _ in range(300)]
     cases += [(clique_seidel(n), None) for n in range(1, 11)]
     cases += [(petersen_seidel(), None), (cycle_seidel(5), None), (cycle_seidel(7), None), t52,
-              (s54, range(-5, 19))]          # S54: not integral, the fallback names the quadratic
+              (s54, range(-5, 19))]          # S54: not integral
     kinds = {"integral": 0, "quadratic": 0, "irrational": 0}
     for s, candidates in cases:
-        got = outcome(seidel.compute_spectrum, s, candidates)
-        assert got == outcome(nullity_spectrum, s, candidates), s
-        kinds["irrational" if got == "irrational" else
-              "quadratic" if got.quadratic else "integral"] += 1
+        expected = nullity_spectrum(s, candidates)
+        got = seidel.compute_spectrum(s, range(1 - s.n, s.n) if candidates is None else candidates)
+        kind = ("irrational" if expected is None else
+                "quadratic" if expected.quadratic else "integral")
+        assert got == (expected if kind == "integral" else None), s
+        kinds[kind] += 1
     assert min(kinds.values()) > 20
     assert seidel.compute_spectrum(*t52) == seidel.SpectrumClaim.make(
         {-5: 34, 3: 1, 5: 1, 7: 6, 11: 7, 13: 2, 17: 1})
-    assert seidel.compute_spectrum(s54, range(-5, 19)).quadratic == (-24, 107)
+    assert seidel.compute_spectrum(s54, range(-5, 19)) is None
 
 
-def test_chain_primes_exceed_the_entry_bound(t52, monkeypatch):
+def test_chain_primes_exceed_the_entry_bound(s54, t52, monkeypatch):
     # a vanishing chain modulo p0 alone proves nothing: the primes used
-    # must multiply to more than prod (n - 1 + |lam|) >= every entry of p_L(M)
-    s, lams = t52
+    # must multiply to more than the bound on every entry of the chain,
+    # prod (n - 1 + |lam|) for T52, times 53 + 24 + 107 for S54's chain
+    # after its quadratic x^2 - 24x + 107
     real, calls = seidel._annihilator_chain, []
 
-    def spy(s, lams, primes):
+    def spy(s, lams, primes, quadratic=None):
         calls.append(tuple(primes))
-        return real(s, lams, primes)
+        return real(s, lams, primes, quadratic)
 
     monkeypatch.setattr(seidel, "_annihilator_chain", spy)
-    seidel.compute_spectrum(s, candidates=lams)
-    bound = math.prod(s.n - 1 + abs(lam) for lam in lams)
-    used = [p for primes in calls for p in primes]
-    assert calls[0] == (exactlin.PRIMES[-1],) and len(calls) == 2
-    assert len(set(used)) == len(used) and set(used) <= set(exactlin.PRIMES)
-    assert math.prod(used) > bound >= math.prod(used[:-1])
+    for s, lams, quadratic, q_bound in [(*t52, None, 1),
+                                        (s54, [-5, 7, 11, 13], (-24, 107), 53 + 24 + 107)]:
+        calls.clear()
+        assert seidel._chain_multiplicities(s, lams, quadratic) is not None
+        bound = q_bound * math.prod(s.n - 1 + abs(lam) for lam in lams)
+        used = [p for primes in calls for p in primes]
+        assert calls[0] == (exactlin.PRIMES[-1],) and len(calls) == 2
+        assert len(set(used)) == len(used) and set(used) <= set(exactlin.PRIMES)
+        assert math.prod(used) > bound >= math.prod(used[:-1])
 
 
-def test_chain_falls_back_to_nullities_without_enough_primes(monkeypatch):
+def test_chain_without_enough_primes_raises(monkeypatch):
     # J - I of order 10 over range(-9, 10): the chain vanishes, but its
-    # entry bound 9 (18! / 9!)^2 > 2^71 needs three primes, and two are left
+    # entry bound 9 (18! / 9!)^2 > 2^71 needs three primes, and with two
+    # left a true integral spectrum must not be rejected silently
     s = clique_seidel(10)
-    expected = seidel.SpectrumClaim.make({-1: 9, 9: 1})
-    assert seidel.compute_spectrum(s) == expected
+    assert seidel.compute_spectrum(s, range(-9, 10)) == seidel.SpectrumClaim.make({-1: 9, 9: 1})
     monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[-2:])
-    real, nullities = exactlin.nullity_at, []
-    monkeypatch.setattr(exactlin, "nullity_at",
-                        lambda m, lam: nullities.append(lam) or real(m, lam))
-    assert seidel.compute_spectrum(s) == expected
-    assert nullities == list(range(-9, 10))
+    with pytest.raises(AssertionError, match="PRIMES is too short"):
+        seidel.compute_spectrum(s, range(-9, 10))
+    # a chain that does not vanish needs no more primes
+    assert seidel.compute_spectrum(s, range(-9, 9)) is None
 
 
 def test_chain_beyond_exact_float64_raises():

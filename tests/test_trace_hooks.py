@@ -1,5 +1,6 @@
 """The benchmark's --trace 1 run hooks package functions by name
-(certbench/layers.py); every hooked name must still exist."""
+(certbench/layers.py); every hooked name must still exist, and one traced
+iteration must read the per-layer metrics the benchmark reports."""
 
 import subprocess
 import sys
@@ -29,6 +30,28 @@ SCRIPT = textwrap.dedent("""
     assert tracer.counts["seidel.canonical_graph_form.calls"] > 0
 """)
 
+# one traced certify_all iteration, as `certbench/run.py --trace 1` runs it:
+# every verdict holds, the scan confirms one order-52 survivor, and no
+# spectral fact needs a nullity
+TRACED_CERTIFY_ALL = textwrap.dedent("""
+    import sys
+    sys.path[:0] = ["src", "certbench"]
+    from layers import layer_metrics
+    from tracer import Tracer
+    from workloads import WORKLOADS, run_iteration
+
+    tracer = Tracer()
+    sample = run_iteration(WORKLOADS["certify_all"], "src", 7, 0, tracer)
+    metrics = layer_metrics(tracer)
+    assert sample.verdicts.checked > 0 and sample.verdicts.errors == [], sample.verdicts.errors
+    assert metrics["search.subscan.o52.survivors"] == 1, metrics
+    assert metrics["exactlin.nullity_at.calls"] == 0, metrics
+""")
+
 
 def test_trace_hooks_enter_and_exit_on_fresh_modules():
     subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, check=True)
+
+
+def test_traced_certify_all_iteration_makes_no_nullity():
+    subprocess.run([sys.executable, "-c", TRACED_CERTIFY_ALL], cwd=ROOT, check=True)
