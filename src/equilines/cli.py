@@ -34,7 +34,6 @@ class RunConfig:
     emit_vectors: bool = False
     corrupt_generator: bool = False
     drop_line: int = None        # maximality control: 0-based member to remove
-    stage: str = "final"         # construct: "asche" | "final"
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -51,13 +50,12 @@ class Pipeline:
 
     @cached_property
     def gated_code(self):
-        """The code and its validation gates; the corrupted control's code
-        is generated from the flipped rows and gated again."""
-        code, gates = golay.standard_code()
-        if not self.config.corrupt_generator:
-            return code, gates
-        code = golay.generate_code(tuple(
-            row ^ (1 << 13) if i == 0 else row for i, row in enumerate(code.generator)))
+        """The code and its validation gates, each computed once; the
+        corrupted control flips bit 13 of row 0 before either."""
+        rows = golay.build_generator()
+        if self.config.corrupt_generator:
+            rows = (rows[0] ^ 1 << 13,) + rows[1:]
+        code = golay.generate_code(rows)
         return code, golay.validation_gates(code)
 
     @property
@@ -85,16 +83,9 @@ class Pipeline:
 
 
 def cmd_golay(pipeline):
-    config = pipeline.config
     b = CertificateBuilder(
-        "golay.gates",
-        {"command": "golay", "corrupt": config.corrupt_generator},
-    )
-    try:
-        code, gates = pipeline.gated_code
-    except (golay.CodeValidationError, golay.GeneratorAssemblyError) as exc:
-        b.check("code_generated", False, str(exc))
-        return b.build()
+        "golay.gates", {"command": "golay", "corrupt": pipeline.config.corrupt_generator})
+    code, gates = pipeline.gated_code
     for name, ok in gates.items():
         b.check(name, ok)
     b.note("weight_distribution", {str(k): v for k, v in golay.weight_distribution(code).items()})
@@ -105,27 +96,23 @@ def cmd_golay(pipeline):
 
 
 def cmd_construct(pipeline):
-    config = pipeline.config
-    b = CertificateBuilder(
-        "theorem1.count", {"command": "construct", "stage": config.stage}
-    )
-    full = pipeline.asche
+    # "stage" is a fixed input, kept so that the certificate's digest holds
+    b = CertificateBuilder("theorem1.count", {"command": "construct", "stage": "final"})
+    full, final = pipeline.asche, pipeline.final
     b.check("asche_count_72", len(full) == 72, len(full))
     b.check("asche_rank_19", full.ambient_dim == 19, full.ambient_dim)
-    if config.stage != "asche":
-        final = pipeline.final
-        b.check("final_count_54", len(final) == 54, len(final))
-        b.check("final_rank_18", final.ambient_dim == 18, final.ambient_dim)
-        removed = construct.removed_vectors(full, final)
-        b.check("removed_count_18", len(removed) == 18, len(removed))
-        gram = final.gram
-        offdiag = set(gram[np.triu_indices(len(final), 1)].tolist())
-        b.check("pairwise_scaled_angle_pm16", offdiag <= {16, -16}, sorted(offdiag))
-        norms = set(np.diagonal(gram).tolist())
-        b.check("scaled_norms_80", norms == {80}, sorted(norms))
-        if config.emit_vectors:
-            b.note("vectors", [list(v.coords) for v in final.vectors])
-            b.note("octads_1based", [golay.coords_from_mask(v.source) for v in final.vectors])
+    b.check("final_count_54", len(final) == 54, len(final))
+    b.check("final_rank_18", final.ambient_dim == 18, final.ambient_dim)
+    removed = construct.removed_vectors(full, final)
+    b.check("removed_count_18", len(removed) == 18, len(removed))
+    gram = final.gram
+    offdiag = set(gram[np.triu_indices(len(final), 1)].tolist())
+    b.check("pairwise_scaled_angle_pm16", offdiag <= {16, -16}, sorted(offdiag))
+    norms = set(np.diagonal(gram).tolist())
+    b.check("scaled_norms_80", norms == {80}, sorted(norms))
+    if pipeline.config.emit_vectors:
+        b.note("vectors", [list(v.coords) for v in final.vectors])
+        b.note("octads_1based", [golay.coords_from_mask(v.source) for v in final.vectors])
     return b.build()
 
 
@@ -272,9 +259,8 @@ CLAIM_IDS = {cmd_golay: "golay.gates", cmd_construct: "theorem1.count",
              cmd_subscan: "subscan.unique"}
 ALL_FNS = list(CLAIM_IDS)
 # what a Pipeline stage raises when its input is not what the claims need
-STAGE_ERRORS = (golay.CodeValidationError, golay.GeneratorAssemblyError,
-                construct.ConstructionError, seidel.NotEquiangularError,
-                seidel.SpectrumNotCertifiedError)
+STAGE_ERRORS = (golay.CodeValidationError, construct.ConstructionError,
+                seidel.NotEquiangularError, seidel.SpectrumNotCertifiedError)
 
 COMMANDS = {
     "golay": [cmd_golay],
@@ -351,7 +337,6 @@ def _parse_args(argv):
             p.add_argument("--corrupt-generator", action="store_true",
                            help="negative control: flip one generator bit")
         if name == "construct":
-            p.add_argument("--stage", choices=("asche", "final"), default="final")
             p.add_argument("--emit-vectors", action="store_true")
         if name == "maximality":
             p.add_argument("--drop-line", type=int, default=None,
@@ -377,7 +362,6 @@ def _parse_args(argv):
         emit_vectors=getattr(args, "emit_vectors", False),
         corrupt_generator=getattr(args, "corrupt_generator", False),
         drop_line=None if drop is None else drop - 1,
-        stage=getattr(args, "stage", "final"),
     )
 
 

@@ -3,11 +3,13 @@
 Matrices are plain lists of rows of Python ints. Rank (hence nullity)
 is decided over the rationals from numpy int64 eliminations modulo the
 word-size primes PRIMES, each answer certified by a Hadamard bound on
-the minors it rests on. Determinants (hence the characteristic
-polynomial) and bases come from one fraction-free (Bareiss) elimination
-on Python ints, pivots, which the tests also use as the oracle for the
-modular answers; the adjugate has its own. No floating point, so results
-can serve as certificates.
+the minors it rests on; the same modular kernel gives the pivot columns
+from which search picks an independent basis. The adjugate has its own
+fraction-free elimination on Python ints. Determinants (hence the
+characteristic polynomial) come from the fraction-free (Bareiss)
+elimination pivots, which no certificate runs: the tests use it as the
+oracle for the modular answers. No floating point, so results can serve
+as certificates.
 """
 
 import math
@@ -39,10 +41,6 @@ def mat_mul(a, b):
         raise ValueError("dimension mismatch")
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def pivots(m):
@@ -102,7 +100,7 @@ def adjugate(m):
     minor of order k+1, which Sylvester's criterion requires to be
     positive; a pivot <= 0 raises ValueError. The result is certified by
     check_adjugate before it is returned. Kept apart from pivots: it also
-    eliminates above each pivot, which would roughly double every rank's cost.
+    eliminates above each pivot, which a determinant does not need.
     """
     n, c = dims(m)
     if n != c:
@@ -177,13 +175,14 @@ def _modular_pivots(a, primes):
     """Gaussian elimination of the int64 matrix a modulo every prime in
     primes at once, one (P, rows, cols) array for the P primes.
 
-    Yields (pivots, primes) per pivot, both arrays over the primes still
-    eliminated, before that step's elimination. Row i becomes row i -
-    (a_ic / pivot) row k, all mod p: residues are below 2^31, so each
-    product is below 2^62. Each prime takes as pivot the first nonzero
-    entry of the column at or below row k; a prime with none there while
-    another prime has one is dropped (that column depends on the leading
-    ones modulo it alone), so the primes kept share one pivot count.
+    Yields (pivots, primes, col) per pivot, the first two arrays over the
+    primes still eliminated and col the pivot's column, before that
+    step's elimination. Row i becomes row i - (a_ic / pivot) row k, all
+    mod p: residues are below 2^31, so each product is below 2^62. Each
+    prime takes as pivot the first nonzero entry of the column at or
+    below row k; a prime with none there while another prime has one is
+    dropped (that column depends on the leading ones modulo it alone), so
+    the primes kept share one pivot count.
     """
     p = np.array(primes, dtype=np.int64)[:, None, None]
     x = a % p
@@ -204,7 +203,7 @@ def _modular_pivots(a, primes):
             x[lanes, row] = x[:, k]
             x[:, k] = top
         pivot, q = x[:, k, col], p[:, 0, 0]
-        yield pivot, q
+        yield pivot, q, col
         inverse = np.array([pow(v, -1, m) for v, m in zip(pivot.tolist(), q.tolist())])
         factor = x[:, k + 1:, col] * inverse[:, None] % p[:, 0]
         block = x[:, k + 1:, col + 1:]
@@ -235,7 +234,7 @@ def rank(m):
     r, product, used, batch, squares = 0, 1, 0, PRIMES[:1], None
     while full and batch:
         steps, kept = 0, batch
-        for _, kept in _modular_pivots(a, batch):
+        for _, kept, _ in _modular_pivots(a, batch):
             steps += 1
         r, product, used = max(r, steps), product * math.prod(map(int, kept)), used + len(batch)
         if r == full:

@@ -1,9 +1,11 @@
 """Extended binary [24,12,8] Golay code: generator assembly and octad enumeration.
 
-Codewords are stored as 24-bit integer masks; bit j (LSB-first) holds
-coordinate j+1, so coordinate 1 is bit 0. The canonical ordering of
-codewords is lexicographic on the bit string read coordinate 1 first
-(coordinate 1 most significant).
+build_generator assembles the one bordered-circulant generator; a run
+generates its code once with generate_code and gates it once with
+validation_gates. Codewords are stored as 24-bit integer masks; bit j
+(LSB-first) holds coordinate j+1, so coordinate 1 is bit 0. The
+canonical ordering of codewords is lexicographic on the bit string read
+coordinate 1 first (coordinate 1 most significant).
 """
 
 from collections import Counter
@@ -18,10 +20,6 @@ CIRCULANT_FIRST_ROW = (0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1)
 # The two specific octads used downstream to filter the line system.
 C1_COORDS = (2, 3, 14, 15, 16, 19, 22, 23)
 C2_COORDS = (2, 3, 9, 11, 12, 13, 21, 24)
-
-
-class GeneratorAssemblyError(RuntimeError):
-    """No assembly convention for the generator matrix passed validation."""
 
 
 class CodeValidationError(ValueError):
@@ -71,33 +69,22 @@ class GolayCode:
         return frozenset(self.words)
 
 
-def _circulant(first_row, direction):
-    n = len(first_row)
-    rows = []
-    for i in range(n):
-        if direction == "right":
-            rows.append(tuple(first_row[(j - i) % n] for j in range(n)))
-        else:
-            rows.append(tuple(first_row[(j + i) % n] for j in range(n)))
-    return rows
-
-
-def _assemble(direction):
-    """Bordered-circulant generator [I12 | B] as 12 row masks.
+def build_generator():
+    """The bordered-circulant generator [I12 | B] as 12 row masks.
 
     B is the 12x12 block with B[0] = (0, 1,...,1), first column below the
-    corner all ones, and the 11x11 circulant in the lower right.
+    corner all ones, and in the lower right the 11x11 circulant whose row
+    i is CIRCULANT_FIRST_ROW shifted right by i. The shift is not a
+    convention to choose: the left-shift circulant spans a [24,12,8] code
+    too, but one without the filter octads C1 and C2, so it fails exactly
+    the gates c1_in_code and c2_in_code. validation_gates confirms the code
+    of these rows on every run.
     """
-    circ = _circulant(CIRCULANT_FIRST_ROW, direction)
-    b_rows = [(0,) + (1,) * 11] + [(1,) + circ[i] for i in range(11)]
-    rows = []
-    for i in range(12):
-        bits = [1 if j == i else 0 for j in range(12)] + list(b_rows[i])
-        mask = 0
-        for j, b in enumerate(bits):
-            mask |= b << j
-        rows.append(mask)
-    return tuple(rows)
+    n = len(CIRCULANT_FIRST_ROW)
+    b_rows = [(0,) + (1,) * n] + [
+        (1,) + tuple(CIRCULANT_FIRST_ROW[(j - i) % n] for j in range(n)) for i in range(n)]
+    return tuple(1 << i | sum(bit << 12 + j for j, bit in enumerate(row))
+                 for i, row in enumerate(b_rows))
 
 
 def gf2_rank(row_masks):
@@ -162,33 +149,6 @@ def validation_gates(code):
         "c1_in_code": mask_from_coords(C1_COORDS) in code.word_set,
         "c2_in_code": mask_from_coords(C2_COORDS) in code.word_set,
     }
-
-
-def standard_code():
-    """Assemble the generator, resolving the circulant shift direction, and
-    return the code it generates, built once, with its validation gates.
-
-    Tries the right-shift circulant first, then left-shift; the first whose
-    code passes every validation gate wins.
-    """
-    failures = {}
-    for direction in ("right", "left"):
-        generator = _assemble(direction)
-        try:
-            code = generate_code(generator)
-        except CodeValidationError as exc:
-            failures[direction] = str(exc)
-            continue
-        gates = validation_gates(code)
-        if all(gates.values()):
-            return code, gates
-        failures[direction] = [k for k, v in gates.items() if not v]
-    raise GeneratorAssemblyError(f"no assembly convention passed the gates: {failures}")
-
-
-def build_generator():
-    """The 12 generator rows of standard_code()."""
-    return standard_code()[0].generator
 
 
 def octads_through(code, coordinate):

@@ -1,14 +1,16 @@
 """Exhaustive searches: non-extendibility and the integral-spectrum sub-scan.
 
-Both run in one process. The extendibility search tests all 2^rank sign
-patterns at once in exact int64 arithmetic, after dividing the exact
-adjugate by its content, and re-checks every hit with Fractions. The
-sub-scan examines the lexicographically least removed-index set of each
-orbit of the automorphism group, generated level by level, screens each
-with an exact annihilator test modulo a prime, and confirms every
-survivor with the same test over the integers, run modulo enough
-word-size primes. Neither search decides anything by floating point:
-where they compute in float64, every value is an exact integer.
+Both run in one process. The extendibility search reads an independent
+basis and every inner product it needs off the members' int64 Gram
+matrix, tests all 2^rank sign patterns at once in exact int64
+arithmetic, after dividing the exact adjugate by its content, and
+re-checks every hit in integers. The sub-scan examines the
+lexicographically least removed-index set of each orbit of the
+automorphism group, generated level by level, screens each with an
+exact annihilator test modulo a prime, and confirms every survivor with
+the same test over the integers, run modulo enough word-size primes.
+Neither search decides anything by floating point: where they compute
+in float64, every value is an exact integer.
 """
 
 import math
@@ -46,14 +48,29 @@ class SubScanResult:
     screened_ambiguous: int = 0  # subsets whose orbit passed the screen, failed confirmation
 
 
-def greedy_basis(rows, target_rank):
-    """The first target_rank rows independent of the rows before them: the
-    first pivot columns of the transpose, as column j of an echelon form is
-    a pivot column iff it is not in the span of columns 0..j-1."""
-    steps = islice(exactlin.pivots(exactlin.transpose(rows)), target_rank)
-    chosen = [col for _, col, _ in steps]
+def greedy_basis(gram, target_rank):
+    """Indices of target_rank independent members: the first target_rank
+    pivot columns of their Gram matrix gram = V V^T, eliminated modulo
+    PRIMES[-1] by exactlin._modular_pivots.
+
+    - The pivot columns C are independent modulo p, so some |C|-minor of
+      gram[:, C] is nonzero modulo p, hence nonzero: they are independent
+      over Q.
+    - Column j of V V^T is V v_j, so a dependency sum c_j v_j = 0 among
+      members would be one among their columns: the members in C are
+      independent too.
+
+    check_extendibility needs only that, and exactlin.adjugate asserts
+    once more that their Gram matrix is positive definite. (Over Q the
+    pivot columns are the greedy basis, each member independent of those
+    before it: V u = 0 for u in the row space of V forces u^T u = 0.
+    Modulo p they can differ only where p divides a minor.)
+    """
+    steps = islice(exactlin._modular_pivots(gram, exactlin.PRIMES[-1:]), target_rank)
+    chosen = [col for _, _, col in steps]
     if len(chosen) < target_rank:
-        raise ValueError(f"rows span rank {len(chosen)} < {target_rank}")
+        raise ValueError(f"gram has rank {len(chosen)} < {target_rank} "
+                         f"modulo {exactlin.PRIMES[-1]}")
     return chosen
 
 
@@ -128,37 +145,36 @@ def check_extendibility(system):
     its scaled norm is exactly 80.
 
     For a pattern eps = 16 s, s in {+1, -1}^r, the candidate is
-    w = B^T G^-1 eps, where G = B B^T is positive definite.
+    w = B^T G^-1 eps, where G = B B^T is positive definite: G is
+    gram[basis][:, basis], with gram = V V^T the members' Gram matrix.
     exactlin.adjugate gives det = det G > 0 and adj = det G^-1, certified
     by G @ adj = det I. Let g be the gcd of det and every entry of adj, so
     g divides each of them: a = adj / g and d = det / g > 0 are integers,
-    a is symmetric and a / d = G^-1. Then w = B^T a eps / d, its scaled
+    a is symmetric and a / d = G^-1. Then d w = B^T a eps, its scaled
     norm is eps^T a eps / d and its scaled inner products with the
-    members V are inner @ eps / d, where inner = V B^T a is an integer
-    matrix. Multiplying by d > 0 and dividing by 16, the norm test
-    eps^T G^-1 eps = 80 is 256 s^T a s = 80 d, and the angle test
-    V w = +-16 is inner @ s = +-d in every entry. _pattern_scan runs
-    these tests exactly, in int64. Every pattern it returns is re-derived
-    as an exact Fraction witness and re-checked against every member by
-    _verify_witness.
+    members V are inner @ eps / d, where inner = V B^T a =
+    gram[:, basis] @ a is an integer matrix. Multiplying by d > 0 and
+    dividing by 16, the norm test eps^T G^-1 eps = 80 is
+    256 s^T a s = 80 d, and the angle test V w = +-16 is inner @ s = +-d
+    in every entry. _pattern_scan runs these tests exactly, in int64.
+    Every pattern it returns is rebuilt as the integer vector
+    d w = B^T (a eps) and re-checked against every member's coordinates
+    by _verify_witness; only then is w made exact Fractions for the report.
     """
-    rows = system.matrix()
-    r = system.ambient_dim
-    basis = greedy_basis(rows, r)
-    bmat = [rows[i] for i in basis]
-    det, adjugate = exactlin.adjugate(exactlin.mat_mul(bmat, exactlin.transpose(bmat)))
+    rows, gram, r = system.matrix(), system.gram, system.ambient_dim
+    basis = greedy_basis(gram, r)
+    det, adjugate = exactlin.adjugate(gram[np.ix_(basis, basis)].tolist())
     g = math.gcd(det, *(x for row in adjugate for x in row))
     a, d = [[x // g for x in row] for row in adjugate], det // g
-    lift_mat = exactlin.mat_mul(exactlin.transpose(bmat), a)  # 24 x r
-    inner = exactlin.mat_mul(rows, lift_mat)                  # members x r
-    hits = _pattern_scan(a, d, inner)
+    inner = exactlin.mat_mul(gram[:, basis].tolist(), a)     # members x r
+    bmat = [rows[i] for i in basis]
     witnesses = []
-    for pattern in hits:
+    for pattern in _pattern_scan(a, d, inner):
         eps = [SCALED_ANGLE if pattern >> j & 1 else -SCALED_ANGLE for j in range(r)]
-        w = [Fraction(sum(lift_mat[i][j] * eps[j] for j in range(r)), d)
-             for i in range(24)]
-        _verify_witness(rows, w)
-        witnesses.append(tuple(w))
+        a_eps = [sum(x * e for x, e in zip(row, eps)) for row in a]
+        dw = [sum(x * y for x, y in zip(col, a_eps)) for col in zip(*bmat)]
+        _verify_witness(rows, dw, d)
+        witnesses.append(tuple(Fraction(x, d) for x in dw))
     return ExtendibilityReport(
         extendible=bool(witnesses),
         witness=witnesses[0] if witnesses else None,
@@ -168,14 +184,18 @@ def check_extendibility(system):
     )
 
 
-def _verify_witness(rows, w):
-    if sum(x * x for x in w) != SCALED_NORM:
+def _verify_witness(rows, dw, d):
+    """AssertionError unless w = dw / d, with d > 0, has scaled norm
+    SCALED_NORM and a scaled inner product of +-SCALED_ANGLE with every
+    row: in integers, |dw|^2 = SCALED_NORM d^2 and |<row, dw>| =
+    SCALED_ANGLE d."""
+    if sum(x * x for x in dw) != SCALED_NORM * d * d:
         raise AssertionError("witness failed the norm re-check")
     for i, row in enumerate(rows):
-        ip = sum(a * b for a, b in zip(row, w))
-        if abs(ip) != SCALED_ANGLE:
+        ip = sum(a * b for a, b in zip(row, dw))
+        if abs(ip) != SCALED_ANGLE * d:
             raise AssertionError(f"witness not at the common angle with member {i}")
-        # parallel would force |ip| = 80; +/-16 already rules it out
+        # parallel would force |ip| = 80 d; +/-16 d already rules it out
 
 
 def switching_automorphisms(s):

@@ -5,7 +5,7 @@ from equilines import cli, construct, golay, seidel
 
 @pytest.fixture(scope="session")
 def code():
-    return golay.standard_code()[0]
+    return golay.generate_code(golay.build_generator())
 
 
 @pytest.fixture(scope="session")

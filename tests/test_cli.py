@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -256,16 +257,14 @@ def test_whole_run_negative_control_reports(tmp_path):
 
 
 def test_code_error_fails_every_certificate(monkeypatch):
-    def reject():
-        raise golay.GeneratorAssemblyError("no generator")
-    monkeypatch.setattr(golay, "standard_code", reject)
+    def reject(generator):
+        raise golay.CodeValidationError("no code")
+    monkeypatch.setattr(golay, "generate_code", reject)
     certs = cli.run_command(cli.RunConfig(command="all"))
     assert [c.claim_id for c in certs] == list(cli.CLAIM_IDS.values())
-    assert certs[0].details["first_failure"] == {"check": "code_generated",
-                                                 "witness": "no generator"}
     assert all(c.details["first_failure"] == {
-        "check": "stages_built", "witness": "GeneratorAssemblyError: no generator"}
-        for c in certs[1:])
+        "check": "stages_built", "witness": "CodeValidationError: no code"}
+        for c in certs)
 
 
 def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):
@@ -277,16 +276,16 @@ def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
     assert calls == {"generate_code": 1, "asche_system": 1}
-    # only the corrupted control generates a second code, from the flipped rows
+    # the corrupted control generates one code too, from the flipped rows
     calls.clear()
     (cert,) = cli.run_command(cli.RunConfig(command="golay", corrupt_generator=True))
     assert not cert.passed
-    assert calls == {"generate_code": 2}
+    assert calls == {"generate_code": 1}
 
 
 def test_certify_all_gates_the_code_once(monkeypatch):
-    # golay.gates reads the gates standard_code computed; only the
-    # corrupted control's code is gated again
+    # golay.gates reads the gates the pipeline computed; the corrupted
+    # control gates only the code of the flipped rows
     real, gated, generator = golay.validation_gates, [], golay.build_generator()
 
     def counted(code):
@@ -299,7 +298,29 @@ def test_certify_all_gates_the_code_once(monkeypatch):
     gated.clear()
     (cert,) = cli.run_command(cli.RunConfig(command="golay", corrupt_generator=True))
     assert not cert.passed
-    assert len(gated) == 2 and gated[0] != gated[1]
+    assert gated == [(generator[0] ^ 1 << 13,) + generator[1:]]
+
+
+def test_no_certificate_runs_bareiss(monkeypatch):
+    # the maximality basis and every rank come from the modular kernel
+    def fail(*args):
+        raise RuntimeError("Bareiss elimination run")
+    monkeypatch.setattr(exactlin, "pivots", fail)
+    monkeypatch.setattr(exactlin, "bareiss_det", fail)
+    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    (cert,) = cli.run_command(cli.RunConfig(command="maximality", drop_line=4))
+    assert cert.passed and cert.details["witnesses"]
+
+
+def test_readme_cli_lines_parse():
+    # every equilines line of README's CLI block, comment stripped, parses
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+             if line.startswith("equilines ")]
+    assert len(lines) >= 7
+    for args in lines:
+        cli._parse_args(args)
 
 
 def test_unwritable_out_is_an_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from equilines import construct, exactlin, golay
+from test_exactlin import transpose
 
 
 def test_lift_zero_codeword():
@@ -79,7 +80,7 @@ def test_removed_count(asche, final54):
 
 def gram(system):
     rows = system.matrix()
-    return exactlin.mat_mul(rows, exactlin.transpose(rows))
+    return exactlin.mat_mul(rows, transpose(rows))
 
 
 def test_gram_is_80I_plus_16S(final54):

@@ -11,6 +11,10 @@ from equilines import exactlin
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
 def swap_free_pivots(a, primes):
     """Gaussian elimination of the square int64 matrix a without row swaps
     modulo every prime in primes at once, one (P, n, n) array for the P
@@ -125,7 +129,7 @@ def test_adjugate_random_positive_definite():
     for _ in range(30):
         n, k = rng.randint(1, 6), rng.randint(1, 6)
         b = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
-        m = exactlin.mat_mul(b, exactlin.transpose(b))
+        m = exactlin.mat_mul(b, transpose(b))
         for i in range(n):
             m[i][i] += 1
         det, adj = exactlin.adjugate(m)
@@ -224,7 +228,7 @@ def random_oracle_matrix(rng):
     nr, nc = rng.randint(1, 6), rng.randint(1, 6)
     if rng.random() < 1 / 3:
         b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        m = exactlin.mat_mul(b, exactlin.transpose(b))
+        m = exactlin.mat_mul(b, transpose(b))
         shift = rng.randint(-2, 2)
         for i in range(nr):
             m[i][i] += shift
@@ -251,7 +255,7 @@ def test_pivots_match_fraction_elimination():
         if n == c:
             assert exactlin.bareiss_det(m) == det
             assert exactlin.nullity_at(m, 0) == n - len(cols)
-            if m == exactlin.transpose(m):
+            if m == transpose(m):
                 assert positive_definite(m) == leading_minors_positive(m)
 
 
@@ -305,7 +309,7 @@ def wide_oracle_matrix(rng):
     if kind == "gram":
         width = rng.randint(1, nc)
         b = [[rng.randint(-big, big) for _ in range(width)] for _ in range(nr)]
-        m = exactlin.mat_mul(b, exactlin.transpose(b))
+        m = exactlin.mat_mul(b, transpose(b))
         shift = rng.choice((0, 1, -1))
         return [[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
     m = [[0] * nr for _ in range(nr)]
@@ -329,7 +333,7 @@ def test_modular_rank_nullity_definiteness_match_pivots():
             shifted = [[x - lam * (i == j) for j, x in enumerate(row)]
                        for i, row in enumerate(m)]
             assert exactlin.nullity_at(m, lam) == n - pivots_rank(shifted)
-            if m == exactlin.transpose(m):
+            if m == transpose(m):
                 definite = pivots_positive_definite(m)
                 assert positive_definite(m) == definite
                 seen[definite] += 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from equilines import golay
+from equilines import cli, golay
 
 
 def row_bits(mask, lo, hi):
@@ -104,14 +104,35 @@ def test_octads_through_rejects_bad_coordinate(code):
 
 
 def test_generation_deterministic(code):
-    again, _ = golay.standard_code()
+    again = golay.generate_code(golay.build_generator())
     assert again.words == code.words
     assert again.octads == code.octads
 
 
-def test_standard_code_returns_the_gates_it_validated(code):
-    again, gates = golay.standard_code()
+def test_pipeline_returns_the_gates_it_validated(code):
+    again, gates = cli.Pipeline(cli.RunConfig()).gated_code
+    assert again.words == code.words
     assert gates == golay.validation_gates(again) and all(gates.values())
+
+
+def test_build_generator_generates_no_code(monkeypatch, code):
+    def fail(*args):
+        raise RuntimeError("code generated")
+    monkeypatch.setattr(golay, "generate_code", fail)
+    monkeypatch.setattr(golay, "validation_gates", fail)
+    assert golay.build_generator() == code.generator
+
+
+def test_left_shift_circulant_fails_only_the_filter_octads(code):
+    # the same bordered circulant with each row of the 11x11 block shifted
+    # left instead of right: a [24,12,8] code without the octads C1 and C2
+    first, n = golay.CIRCULANT_FIRST_ROW, len(golay.CIRCULANT_FIRST_ROW)
+    rows = [code.generator[0]] + [
+        1 << i | 1 << 12 | sum(first[(j + i - 1) % n] << 13 + j for j in range(n))
+        for i in range(1, 12)]
+    assert rows[1] == code.generator[1] and rows[2] != code.generator[2]
+    gates = golay.validation_gates(golay.generate_code(rows))
+    assert {name for name, ok in gates.items() if not ok} == {"c1_in_code", "c2_in_code"}
 
 
 def test_rank_deficient_generator_rejected(code):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from equilines import cli, construct, exactlin, search, seidel
-from test_exactlin import positive_definite
+from test_exactlin import positive_definite, transpose
 from test_seidel import nullity_spectrum
 
 
@@ -21,7 +21,7 @@ def drop_member(system, index):
 
 def test_greedy_basis_is_independent(final54):
     rows = final54.matrix()
-    basis = search.greedy_basis(rows, 18)
+    basis = search.greedy_basis(final54.gram, 18)
     assert len(basis) == 18
     assert exactlin.rank([rows[i] for i in basis]) == 18
 
@@ -37,14 +37,14 @@ def incremental_rank_basis(rows, target_rank):
     raise ValueError(f"rows span rank {len(chosen)} < {target_rank}")
 
 
-@pytest.mark.parametrize("drop", [None, 0, 4, 23])
+@pytest.mark.parametrize("drop", [None, *range(54)])
 def test_greedy_basis_matches_incremental_rank(final54, drop):
     system = final54 if drop is None else drop_member(final54, drop)
     rows = system.matrix()
     r = system.ambient_dim
-    assert search.greedy_basis(rows, r) == incremental_rank_basis(rows, r)
+    assert search.greedy_basis(system.gram, r) == incremental_rank_basis(rows, r)
     with pytest.raises(ValueError):
-        search.greedy_basis(rows, r + 1)
+        search.greedy_basis(system.gram, r + 1)
 
 
 def test_not_extendible(final54):
@@ -58,12 +58,14 @@ def gray_loop_witnesses(system):
     """The witnesses of check_extendibility by the pure-Python reference:
     a Gray-code walk over all 2^r sign patterns eps that keeps
     z = adj @ eps up to date with one column per step and tests each
-    pattern on the unreduced adjugate, in increasing Gray index."""
+    pattern on the unreduced adjugate, in increasing Gray index. The basis,
+    its Gram matrix and the inner products come from the members'
+    coordinates, not from system.gram."""
     rows = system.matrix()
     r = system.ambient_dim
-    bmat = [rows[i] for i in search.greedy_basis(rows, r)]
-    det, adj = exactlin.adjugate(exactlin.mat_mul(bmat, exactlin.transpose(bmat)))
-    lift = exactlin.mat_mul(exactlin.transpose(bmat), adj)
+    bmat = [rows[i] for i in incremental_rank_basis(rows, r)]
+    det, adj = exactlin.adjugate(exactlin.mat_mul(bmat, transpose(bmat)))
+    lift = exactlin.mat_mul(transpose(bmat), adj)
     inner = exactlin.mat_mul(rows, lift)
     eps = [-16] * r
     z = [sum(adj[i][j] * eps[j] for j in range(r)) for i in range(r)]
@@ -97,9 +99,8 @@ def test_pattern_scan_matches_gray_loop_oracle(final54):
 
 
 def test_adjugate_off_by_one_entry_fails_check(final54):
-    rows = final54.matrix()
-    bmat = [rows[i] for i in search.greedy_basis(rows, 18)]
-    gram = exactlin.mat_mul(bmat, exactlin.transpose(bmat))
+    basis = search.greedy_basis(final54.gram, 18)
+    gram = final54.gram[np.ix_(basis, basis)].tolist()
     det, adj = exactlin.adjugate(gram)
     assert det.bit_length() > 64          # the raw adjugate is beyond int64
     exactlin.check_adjugate(gram, det, adj)
@@ -128,6 +129,16 @@ def test_drop_one_control_finds_removed_member(final54):
     v = tuple(Fraction(x) for x in removed.coords)
     neg = tuple(-x for x in v)
     assert v in report.witnesses or neg in report.witnesses
+
+
+def test_verify_witness_checks_the_scaled_integer_vector(final54):
+    # the removed member, scaled by d = 3, re-checks against the kept ones
+    rows = drop_member(final54, 0).matrix()
+    dw = [3 * x for x in final54.vectors[0].coords]
+    search._verify_witness(rows, dw, 3)
+    for bad_dw, bad_d in ((dw, 1), ([x + (i == 5) for i, x in enumerate(dw)], 3)):
+        with pytest.raises(AssertionError):
+            search._verify_witness(rows, bad_dw, bad_d)
 
 
 def test_witnesses_verified_exactly(final54):
