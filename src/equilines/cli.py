@@ -82,9 +82,25 @@ class Pipeline:
         return cert
 
 
+def claim_inputs(claim_id, config):
+    """The inputs a claim's certificate digests, for its command and for a
+    certificate that a stage error fails. remark.cliques and spectrum.S
+    digest the systems and the matrix they check (construct.verify_remark,
+    seidel.certify_spectrum); a stage error leaves those unbuilt, None."""
+    return {
+        "golay.gates": {"command": "golay", "corrupt": config.corrupt_generator},
+        # "stage" is a fixed input, kept so that the certificate's digest holds
+        "theorem1.count": {"command": "construct", "stage": "final"},
+        "remark.cliques": {"full": None, "final": None},
+        "spectrum.S": {"matrix": None, "claim": S54_SPECTRUM.as_dict()},
+        "aut.order": {"command": "aut"},
+        "maximality": {"command": "maximality", "drop_line": config.drop_line},
+        "subscan.unique": {"command": "subscan", "orders": sorted(config.orders)},
+    }[claim_id]
+
+
 def cmd_golay(pipeline):
-    b = CertificateBuilder(
-        "golay.gates", {"command": "golay", "corrupt": pipeline.config.corrupt_generator})
+    b = CertificateBuilder("golay.gates", claim_inputs("golay.gates", pipeline.config))
     code, gates = pipeline.gated_code
     for name, ok in gates.items():
         b.check(name, ok)
@@ -96,8 +112,7 @@ def cmd_golay(pipeline):
 
 
 def cmd_construct(pipeline):
-    # "stage" is a fixed input, kept so that the certificate's digest holds
-    b = CertificateBuilder("theorem1.count", {"command": "construct", "stage": "final"})
+    b = CertificateBuilder("theorem1.count", claim_inputs("theorem1.count", pipeline.config))
     full, final = pipeline.asche, pipeline.final
     b.check("asche_count_72", len(full) == 72, len(full))
     b.check("asche_rank_19", full.ambient_dim == 19, full.ambient_dim)
@@ -137,7 +152,7 @@ def cmd_aut(pipeline):
     than hidden, and the certificate passes iff the signed order is 216
     and all generators verify.
     """
-    b = CertificateBuilder("aut.order", {"command": "aut"})
+    b = CertificateBuilder("aut.order", claim_inputs("aut.order", pipeline.config))
     s = pipeline.seidel_matrix
     signed_result = seidel.signed_automorphism_group(s)
     perm_result = seidel.automorphism_order(s)
@@ -153,7 +168,8 @@ def cmd_aut(pipeline):
     b.note("signed_order", signed_result.order)
     b.note(
         "signed_generators_1based",
-        [[[t + 1, sign] for t, sign in g] for g in signed_result.generators],
+        [[[t + 1, sign] for t, sign in seidel.signed_pairs(g)]
+         for g in signed_result.generators],
     )
     b.check(
         "signed_generators_preserve_matrix",
@@ -170,9 +186,7 @@ def cmd_aut(pipeline):
 
 def cmd_maximality(pipeline):
     config = pipeline.config
-    b = CertificateBuilder(
-        "maximality", {"command": "maximality", "drop_line": config.drop_line}
-    )
+    b = CertificateBuilder("maximality", claim_inputs("maximality", config))
     system = pipeline.final
     if config.drop_line is not None:
         kept = [v for i, v in enumerate(system.vectors) if i != config.drop_line]
@@ -196,10 +210,7 @@ def cmd_maximality(pipeline):
 
 def cmd_subscan(pipeline):
     config = pipeline.config
-    b = CertificateBuilder(
-        "subscan.unique",
-        {"command": "subscan", "orders": sorted(config.orders)},
-    )
+    b = CertificateBuilder("subscan.unique", claim_inputs("subscan.unique", config))
     s = pipeline.seidel_matrix
     spectrum = pipeline.spectrum
     if not spectrum.passed:
@@ -282,8 +293,8 @@ def run_command(config):
         try:
             certificates.append(fn(pipeline))
         except STAGE_ERRORS as exc:
-            b = CertificateBuilder(CLAIM_IDS[fn], {"command": config.command,
-                                                   "corrupt": config.corrupt_generator})
+            claim_id = CLAIM_IDS[fn]
+            b = CertificateBuilder(claim_id, claim_inputs(claim_id, config))
             b.check("stages_built", False, f"{type(exc).__name__}: {exc}")
             certificates.append(b.build())
     return certificates

@@ -27,7 +27,7 @@ from .construct import SCALED_ANGLE, SCALED_NORM
 SCREEN_PRIME = 1_048_573        # prime, below 2^20
 SCREEN_SEED = 54                # fixes the screen vector v
 SCREEN_BATCH = 128              # subsets per batch; small keeps memory flat
-SCAN_BLOCK = 1 << 14            # int64 entries per pattern-scan block (128 KiB)
+SCAN_BLOCK = 1 << 14            # int64 entries per pattern-scan or orbit-level block (128 KiB)
 
 
 @dataclass
@@ -200,7 +200,7 @@ def _verify_witness(rows, dw, d):
 
 def switching_automorphisms(s):
     """The permutation parts of the signed automorphisms of s, a group."""
-    return {tuple(t for t, _ in g) for g in seidel.signed_automorphism_group(s).elements}
+    return set(seidel.permutation_parts(seidel.signed_automorphism_group(s).elements, s.n))
 
 
 def orbit_representatives(perms, n, k):
@@ -234,24 +234,45 @@ def orbit_representatives(perms, n, k):
 
 def _orbit_levels(perms, n):
     """orbit_representatives(perms, n, k) for k = 0, 1, 2, ..., level k
-    built from level k - 1 only when it is asked for. Per parent R one
-    (n - start, |perms|) int64 array holds the image masks of every
-    candidate R + {x}."""
+    built from level k - 1 only when it is asked for.
+
+    Level k is built from all its parents R at once. The candidates are
+    the pairs (R, x), x > max R, in parent-major order, which is
+    combinations order. Candidate c = (R, x) has the image masks
+    images[c, g] = mask(g(R)) + bits[x, g], one per g in perms; it is kept
+    iff none exceeds its own mask, and its orbit size is the number of
+    steps in its sorted row, plus one. The candidates run in blocks of at
+    most SCAN_BLOCK image masks (one candidate if its row is longer), and
+    each block sums the masks of only the parents it touches. Every
+    parent kept has a candidate, so a block touches at most as many
+    parents as it holds candidates, and its arrays hold at most k
+    SCAN_BLOCK entries, whatever the level's size."""
     if n > 63:
         raise ValueError(f"{n} points do not fit in int64 subset masks (at most 63)")
     bits = np.left_shift(np.int64(1), n - 1 - np.array(list(perms), dtype=np.int64).T)
     own = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
-    reps, sizes = [()], [1]
+    width = max(1, SCAN_BLOCK // bits.shape[1])             # candidates per block
+    empty = np.zeros(0, dtype=np.int64)
+    reps, sizes = np.zeros((1, 0), dtype=np.int64), [1]
     while True:
-        yield reps, sizes
-        parents, reps, sizes = reps, [], []
-        for rep in parents:
-            start = rep[-1] + 1 if rep else 0
-            candidates = bits[list(rep)].sum(axis=0) + bits[start:]  # row x - start: g(rep + {x})
-            keep = np.flatnonzero(candidates.max(axis=1) <= own[list(rep)].sum() + own[start:])
-            steps = np.diff(np.sort(candidates[keep], axis=1), axis=1)
-            sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
-            reps.extend(rep + (x,) for x in (start + keep).tolist())
+        yield list(map(tuple, reps.tolist())), sizes
+        start = reps[:, -1] + 1 if reps.shape[1] else np.zeros(len(reps), dtype=np.int64)
+        reps, start = reps[start < n], start[start < n]     # parents with a candidate
+        count = n - start
+        parent = np.repeat(np.arange(len(reps)), count)
+        x = np.arange(len(parent)) + np.repeat(n - np.cumsum(count), count)  # start..n-1 each
+        blocks = [(empty, empty, empty)]
+        for lo in range(0, len(parent), width):
+            p, y = parent[lo:lo + width], x[lo:lo + width]
+            rows, local = reps[p[0]:p[-1] + 1], p - p[0]
+            images = bits[y]
+            images += bits[rows].sum(axis=1)[local]
+            keep = images.max(axis=1) <= own[rows].sum(axis=1)[local] + own[y]
+            kept = images[keep]
+            kept.sort(axis=1)
+            blocks.append((p[keep], y[keep], 1 + (kept[:, 1:] != kept[:, :-1]).sum(axis=1)))
+        p, y, size = (np.concatenate(part) for part in zip(*blocks))
+        reps, sizes = np.column_stack([reps[p], y]), size.tolist()
 
 
 def _orbit(perms, removed):

@@ -9,6 +9,10 @@ switching canonical form come from one search over the descendants of S
 (switch row v to all +1, drop v), which labels one vertex per orbit of
 the signed automorphisms found so far (_switching_search); the
 permutation group of S is the part of the signed group with all signs +1.
+A signed permutation is a permutation of 2n points, (i, s) being the
+point 2i + (s > 0), so the signed and the plain groups share one
+composition (_compose), one closure (_generate) and one choice of
+generators (_greedy_generators).
 Refinement is McKay's splitter queue (_refine): canonical_graph_form
 proves that it yields the coarsest equitable partition, in an order that
 commutes with relabelling.
@@ -53,6 +57,13 @@ class SeidelMatrix:
 
     def as_lists(self):
         return [list(r) for r in self.rows]
+
+    @functools.cached_property
+    def array(self):
+        """The rows as a read-only (n, n) int64 array, built once."""
+        a = np.array(self.rows, dtype=np.int64).reshape(self.n, self.n)
+        a.flags.writeable = False
+        return a
 
     def principal_submatrix(self, keep):
         keep = list(keep)
@@ -521,15 +532,13 @@ def find_isomorphism(n, adj_src, adj_dst):
 
 
 def _compose(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
+    """Apply q, then p: position i holds p[q[i]]."""
+    if len(q) < 2:                          # itemgetter of one index returns a scalar
+        return tuple(p[i] for i in q)
+    return itemgetter(*q)(p)
 
 
-def _signed_compose(a, b):
-    """Apply b, then a."""
-    return tuple((a[tb][0], sb * a[tb][1]) for tb, sb in b)
-
-
-def _extend(group, gens, compose):
+def _extend(group, gens):
     """Grow group, the set of elements generated by gens[:-1], into the
     group generated by gens, and return it: Dimino's algorithm.
 
@@ -544,41 +553,66 @@ def _extend(group, gens, compose):
     """
     coset = list(group)
     reps = [gens[-1]]
-    group.update(compose(h, gens[-1]) for h in coset)
+    group.update(_compose(h, gens[-1]) for h in coset)
     for r in reps:                          # reps grows while it is read
         for g in gens:
-            q = compose(r, g)
+            q = _compose(r, g)
             if q not in group:
                 reps.append(q)
-                group.update(compose(h, q) for h in coset)
+                group.update(_compose(h, q) for h in coset)
     return group
 
 
-def _generate(identity, gens, compose):
+def _generate(identity, gens):
     """All elements of the finite group generated by gens, extended by one
     generator at a time."""
     group = {identity}
     for k, g in enumerate(gens):
         if g not in group:
-            _extend(group, gens[:k + 1], compose)
+            _extend(group, gens[:k + 1])
     return group
 
 
-def _greedy_generators(identity, elements, compose):
-    """The generators taken, in sorted order, from elements that are not
+def _greedy_generators(identity, elements):
+    """The generators taken, in the order given, from elements that are not
     yet generated by those taken before; the group grows with each."""
     gens = []
     group = {identity}
-    for p in sorted(elements):
+    for p in elements:
         if p not in group:
             gens.append(p)
-            _extend(group, gens, compose)
+            _extend(group, gens)
     return gens
 
 
 def minimal_generators(n, elements):
-    """Greedy generating subset of a permutation group given all elements."""
-    return _greedy_generators(tuple(range(n)), elements, _compose)
+    """Greedy generating subset of a permutation group given all elements,
+    taken in sorted order."""
+    return _greedy_generators(tuple(range(n)), sorted(elements))
+
+
+def _on_points(perm, signs):
+    """The signed permutation i -> signs[i] perm[i] on the 2n points:
+    (i, side) goes to (perm[i], signs[i] side)."""
+    return tuple(2 * t + (sign * side > 0) for t, sign in zip(perm, signs) for side in (-1, 1))
+
+
+def permutation_parts(elements, n):
+    """The permutation part of each signed permutation on the 2n points:
+    the target of each i is half the image of the point (i, +1)."""
+    halves = tuple(x >> 1 for x in range(2 * n))
+    return [_compose(halves, m[1::2]) for m in elements]
+
+
+# the order of the signed elements: m[1::2] is monotone in the (target,
+# sign) pairs, as (t, -1) and (t, +1) are the points 2t and 2t + 1
+_SIGNED_ORDER = itemgetter(slice(1, None, 2))
+
+
+def signed_pairs(m):
+    """A signed permutation on the 2n points as (target, sign) pairs: column
+    i of its matrix has the nonzero entry sign at row target."""
+    return tuple((x >> 1, 1 if x & 1 else -1) for x in m[1::2])
 
 
 def automorphism_order(s):
@@ -586,15 +620,18 @@ def automorphism_order(s):
     read off signed_automorphism_group(s) with no search of its own.
 
     P preserves S iff the signed matrix (P, all signs +1) does, so the
-    group is the permutation parts of the signed elements whose signs are
-    all +1. It is complete because the signed group is (its order is
-    checked by orbit-stabilizer), and it is a subgroup: products and
-    inverses of permutation matrices are permutation matrices. The greedy
-    generators generate it by construction: an element is taken whenever
-    those taken before do not generate it.
+    group is the permutation parts (permutation_parts) of the signed
+    elements whose signs are all +1, in their order. It is complete
+    because the signed group is (its order is checked by
+    orbit-stabilizer), and it is a subgroup: products and inverses of
+    permutation matrices are permutation matrices. The greedy generators
+    generate it by construction: an element is taken whenever those taken
+    before do not generate it.
     """
-    plain = [tuple(t for t, _ in g) for g in signed_automorphism_group(s).elements
-             if all(sign == 1 for _, sign in g)]
+    # the targets are a permutation, so sum(g[1::2]) is n(n - 1) plus the
+    # number of signs +1
+    plain = permutation_parts([g for g in signed_automorphism_group(s).elements
+                               if sum(g[1::2]) == s.n * s.n], s.n)
     return AutGroupResult(generators=tuple(minimal_generators(s.n, plain)),
                           elements=tuple(plain))
 
@@ -617,8 +654,12 @@ def _descendant(s, v):
 class AutGroupResult:
     """A group preserving S: permutations P (tuples of the images of
     0..n-1) with P^T S P = S, or signed permutation matrices M with
-    M^T S M = S, as tuples of (target, sign) pairs: column i of M has its
-    nonzero entry sign at row target."""
+    M^T S M = S. Column i of M has its nonzero entry sign at row target;
+    M is the permutation of the 2n points that takes (i, side) to
+    (target, sign side), the point (i, s) being 2i + (s > 0). So m[2i + 1]
+    is 2 target + (sign > 0), and m[2i] is m[2i + 1] ^ 1 (signed_pairs
+    reads the pairs back). Permutations are sorted as tuples, signed
+    ones by m[1::2], which sorts them as tuples of (target, sign) pairs."""
 
     generators: tuple
     elements: tuple              # the whole group, sorted
@@ -629,23 +670,20 @@ class AutGroupResult:
 
 
 def _signed_preserves(s, m):
-    n = s.n
-    return all(
-        s.rows[m[i][0]][m[j][0]] * m[i][1] * m[j][1] == s.rows[i][j]
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    """Whether the signed permutation m on the 2n points preserves S:
+    S[t_i, t_j] s_i s_j = S[i, j] for every i, j, with (t_i, s_i) the
+    image of the point (i, +1), checked as one int64 array comparison."""
+    up = np.array(m[1::2], dtype=np.int64)
+    t, sign = up >> 1, 2 * (up & 1) - 1
+    return bool((s.array[t][:, t] * np.outer(sign, sign) == s.array).all())
 
 
 def _extend_to_signed(s, perm):
     """Extend a switching automorphism (a permutation for which some +/-1
-    diagonal makes it preserve S) to a signed permutation matrix."""
-    n = s.n
-    signs = [1] * n
+    diagonal makes it preserve S) to a signed permutation on the 2n points."""
     anchor = perm[0]
-    for i in range(1, n):
-        signs[i] = s.rows[i][0] * s.rows[perm[i]][anchor]
-    m = tuple((perm[i], signs[i]) for i in range(n))
+    signs = [1] + [s.rows[i][0] * s.rows[perm[i]][anchor] for i in range(1, s.n)]
+    m = _on_points(perm, signs)
     if not _signed_preserves(s, m):
         raise AssertionError("claimed switching automorphism does not extend")
     return m
@@ -678,7 +716,7 @@ def _switching_search(s):
     n = s.n
     rest0, adj0 = _descendant(s, 0)
     first = canonical_graph_form(n - 1, adj0)
-    gens = [tuple((i, -1) for i in range(n))]
+    gens = [_on_points(range(n), [-1] * n)]
     for g in minimal_generators(n - 1, first.automorphisms):
         perm = [0] * n
         for pos, v in enumerate(rest0):
@@ -691,9 +729,10 @@ def _switching_search(s):
         while frontier:
             v = frontier.pop()
             for g in gens:
-                if g[v][0] not in reached:
-                    reached.add(g[v][0])
-                    frontier.append(g[v][0])
+                u = g[2 * v + 1] >> 1
+                if u not in reached:
+                    reached.add(u)
+                    frontier.append(u)
         if w in reached:
             continue
         labelled.append(w)
@@ -712,12 +751,16 @@ def _switching_search(s):
 @functools.lru_cache(maxsize=1)
 def signed_automorphism_group(s):
     """The group of signed permutation matrices preserving S, with all of
-    its elements.
+    its elements, as permutations of the 2n points (AutGroupResult).
 
     Its generators come from _switching_search, which proves that they
     generate the whole group. Each is re-verified, the closure is
     enumerated, and its order is checked by orbit-stabilizer at vertex 0:
-    |group| = 2 * |Aut(descendant_0)| * |orbit of 0|. The result for the
+    |group| = 2 * |Aut(descendant_0)| * |orbit of 0|, where the image of
+    the point (0, +1), m[1], is in the pair of points of vertex m[1] >> 1.
+    The elements are sorted by m[1::2], the greedy generators taken in
+    that order: as m[1::2] is monotone in the (target, sign) pairs, both
+    are those of the group on the pairs. The result for the
     last (frozen) matrix is cached, and every other group is read off it:
     the permutation group (automorphism_order) and the sub-matrix scan's
     group (search.switching_automorphisms).
@@ -729,15 +772,16 @@ def signed_automorphism_group(s):
     for g in gens:
         if not _signed_preserves(s, g):
             raise AssertionError("signed generator fails to preserve S")
-    identity = tuple((i, 1) for i in range(n))
-    group = _generate(identity, gens, _signed_compose)
-    expected = 2 * aut0 * len({g[0][0] for g in group})
+    identity = tuple(range(2 * n))
+    group = _generate(identity, gens)
+    expected = 2 * aut0 * len({g[1] >> 1 for g in group})
     if len(group) != expected:
         raise AssertionError(
             f"signed closure has order {len(group)}, orbit-stabilizer gives {expected}"
         )
-    minimal = _greedy_generators(identity, group, _signed_compose)
-    return AutGroupResult(generators=tuple(minimal), elements=tuple(sorted(group)))
+    elements = tuple(sorted(group, key=_SIGNED_ORDER))
+    return AutGroupResult(generators=tuple(_greedy_generators(identity, elements)),
+                          elements=elements)
 
 
 def switching_canonical_form(s):

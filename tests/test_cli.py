@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
+from equilines.certificate import digest_of
 
 
 def run(args):
@@ -265,6 +266,35 @@ def test_code_error_fails_every_certificate(monkeypatch):
     assert all(c.details["first_failure"] == {
         "check": "stages_built", "witness": "CodeValidationError: no code"}
         for c in certs)
+
+
+def test_stage_error_keeps_each_claims_digest(monkeypatch):
+    # a certificate failed by a stage error digests the inputs its claim
+    # digests in a run that builds every stage; remark.cliques and
+    # spectrum.S digest the systems and the matrix, which are never built
+    configs = [cli.RunConfig(command="all"),
+               cli.RunConfig(command="golay", corrupt_generator=True),
+               cli.RunConfig(command="maximality", drop_line=4),
+               cli.RunConfig(command="subscan", orders=(52, 53))]
+    built = [cli.run_command(config) for config in configs]
+
+    def reject(generator):
+        raise golay.CodeValidationError("no code")
+    monkeypatch.setattr(golay, "generate_code", reject)
+    unbuilt = {"remark.cliques": {"full": None, "final": None},
+               "spectrum.S": {"matrix": None, "claim": cli.S54_SPECTRUM.as_dict()}}
+    for config, certs in zip(configs, built):
+        failed = cli.run_command(config)
+        assert [c.claim_id for c in failed] == [c.claim_id for c in certs]
+        for cert, passing in zip(failed, certs):
+            assert cert.details["first_failure"]["check"] == "stages_built"
+            if cert.claim_id in unbuilt:
+                assert cert.inputs_digest == digest_of(unbuilt[cert.claim_id])
+                assert cert.inputs_digest != passing.inputs_digest
+            else:
+                assert cert.inputs_digest == passing.inputs_digest
+    digests = [c.inputs_digest for c in cli.run_command(configs[0])]
+    assert len(set(digests)) == len(cli.CLAIM_IDS)
 
 
 def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):

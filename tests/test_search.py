@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -361,18 +362,70 @@ def test_orbit_representatives_match_least_bitmask_oracle(s54):
             assert sum(sizes) == math.comb(n, k)
 
 
+def random_perm_sets():
+    """50 sets of 1-4 random permutations of n <= 8 points, rarely groups."""
+    rng = random.Random(37)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        yield n, [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 4))]
+
+
 def test_orbit_representatives_of_any_perm_set():
     # heredity holds for any set of permutations, group or not: the kept
     # subsets are all those with no lexicographically smaller image, and
     # each size is a count of distinct images, not |perms| / |stabiliser|
-    rng = random.Random(37)
-    for _ in range(50):
-        n = rng.randint(1, 8)
-        perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 4))]
+    for n, perms in random_perm_sets():
         for k in range(n + 1):
             kept = [t for t in combinations(range(n), k) if min(images_of(perms, t)) >= t]
             assert search.orbit_representatives(perms, n, k) == (
                 kept, [len(images_of(perms, t)) for t in kept])
+
+
+def reference_orbit_levels(perms, n):
+    """Oracle for _orbit_levels: one parent R at a time, with one
+    (n - start, |perms|) array of the image masks of its candidates
+    R + {x}, x >= start = max R + 1."""
+    bits = np.left_shift(np.int64(1), n - 1 - np.array(list(perms), dtype=np.int64).T)
+    own = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
+    reps, sizes = [()], [1]
+    while True:
+        yield reps, sizes
+        parents, reps, sizes = reps, [], []
+        for rep in parents:
+            start = rep[-1] + 1 if rep else 0
+            candidates = bits[list(rep)].sum(axis=0) + bits[start:]  # row x - start: g(rep + {x})
+            keep = np.flatnonzero(candidates.max(axis=1) <= own[list(rep)].sum() + own[start:])
+            steps = np.diff(np.sort(candidates[keep], axis=1), axis=1)
+            sizes.extend((1 + np.count_nonzero(steps, axis=1)).tolist())
+            reps.extend(rep + (x,) for x in (start + keep).tolist())
+
+
+def test_orbit_levels_match_per_parent_oracle(s54, monkeypatch):
+    cases = list(group_cases(s54))
+    cases += [(n, perms, n) for n, perms in random_perm_sets()]
+    cases.append((0, [()], 2))
+    for n, perms, top in cases:
+        expected = list(islice(reference_orbit_levels(perms, n), top + 1))
+        assert list(islice(search._orbit_levels(perms, n), top + 1)) == expected
+        # blocks of one group's width hold one candidate each, so the
+        # candidates of one parent span several blocks
+        monkeypatch.setattr(search, "SCAN_BLOCK", len(perms))
+        assert list(islice(search._orbit_levels(perms, n), top + 1)) == expected
+        monkeypatch.undo()
+
+
+def test_orbit_levels_memory_budget(s54):
+    # tracemalloc sees numpy's buffers: building level 4 of S54 in blocks
+    # of SCAN_BLOCK masks peaks near 1 MiB, all its candidates at once
+    # would take 6 MiB
+    perms = search.switching_automorphisms(s54)
+    tracemalloc.start()
+    try:
+        search.orbit_representatives(perms, 54, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_orbit_representatives_mask_width():

@@ -355,7 +355,7 @@ def test_automorphisms_match_brute_force_random():
 def test_generators_generate_whole_group():
     s = cycle_seidel(6)
     result = seidel.automorphism_order(s)
-    closure = seidel._generate(tuple(range(s.n)), list(result.generators), seidel._compose)
+    closure = seidel._generate(tuple(range(s.n)), list(result.generators))
     assert len(closure) == result.order
 
 
@@ -449,6 +449,29 @@ def test_switching_canonical_form_separates_classes():
         assert len(forms) == 1
 
 
+def to_points(pairs):
+    """A signed permutation given as (target, sign) pairs, on the 2n points:
+    (i, side) is point 2i + (side > 0) and goes to (target, sign side)."""
+    return tuple(2 * t + (sign * side > 0) for t, sign in pairs for side in (-1, 1))
+
+
+def as_pairs(m):
+    """The inverse of to_points, checking that m moves each pair of points
+    (i, -1), (i, +1) onto one pair."""
+    assert all(m[2 * i] == m[2 * i + 1] ^ 1 for i in range(len(m) // 2))
+    return tuple((x // 2, 1 if x % 2 else -1) for x in m[1::2])
+
+
+def reference_signed_preserves(s, pairs):
+    """Oracle for _signed_preserves: one entry at a time, on the pairs."""
+    n = s.n
+    return all(
+        s.rows[pairs[i][0]][pairs[j][0]] * pairs[i][1] * pairs[j][1] == s.rows[i][j]
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
 def test_signed_automorphism_group_consistency():
     rng = random.Random(101)
     for _ in range(20):
@@ -466,10 +489,28 @@ def test_signed_automorphism_group_consistency():
             count = 0
             for p in permutations(range(n)):
                 for signs in product([1, -1], repeat=n):
-                    m = tuple((p[i], signs[i]) for i in range(n))
-                    if seidel._signed_preserves(s, m):
-                        count += 1
+                    pairs = tuple((p[i], signs[i]) for i in range(n))
+                    preserved = seidel._signed_preserves(s, to_points(pairs))
+                    assert preserved == reference_signed_preserves(s, pairs)
+                    count += preserved
             assert count == result.order
+
+
+def test_signed_preserves_matches_entrywise_oracle(s54):
+    rng = random.Random(103)
+    cases = [(s54, gen) for gen in seidel._switching_search(s54)[2]]
+    for _ in range(200):
+        s = random_seidel(rng, rng.randint(0, 9))
+        p = rng.sample(range(s.n), s.n)
+        cases.append((s, to_points((t, rng.choice((1, -1))) for t in p)))
+    cases += [(s, seidel._on_points(range(s.n), [-1] * s.n)) for s, _ in cases[:50]]
+    preserved = 0
+    for s, m in cases:
+        expected = reference_signed_preserves(s, as_pairs(m))
+        assert seidel._signed_preserves(s, m) == expected
+        assert seidel.signed_pairs(m) == as_pairs(m)
+        preserved += expected
+    assert 50 < preserved < len(cases)
 
 
 def random_graph(rng, n, density):
@@ -837,6 +878,26 @@ def test_chain_beyond_exact_float64_raises():
         seidel.SpectrumClaim.make({-1: 2, 2: 1}))
 
 
+def reference_signed_compose(a, b):
+    """Oracle for _compose on the 2n points: apply b, then a, on (target,
+    sign) pairs."""
+    return tuple((a[tb][0], sb * a[tb][1]) for tb, sb in b)
+
+
+def test_compose_of_short_tuples():
+    # itemgetter of a single index returns a scalar, not a tuple
+    assert seidel._compose((), ()) == ()
+    assert seidel._compose((0,), (0,)) == (0,)
+    assert seidel._compose((1, 0), (1, 0)) == (0, 1)
+    assert seidel._compose((1, 0), (0, 1)) == (1, 0)
+    assert seidel._compose((0, 1), (1, 0)) == (1, 0)
+    rng = random.Random(107)
+    for n in range(8):
+        for _ in range(10):
+            p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+            assert seidel._compose(p, q) == tuple(p[q[i]] for i in range(n))
+
+
 def bfs_generate(identity, gens, compose):
     """Oracle for _generate: breadth first from the identity, every
     element times every generator."""
@@ -856,9 +917,9 @@ def bfs_generate(identity, gens, compose):
 
 def regenerating_greedy_generators(identity, elements, compose):
     """Oracle for _greedy_generators: the whole group regenerated from the
-    identity after each generator taken."""
+    identity after each generator taken, in the order given."""
     gens, group = [], {identity}
-    for p in sorted(elements):
+    for p in elements:
         if p not in group:
             gens.append(p)
             group = bfs_generate(identity, gens, compose)
@@ -872,19 +933,32 @@ def test_group_closure_and_greedy_generators_match_bfs_oracles(s54):
     for s in matrices:
         result = seidel.signed_automorphism_group(s)
         signed = result.elements
-        identity = tuple((i, 1) for i in range(s.n))
+        identity = tuple(range(2 * s.n))
         gens = list(seidel._switching_search(s)[2]) if s.n else []
         for some in (gens, gens[::-1], list(result.generators), signed[:3]):
-            assert (seidel._generate(identity, some, seidel._signed_compose)
-                    == bfs_generate(identity, some, seidel._signed_compose))
-        assert (seidel._greedy_generators(identity, signed, seidel._signed_compose)
-                == regenerating_greedy_generators(identity, signed, seidel._signed_compose))
+            assert (seidel._generate(identity, some)
+                    == bfs_generate(identity, some, seidel._compose))
+        assert (seidel._greedy_generators(identity, signed)
+                == regenerating_greedy_generators(identity, signed, seidel._compose))
+        # on (target, sign) pairs, the reference composition closes the same
+        # group: the elements in sorted order and the greedy generators
+        # taken in that order are those on the 2n points
+        pair_identity = tuple((i, 1) for i in range(s.n))
+        closure = sorted(bfs_generate(pair_identity, [as_pairs(g) for g in gens],
+                                      reference_signed_compose))
+        assert [as_pairs(m) for m in signed] == closure
+        assert [as_pairs(g) for g in result.generators] == regenerating_greedy_generators(
+            pair_identity, closure, reference_signed_compose)
         plain = seidel.automorphism_order(s).elements
+        assert [tuple(t for t, _ in pairs) for pairs in closure
+                if all(sign == 1 for _, sign in pairs)] == list(plain)
         assert (seidel.minimal_generators(s.n, plain)
-                == regenerating_greedy_generators(tuple(range(s.n)), plain, seidel._compose))
+                == regenerating_greedy_generators(tuple(range(s.n)), sorted(plain),
+                                                  seidel._compose))
     symmetric = list(permutations(range(5)))
     assert (seidel.minimal_generators(5, symmetric)
-            == regenerating_greedy_generators(tuple(range(5)), symmetric, seidel._compose))
+            == regenerating_greedy_generators(tuple(range(5)), sorted(symmetric),
+                                              seidel._compose))
 
 
 def double_loop_bits(adj, perm):
