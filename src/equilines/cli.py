@@ -163,7 +163,7 @@ def cmd_aut(pipeline):
     )
     b.check(
         "permutation_generators_preserve_matrix",
-        all(seidel.permute(s, g).rows == s.rows for g in perm_result.generators),
+        all(np.array_equal(s.array[np.ix_(g, g)], s.array) for g in perm_result.generators),
     )
     b.note("signed_order", signed_result.order)
     b.note(

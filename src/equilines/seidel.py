@@ -13,9 +13,14 @@ A signed permutation is a permutation of 2n points, (i, s) being the
 point 2i + (s > 0), so the signed and the plain groups share one
 composition (_compose), one closure (_generate) and one choice of
 generators (_greedy_generators).
-Refinement is McKay's splitter queue (_refine): canonical_graph_form
-proves that it yields the coarsest equitable partition, in an order that
-commutes with relabelling.
+Refinement is McKay's splitter queue (_refine) on cells held as vertex
+bitmasks, the representation of nauty and Traces: each splitter's
+neighbour counts are bit-sliced, one int per bit of the count, and a
+cell splits by masking it against the slices, with no loop over its
+vertices. canonical_graph_form proves that refinement yields the
+coarsest equitable partition, in an order that commutes with
+relabelling. A descendant's adjacency masks are packed from S's array
+(_descendant).
 """
 
 import functools
@@ -366,46 +371,79 @@ def certify_spectrum(s, claim):
 
 def _refine(adj, cells, splitters):
     """Coarsest equitable refinement of an ordered partition, a list of
-    vertex lists left unmodified. splitters are cells of it such that any
-    refinement stable against them is stable against every cell.
+    cells held as vertex bitmasks, left unmodified. splitters are cells of
+    it such that any refinement stable against them is stable against
+    every cell.
 
     McKay's splitter queue: pop a queued cell C and split every cell, in
-    place, by its vertices' neighbour counts in C, pieces in increasing
-    count order. The pieces join the queue in that order: all of them if
-    the cell was queued (its entry is dropped), else all but the first
-    largest. Stop when the queue is empty or the partition is discrete.
-    canonical_graph_form proves the result and its order.
+    partition order, by its vertices' neighbour counts in C, pieces in
+    increasing count order in its place. The pieces join the queue in
+    that order: all of them if the cell was queued (its entry is dropped),
+    else all but the first largest. Stop when the queue is empty or the
+    partition is discrete. A singleton never splits, so only the open
+    cells, those of two or more vertices, kept in partition order, are
+    tested.
+
+    The counts are bit-sliced: bit v of slices[i] is bit i of the count
+    of vertex v. Adding C's vertices u one at a time, each adds adj[u], a
+    1 at every neighbour of u, by ripple carry: slice i becomes slice i
+    XOR carry, and the carry into slice i + 1 is slice i AND carry, a new
+    top slice taking what is left. This is binary addition done for every
+    vertex at once, so the slices hold each count exactly. Splitting a
+    cell by the slices, most significant first, each piece into its part
+    with the bit clear and then its part with the bit set, orders the
+    pieces lexicographically by their bits from the top down: by
+    increasing count.
+
+    The queue is keyed by mask. A cell that splits leaves the set of
+    queued masks, and a partition only refines, so every later cell is a
+    proper subset of it: a stale mask never equals a live cell and is
+    skipped when popped. canonical_graph_form proves the result and its
+    order.
     """
+    cells = list(cells)
+    open_cells = [c for c in cells if c & (c - 1)]
     queue = deque(splitters)
-    queued = {id(c) for c in queue}     # queued cells stay alive, so ids are unique
-    while queue and len(cells) < len(adj):
+    queued = set(splitters)
+    while queue and open_cells:
         splitter = queue.popleft()
-        if id(splitter) not in queued:
-            continue                    # a queued cell that has since split
-        queued.remove(id(splitter))
-        mask = 0
-        for v in splitter:
-            mask |= 1 << v
-        refined = []
-        for cell in cells:
-            if len(cell) == 1:
-                refined.append(cell)
+        if splitter not in queued:
+            continue                    # a stale mask: its cell has since split
+        queued.remove(splitter)
+        slices = []
+        rest = splitter
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            carry = adj[low.bit_length() - 1]
+            for i, bits in enumerate(slices):
+                if not carry:
+                    break
+                slices[i] = bits ^ carry
+                carry &= bits
+            if carry:
+                slices.append(carry)
+        slices.reverse()
+        still_open = []
+        for cell in open_cells:
+            pieces = [cell]
+            for bits in slices:
+                high = cell & bits
+                if high and high != cell:
+                    pieces = [q for p in pieces for q in (p & ~bits, p & bits) if q]
+            if len(pieces) == 1:
+                still_open.append(cell)
                 continue
-            counts = [(adj[v] & mask).bit_count() for v in cell]
-            keys = set(counts)
-            if len(keys) == 1:
-                refined.append(cell)
-                continue
-            pieces = [[v for v, c in zip(cell, counts) if c == k] for k in sorted(keys)]
-            refined += pieces
-            if id(cell) in queued:
-                queued.remove(id(cell))
+            i = cells.index(cell)
+            cells[i:i + 1] = pieces
+            still_open += [p for p in pieces if p & (p - 1)]
+            if cell in queued:
+                queued.remove(cell)
             else:
-                largest = max(pieces, key=len)
-                pieces = [p for p in pieces if p is not largest]
+                pieces.remove(max(pieces, key=int.bit_count))
             queue.extend(pieces)
-            queued.update(map(id, pieces))
-        cells = refined
+            queued.update(pieces)
+        open_cells = still_open
     return cells
 
 
@@ -438,17 +476,23 @@ def canonical_graph_form(n, adj):
     """Canonical form, canonical labelling and automorphism group of a graph,
     from one individualization-refinement search with no pruning.
 
-    Each node refines its ordered partition to the coarsest equitable one
-    and branches on every vertex of the first non-singleton cell; a
-    discrete leaf is a labelling. A cell X is stable against a vertex set
-    C if all vertices of X have equally many neighbours in C, and the
-    partition is equitable if every cell is stable against every cell.
-    Stability passes to subsets of X. _refine (a splitter queue) is right:
+    Each node refines its ordered partition, a list of cells held as
+    vertex bitmasks, to the coarsest equitable one and branches on every
+    vertex of the first non-singleton cell, lowest bit first, so the
+    leaves come in lexicographic order of their paths; a discrete leaf is
+    a labelling. A cell X is stable against a vertex set C if all
+    vertices of X have equally many neighbours in C, and the partition is
+    equitable if every cell is stable against every cell. Stability
+    passes to subsets of X. _refine (a splitter queue) is right:
 
-    - Its queue, the order of the pieces and the positions they take
-      depend only on neighbour counts, cell positions and sizes, so
-      refining phi(P) with splitters phi(Q) gives phi of the refinement of
-      P, cell by cell, for any relabelling phi.
+    - Its counts are exact and its pieces come in increasing count order
+      (the bit slices of _refine), and its mask-keyed queue holds exactly
+      the live cells queued and not yet popped: a popped mask whose cell
+      has split is skipped, and no mask is made twice. So the queue, the
+      order of the pieces and the positions they take depend only on
+      neighbour counts, cell positions and sizes, and refining phi(P)
+      with splitters phi(Q) gives phi of the refinement of P, cell by
+      cell, for any relabelling phi.
     - If X is stable against C and against every piece of C but one, it
       is stable against that one too: its count there is the count in C
       less the others (Hopcroft). So the invariant "a refinement of the
@@ -484,9 +528,9 @@ def canonical_graph_form(n, adj):
     def rec(cells, splitters):
         nonlocal best_bits, best_leaves
         cells = _refine(adj, cells, splitters)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
-            leaf = tuple(c[0] for c in cells)
+            leaf = tuple(c.bit_length() - 1 for c in cells)
             bits = _adjacency_bits(rows, leaf)
             if best_bits is None or bits < best_bits:
                 best_bits, best_leaves = bits, [leaf]
@@ -494,12 +538,14 @@ def canonical_graph_form(n, adj):
                 best_leaves.append(leaf)
             return
         cell = cells[target]
-        for v in sorted(cell):
-            single = [v]
-            rec(cells[:target] + [single, [w for w in cell if w != v]] + cells[target + 1:],
-                [single])
+        head, tail = cells[:target], cells[target + 1:]
+        rest = cell
+        while rest:                     # the vertices of the cell, in increasing order
+            single = rest & -rest
+            rest ^= single
+            rec(head + [single, cell ^ single] + tail, [single])
 
-    root = [list(range(n))] if n else []
+    root = [(1 << n) - 1] if n else []
     rec(root, root)
     first = best_leaves[0]
     automorphisms = []
@@ -638,16 +684,15 @@ def automorphism_order(s):
 
 def _descendant(s, v):
     """Switch row v to all +1, drop v, return the {-1}-graph on the rest
-    as (vertex list, adjacency bitmasks over positions)."""
+    as (vertex list, adjacency bitmasks over positions): positions a, b
+    of vertices x, y are adjacent iff S[x, y] S[v, x] S[v, y] = -1, which
+    the zero diagonal excludes for a = b. Row a's mask is its adjacency
+    row packed little-endian, bit b for position b."""
     rest = [j for j in range(s.n) if j != v]
-    adj = []
-    for a_pos, a in enumerate(rest):
-        mask = 0
-        for b_pos, b in enumerate(rest):
-            if a != b and s.rows[a][b] * s.rows[v][a] * s.rows[v][b] == -1:
-                mask |= 1 << b_pos
-        adj.append(mask)
-    return rest, adj
+    row = s.array[v, rest]
+    minus = s.array[np.ix_(rest, rest)] * np.outer(row, row) == -1
+    packed = np.packbits(minus, axis=1, bitorder="little")
+    return rest, [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 @dataclass(frozen=True)
@@ -689,6 +734,21 @@ def _extend_to_signed(s, perm):
     return m
 
 
+def _orbit_union(vertices, gens):
+    """The union of the orbits of vertices under the group generated by
+    gens, signed permutations on the 2n points: vertex v goes to the
+    vertex of the image of the point (v, +1)."""
+    reached, frontier = set(vertices), list(vertices)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            u = g[2 * v + 1] >> 1
+            if u not in reached:
+                reached.add(u)
+                frontier.append(u)
+    return reached
+
+
 @functools.lru_cache(maxsize=1)
 def _switching_search(s):
     """Canonical labellings of the descendants of S (n >= 1), pruned by the
@@ -705,11 +765,13 @@ def _switching_search(s):
     labelled w whose descendant has descendant_0's form.
 
     w is skipped if the generators found so far map a labelled u onto it;
-    then its descendant has u's form. So (a) the least form over the
-    labelled vertices is the least over all vertices, and (b) every w with
-    descendant_0's form is in the orbit of 0 under the generators: a
-    labelled one is 0 or got a generator 0 -> w, and a skipped one is the
-    image of a labelled u with that form. With the stabilizer of 0 (+/-
+    then its descendant has u's form. The generators and the labelled
+    vertices change only when a vertex is labelled, so the union of the
+    labelled vertices' orbits (_orbit_union) is rebuilt only then. So (a)
+    the least form over the labelled vertices is the least over all
+    vertices, and (b) every w with descendant_0's form is in the orbit of
+    0 under the generators: a labelled one is 0 or got a generator 0 -> w,
+    and a skipped one is the image of a labelled u with that form. With the stabilizer of 0 (+/-
     the extensions of Aut(descendant_0)) the generators therefore generate
     the whole group, of order 2 |Aut(descendant_0)| |orbit of 0|.
     """
@@ -724,15 +786,8 @@ def _switching_search(s):
         gens.append(_extend_to_signed(s, tuple(perm)))
     labelled = [0]
     best = first.bits
+    reached = _orbit_union(labelled, gens)
     for w in range(1, n):
-        reached, frontier = set(labelled), list(labelled)
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                u = g[2 * v + 1] >> 1
-                if u not in reached:
-                    reached.add(u)
-                    frontier.append(u)
         if w in reached:
             continue
         labelled.append(w)
@@ -745,6 +800,7 @@ def _switching_search(s):
             for a, b in zip(first.labelling, form.labelling):
                 perm[rest0[a]] = rest[b]
             gens.append(_extend_to_signed(s, tuple(perm)))
+        reached = _orbit_union(labelled, gens)
     return best, len(first.automorphisms), tuple(gens)
 
 

@@ -428,6 +428,19 @@ def test_orbit_levels_memory_budget(s54):
     assert peak <= 2 << 20
 
 
+def test_switching_search_memory_budget(s54):
+    # a cold switching search of S54 peaks near 150 KiB: bitmask cells,
+    # and descendants packed from the int64 array
+    seidel._switching_search.cache_clear()
+    tracemalloc.start()
+    try:
+        seidel._switching_search(s54)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 << 10
+
+
 def test_orbit_representatives_mask_width():
     mirror = tuple(range(62, -1, -1))
     reps, sizes = search.orbit_representatives([tuple(range(63)), mirror], 63, 1)

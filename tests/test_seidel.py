@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import deque
 from itertools import permutations
 
 import pytest
@@ -595,14 +596,28 @@ def reference_refine(n, adj, cells):
     return cells
 
 
+def vertices(cell):
+    """The vertices of a cell held as a bitmask, in increasing order."""
+    return [v for v in range(cell.bit_length()) if cell >> v & 1]
+
+
+def as_mask(vertex_list):
+    return sum(1 << v for v in vertex_list)
+
+
+def mask_reference_refine(adj, cells):
+    """reference_refine on cells held as bitmasks."""
+    lists = reference_refine(len(adj), adj, [vertices(c) for c in cells])
+    return [as_mask(c) for c in lists]
+
+
 def is_equitable(adj, cells):
-    masks = [sum(1 << v for v in c) for c in cells]
-    return all(len({(adj[v] & m).bit_count() for v in cell}) == 1
-               for cell in cells for m in masks)
+    return all(len({(adj[v] & m).bit_count() for v in vertices(cell)}) == 1
+               for cell in cells for m in cells)
 
 
 def cell_set(cells):
-    return {frozenset(c) for c in cells}
+    return {frozenset(vertices(c)) for c in cells}
 
 
 def test_splitter_queue_refinement_matches_reference_oracle(monkeypatch):
@@ -618,19 +633,18 @@ def test_splitter_queue_refinement_matches_reference_oracle(monkeypatch):
         for density in (0.2, 0.5, 0.8):
             n = rng.randint(1, 10)
             adj = random_graph(rng, n, density)
-            unit = [list(range(n))]
+            unit = [(1 << n) - 1]
             root = seidel._refine(adj, unit, unit)
             assert is_equitable(adj, root)
-            assert cell_set(root) == cell_set(reference_refine(n, adj, unit))
-            targets = [i for i, c in enumerate(root) if len(c) > 1]
+            assert cell_set(root) == cell_set(mask_reference_refine(adj, unit))
+            targets = [i for i, c in enumerate(root) if c & (c - 1)]
             if targets:
                 i = rng.choice(targets)
-                v = rng.choice(root[i])
-                single = [v]
-                child = root[:i] + [single, [w for w in root[i] if w != v]] + root[i + 1:]
+                single = 1 << rng.choice(vertices(root[i]))
+                child = root[:i] + [single, root[i] ^ single] + root[i + 1:]
                 got = seidel._refine(adj, child, [single])
                 assert is_equitable(adj, got)
-                assert cell_set(got) == cell_set(reference_refine(n, adj, child))
+                assert cell_set(got) == cell_set(mask_reference_refine(adj, child))
 
             with monkeypatch.context() as m:
                 m.setattr(seidel, "_refine", equitable_refine)
@@ -640,7 +654,7 @@ def test_splitter_queue_refinement_matches_reference_oracle(monkeypatch):
             assert seidel.canonical_graph_form(n, relabel_graph(adj, perm)).bits == form.bits
             with monkeypatch.context() as m:
                 m.setattr(seidel, "_refine", lambda adj, cells, splitters:
-                          reference_refine(len(adj), adj, cells))
+                          mask_reference_refine(adj, cells))
                 oracle = seidel.canonical_graph_form(n, adj)
             assert set(form.automorphisms) == set(oracle.automorphisms)
 
@@ -662,12 +676,124 @@ def test_canonical_graph_form_of_equitable_root(n, adj, bits, monkeypatch):
 
     monkeypatch.setattr(seidel, "_refine", spy)
     form = seidel.canonical_graph_form(n, adj)
-    root_in, root_out = refined[0]
+    root_in, root_out = ([vertices(c) for c in cells] for cells in refined[0])
     assert root_out == root_in == ([list(range(n))] if n else [])
     assert form.bits == bits
     assert form.labelling == tuple(range(n))
     assert form.automorphisms[0] == tuple(range(n))
     assert sorted(form.automorphisms) == sorted(permutations(range(n)))
+
+
+def reference_list_refine(adj, cells, splitters):
+    """Oracle for _refine on cells held as vertex lists: McKay's splitter
+    queue keyed by the identity of each list, with each cell's neighbour
+    counts taken vertex by vertex."""
+    queue = deque(splitters)
+    queued = {id(c) for c in queue}     # queued cells stay alive, so ids are unique
+    while queue and len(cells) < len(adj):
+        splitter = queue.popleft()
+        if id(splitter) not in queued:
+            continue                    # a queued cell that has since split
+        queued.remove(id(splitter))
+        mask = as_mask(splitter)
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            counts = [(adj[v] & mask).bit_count() for v in cell]
+            keys = set(counts)
+            if len(keys) == 1:
+                refined.append(cell)
+                continue
+            pieces = [[v for v, c in zip(cell, counts) if c == k] for k in sorted(keys)]
+            refined += pieces
+            if id(cell) in queued:
+                queued.remove(id(cell))
+            else:
+                largest = max(pieces, key=len)
+                pieces = [p for p in pieces if p is not largest]
+            queue.extend(pieces)
+            queued.update(map(id, pieces))
+        cells = refined
+    return cells
+
+
+def reference_canonical_graph_form(n, adj):
+    """Oracle for canonical_graph_form: the same search on vertex-list
+    cells, refined by reference_list_refine, branching on the target
+    cell's vertices in sorted order."""
+    best_bits, best_leaves = None, []
+    rows = seidel._adjacency_rows(adj)
+
+    def rec(cells, splitters):
+        nonlocal best_bits, best_leaves
+        cells = reference_list_refine(adj, cells, splitters)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            leaf = tuple(c[0] for c in cells)
+            bits = seidel._adjacency_bits(rows, leaf)
+            if best_bits is None or bits < best_bits:
+                best_bits, best_leaves = bits, [leaf]
+            elif bits == best_bits:
+                best_leaves.append(leaf)
+            return
+        cell = cells[target]
+        for v in sorted(cell):
+            single = [v]
+            rec(cells[:target] + [single, [w for w in cell if w != v]] + cells[target + 1:],
+                [single])
+
+    root = [list(range(n))] if n else []
+    rec(root, root)
+    first = best_leaves[0]
+    automorphisms = []
+    for leaf in best_leaves:
+        g = [0] * n
+        for a, b in zip(first, leaf):
+            g[a] = b
+        automorphisms.append(tuple(g))
+    return seidel.CanonicalLabelling(best_bits, first, tuple(automorphisms))
+
+
+@pytest.fixture(scope="module")
+def moved_s54(s54):
+    """S54 relabelled and switched by a seeded permutation and signs."""
+    rng = random.Random(113)
+    perm = rng.sample(range(54), 54)
+    signs = [rng.choice((1, -1)) for _ in range(54)]
+    return seidel.switch(seidel.permute(s54, perm), signs)
+
+
+def test_mask_cells_match_list_cell_oracle(s54, moved_s54):
+    # the whole labelling: form, first least leaf and the automorphisms
+    # in leaf order, on random graphs and every descendant of S54 and of
+    # a relabelled and switched S54; the refinement of the root and of one
+    # child, as ordered partitions
+    rng = random.Random(109)
+    graphs = [random_graph(rng, rng.randint(0, 16), density)
+              for density in (0.2, 0.5, 0.8) for _ in range(40)]
+    for adj in graphs:
+        unit = [list(range(len(adj)))] if adj else []
+        root = seidel._refine(adj, [as_mask(c) for c in unit], [as_mask(c) for c in unit])
+        oracle_root = reference_list_refine(adj, unit, unit)
+        assert [vertices(c) for c in root] == [sorted(c) for c in oracle_root]
+        targets = [i for i, c in enumerate(oracle_root) if len(c) > 1]
+        if targets:
+            i = rng.choice(targets)
+            v = rng.choice(oracle_root[i])
+            single = [v]
+            child = (oracle_root[:i] + [single, [w for w in oracle_root[i] if w != v]]
+                     + oracle_root[i + 1:])
+            masks = [as_mask(c) for c in child]
+            got = seidel._refine(adj, masks, [1 << v])
+            assert masks == [as_mask(c) for c in child]          # left unmodified
+            assert ([vertices(c) for c in got]
+                    == [sorted(c) for c in reference_list_refine(adj, child, [single])])
+    graphs += [seidel._descendant(s, v)[1] for s in (s54, moved_s54) for v in range(54)]
+    for adj in graphs:
+        assert seidel.canonical_graph_form(len(adj), adj) == reference_canonical_graph_form(
+            len(adj), adj)
 
 
 def all_descendants_form(s):
@@ -724,6 +850,88 @@ def test_dropped_descendant_automorphism_fails_orbit_stabilizer(
     monkeypatch.setattr(seidel, "canonical_graph_form", lossy)
     with pytest.raises(AssertionError, match="orbit-stabilizer"):
         seidel.signed_automorphism_group(s54)
+
+
+def reference_descendant(s, v):
+    """Oracle for _descendant: one product of three entries per pair."""
+    rest = [j for j in range(s.n) if j != v]
+    adj = []
+    for a in rest:
+        mask = 0
+        for b_pos, b in enumerate(rest):
+            if a != b and s.rows[a][b] * s.rows[v][a] * s.rows[v][b] == -1:
+                mask |= 1 << b_pos
+        adj.append(mask)
+    return rest, adj
+
+
+def test_descendant_matches_double_loop_oracle(s54, moved_s54):
+    rng = random.Random(127)
+    matrices = [s54, moved_s54] + [random_seidel(rng, n) for n in range(1, 10) for _ in range(5)]
+    for s in matrices:
+        for v in range(s.n):
+            assert seidel._descendant(s, v) == reference_descendant(s, v)
+
+
+def reference_switching_search(s):
+    """Oracle for _switching_search: the orbits of the labelled vertices
+    rebuilt before each w, descendants from reference_descendant. Returns
+    its (best, aut0, gens) and the labelled vertices."""
+    n = s.n
+    rest0, adj0 = reference_descendant(s, 0)
+    first = seidel.canonical_graph_form(n - 1, adj0)
+    gens = [seidel._on_points(range(n), [-1] * n)]
+    for g in seidel.minimal_generators(n - 1, first.automorphisms):
+        perm = [0] * n
+        for pos, v in enumerate(rest0):
+            perm[v] = rest0[g[pos]]
+        gens.append(seidel._extend_to_signed(s, tuple(perm)))
+    labelled = [0]
+    best = first.bits
+    for w in range(1, n):
+        reached, frontier = set(labelled), list(labelled)
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                u = g[2 * v + 1] >> 1
+                if u not in reached:
+                    reached.add(u)
+                    frontier.append(u)
+        if w in reached:
+            continue
+        labelled.append(w)
+        rest, adj = reference_descendant(s, w)
+        form = seidel.canonical_graph_form(n - 1, adj)
+        best = min(best, form.bits)
+        if form.bits == first.bits:
+            perm = [0] * n
+            perm[0] = w
+            for a, b in zip(first.labelling, form.labelling):
+                perm[rest0[a]] = rest[b]
+            gens.append(seidel._extend_to_signed(s, tuple(perm)))
+    return (best, len(first.automorphisms), tuple(gens)), tuple(labelled)
+
+
+def test_switching_search_matches_per_vertex_closure_oracle(
+        s54, moved_s54, monkeypatch, fresh_switching_caches):
+    real, described = seidel._descendant, []
+
+    def spy(s, v):
+        described.append(v)
+        return real(s, v)
+
+    monkeypatch.setattr(seidel, "_descendant", spy)
+    rng = random.Random(131)
+    matrices = [s54, moved_s54] + [random_seidel(rng, rng.randint(2, 8)) for _ in range(80)]
+    for s in matrices:
+        described.clear()
+        seidel._switching_search.cache_clear()
+        got = seidel._switching_search(s)
+        expected, labelled = reference_switching_search(s)
+        assert got == expected
+        assert tuple(described) == labelled
+        if s is s54:
+            assert labelled == (0, 1, 2, 9) and got[1] == 4
 
 
 def reference_seidel_from(system):
