@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 def digest_of(obj):
     """Stable content hash of a JSON-serializable input description."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

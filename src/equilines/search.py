@@ -360,7 +360,6 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
     """
     n = s.n
     perms = switching_automorphisms(s)
-    s_float = np.array(s.as_lists(), dtype=float)
     rng = random.Random(SCREEN_SEED)
     v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)
     found = []
@@ -376,7 +375,7 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
         subsets_examined[order] = sum(sizes)
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
-        factors = [s_float - lam * np.eye(n) for lam in lams]
+        factors = [s.array - lam * np.eye(n) for lam in lams]
         for lo in range(0, len(reps), SCREEN_BATCH):
             batch = reps[lo:lo + SCREEN_BATCH]
             passed = _screen(factors, v, np.array(batch, dtype=np.intp).reshape(len(batch), k))

@@ -27,6 +27,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -43,38 +44,43 @@ class SpectrumNotCertifiedError(ValueError):
     """A spectrum claim that facts are read from failed its certificate."""
 
 
-@dataclass(frozen=True)
 class SeidelMatrix:
-    n: int
-    rows: tuple                  # tuple of tuples of ints
+    """One read-only (n, n) int64 array, copied and checked once: square,
+    integer (if not empty), symmetric and |S| + I = 1, which is a zero
+    diagonal and +/-1 off it. rows, the entries as tuples of Python ints,
+    keys == and hash (so the lru_caches) and the spectrum digest."""
 
-    def __post_init__(self):
-        for i in range(self.n):
-            if self.rows[i][i] != 0:
-                raise ValueError("nonzero diagonal")
-            for j in range(i + 1, self.n):
-                if self.rows[i][j] != self.rows[j][i] or abs(self.rows[i][j]) != 1:
-                    raise ValueError("not a symmetric +/-1 off-diagonal matrix")
+    def __init__(self, array):
+        a = np.array(array)
+        self.n = n = len(a) if a.ndim else 0
+        if a.shape != (n, n) or (a.size and not np.issubdtype(a.dtype, np.integer)):
+            raise ValueError(f"not a square integer matrix: {a.dtype} of shape {a.shape}")
+        if (a != a.T).any() or (np.abs(a) + np.eye(n, dtype=np.int64) != 1).any():
+            raise ValueError("not a symmetric +/-1 matrix with zero diagonal")
+        self.array = a.astype(np.int64, copy=False)
+        self.array.flags.writeable = False
 
     @classmethod
     def from_rows(cls, rows):
-        return cls(n=len(rows), rows=tuple(tuple(r) for r in rows))
-
-    def as_lists(self):
-        return [list(r) for r in self.rows]
+        """From rows of Python ints; numpy would read a bool as 0 or 1."""
+        if set(map(type, chain.from_iterable(rows))) - {int}:
+            raise ValueError("a Seidel matrix's rows hold Python ints only")
+        return cls(np.array(rows) if len(rows) else np.zeros((0, 0), dtype=np.int64))
 
     @functools.cached_property
-    def array(self):
-        """The rows as a read-only (n, n) int64 array, built once."""
-        a = np.array(self.rows, dtype=np.int64).reshape(self.n, self.n)
-        a.flags.writeable = False
-        return a
+    def rows(self):
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        return isinstance(other, SeidelMatrix) and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     def principal_submatrix(self, keep):
+        """Rows and columns keep; a repeated index puts 0 off the diagonal."""
         keep = list(keep)
-        return SeidelMatrix.from_rows(
-            [[self.rows[i][j] for j in keep] for i in keep]
-        )
+        return SeidelMatrix(self.array[np.ix_(keep, keep)])
 
 
 @dataclass(frozen=True)
@@ -134,15 +140,6 @@ class SpectrumClaim:
             values += [-((b + r) // 2), (r - b) // 2]
         return range(min(values, default=0), max(values, default=-1) + 1)
 
-    def to_poly(self):
-        p = exactlin.poly_from_roots(
-            [v for v, m in self.integer_eigs for _ in range(m)]
-        )
-        if self.quadratic:
-            b, c = self.quadratic
-            p = exactlin.poly_mul(p, [c, b, 1])
-        return p
-
     def as_dict(self):
         return {
             "integer_eigs": [[v, m] for v, m in self.integer_eigs],
@@ -165,8 +162,7 @@ def seidel_from(system):
             f"scaled inner product {int(g[i, j])} between members {i},{j}"
         )
     identity = np.eye(len(g), dtype=np.int64)
-    return SeidelMatrix.from_rows(
-        ((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE).tolist())
+    return SeidelMatrix((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE)
 
 
 def _annihilator_chain(s, lams, primes, quadratic=None):
@@ -189,7 +185,7 @@ def _annihilator_chain(s, lams, primes, quadratic=None):
     if max(primes) * norm >= 1 << 52:
         raise ValueError(f"column sums up to {norm} overflow the exact float64 chain")
     p = np.array(primes, dtype=float)[:, None, None]
-    a = np.array(s.rows, dtype=float)
+    a = s.array.astype(float)
     x = np.eye(n)[None]
     if quadratic:
         b, c = (np.array([v % prime for prime in primes], dtype=float)[:, None, None]
@@ -296,9 +292,10 @@ def compute_spectrum(s, candidates):
 
 
 def certify_spectrum(s, claim):
-    """Exact check that det(xI - S) = claim.to_poly() by the exact
-    multiplicities of the claim's values and the two trace identities.
-    Once multiplicities_sum_to_n holds, char_poly_matches holds iff every
+    """Exact check that det(xI - S) = prod (x - v)^m (x^2 + bx + c) over the
+    claim's values v, multiplicities m and quadratic (b, c), if any, by the
+    exact multiplicities of the values and the two trace identities. Once
+    multiplicities_sum_to_n holds, char_poly_matches holds iff every
     nullity_at_<v> and both trace identities do; otherwise its witness
     names the failed premises.
 
@@ -322,7 +319,7 @@ def certify_spectrum(s, claim):
     - For d = 2, trace_identity and trace_square_identity say that the
       roots of x^2 + bx + c have that sum and sum of squares, hence the
       product (sum^2 - sum of squares) / 2 = mu1 mu2. So they are mu1
-      and mu2, and det(xI - S) = claim.to_poly().
+      and mu2, and det(xI - S) is the polynomial above.
 
     exactlin.char_poly (interpolation) is not used; the tests compare
     this check against it.
@@ -332,7 +329,7 @@ def certify_spectrum(s, claim):
     )
     b.note("claim", claim.as_dict())
     n = s.n
-    trace_square = sum(x * x for row in s.rows for x in row)
+    trace_square = int((s.array * s.array).sum())
     b.note("trace_square", trace_square)
     b.check("matrix_trace_square", trace_square == n * (n - 1), trace_square)
     if not b.check("multiplicities_sum_to_n", claim.total_multiplicity == n,
@@ -348,8 +345,7 @@ def certify_spectrum(s, claim):
     if _chain_primes(n, values, claim.quadratic):
         mults = _chain_multiplicities(s, values, claim.quadratic)
     if mults is None:
-        m = s.as_lists()
-        mults = [exactlin.nullity_at(m, value) for value in values]
+        mults = [exactlin.nullity_at(s.rows, value) for value in values]
     exact = dict(zip(values, mults))
     premises = [(f"nullity_at_{value}", exact[value] == mult,
                  {"claimed": mult, "exact": exact[value]})
@@ -548,13 +544,9 @@ def canonical_graph_form(n, adj):
     root = [(1 << n) - 1] if n else []
     rec(root, root)
     first = best_leaves[0]
-    automorphisms = []
-    for leaf in best_leaves:
-        g = [0] * n
-        for a, b in zip(first, leaf):
-            g[a] = b
-        automorphisms.append(tuple(g))
-    return CanonicalLabelling(best_bits, first, tuple(automorphisms))
+    inverse = _inverse(first)
+    return CanonicalLabelling(best_bits, first,
+                              tuple(_compose(leaf, inverse) for leaf in best_leaves))
 
 
 def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
@@ -565,10 +557,8 @@ def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
     dst = canonical_graph_form(n, adj_dst)
     if src.bits != dst.bits:
         return []
-    phi = [0] * n
-    for a, b in zip(src.labelling, dst.labelling):
-        phi[a] = b
-    return [tuple(phi[v] for v in g) for g in src.automorphisms[:limit]]
+    phi = _compose(dst.labelling, _inverse(src.labelling))
+    return [_compose(phi, g) for g in src.automorphisms[:limit]]
 
 
 def find_isomorphism(n, adj_src, adj_dst):
@@ -582,6 +572,11 @@ def _compose(p, q):
     if len(q) < 2:                          # itemgetter of one index returns a scalar
         return tuple(p[i] for i in q)
     return itemgetter(*q)(p)
+
+
+def _inverse(p):
+    """The permutation taking p[i] to i."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 def _extend(group, gens):
@@ -726,8 +721,8 @@ def _signed_preserves(s, m):
 def _extend_to_signed(s, perm):
     """Extend a switching automorphism (a permutation for which some +/-1
     diagonal makes it preserve S) to a signed permutation on the 2n points."""
-    anchor = perm[0]
-    signs = [1] + [s.rows[i][0] * s.rows[perm[i]][anchor] for i in range(1, s.n)]
+    signs = (s.array[:, 0] * s.array[list(perm), perm[0]]).tolist()
+    signs[0] = 1
     m = _on_points(perm, signs)
     if not _signed_preserves(s, m):
         raise AssertionError("claimed switching automorphism does not extend")
@@ -776,14 +771,11 @@ def _switching_search(s):
     the whole group, of order 2 |Aut(descendant_0)| |orbit of 0|.
     """
     n = s.n
-    rest0, adj0 = _descendant(s, 0)
+    rest0, adj0 = _descendant(s, 0)      # rest0[a] = a + 1
     first = canonical_graph_form(n - 1, adj0)
     gens = [_on_points(range(n), [-1] * n)]
     for g in minimal_generators(n - 1, first.automorphisms):
-        perm = [0] * n
-        for pos, v in enumerate(rest0):
-            perm[v] = rest0[g[pos]]
-        gens.append(_extend_to_signed(s, tuple(perm)))
+        gens.append(_extend_to_signed(s, (0, *_compose(rest0, g))))
     labelled = [0]
     best = first.bits
     reached = _orbit_union(labelled, gens)
@@ -795,11 +787,8 @@ def _switching_search(s):
         form = canonical_graph_form(n - 1, adj)
         best = min(best, form.bits)
         if form.bits == first.bits:
-            perm = [0] * n
-            perm[0] = w
-            for a, b in zip(first.labelling, form.labelling):
-                perm[rest0[a]] = rest[b]
-            gens.append(_extend_to_signed(s, tuple(perm)))
+            matching = _compose(form.labelling, _inverse(first.labelling))
+            gens.append(_extend_to_signed(s, (w, *_compose(rest, matching))))
         reached = _orbit_union(labelled, gens)
     return best, len(first.automorphisms), tuple(gens)
 
@@ -849,24 +838,21 @@ def switching_canonical_form(s):
     _switching_search finds from one vertex per orbit. Two Seidel matrices
     are switching-plus-permutation equivalent iff their forms are equal.
     """
-    n = s.n
-    if n == 0:
-        return "0:"
-    if n == 1:
-        return "1:"
-    return f"{n}:{_switching_search(s)[0]:x}"
+    if s.n < 2:
+        return f"{s.n}:"
+    return f"{s.n}:{_switching_search(s)[0]:x}"
 
 
 def switch(s, signs):
-    """Conjugate by the +/-1 diagonal given by signs."""
-    return SeidelMatrix.from_rows(
-        [[signs[i] * signs[j] * s.rows[i][j] if i != j else 0 for j in range(s.n)]
-         for i in range(s.n)]
-    )
+    """Conjugate by the +/-1 diagonal given by signs; any other sign, clipped
+    first so that no int64 product wraps, puts a non-unit off the diagonal."""
+    signs = np.clip(signs, -2, 2)
+    return SeidelMatrix(s.array * np.outer(signs, signs))
 
 
 def permute(s, perm):
-    """Relabel: entry (i, j) of the result is S[perm[i]][perm[j]]."""
-    return SeidelMatrix.from_rows(
-        [[s.rows[perm[i]][perm[j]] for j in range(s.n)] for i in range(s.n)]
-    )
+    """Relabel: entry (i, j) of the result is S[perm[i]][perm[j]];
+    ValueError unless perm has n entries, none repeated."""
+    if len(perm) != s.n:
+        raise ValueError(f"{len(perm)} images for {s.n} points")
+    return s.principal_submatrix(perm)

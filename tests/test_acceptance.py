@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
-from test_seidel import brute_force_automorphism_count
+from test_seidel import brute_force_automorphism_count, claim_poly
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +70,11 @@ def test_criterion_3_remark(asche, final54):
 def test_criterion_4_spectrum(s54):
     t0 = time.monotonic()
     cert = seidel.certify_spectrum(s54, cli.S54_SPECTRUM)
-    claimed = cli.S54_SPECTRUM.to_poly()
+    claimed = claim_poly(cli.S54_SPECTRUM)
     explicit = exactlin.poly_from_roots([-5] * 36 + [7] * 6 + [11] * 8 + [13] * 2)
     explicit = exactlin.poly_mul(explicit, [107, -24, 1])
     ok = (cert.passed and claimed == explicit
-          and exactlin.char_poly(s54.as_lists()) == claimed)
+          and exactlin.char_poly(s54.rows) == claimed)
     report(4, ok, f"char poly = (x+5)^36 (x-7)^6 (x-11)^8 (x-13)^2 "
                   f"(x^2-24x+107), by nullities and trace identities, "
                   f"cross-checked by interpolation "

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
@@ -38,6 +39,12 @@ def test_golay_digest_stable():
     b = cli.cmd_golay(cli.Pipeline(config))
     assert a.inputs_digest == b.inputs_digest
     assert a.details == b.details
+
+
+def test_digest_refuses_values_json_cannot_serialise():
+    assert digest_of({"m": 1}) == digest_of({"m": 1})
+    with pytest.raises(TypeError):
+        digest_of({"m": np.int64(1)})
 
 
 def test_construct_command(tmp_path):

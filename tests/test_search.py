@@ -210,7 +210,7 @@ def screen_all(s, window, order):
     """Every removed-index set of one order that passes the screen, and the
     members L of window used for it."""
     lams = [lam for lam in window if order % 2 or lam % 2]
-    factors = [np.array(s.as_lists(), dtype=float) - lam * np.eye(s.n) for lam in lams]
+    factors = [np.array(s.rows, dtype=float) - lam * np.eye(s.n) for lam in lams]
     subsets = list(combinations(range(s.n), s.n - order))
     passed = search._screen(factors, np.arange(1, s.n + 1, dtype=float),
                             np.array(subsets).reshape(len(subsets), -1))
@@ -266,7 +266,7 @@ def test_screen_matches_np_mod_oracle(s54, s54_window):
         cases.append((s, lams, v, subsets))
     passed = 0
     for s, lams, v, subsets in cases:
-        factors = [np.array(s.as_lists(), dtype=float) - lam * np.eye(s.n) for lam in lams]
+        factors = [np.array(s.rows, dtype=float) - lam * np.eye(s.n) for lam in lams]
         removed = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
         expected = mod_screen(factors, v, removed)
         assert (search._screen(factors, v, removed) == expected).all()

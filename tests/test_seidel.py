@@ -4,6 +4,7 @@ import random
 from collections import deque
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from equilines import construct, exactlin, search, seidel
@@ -46,13 +47,119 @@ def cycle_seidel(n):
     return seidel.SeidelMatrix.from_rows(rows)
 
 
+def claim_poly(claim):
+    """prod (x - v)^m over the claim's values v with multiplicities m,
+    times x^2 + bx + c for its quadratic (b, c): the polynomial that
+    certify_spectrum proves is det(xI - S)."""
+    p = exactlin.poly_from_roots([v for v, m in claim.integer_eigs for _ in range(m)])
+    if claim.quadratic:
+        b, c = claim.quadratic
+        p = exactlin.poly_mul(p, [c, b, 1])
+    return p
+
+
 def test_seidel_matrix_rejects_bad_entries():
+    bad = ([[1, 1], [1, 0]], [[0, 2], [2, 0]], [[0, 1], [-1, 0]],
+           [[0, 1, 5], [1, 0, 7]], [[0, 1], [1]], [[]], [[0, 1], [1, 0], [1, 1]],
+           [[0, 1.0], [1.0, 0]], [[0, True], [True, 0]], [[False, True], [True, False]],
+           [[0, 2 ** 70], [2 ** 70, 0]])
+    for rows in bad:
+        with pytest.raises(ValueError):
+            seidel.SeidelMatrix.from_rows(rows)
+    for array in (np.zeros(()), np.zeros(3, dtype=np.int64),
+                  np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2, dtype=bool)):
+        with pytest.raises(ValueError):
+            seidel.SeidelMatrix(array)
+    for n in (0, 1):
+        s = seidel.SeidelMatrix.from_rows([[0] * n for _ in range(n)])
+        assert s.n == n and s.array.shape == (n, n) and s.rows == ((0,) * n,) * n
+
+
+def reference_validate(rows):
+    """The pair loop that SeidelMatrix's array comparisons replaced:
+    ValueError unless rows are square, symmetric, zero on the diagonal and
+    +/-1 off it."""
+    n = len(rows)
+    for i in range(n):
+        if len(rows[i]) != n or rows[i][i] != 0:
+            raise ValueError("not square with a zero diagonal")
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i] or abs(rows[i][j]) != 1:
+                raise ValueError("not a symmetric +/-1 off-diagonal matrix")
+    return rows
+
+
+def reference_principal_submatrix(s, keep):
+    return reference_validate([[s.rows[i][j] for j in keep] for i in keep])
+
+
+def reference_permute(s, perm):
+    return reference_validate(
+        [[s.rows[perm[i]][perm[j]] for j in range(s.n)] for i in range(s.n)])
+
+
+def reference_switch(s, signs):
+    return reference_validate(
+        [[signs[i] * signs[j] * s.rows[i][j] if i != j else 0 for j in range(s.n)]
+         for i in range(s.n)])
+
+
+def test_validation_matches_pair_loop_oracle():
+    rng = random.Random(139)
+    accepted = 0
+    for _ in range(3000):
+        n = rng.randint(0, 6)
+        rows = [list(r) for r in random_seidel(rng, n).rows]
+        for _ in range(rng.randint(0, 2) if n else 0):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-2, 2)
+        try:
+            reference_validate(rows)
+        except ValueError:
+            with pytest.raises(ValueError):
+                seidel.SeidelMatrix.from_rows(rows)
+        else:
+            assert seidel.SeidelMatrix.from_rows(rows).rows == tuple(map(tuple, rows))
+            accepted += 1
+    assert 1000 < accepted < 2000
+
+
+def test_array_copies_match_entry_by_entry_oracles(s54, moved_s54):
+    # equal rows of Python ints, equal == and hash (the lru_cache keys)
+    # and a read-only int64 array, on S54, a relabelled S54 and n = 0..9
+    rng = random.Random(131)
+    matrices = [s54, moved_s54] + [random_seidel(rng, n) for n in range(10) for _ in range(5)]
+    for s in matrices:
+        n = s.n
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        keep = rng.sample(range(n), rng.randint(0, n))
+        for copy, expected in ((seidel.permute(s, perm), reference_permute(s, perm)),
+                               (seidel.switch(s, signs), reference_switch(s, signs)),
+                               (s.principal_submatrix(iter(keep)),
+                                reference_principal_submatrix(s, keep))):
+            assert copy.rows == tuple(map(tuple, expected))
+            assert all(type(x) is int for row in copy.rows for x in row)
+            reference = seidel.SeidelMatrix.from_rows(expected)
+            assert copy == reference and hash(copy) == hash(reference)
+            assert copy.array.dtype == np.int64 and not copy.array.flags.writeable
+            assert copy.array.tolist() == expected
+    group = seidel.signed_automorphism_group(s54)
+    assert seidel.signed_automorphism_group(seidel.permute(s54, range(54))) is group
+
+
+def test_array_copies_refuse_what_the_oracles_refuse(s54):
+    repeated = [0] + list(range(53))
+    cases = [(seidel.permute, reference_permute, repeated),
+             (seidel.switch, reference_switch, [2] + [1] * 53),
+             (seidel.SeidelMatrix.principal_submatrix, reference_principal_submatrix, repeated)]
+    for copy, reference, argument in cases:
+        for make in (copy, reference):
+            with pytest.raises(ValueError):
+                make(s54, argument)
     with pytest.raises(ValueError):
-        seidel.SeidelMatrix.from_rows([[1, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        seidel.SeidelMatrix.from_rows([[0, 2], [2, 0]])
-    with pytest.raises(ValueError):
-        seidel.SeidelMatrix.from_rows([[0, 1], [-1, 0]])
+        seidel.permute(s54, range(53))
+    with pytest.raises(ValueError):                 # (2^63 - 1)^2 = 1 modulo 2^64
+        seidel.switch(s54, [2 ** 63 - 1] * 54)
 
 
 def test_seidel_from_two_vectors(final54):
@@ -76,7 +183,7 @@ def test_seidel_from_rejects_non_equiangular():
 
 def test_s54_trace_identities(s54):
     assert sum(s54.rows[i][i] for i in range(54)) == 0
-    sq = exactlin.mat_mul(s54.as_lists(), s54.as_lists())
+    sq = exactlin.mat_mul(s54.rows, s54.rows)
     assert sum(sq[i][i] for i in range(54)) == 54 * 53
 
 
@@ -170,7 +277,7 @@ def reference_certify_spectrum(s, claim):
         disc = bq * bq - 4 * cq
         b.check("quadratic_irreducible", disc < 0 or math.isqrt(disc) ** 2 != disc,
                 disc)
-    m = s.as_lists()
+    m = s.rows
     exact = {value: exactlin.nullity_at(m, value) for value, _ in claim.integer_eigs}
     premises = [(f"nullity_at_{value}", exact[value] == mult,
                  {"claimed": mult, "exact": exact[value]})
@@ -266,7 +373,7 @@ def test_char_poly_matches_agrees_with_interpolation_oracle(monkeypatch):
     for _ in range(1000):
         n = rng.randint(1, 7)
         s = random_seidel(rng, n)
-        cp = exactlin.char_poly(s.as_lists())
+        cp = exactlin.char_poly(s.rows)
         true = nullity_spectrum(s)
         if true is None:
             claims = perturbed_claims(rng, seidel.SpectrumClaim.make({}), n)
@@ -281,7 +388,7 @@ def test_char_poly_matches_agrees_with_interpolation_oracle(monkeypatch):
                 reference_certify_spectrum(s, claim)), claim
             checks = cert.details["checks"]
             matches = checks.get("char_poly_matches", False)
-            equal = claim.to_poly() == cp
+            equal = claim_poly(claim) == cp
             if matches:
                 assert equal, claim
             if equal and checks.get("quadratic_irreducible", True):
@@ -987,7 +1094,7 @@ def nullity_spectrum(s, candidates=None):
     None if what is left is not a quadratic with integer coefficients and
     no integer root."""
     n = s.n
-    m = s.as_lists()
+    m = s.rows
     if candidates is None:
         candidates = range(1 - n, n)
     eigs = {}
