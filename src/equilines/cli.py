@@ -5,7 +5,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,7 +118,7 @@ def cmd_construct(pipeline):
     b.check("asche_rank_19", full.ambient_dim == 19, full.ambient_dim)
     b.check("final_count_54", len(final) == 54, len(final))
     b.check("final_rank_18", final.ambient_dim == 18, final.ambient_dim)
-    removed = construct.removed_vectors(full, final)
+    removed = construct.removed_indices(full, final)
     b.check("removed_count_18", len(removed) == 18, len(removed))
     gram = final.gram
     offdiag = set(gram[np.triu_indices(len(final), 1)].tolist())
@@ -189,10 +189,10 @@ def cmd_maximality(pipeline):
     b = CertificateBuilder("maximality", claim_inputs("maximality", config))
     system = pipeline.final
     if config.drop_line is not None:
-        kept = [v for i, v in enumerate(system.vectors) if i != config.drop_line]
+        keep = np.arange(len(system)) != config.drop_line
         system = construct.LineSystem(
-            vectors=tuple(kept),
-            ambient_dim=exactlin.rank([list(v.coords) for v in kept]),
+            vectors=tuple(v for v, k in zip(system.vectors, keep) if k),
+            ambient_dim=exactlin.rank(system.coords[keep]),
         )
     report = search.check_extendibility(system)
     b.note("patterns_examined", report.patterns_examined)
@@ -298,11 +298,6 @@ def run_command(config):
             b.check("stages_built", False, f"{type(exc).__name__}: {exc}")
             certificates.append(b.build())
     return certificates
-
-
-def certify_all(config):
-    """Every certificate, in dependency order, whatever config.command names."""
-    return run_command(replace(config, command="all"))
 
 
 def report_dict(certificates):

@@ -2,7 +2,11 @@
 
 All geometry is done in scaled integers: a unit vector of the system is
 (scaled coords)/sqrt(80), so squared norms are 80 and the common angle
-1/5 shows up as pairwise inner products of exactly +/-16.
+1/5 shows up as pairwise inner products of exactly +/-16. A line
+system's coordinates are one read-only int64 array (LineSystem.coords),
+bounded once so that its Gram matrix cannot wrap; every inner product,
+rank and angle check is read off the two, and first_defect words the
+one way a Gram matrix can fail to be equiangular.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from .golay import (
 
 SCALED_NORM = 80
 SCALED_ANGLE = 16
-GRAM_COORD_BOUND = 1 << 29      # largest |coordinate| LineSystem.gram accepts
+GRAM_COORD_BOUND = 1 << 29      # largest |coordinate| LineSystem.coords accepts
 
 # Entries of the separating vector, by 1-based coordinate.
 M_ENTRIES = {4: 2, 5: -1, 6: -1, 7: 2, 8: -1, 10: -1, 17: 2, 18: -1, 20: -1, 22: -3, 23: 3}
@@ -39,10 +43,6 @@ class LineVector:
 
     coords: tuple               # 24 integers
     source: int                 # octad bitmask
-
-    def dot(self, other):
-        other = other.coords if isinstance(other, LineVector) else other
-        return sum(a * b for a, b in zip(self.coords, other))
 
 
 @dataclass(frozen=True)
@@ -80,23 +80,24 @@ class LineSystem:
     def __len__(self):
         return len(self.vectors)
 
-    def matrix(self):
-        return [list(v.coords) for v in self.vectors]
+    @cached_property
+    def coords(self):
+        """The members' coordinates, one read-only (members, 24) int64 array;
+        ValueError for a coordinate beyond 2^29 in absolute value. Every
+        entry of coords @ coords.T, and every partial sum of one, is then at
+        most 24 * 2^58 < 2^63 in absolute value, so int64 cannot wrap.
+        """
+        v = np.array([u.coords for u in self.vectors], dtype=object).reshape(len(self), N_COORDS)
+        if (abs(v) > GRAM_COORD_BOUND).any():
+            raise ValueError("a coordinate beyond 2^29, the int64 Gram bound")
+        v = v.astype(np.int64)
+        v.flags.writeable = False
+        return v
 
     @cached_property
     def gram(self):
-        """The int64 Gram matrix V V^T of the members, computed once, read-only.
-
-        With c the largest absolute coordinate, every entry, and every
-        partial sum of one, is at most 24 c^2 in absolute value. c <= 2^29
-        keeps that at 24 * 2^58 < 2^63, so int64 cannot wrap; a larger c
-        raises ValueError.
-        """
-        c = max((abs(x) for v in self.vectors for x in v.coords), default=0)
-        if c > GRAM_COORD_BOUND:
-            raise ValueError(f"coordinate {c} beyond 2^29, the int64 Gram bound")
-        v = np.array(self.matrix(), dtype=np.int64).reshape(len(self), N_COORDS)
-        gram = v @ v.T
+        """The int64 Gram matrix V V^T of the members, computed once, read-only."""
+        gram = self.coords @ self.coords.T
         gram.flags.writeable = False
         return gram
 
@@ -110,13 +111,12 @@ def lift(d):
 
 def _system_from(vectors, expected_count, expected_rank):
     if len(vectors) != expected_count:
-        raise ConstructionError(
-            f"expected {expected_count} lines, got {len(vectors)}"
-        )
-    r = exactlin.rank([list(v.coords) for v in vectors])
+        raise ConstructionError(f"expected {expected_count} lines, got {len(vectors)}")
+    system = LineSystem(vectors=tuple(vectors), ambient_dim=expected_rank)
+    r = exactlin.rank(system.coords)
     if r != expected_rank:
         raise ConstructionError(f"expected span of rank {expected_rank}, got {r}")
-    return LineSystem(vectors=tuple(vectors), ambient_dim=r)
+    return system
 
 
 def asche_system(code, filters=None):
@@ -126,19 +126,18 @@ def asche_system(code, filters=None):
     as the literal inner-product-zero condition on the lifted vector; the
     two must agree. The orthogonality of every member to 4*e1 + e_all is
     an identity for octads through coordinate 1 and is asserted, never
-    filtered on. The inner products are one int64 product of the lifts
-    with the five test vectors; every entry is at most 24 * 5 * 5 in
+    filtered on. The inner products are one int64 product of the lifts'
+    coords with the five test vectors; every entry is at most 24 * 5 * 5 in
     absolute value.
     """
     filters = filters or FilterSet.standard()
-    lifts = [lift(d) for d in code.octads if d & 1]
+    lifts = LineSystem(vectors=tuple(lift(d) for d in code.octads if d & 1), ambient_dim=None)
     tests = [filters.aux["e1-e2"], filters.aux["e1-e3"],
              [filters.c1 >> j & 1 for j in range(N_COORDS)],
              [filters.c2 >> j & 1 for j in range(N_COORDS)], filters.aux["4e1+eS"]]
-    dots = (np.array([v.coords for v in lifts], dtype=np.int64).reshape(len(lifts), N_COORDS)
-            @ np.array(tests, dtype=np.int64).T).tolist()
+    dots = (lifts.coords @ np.array(tests, dtype=np.int64).T).tolist()
     picked = []
-    for v, row in zip(lifts, dots):
+    for v, row in zip(lifts.vectors, dots):
         d = v.source
         bit_tests = (
             not d & 0b010,
@@ -162,41 +161,35 @@ def asche_system(code, filters=None):
 
 def final_system(full, filters=None):
     """The 54-line subsystem: members of the 72-line system full that are
-    orthogonal to m."""
+    orthogonal to m, checked equiangular (ConstructionError)."""
     filters = filters or FilterSet.standard()
-    kept = [v for v in full.vectors if v.dot(filters.m) == 0]
-    system = _system_from(kept, 54, 18)
-    _check_equiangular(system)
+    orthogonal = (full.coords @ np.array(filters.m, dtype=object) == 0).tolist()
+    system = _system_from([v for v, ok in zip(full.vectors, orthogonal) if ok], 54, 18)
+    defect = first_defect(system.gram)
+    if defect is not None:
+        raise ConstructionError(defect)
     return system
 
 
 def first_defect(gram):
-    """The first (i, j), i <= j, row by row, where gram is not equiangular:
-    a diagonal entry other than SCALED_NORM or an off-diagonal one other
-    than +/-SCALED_ANGLE. None if there is none."""
+    """Where gram is not equiangular, in words, or None: the first (i, j),
+    i <= j, row by row, with a diagonal entry other than SCALED_NORM or an
+    off-diagonal one other than +/-SCALED_ANGLE."""
     bad = np.abs(gram) != SCALED_ANGLE
     np.fill_diagonal(bad, np.diagonal(gram) != SCALED_NORM)
     found = np.argwhere(np.triu(bad))
-    return tuple(found[0].tolist()) if len(found) else None
-
-
-def _check_equiangular(system):
-    defect = first_defect(system.gram)
-    if defect is None:
-        return
-    i, j = defect
+    if not len(found):
+        return None
+    i, j = found[0].tolist()
     if i == j:
-        raise ConstructionError(f"member {i} has scaled norm != {SCALED_NORM}")
-    raise ConstructionError(
-        f"members {i},{j} have scaled inner product "
-        f"{int(system.gram[i, j])}, not +/-{SCALED_ANGLE}"
-    )
+        return f"scaled norm {int(gram[i, i])} of member {i}, not {SCALED_NORM}"
+    return f"scaled inner product {int(gram[i, j])} between members {i},{j}"
 
 
-def removed_vectors(full, final):
-    """Members of the 72-system that are not in the 54-system."""
+def removed_indices(full, final):
+    """Indices of the members of the 72-system that are not in the 54-system."""
     final_sources = {v.source for v in final.vectors}
-    return [v for v in full.vectors if v.source not in final_sources]
+    return [i for i, v in enumerate(full.vectors) if v.source not in final_sources]
 
 
 def verify_remark(full, final, m):
@@ -205,42 +198,37 @@ def verify_remark(full, final, m):
     They split 9/9 by the sign of the m-pairing (scaled values +/-24,
     i.e. 6/sqrt(5) on unit vectors), each 9-set is a clique at cosine
     +1/5, and every member of one clique has exactly two partners at
-    +1/5 in the other.
+    +1/5 in the other. The pairings are one product of the members'
+    coordinates with m, in Python ints (an object array) so that no m
+    can make them wrap; the clique and cross inner products are blocks
+    of full.gram.
     """
     b = CertificateBuilder(
         "remark.cliques",
         {"full": [v.source for v in full.vectors], "final": [v.source for v in final.vectors]},
     )
-    removed = removed_vectors(full, final)
+    removed = removed_indices(full, final)
     b.check("removed_count_18", len(removed) == 18, len(removed))
 
-    pairings = [v.dot(m) for v in removed]
-    b.check(
-        "m_pairings_pm24",
-        all(p in (24, -24) for p in pairings),
-        sorted(set(pairings)),
-    )
-    kept_ok = all(v.dot(m) == 0 for v in final.vectors)
-    b.check("final_orthogonal_to_m", kept_ok)
+    m = np.array(m, dtype=object)
+    pairings = (full.coords[removed] @ m).tolist()
+    b.check("m_pairings_pm24", all(p in (24, -24) for p in pairings), sorted(set(pairings)))
+    b.check("final_orthogonal_to_m", not (final.coords @ m).any())
 
-    side_u = [v for v, p in zip(removed, pairings) if p > 0]
-    side_v = [v for v, p in zip(removed, pairings) if p < 0]
+    side_u = [i for i, p in zip(removed, pairings) if p > 0]
+    side_v = [i for i, p in zip(removed, pairings) if p < 0]
     b.check("split_9_9", (len(side_u), len(side_v)) == (9, 9), (len(side_u), len(side_v)))
-    b.note("clique_u_octads", [coords_from_mask(v.source) for v in side_u])
-    b.note("clique_v_octads", [coords_from_mask(v.source) for v in side_v])
+    b.note("clique_u_octads", [coords_from_mask(full.vectors[i].source) for i in side_u])
+    b.note("clique_v_octads", [coords_from_mask(full.vectors[i].source) for i in side_v])
 
+    gram = full.gram
     for name, clique in (("u", side_u), ("v", side_v)):
-        bad = [
-            (i, j)
-            for i in range(len(clique))
-            for j in range(i + 1, len(clique))
-            if clique[i].dot(clique[j]) != SCALED_ANGLE
-        ]
+        off = np.triu(gram[np.ix_(clique, clique)] != SCALED_ANGLE, 1)
+        bad = [tuple(pair) for pair in np.argwhere(off).tolist()]
         b.check(f"intra_{name}_all_plus", not bad, bad[:3])
 
-    cross = [[u.dot(v) for v in side_v] for u in side_u]
-    row_counts = [row.count(SCALED_ANGLE) for row in cross]
-    col_counts = [col.count(SCALED_ANGLE) for col in zip(*cross)]
+    plus = gram[np.ix_(side_u, side_v)] == SCALED_ANGLE
+    row_counts, col_counts = plus.sum(axis=1).tolist(), plus.sum(axis=0).tolist()
     b.check("each_u_two_plus_partners", all(c == 2 for c in row_counts), row_counts)
     b.check("each_v_two_plus_partners", all(c == 2 for c in col_counts), col_counts)
     return b.build()

@@ -161,7 +161,7 @@ def check_extendibility(system):
     d w = B^T (a eps) and re-checked against every member's coordinates
     by _verify_witness; only then is w made exact Fractions for the report.
     """
-    rows, gram, r = system.matrix(), system.gram, system.ambient_dim
+    rows, gram, r = system.coords.tolist(), system.gram, system.ambient_dim
     basis = greedy_basis(gram, r)
     det, adjugate = exactlin.adjugate(gram[np.ix_(basis, basis)].tolist())
     g = math.gcd(det, *(x for row in adjugate for x in row))

@@ -11,8 +11,8 @@ the signed automorphisms found so far (_switching_search); the
 permutation group of S is the part of the signed group with all signs +1.
 A signed permutation is a permutation of 2n points, (i, s) being the
 point 2i + (s > 0), so the signed and the plain groups share one
-composition (_compose), one closure (_generate) and one choice of
-generators (_greedy_generators).
+composition (_compose) and one closure (_greedy_generators, which takes
+generators greedily and yields the group they generate).
 Refinement is McKay's splitter queue (_refine) on cells held as vertex
 bitmasks, the representation of nauty and Traces: each splitter's
 neighbour counts are bit-sliced, one int per bit of the count, and a
@@ -150,17 +150,11 @@ class SpectrumClaim:
 def seidel_from(system):
     """Seidel matrix of an equiangular system at scaled angle 16, norm 80:
     S = (G - 80 I) / 16 for the Gram matrix G, once every entry of G is
-    checked, the diagonal included."""
+    checked, the diagonal included (construct.first_defect)."""
     g = system.gram
     defect = construct.first_defect(g)
     if defect is not None:
-        i, j = defect
-        if i == j:
-            raise NotEquiangularError(
-                f"scaled norm {int(g[i, i])} of member {i}, not {construct.SCALED_NORM}")
-        raise NotEquiangularError(
-            f"scaled inner product {int(g[i, j])} between members {i},{j}"
-        )
+        raise NotEquiangularError(defect)
     identity = np.eye(len(g), dtype=np.int64)
     return SeidelMatrix((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE)
 
@@ -604,32 +598,24 @@ def _extend(group, gens):
     return group
 
 
-def _generate(identity, gens):
-    """All elements of the finite group generated by gens, extended by one
-    generator at a time."""
-    group = {identity}
-    for k, g in enumerate(gens):
-        if g not in group:
-            _extend(group, gens[:k + 1])
-    return group
-
-
 def _greedy_generators(identity, elements):
-    """The generators taken, in the order given, from elements that are not
-    yet generated by those taken before; the group grows with each."""
+    """(gens, group): the generators taken, in the order given, from
+    elements that are not yet generated by those taken before, and the
+    group they generate, which grows with each. Every element given is in
+    the group, so it is also the closure of elements."""
     gens = []
     group = {identity}
     for p in elements:
         if p not in group:
             gens.append(p)
             _extend(group, gens)
-    return gens
+    return gens, group
 
 
 def minimal_generators(n, elements):
     """Greedy generating subset of a permutation group given all elements,
     taken in sorted order."""
-    return _greedy_generators(tuple(range(n)), sorted(elements))
+    return _greedy_generators(tuple(range(n)), sorted(elements))[0]
 
 
 def _on_points(perm, signs):
@@ -818,14 +804,14 @@ def signed_automorphism_group(s):
         if not _signed_preserves(s, g):
             raise AssertionError("signed generator fails to preserve S")
     identity = tuple(range(2 * n))
-    group = _generate(identity, gens)
+    group = _greedy_generators(identity, gens)[1]
     expected = 2 * aut0 * len({g[1] >> 1 for g in group})
     if len(group) != expected:
         raise AssertionError(
             f"signed closure has order {len(group)}, orbit-stabilizer gives {expected}"
         )
     elements = tuple(sorted(group, key=_SIGNED_ORDER))
-    return AutGroupResult(generators=tuple(_greedy_generators(identity, elements)),
+    return AutGroupResult(generators=tuple(_greedy_generators(identity, elements)[0]),
                           elements=elements)
 
 
@@ -852,7 +838,7 @@ def switch(s, signs):
 
 def permute(s, perm):
     """Relabel: entry (i, j) of the result is S[perm[i]][perm[j]];
-    ValueError unless perm has n entries, none repeated."""
-    if len(perm) != s.n:
-        raise ValueError(f"{len(perm)} images for {s.n} points")
+    ValueError unless perm is a permutation of range(n)."""
+    if sorted(perm) != list(range(s.n)):
+        raise ValueError(f"perm is not a permutation of range({s.n})")
     return s.principal_submatrix(perm)

@@ -3,6 +3,12 @@ import pytest
 from equilines import cli, construct, golay, seidel
 
 
+def dot(u, v):
+    """Scaled inner product, in Python ints, of two members or a member and a vector."""
+    u, v = (x.coords if isinstance(x, construct.LineVector) else x for x in (u, v))
+    return sum(a * b for a, b in zip(u, v))
+
+
 @pytest.fixture(scope="session")
 def code():
     return golay.generate_code(golay.build_generator())

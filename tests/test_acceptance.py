@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
+from conftest import dot
 from test_seidel import brute_force_automorphism_count, claim_poly
 
 
@@ -44,7 +45,7 @@ def test_criterion_1_golay_gates(code):
 def test_criterion_2_construction_counts(asche, final54):
     t0 = time.monotonic()
     inners = {
-        asche.vectors[i].dot(asche.vectors[j])
+        dot(asche.vectors[i], asche.vectors[j])
         for i in range(72)
         for j in range(i + 1, 72)
     }
@@ -162,7 +163,7 @@ def test_criterion_8b_inner_product_formula(asche):
     t0 = time.monotonic()
     vecs = asche.vectors
     ok = all(
-        vecs[i].dot(vecs[j]) == 16 * golay.weight(vecs[i].source & vecs[j].source) - 48
+        dot(vecs[i], vecs[j]) == 16 * golay.weight(vecs[i].source & vecs[j].source) - 48
         for i in range(72)
         for j in range(i + 1, 72)
     )
@@ -247,7 +248,7 @@ def all_reports():
     seconds the two runs took."""
     t0 = time.monotonic()
     reports = {jobs: cli.report_without_timings(cli.report_dict(
-                   cli.certify_all(cli.RunConfig(command="all", jobs=jobs))))
+                   cli.run_command(cli.RunConfig(command="all", jobs=jobs))))
                for jobs in (1, 8)}
     return reports, time.monotonic() - t0
 

@@ -198,7 +198,7 @@ def test_subscan_alone_matches_the_whole_run(tmp_path):
     out = tmp_path / "s.json"
     assert run(["subscan", "--out", str(out)]) == 0
     alone = cli.report_without_timings(json.loads(out.read_text()))["certificates"]
-    whole = cli.report_without_timings(cli.report_dict(cli.certify_all(cli.RunConfig())))
+    whole = cli.report_without_timings(cli.report_dict(cli.run_command(cli.RunConfig())))
     assert alone == [c for c in whole["certificates"] if c["claim_id"] == "subscan.unique"]
 
 
@@ -219,7 +219,7 @@ def test_exact_spectral_work_of_a_whole_run_is_annihilator_chains(monkeypatch):
 
     monkeypatch.setattr(exactlin, "nullity_at", counted_nullity)
     monkeypatch.setattr(seidel, "compute_spectrum", counted_spectrum)
-    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert all(c.passed for c in cli.run_command(cli.RunConfig()))
     assert nullities == []
     assert spectra == [52]
     assert not hasattr(exactlin, "positive_definite")
@@ -238,7 +238,7 @@ def test_determinism_across_job_counts(tmp_path):
     reports = []
     for jobs in (1, 2):
         config = cli.RunConfig(command="all", orders=(53,), jobs=jobs)
-        certs = cli.certify_all(config)
+        certs = cli.run_command(config)
         reports.append(cli.report_without_timings(cli.report_dict(certs)))
     assert reports[0] == reports[1]
 
@@ -311,7 +311,7 @@ def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert all(c.passed for c in cli.run_command(cli.RunConfig()))
     assert calls == {"generate_code": 1, "asche_system": 1}
     # the corrupted control generates one code too, from the flipped rows
     calls.clear()
@@ -330,7 +330,7 @@ def test_certify_all_gates_the_code_once(monkeypatch):
         return real(code)
 
     monkeypatch.setattr(golay, "validation_gates", counted)
-    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert all(c.passed for c in cli.run_command(cli.RunConfig()))
     assert gated == [generator]
     gated.clear()
     (cert,) = cli.run_command(cli.RunConfig(command="golay", corrupt_generator=True))
@@ -344,7 +344,7 @@ def test_no_certificate_runs_bareiss(monkeypatch):
         raise RuntimeError("Bareiss elimination run")
     monkeypatch.setattr(exactlin, "pivots", fail)
     monkeypatch.setattr(exactlin, "bareiss_det", fail)
-    assert all(c.passed for c in cli.certify_all(cli.RunConfig()))
+    assert all(c.passed for c in cli.run_command(cli.RunConfig()))
     (cert,) = cli.run_command(cli.RunConfig(command="maximality", drop_line=4))
     assert cert.passed and cert.details["witnesses"]
 

@@ -21,7 +21,7 @@ def drop_member(system, index):
 
 
 def test_greedy_basis_is_independent(final54):
-    rows = final54.matrix()
+    rows = final54.coords.tolist()
     basis = search.greedy_basis(final54.gram, 18)
     assert len(basis) == 18
     assert exactlin.rank([rows[i] for i in basis]) == 18
@@ -41,7 +41,7 @@ def incremental_rank_basis(rows, target_rank):
 @pytest.mark.parametrize("drop", [None, *range(54)])
 def test_greedy_basis_matches_incremental_rank(final54, drop):
     system = final54 if drop is None else drop_member(final54, drop)
-    rows = system.matrix()
+    rows = system.coords.tolist()
     r = system.ambient_dim
     assert search.greedy_basis(system.gram, r) == incremental_rank_basis(rows, r)
     with pytest.raises(ValueError):
@@ -62,7 +62,7 @@ def gray_loop_witnesses(system):
     pattern on the unreduced adjugate, in increasing Gray index. The basis,
     its Gram matrix and the inner products come from the members'
     coordinates, not from system.gram."""
-    rows = system.matrix()
+    rows = system.coords.tolist()
     r = system.ambient_dim
     bmat = [rows[i] for i in incremental_rank_basis(rows, r)]
     det, adj = exactlin.adjugate(exactlin.mat_mul(bmat, transpose(bmat)))
@@ -134,7 +134,7 @@ def test_drop_one_control_finds_removed_member(final54):
 
 def test_verify_witness_checks_the_scaled_integer_vector(final54):
     # the removed member, scaled by d = 3, re-checks against the kept ones
-    rows = drop_member(final54, 0).matrix()
+    rows = drop_member(final54, 0).coords.tolist()
     dw = [3 * x for x in final54.vectors[0].coords]
     search._verify_witness(rows, dw, 3)
     for bad_dw, bad_d in ((dw, 1), ([x + (i == 5) for i, x in enumerate(dw)], 3)):
@@ -144,7 +144,7 @@ def test_verify_witness_checks_the_scaled_integer_vector(final54):
 
 def test_witnesses_verified_exactly(final54):
     report = search.check_extendibility(drop_member(final54, 0))
-    rows = drop_member(final54, 0).matrix()
+    rows = drop_member(final54, 0).coords.tolist()
     for w in report.witnesses:
         assert sum(x * x for x in w) == 80
         for row in rows:

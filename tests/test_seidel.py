@@ -9,6 +9,7 @@ import pytest
 
 from equilines import construct, exactlin, search, seidel
 from equilines.certificate import CertificateBuilder
+from conftest import dot
 
 
 def random_seidel(rng, n):
@@ -156,8 +157,9 @@ def test_array_copies_refuse_what_the_oracles_refuse(s54):
         for make in (copy, reference):
             with pytest.raises(ValueError):
                 make(s54, argument)
-    with pytest.raises(ValueError):
-        seidel.permute(s54, range(53))
+    for perm in range(53), list(range(53)) + [-1], list(range(53)) + [54]:
+        with pytest.raises(ValueError):             # -1 would read as 53, 54 is beyond
+            seidel.permute(s54, perm)
     with pytest.raises(ValueError):                 # (2^63 - 1)^2 = 1 modulo 2^64
         seidel.switch(s54, [2 ** 63 - 1] * 54)
 
@@ -166,7 +168,7 @@ def test_seidel_from_two_vectors(final54):
     pair = None
     vecs = final54.vectors
     for j in range(1, 54):
-        if vecs[0].dot(vecs[j]) == 16:
+        if dot(vecs[0], vecs[j]) == 16:
             pair = construct.LineSystem(vectors=(vecs[0], vecs[j]), ambient_dim=2)
             break
     s = seidel.seidel_from(pair)
@@ -463,7 +465,7 @@ def test_automorphisms_match_brute_force_random():
 def test_generators_generate_whole_group():
     s = cycle_seidel(6)
     result = seidel.automorphism_order(s)
-    closure = seidel._generate(tuple(range(s.n)), list(result.generators))
+    closure = seidel._greedy_generators(tuple(range(s.n)), list(result.generators))[1]
     assert len(closure) == result.order
 
 
@@ -1047,11 +1049,11 @@ def reference_seidel_from(system):
     vecs = system.vectors
     rows = []
     for i, u in enumerate(vecs):
-        if u.dot(u) != construct.SCALED_NORM:
+        if dot(u, u) != construct.SCALED_NORM:
             raise seidel.NotEquiangularError(f"norm of {i}")
         row = []
         for j, v in enumerate(vecs):
-            ip = u.dot(v)
+            ip = dot(u, v)
             if j != i and abs(ip) != construct.SCALED_ANGLE:
                 raise seidel.NotEquiangularError(f"inner product {ip}")
             row.append(0 if j == i else ip // construct.SCALED_ANGLE)
@@ -1083,7 +1085,7 @@ def test_seidel_from_rejects_angle_16_at_wrong_norm():
     a = construct.LineVector(coords=tuple([4] + [0] * 23), source=0)
     b = construct.LineVector(coords=tuple([4, 2] + [0] * 22), source=1)
     pair = construct.LineSystem(vectors=(a, b), ambient_dim=2)
-    assert a.dot(b) == 16
+    assert dot(a, b) == 16
     with pytest.raises(seidel.NotEquiangularError, match="scaled norm 16 of member 0"):
         seidel.seidel_from(pair)
 
@@ -1214,7 +1216,7 @@ def test_compose_of_short_tuples():
 
 
 def bfs_generate(identity, gens, compose):
-    """Oracle for _generate: breadth first from the identity, every
+    """Oracle for the group _greedy_generators yields: breadth first from the identity, every
     element times every generator."""
     group = {identity}
     frontier = [identity]
@@ -1251,9 +1253,9 @@ def test_group_closure_and_greedy_generators_match_bfs_oracles(s54):
         identity = tuple(range(2 * s.n))
         gens = list(seidel._switching_search(s)[2]) if s.n else []
         for some in (gens, gens[::-1], list(result.generators), signed[:3]):
-            assert (seidel._generate(identity, some)
+            assert (seidel._greedy_generators(identity, some)[1]
                     == bfs_generate(identity, some, seidel._compose))
-        assert (seidel._greedy_generators(identity, signed)
+        assert (seidel._greedy_generators(identity, signed)[0]
                 == regenerating_greedy_generators(identity, signed, seidel._compose))
         # on (target, sign) pairs, the reference composition closes the same
         # group: the elements in sorted order and the greedy generators

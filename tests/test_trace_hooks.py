@@ -48,6 +48,18 @@ TRACED_CERTIFY_ALL = textwrap.dedent("""
     assert metrics["exactlin.nullity_at.calls"] == 0, metrics
 """)
 
+# untraced perturbed iterations, as `certbench/run.py --workload perturbed`
+# runs them: every seeded control holds
+PERTURBED = textwrap.dedent("""
+    import sys
+    sys.path[:0] = ["src", "certbench"]
+    from workloads import WORKLOADS, run_iteration
+
+    for seed in (1, 2, 3):
+        sample = run_iteration(WORKLOADS["perturbed"], "src", seed, 0)
+        assert sample.verdicts.checked > 0 and sample.verdicts.errors == [], sample.verdicts.errors
+""")
+
 
 def test_trace_hooks_enter_and_exit_on_fresh_modules():
     subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, check=True)
@@ -55,3 +67,7 @@ def test_trace_hooks_enter_and_exit_on_fresh_modules():
 
 def test_traced_certify_all_iteration_makes_no_nullity():
     subprocess.run([sys.executable, "-c", TRACED_CERTIFY_ALL], cwd=ROOT, check=True)
+
+
+def test_perturbed_iterations_hold_every_verdict():
+    subprocess.run([sys.executable, "-c", PERTURBED], cwd=ROOT, check=True)
