@@ -20,6 +20,7 @@ S54_SPECTRUM = seidel.SpectrumClaim.make(
     {-5: 36, 7: 6, 11: 8, 13: 2}, quadratic=(-24, 107)
 )
 S54_AUT_ORDER = 216
+ORDERS = (50, 51, 52, 53)        # the sub-matrix orders of the paper's scan
 T52_SPECTRUM = seidel.SpectrumClaim.make(
     {-5: 34, 3: 1, 5: 1, 7: 6, 11: 7, 13: 2, 17: 1}
 )
@@ -27,17 +28,24 @@ T52_SPECTRUM = seidel.SpectrumClaim.make(
 
 @dataclass
 class RunConfig:
+    """A run's inputs; ValueError for the orders, drop_line or jobs the CLI refuses."""
     command: str = "all"
-    orders: tuple = (50, 51, 52, 53)
+    orders: tuple = ORDERS       # a non-empty subset of ORDERS; stored sorted, once each
     jobs: int = 1                # must be >= 1; every search runs in one process
     output_path: str = None
     emit_vectors: bool = False
     corrupt_generator: bool = False
-    drop_line: int = None        # maximality control: 0-based member to remove
+    drop_line: int = None        # maximality control: 0-based member to remove, below 54
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        orders = set(self.orders)
+        if not orders or not orders <= set(ORDERS):
+            raise ValueError(f"orders must be a non-empty subset of {ORDERS}: {self.orders!r}")
+        self.orders = tuple(sorted(orders))
+        if self.drop_line is not None and self.drop_line not in range(54):
+            raise ValueError(f"drop_line must be in range(54), not {self.drop_line!r}")
 
 
 class Pipeline:
@@ -95,7 +103,7 @@ def claim_inputs(claim_id, config):
         "spectrum.S": {"matrix": None, "claim": S54_SPECTRUM.as_dict()},
         "aut.order": {"command": "aut"},
         "maximality": {"command": "maximality", "drop_line": config.drop_line},
-        "subscan.unique": {"command": "subscan", "orders": sorted(config.orders)},
+        "subscan.unique": {"command": "subscan", "orders": list(config.orders)},
     }[claim_id]
 
 
@@ -239,8 +247,7 @@ def cmd_subscan(pipeline):
     b.note("equivalence_class_count", len(result.equivalence_classes))
     b.note("equivalence_definition", "switching + permutation of Seidel matrices")
     b.note("screened_ambiguous", result.screened_ambiguous)
-    full_run = set(config.orders) == {50, 51, 52, 53}
-    if full_run:
+    if config.orders == ORDERS:
         b.check("unique_equivalence_class", len(result.equivalence_classes) == 1,
                 len(result.equivalence_classes))
         b.check("hits_exist", bool(result.hits))
@@ -350,16 +357,12 @@ def _parse_args(argv):
         if name in ("subscan", "all"):
             p.add_argument("--orders", default="50,51,52,53")
     args = parser.parse_args(argv)
-    orders = (50, 51, 52, 53)
-    if hasattr(args, "orders"):                 # "", "52," and "x" are usage errors
-        entries = [x.strip() for x in args.orders.split(",")]
-        if not set(entries) <= {"50", "51", "52", "53"}:
-            parser.error(f"--orders must be a comma-separated subset of 50,51,52,53, "
-                         f"not {args.orders!r}")
-        orders = tuple(sorted({int(x) for x in entries}))
+    try:                                        # "", "52," and "x" are usage errors
+        orders = tuple(int(x) for x in getattr(args, "orders", "50,51,52,53").split(","))
+    except ValueError:
+        parser.error(f"--orders must be a comma-separated subset of 50,51,52,53, "
+                     f"not {args.orders!r}")
     drop = getattr(args, "drop_line", None)
-    if drop is not None and not 1 <= drop <= 54:
-        parser.error("--drop-line must be between 1 and 54")
     return RunConfig(
         command=args.command,
         orders=orders,

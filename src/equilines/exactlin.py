@@ -1,15 +1,15 @@
-"""Exact integer/rational linear algebra.
-
-Matrices are plain lists of rows of Python ints. Rank (hence nullity)
-is decided over the rationals from numpy int64 eliminations modulo the
-word-size primes PRIMES, each answer certified by a Hadamard bound on
-the minors it rests on; the same modular kernel gives the pivot columns
-from which search picks an independent basis. The adjugate has its own
-fraction-free elimination on Python ints. Determinants (hence the
-characteristic polynomial) come from the fraction-free (Bareiss)
-elimination pivots, which no certificate runs: the tests use it as the
-oracle for the modular answers. No floating point, so results can serve
-as certificates.
+"""Exact integer/rational linear algebra on numpy arrays: int64 where a
+checked bound keeps every entry in range, else object arrays of Python
+ints, to which numpy applies Python's own *, - and //, so each step is
+exact (rank, nullity_at and adjugate also take rows of ints). Rank (hence
+nullity) is decided over the rationals from int64 eliminations modulo the
+word-size primes PRIMES, each answer certified by a Hadamard bound on the
+minors it rests on; the same modular kernel gives the pivot columns from
+which search picks an independent basis. The adjugate is a fraction-free
+Gauss-Jordan elimination of an object array. The Bareiss pivots of rows of
+Python ints, behind determinants and the characteristic polynomial, run in
+no certificate: the tests use them as the oracle for the modular answers.
+No floating point, so results can serve as certificates.
 """
 
 import math
@@ -32,15 +32,6 @@ def dims(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     return rows, cols
-
-
-def mat_mul(a, b):
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    if ca != rb:
-        raise ValueError("dimension mismatch")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def pivots(m):
@@ -96,39 +87,33 @@ def adjugate(m):
     without row swaps: after step k every entry is, up to sign, a minor
     of order k+1 of [m | I], so each division by the previous pivot is
     exact (Sylvester's determinant identity), and at the end [m | I] has
-    become [det I | adj m]. The pivot of step k is the leading principal
-    minor of order k+1, which Sylvester's criterion requires to be
-    positive; a pivot <= 0 raises ValueError. The result is certified by
-    check_adjugate before it is returned. Kept apart from pivots: it also
-    eliminates above each pivot, which a determinant does not need.
+    become [det I | adj m], adj an object array of Python ints. The pivot
+    of step k is the leading principal minor of order k+1, which
+    Sylvester's criterion requires to be positive; a pivot <= 0 raises
+    ValueError. The result is certified by check_adjugate before it is
+    returned. Kept apart from pivots: it also eliminates above each
+    pivot, which a determinant does not need.
     """
     n, c = dims(m)
     if n != c:
         raise ValueError("adjugate of non-square matrix")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    a = np.hstack([np.array(m, dtype=object).reshape(n, n), np.identity(n, dtype=object)])
     prev = 1
     for k in range(n):
-        rowk = a[k]
-        pivot = rowk[k]
+        pivot, rowk = a[k, k], a[k].copy()
         if pivot <= 0:
             raise ValueError(f"leading minor {k + 1} is {pivot}: not positive definite")
-        for i in range(n):
-            if i != k:
-                rowi = a[i]
-                aik = rowi[k]
-                for j in range(2 * n):
-                    rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
+        a = (a * pivot - np.outer(a[:, k], rowk)) // prev
+        a[k] = rowk                 # the step maps row k to zeros; it stays
         prev = pivot
-    adj = [row[n:] for row in a]
+    adj = a[:, n:]
     check_adjugate(m, prev, adj)
     return prev, adj
 
 
 def check_adjugate(m, det, adj):
-    """Raise AssertionError unless det != 0 and m @ adj == det I, which
-    makes adj / det the inverse of m."""
-    if det == 0 or mat_mul(m, adj) != [[det * (i == j) for j in range(len(m))]
-                                        for i in range(len(m))]:
+    """AssertionError unless det != 0 and m @ adj == det I, so adj / det inverts m."""
+    if det == 0 or not (m @ adj == det * np.identity(len(adj), dtype=object)).all():
         raise AssertionError("m @ adj != det I")
 
 
@@ -153,10 +138,6 @@ def float_mod(y, p):
     y - (q + 1) p in (-p, 0). A fraction of the cost of np.mod on float64.
     """
     return y - np.floor(y / p) * p
-
-
-def _squared_row_norms(a):
-    return [sum(x * x for x in row) for row in a.tolist()]
 
 
 def _more_primes(product, bound, start):
@@ -239,18 +220,17 @@ def rank(m):
         r, product, used = max(r, steps), product * math.prod(map(int, kept)), used + len(batch)
         if r == full:
             break
-        squares = squares or sorted(_squared_row_norms(a), reverse=True)
+        squares = squares or sorted((a.astype(object) ** 2).sum(axis=1), reverse=True)
         batch = _more_primes(product, 4 * math.prod(squares[:r + 1]), used)
     return r
 
 
 def nullity_at(m, lam):
-    """dim ker(m - lam*I) over the rationals; m must be square."""
+    """dim ker(m - lam*I) over the rationals, m square; m - lam I is formed in Python ints."""
     n, c = dims(m)
     if n != c:
         raise ValueError("nullity of non-square matrix")
-    shifted = [[m[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-    return n - rank(shifted)
+    return n - rank(np.array(m, dtype=object) - lam * np.identity(n, dtype=object))
 
 
 def poly_mul(p, q):

@@ -4,13 +4,15 @@ Both run in one process. The extendibility search reads an independent
 basis and every inner product it needs off the members' int64 Gram
 matrix, tests all 2^rank sign patterns at once in exact int64
 arithmetic, after dividing the exact adjugate by its content, and
-re-checks every hit in integers. The sub-scan examines the
-lexicographically least removed-index set of each orbit of the
-automorphism group, generated level by level, screens each with an
-exact annihilator test modulo a prime, and confirms every survivor with
-the same test over the integers, run modulo enough word-size primes.
-Neither search decides anything by floating point: where they compute
-in float64, every value is an exact integer.
+re-checks every hit in integers. The adjugate, inner products and hits
+are object arrays of Python ints; the scan casts to int64 only after a
+bound check. The sub-scan examines the lexicographically least
+removed-index set of each orbit of the automorphism group, generated
+level by level, screens each with an exact annihilator test modulo a
+prime, and confirms every survivor with the same test over the
+integers, run modulo enough word-size primes. Neither search decides
+anything by floating point: where they compute in float64, every value
+is an exact integer.
 """
 
 import math
@@ -84,7 +86,7 @@ def _pattern_scan(a, d, inner):
     """The sign vectors s in {+1, -1}^r, r = len(a), that pass the
     reduced norm and angle tests below, as bit masks g (bit j set means
     s_j = +1) in the order of a Gray-code walk: by increasing k with
-    g = k ^ (k >> 1). a and inner are integer lists, d > 0.
+    g = k ^ (k >> 1). a and inner are object arrays of Python ints, d > 0.
 
     The norm test: SCALED_ANGLE^2 s^T a s = SCALED_NORM d. For integer
     q = s^T a s that is q = top and rem = 0, with top, rem the quotient
@@ -96,18 +98,16 @@ def _pattern_scan(a, d, inner):
     q = s_lo^T a_ll s_lo + 2 s_lo^T a_lh s_hi + s_hi^T a_hh s_hi,
     in blocks of SCAN_BLOCK entries. Every value computed, partial sums
     included, is a signed sum of entries of a, of a row of inner, or d,
-    so its absolute value is at most the bound checked before the scan,
-    below 2^62: int64 never wraps. (The cross term's factor 2 is covered
-    because a is symmetric: 2 sum |a_lh| = sum |a_lh| + sum |a_hl|.)
+    so its absolute value is at most the bound checked before the int64
+    cast, below 2^62: int64 never wraps. (The cross term's factor 2 is
+    covered because a is symmetric: 2 sum |a_lh| = sum |a_lh| + sum |a_hl|.)
     """
     r = len(a)
     top, rem = divmod(SCALED_NORM * d, SCALED_ANGLE ** 2)
-    bound = max([d, sum(abs(x) for row in a for x in row)]
-                + [sum(abs(x) for x in row) for row in inner])
+    bound = max(d, abs(a).sum(), abs(inner).sum(axis=1).max())
     if bound >= 1 << 62:
         raise AssertionError(f"reduced entries reach {bound}, beyond the int64 scan")
-    a = np.array(a, dtype=np.int64)
-    inner = np.array(inner, dtype=np.int64)
+    a, inner = a.astype(np.int64), inner.astype(np.int64)
     lo = r // 2
     s_lo, s_hi = _sign_rows(lo), _sign_rows(r - lo)
     q_lo = ((s_lo @ a[:lo, :lo]) * s_lo).sum(axis=1)
@@ -161,19 +161,17 @@ def check_extendibility(system):
     d w = B^T (a eps) and re-checked against every member's coordinates
     by _verify_witness; only then is w made exact Fractions for the report.
     """
-    rows, gram, r = system.coords.tolist(), system.gram, system.ambient_dim
+    coords, gram, r = system.coords, system.gram, system.ambient_dim
     basis = greedy_basis(gram, r)
-    det, adjugate = exactlin.adjugate(gram[np.ix_(basis, basis)].tolist())
-    g = math.gcd(det, *(x for row in adjugate for x in row))
-    a, d = [[x // g for x in row] for row in adjugate], det // g
-    inner = exactlin.mat_mul(gram[:, basis].tolist(), a)     # members x r
-    bmat = [rows[i] for i in basis]
+    det, adj = exactlin.adjugate(gram[np.ix_(basis, basis)])
+    g = math.gcd(det, *adj.flat)
+    a, d = adj // g, det // g
+    inner = gram[:, basis] @ a                              # members x r
     witnesses = []
     for pattern in _pattern_scan(a, d, inner):
-        eps = [SCALED_ANGLE if pattern >> j & 1 else -SCALED_ANGLE for j in range(r)]
-        a_eps = [sum(x * e for x, e in zip(row, eps)) for row in a]
-        dw = [sum(x * y for x, y in zip(col, a_eps)) for col in zip(*bmat)]
-        _verify_witness(rows, dw, d)
+        eps = np.where(pattern >> np.arange(r) & 1, SCALED_ANGLE, -SCALED_ANGLE)
+        dw = a @ eps @ coords[basis]
+        _verify_witness(coords, dw, d)
         witnesses.append(tuple(Fraction(x, d) for x in dw))
     return ExtendibilityReport(
         extendible=bool(witnesses),
@@ -184,18 +182,16 @@ def check_extendibility(system):
     )
 
 
-def _verify_witness(rows, dw, d):
+def _verify_witness(coords, dw, d):
     """AssertionError unless w = dw / d, with d > 0, has scaled norm
     SCALED_NORM and a scaled inner product of +-SCALED_ANGLE with every
-    row: in integers, |dw|^2 = SCALED_NORM d^2 and |<row, dw>| =
-    SCALED_ANGLE d."""
-    if sum(x * x for x in dw) != SCALED_NORM * d * d:
+    row of coords: for dw an object array, |dw|^2 = SCALED_NORM d^2 and
+    |coords @ dw| = SCALED_ANGLE d, which also rules out a parallel row."""
+    if dw @ dw != SCALED_NORM * d * d:
         raise AssertionError("witness failed the norm re-check")
-    for i, row in enumerate(rows):
-        ip = sum(a * b for a, b in zip(row, dw))
-        if abs(ip) != SCALED_ANGLE * d:
-            raise AssertionError(f"witness not at the common angle with member {i}")
-        # parallel would force |ip| = 80 d; +/-16 d already rules it out
+    off = np.flatnonzero(abs(coords @ dw) != SCALED_ANGLE * d)
+    if len(off):
+        raise AssertionError(f"witness not at the common angle with member {off[0]}")
 
 
 def switching_automorphisms(s):
@@ -368,7 +364,7 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
     rejected = 0
     levels = _orbit_levels(perms, n)
     depth, (reps, sizes) = 0, next(levels)
-    for order in sorted(orders, reverse=True):
+    for order in sorted(set(orders), reverse=True):
         k = n - order
         while depth < k:
             depth, (reps, sizes) = depth + 1, next(levels)

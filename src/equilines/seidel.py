@@ -339,7 +339,7 @@ def certify_spectrum(s, claim):
     if _chain_primes(n, values, claim.quadratic):
         mults = _chain_multiplicities(s, values, claim.quadratic)
     if mults is None:
-        mults = [exactlin.nullity_at(s.rows, value) for value in values]
+        mults = [exactlin.nullity_at(s.array, value) for value in values]
     exact = dict(zip(values, mults))
     premises = [(f"nullity_at_{value}", exact[value] == mult,
                  {"claimed": mult, "exact": exact[value]})

@@ -92,6 +92,28 @@ def test_invalid_jobs_rejected():
     assert run(["golay", "--jobs", "0"]) == 2
 
 
+@pytest.mark.parametrize("fields", [
+    {"command": "subscan", "orders": (49,)},
+    {"command": "subscan", "orders": ()},
+    {"command": "all", "orders": (52, 54)},
+    {"command": "maximality", "drop_line": -1},
+    {"command": "maximality", "drop_line": 54},
+    {"command": "maximality", "drop_line": 99},
+    {"command": "golay", "jobs": 0},
+], ids=["order_49", "no_orders", "order_54", "drop_minus_1", "drop_54", "drop_99", "jobs_0"])
+def test_run_config_refuses_what_the_cli_refuses(fields):
+    with pytest.raises(ValueError):
+        cli.RunConfig(**fields)
+
+
+def test_run_config_stores_orders_sorted_once_each():
+    assert cli.RunConfig(orders=[53, 52, 53]).orders == (52, 53)
+    reports = [cli.report_without_timings(cli.report_dict(cli.run_command(
+        cli.RunConfig(command="subscan", orders=orders)))) for orders in ((52, 52), (52,))]
+    assert reports[0] == reports[1]
+    assert len(reports[0]["certificates"][0]["details"]["hits"]) == 9
+
+
 @pytest.mark.parametrize("orders", ["", "52,", "x"],
                          ids=["empty", "trailing_comma", "non_integer"])
 def test_empty_orders_rejected(capsys, orders):

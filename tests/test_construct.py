@@ -6,7 +6,7 @@ import pytest
 from equilines import construct, exactlin, golay, seidel
 from equilines.certificate import CertificateBuilder
 from conftest import dot
-from test_exactlin import transpose
+from test_exactlin import reference_mat_mul, transpose
 
 
 def test_lift_zero_codeword():
@@ -82,7 +82,7 @@ def test_removed_count(asche, final54):
 
 def gram(system):
     rows = system.coords.tolist()
-    return exactlin.mat_mul(rows, transpose(rows))
+    return reference_mat_mul(rows, transpose(rows))
 
 
 def test_gram_is_80I_plus_16S(final54):

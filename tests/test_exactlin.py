@@ -15,6 +15,37 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def reference_mat_mul(a, b):
+    """Product of two matrices given as rows of Python ints, entry by entry."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def reference_adjugate(m):
+    """Oracle for exactlin.adjugate: the same fraction-free Gauss-Jordan
+    elimination of [m | I] without row swaps, entry by entry on rows of
+    Python ints, certified by reference_mat_mul. Returns (det m, adj m)
+    with adj as rows; ValueError on a pivot <= 0."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        rowk = a[k]
+        pivot = rowk[k]
+        if pivot <= 0:
+            raise ValueError(f"leading minor {k + 1} is {pivot}: not positive definite")
+        for i in range(n):
+            if i != k:
+                rowi = a[i]
+                aik = rowi[k]
+                for j in range(2 * n):
+                    rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
+        prev = pivot
+    adj = [row[n:] for row in a]
+    assert reference_mat_mul(m, adj) == [[prev * (i == j) for j in range(n)] for i in range(n)]
+    return prev, adj
+
+
 def swap_free_pivots(a, primes):
     """Gaussian elimination of the square int64 matrix a without row swaps
     modulo every prime in primes at once, one (P, n, n) array for the P
@@ -56,7 +87,7 @@ def positive_definite(m):
     if n != c:
         raise ValueError("definiteness of non-square matrix")
     a = exactlin._int64(m)
-    bound = 4 * math.prod(max(1, q) for q in exactlin._squared_row_norms(a))
+    bound = 4 * math.prod(max(1, q) for q in (a.astype(object) ** 2).sum(axis=1))
     kept, used = (), 0
     while True:
         primes = kept + exactlin._more_primes(math.prod(kept), bound, used)
@@ -118,9 +149,17 @@ def test_char_poly_empty_and_single():
     assert exactlin.char_poly([[5]]) == [-5, 1]
 
 
+def adjugate_rows(m):
+    """exactlin.adjugate(m) with adj as rows, after checking that every
+    entry is a Python int."""
+    det, adj = exactlin.adjugate(m)
+    assert type(det) is int and set(map(type, adj.flat)) <= {int}
+    return det, adj.tolist()
+
+
 def test_adjugate_known():
-    assert exactlin.adjugate([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
-    assert exactlin.adjugate([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == (
+    assert adjugate_rows([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
+    assert adjugate_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == (
         4, [[3, -2, 1], [-2, 4, -2], [1, -2, 3]])
 
 
@@ -129,12 +168,11 @@ def test_adjugate_random_positive_definite():
     for _ in range(30):
         n, k = rng.randint(1, 6), rng.randint(1, 6)
         b = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
-        m = exactlin.mat_mul(b, transpose(b))
+        m = reference_mat_mul(b, transpose(b))
         for i in range(n):
             m[i][i] += 1
-        det, adj = exactlin.adjugate(m)
-        assert exactlin.mat_mul(m, adj) == [[det * (i == j) for j in range(n)]
-                                            for i in range(n)]
+        det, adj = adjugate_rows(m)
+        assert (det, adj) == reference_adjugate(m)
         assert det == exactlin.bareiss_det(m)
 
 
@@ -147,6 +185,8 @@ def test_adjugate_random_positive_definite():
 def test_adjugate_rejects_non_positive_definite(m):
     with pytest.raises(ValueError):
         exactlin.adjugate(m)
+    with pytest.raises(ValueError):
+        reference_adjugate(m)
 
 
 def test_char_poly_trace_det_identities_random():
@@ -228,7 +268,7 @@ def random_oracle_matrix(rng):
     nr, nc = rng.randint(1, 6), rng.randint(1, 6)
     if rng.random() < 1 / 3:
         b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        m = exactlin.mat_mul(b, transpose(b))
+        m = reference_mat_mul(b, transpose(b))
         shift = rng.randint(-2, 2)
         for i in range(nr):
             m[i][i] += shift
@@ -305,11 +345,11 @@ def wide_oracle_matrix(rng):
         r = rng.randint(0, min(nr, nc))
         b = [[rng.randint(-big, big) for _ in range(r)] for _ in range(nr)]
         c = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(r)]
-        return exactlin.mat_mul(b, c) if r else [[0] * nc for _ in range(nr)]
+        return reference_mat_mul(b, c) if r else [[0] * nc for _ in range(nr)]
     if kind == "gram":
         width = rng.randint(1, nc)
         b = [[rng.randint(-big, big) for _ in range(width)] for _ in range(nr)]
-        m = exactlin.mat_mul(b, transpose(b))
+        m = reference_mat_mul(b, transpose(b))
         shift = rng.choice((0, 1, -1))
         return [[x + shift * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
     m = [[0] * nr for _ in range(nr)]
@@ -338,6 +378,23 @@ def test_modular_rank_nullity_definiteness_match_pivots():
                 assert positive_definite(m) == definite
                 seen[definite] += 1
     assert min(seen.values()) > 20
+
+
+def test_list_and_int64_array_inputs_agree():
+    rng = random.Random(29)
+    definite = 0
+    for _ in range(150):
+        m = wide_oracle_matrix(rng)
+        a = np.array(m, dtype=np.int64).reshape(exactlin.dims(m))
+        assert exactlin.rank(a) == exactlin.rank(m)
+        n, c = exactlin.dims(m)
+        if n == c:
+            lam = rng.randint(-3, 3)
+            assert exactlin.nullity_at(a, lam) == exactlin.nullity_at(m, lam)
+            if pivots_positive_definite(m):
+                assert adjugate_rows(a) == adjugate_rows(m) == reference_adjugate(m)
+                definite += 1
+    assert definite > 10
 
 
 def test_modular_edge_cases():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from equilines import cli, construct, exactlin, search, seidel
-from test_exactlin import positive_definite, transpose
+from test_exactlin import positive_definite, reference_adjugate, reference_mat_mul, transpose
 from test_seidel import nullity_spectrum
 
 
@@ -65,9 +65,9 @@ def gray_loop_witnesses(system):
     rows = system.coords.tolist()
     r = system.ambient_dim
     bmat = [rows[i] for i in incremental_rank_basis(rows, r)]
-    det, adj = exactlin.adjugate(exactlin.mat_mul(bmat, transpose(bmat)))
-    lift = exactlin.mat_mul(transpose(bmat), adj)
-    inner = exactlin.mat_mul(rows, lift)
+    det, adj = reference_adjugate(reference_mat_mul(bmat, transpose(bmat)))
+    lift = reference_mat_mul(transpose(bmat), adj)
+    inner = reference_mat_mul(rows, lift)
     eps = [-16] * r
     z = [sum(adj[i][j] * eps[j] for j in range(r)) for i in range(r)]
     witnesses = []
@@ -99,6 +99,49 @@ def test_pattern_scan_matches_gray_loop_oracle(final54):
         assert len(expected) == count
 
 
+def reference_check_extendibility(system):
+    """Oracle for check_extendibility: its steps on rows of Python ints,
+    with the basis from incremental_rank_basis and the adjugate from
+    reference_adjugate; only the pattern scan is search's own. Returns
+    the adjugate of the basis Gram matrix and the report's fields."""
+    rows, r = system.coords.tolist(), system.ambient_dim
+    basis = incremental_rank_basis(rows, r)
+    bmat = [rows[i] for i in basis]
+    det, adj = reference_adjugate(reference_mat_mul(bmat, transpose(bmat)))
+    g = math.gcd(det, *(x for row in adj for x in row))
+    a, d = [[x // g for x in row] for row in adj], det // g
+    inner = reference_mat_mul(reference_mat_mul(rows, transpose(bmat)), a)
+    witnesses = []
+    for pattern in search._pattern_scan(np.array(a, dtype=object), d,
+                                        np.array(inner, dtype=object)):
+        eps = [16 if pattern >> j & 1 else -16 for j in range(r)]
+        a_eps = [sum(x * e for x, e in zip(row, eps)) for row in a]
+        dw = [sum(x * y for x, y in zip(col, a_eps)) for col in zip(*bmat)]
+        assert sum(x * x for x in dw) == 80 * d * d
+        assert all(abs(sum(x * y for x, y in zip(row, dw))) == 16 * d for row in rows)
+        witnesses.append(tuple(Fraction(x, d) for x in dw))
+    return (det, adj), (tuple(basis), witnesses, 1 << r)
+
+
+@pytest.fixture(scope="module")
+def drop_line_systems(final54):
+    return [drop_member(final54, i) for i in range(54)]
+
+
+def test_check_extendibility_matches_python_int_reference(final54, drop_line_systems):
+    # S54 and all 54 drop-line systems: the array adjugate of the basis
+    # Gram matrix and every report field against the list-of-rows oracle
+    for system in [final54, *drop_line_systems]:
+        (det, adj), fields = reference_check_extendibility(system)
+        basis = search.greedy_basis(system.gram, system.ambient_dim)
+        got_det, got_adj = exactlin.adjugate(system.gram[np.ix_(basis, basis)])
+        assert (got_det, got_adj.tolist()) == (det, adj)
+        report = search.check_extendibility(system)
+        assert (report.basis_indices, report.witnesses, report.patterns_examined) == fields
+        assert report.extendible == bool(fields[1]) == (system is not final54)
+        assert all(type(x.numerator) is int for w in report.witnesses for x in w)
+
+
 def test_adjugate_off_by_one_entry_fails_check(final54):
     basis = search.greedy_basis(final54.gram, 18)
     gram = final54.gram[np.ix_(basis, basis)].tolist()
@@ -111,15 +154,19 @@ def test_adjugate_off_by_one_entry_fails_check(final54):
 
 
 def test_int64_bound_raises_before_any_scan(monkeypatch):
-    # each entry fits int64 but s^T a s reaches 4 * 2^62 = 2^64, which wraps
+    # each entry is below 2^62 but s^T a s reaches 4 * 2^61 = 2^63, which
+    # wraps; so does a row of inner @ s at 2 * 2^61
     def no_scan(bits):
         raise RuntimeError("scan started")
     monkeypatch.setattr(search, "_sign_rows", no_scan)
-    big = 1 << 62
-    with pytest.raises(AssertionError):
-        search._pattern_scan([[big, big], [big, big]], 5, [[1, 1]])
+    big, half = 1 << 62, 1 << 61
+    for a, inner in (([[half, half], [half, half]], [[1, 1]]),
+                     ([[1, 0], [0, 1]], [[half, half]])):
+        with pytest.raises(AssertionError):
+            search._pattern_scan(np.array(a, dtype=object), 5, np.array(inner, dtype=object))
     with pytest.raises(RuntimeError):          # just below the bound it scans
-        search._pattern_scan([[big - 1]], 5, [[1]])
+        search._pattern_scan(np.array([[big - 1]], dtype=object), 5,
+                             np.array([[1]], dtype=object))
 
 
 def test_drop_one_control_finds_removed_member(final54):
@@ -134,12 +181,31 @@ def test_drop_one_control_finds_removed_member(final54):
 
 def test_verify_witness_checks_the_scaled_integer_vector(final54):
     # the removed member, scaled by d = 3, re-checks against the kept ones
-    rows = drop_member(final54, 0).coords.tolist()
-    dw = [3 * x for x in final54.vectors[0].coords]
-    search._verify_witness(rows, dw, 3)
-    for bad_dw, bad_d in ((dw, 1), ([x + (i == 5) for i, x in enumerate(dw)], 3)):
+    coords = drop_member(final54, 0).coords
+    dw = 3 * final54.coords[0].astype(object)
+    search._verify_witness(coords, dw, 3)
+    bent = dw.copy()
+    bent[5] += 1
+    for bad_dw, bad_d in ((dw, 1), (bent, 3)):
         with pytest.raises(AssertionError):
-            search._verify_witness(rows, bad_dw, bad_d)
+            search._verify_witness(coords, bad_dw, bad_d)
+    # the removed member itself is parallel, not at the angle: the first
+    # of its two copies is named
+    own = final54.coords[0]
+    with pytest.raises(AssertionError, match="member 10$"):
+        search._verify_witness(np.vstack([coords[:10], own, coords[10:], own]), dw, 3)
+
+
+def test_every_hit_is_rechecked(final54, monkeypatch):
+    checked = []
+    verify = search._verify_witness
+
+    def recorded(coords, dw, d):
+        checked.append(tuple(Fraction(x, d) for x in dw))
+        verify(coords, dw, d)
+    monkeypatch.setattr(search, "_verify_witness", recorded)
+    report = search.check_extendibility(drop_member(final54, 0))
+    assert checked == report.witnesses and len(checked) == 2
 
 
 def test_witnesses_verified_exactly(final54):
@@ -160,6 +226,7 @@ def test_subscan_order_53_has_no_hits(s54, s54_window):
 
 def test_subscan_order_52(s54, s54_window):
     result = search.subseidel_scan(s54, s54_window, orders=(52,))
+    assert search.subseidel_scan(s54, s54_window, orders=(52, 52)) == result
     assert result.subsets_examined == {52: math.comb(54, 2)}
     assert len(result.hits) == 9
     expected = seidel.SpectrumClaim.make(
