@@ -28,7 +28,10 @@ T52_SPECTRUM = seidel.SpectrumClaim.make(
 
 @dataclass
 class RunConfig:
-    """A run's inputs; ValueError for the orders, drop_line or jobs the CLI refuses."""
+    """A run's inputs; ValueError for every input the CLI refuses: an
+    unknown command, orders, drop_line or jobs out of range, and
+    emit_vectors or corrupt_generator with a command that has no such
+    option."""
     command: str = "all"
     orders: tuple = ORDERS       # a non-empty subset of ORDERS; stored sorted, once each
     jobs: int = 1                # must be >= 1; every search runs in one process
@@ -38,6 +41,12 @@ class RunConfig:
     drop_line: int = None        # maximality control: 0-based member to remove, below 54
 
     def __post_init__(self):
+        if self.command not in COMMANDS:
+            raise ValueError(f"unknown command {self.command!r}")
+        if self.emit_vectors and self.command != "construct":
+            raise ValueError("emit_vectors is an option of construct only")
+        if self.corrupt_generator and self.command not in ("golay", "all"):
+            raise ValueError("corrupt_generator is an option of golay and all only")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         orders = set(self.orders)

@@ -1,15 +1,19 @@
-"""Exact integer/rational linear algebra on numpy arrays: int64 where a
-checked bound keeps every entry in range, else object arrays of Python
-ints, to which numpy applies Python's own *, - and //, so each step is
-exact (rank, nullity_at and adjugate also take rows of ints). Rank (hence
-nullity) is decided over the rationals from int64 eliminations modulo the
-word-size primes PRIMES, each answer certified by a Hadamard bound on the
-minors it rests on; the same modular kernel gives the pivot columns from
-which search picks an independent basis. The adjugate is a fraction-free
-Gauss-Jordan elimination of an object array. The Bareiss pivots of rows of
-Python ints, behind determinants and the characteristic polynomial, run in
-no certificate: the tests use them as the oracle for the modular answers.
-No floating point, so results can serve as certificates.
+"""Exact integer/rational linear algebra on numpy arrays, in word-size
+arithmetic: int64 where a checked bound keeps every value in range, or
+float64 where every value is an integer below 2^52 (rank, nullity_at and
+inverse also take rows of ints). The modular kernel eliminates int64
+matrices modulo the word-size primes PRIMES. Rank (hence nullity) is
+decided over the rationals from it, each answer certified by a Hadamard
+bound on the minors it rests on, and it gives the pivot columns from
+which search picks an independent basis. inverse guesses a matrix's
+inverse modulo one prime by the same kind of elimination, recovers each
+entry by rational reconstruction and accepts only what the exact int64
+identity m a = d I verifies. float_mod reduces exact float64 integers
+modulo a prime for the spectral screens. The Bareiss pivots of rows of
+Python ints, behind determinants and the characteristic polynomial, run
+in no certificate: the tests use them as the oracle for the modular
+answers. Nothing is decided by rounding, so results can serve as
+certificates.
 """
 
 import math
@@ -80,41 +84,105 @@ def bareiss_det(m):
     return (-1) ** swaps * steps[-1][2] if steps else 1
 
 
-def adjugate(m):
-    """(det m, adj m) for a symmetric positive definite integer matrix m.
+def inverse(m):
+    """(a, d) with m a = d I, d > 0 and gcd(d, a) = 1: a / d = m^-1 in
+    lowest terms, a an int64 array, for a square invertible matrix m of
+    int64 entries (or rows of ints). Guess, then verify, one prime p at a
+    time from PRIMES[-1] down:
 
-    One fraction-free (Bareiss) Gauss-Jordan elimination of [m | I]
-    without row swaps: after step k every entry is, up to sign, a minor
-    of order k+1 of [m | I], so each division by the previous pivot is
-    exact (Sylvester's determinant identity), and at the end [m | I] has
-    become [det I | adj m], adj an object array of Python ints. The pivot
-    of step k is the leading principal minor of order k+1, which
-    Sylvester's criterion requires to be positive; a pivot <= 0 raises
-    ValueError. The result is certified by check_adjugate before it is
-    returned. Kept apart from pivots: it also eliminates above each
-    pivot, which a determinant does not need.
+    - Guess. _inverse_mod gives m^-1 modulo p, or None if p divides
+      det m. rational_reconstruction turns each entry into the fraction
+      it must be if its reduced numerator and denominator are at most
+      isqrt(p // 2). d is the lcm of their denominators and a = d m^-1
+      mod p, lifted to (-p/2, p/2).
+    - Verify. m a == d I in int64, its bound checked by int64_product
+      (for a basis Gram matrix of the 54 lines, 18 terms |m| <= 80 times
+      |a| < p/2 stay far below 2^63), with 0 < d < 2^62 and
+      gcd(d, a) = 1. That identity alone proves a / d = m^-1, whatever
+      the guess did; with the gcd, d is the least d > 0 that makes
+      d m^-1 integral, which is det m / gcd(det m, adj m).
+
+    A prime that divides det m, or whose reconstruction fails or gives a
+    failing identity, is replaced by the next one. AssertionError if no
+    prime works, as for an inverse with an entry beyond the bound, so
+    the result is never wrong. ValueError if m is not square.
     """
-    n, c = dims(m)
+    m = _int64(m)
+    n, c = m.shape
     if n != c:
-        raise ValueError("adjugate of non-square matrix")
-    a = np.hstack([np.array(m, dtype=object).reshape(n, n), np.identity(n, dtype=object)])
-    prev = 1
+        raise ValueError("inverse of non-square matrix")
+    for p in reversed(PRIMES):
+        u = _inverse_mod(m, p)
+        if u is None:
+            continue
+        den = rational_reconstruction(u, p)[1]
+        if not den.all():
+            continue
+        d = math.lcm(*den.ravel().tolist())
+        a = d % p * u % p
+        a[a > p // 2] -= p
+        if (0 < d < 1 << 62 and np.gcd.reduce(a.ravel(), initial=d) == 1
+                and (int64_product(m, a) == d * np.identity(n, dtype=np.int64)).all()):
+            return a, d
+    raise AssertionError("no prime in PRIMES gives a verified inverse")
+
+
+def _inverse_mod(m, p):
+    """m^-1 modulo the prime p < 2^31 for a square int64 matrix m, by
+    Gauss-Jordan elimination of [m | I] in int64, or None if p divides
+    det m (no pivot is left in some column). Residues are below 2^31, so
+    each product is below 2^62."""
+    n = len(m)
+    x = np.hstack([m % p, np.identity(n, dtype=np.int64)])
     for k in range(n):
-        pivot, rowk = a[k, k], a[k].copy()
-        if pivot <= 0:
-            raise ValueError(f"leading minor {k + 1} is {pivot}: not positive definite")
-        a = (a * pivot - np.outer(a[:, k], rowk)) // prev
-        a[k] = rowk                 # the step maps row k to zeros; it stays
-        prev = pivot
-    adj = a[:, n:]
-    check_adjugate(m, prev, adj)
-    return prev, adj
+        rows = np.flatnonzero(x[k:, k])
+        if not len(rows):
+            return None
+        x[[k, k + rows[0]]] = x[[k + rows[0], k]]
+        rowk = x[k] * pow(int(x[k, k]), -1, p) % p
+        x -= np.outer(x[:, k], rowk)
+        x %= p
+        x[k] = rowk                 # the step maps row k to zeros; it stays
+    return x[:, n:]
 
 
-def check_adjugate(m, det, adj):
-    """AssertionError unless det != 0 and m @ adj == det I, so adj / det inverts m."""
-    if det == 0 or not (m @ adj == det * np.identity(len(adj), dtype=object)).all():
-        raise AssertionError("m @ adj != det I")
+def rational_reconstruction(u, p):
+    """(num, den), int64 arrays of u's shape: for each residue u modulo
+    the prime p < 2^31, the fraction num / den = u (mod p) in lowest
+    terms with |num| <= N and 0 < den <= N, N = isqrt(p // 2); den = 0
+    where there is none.
+
+    2 N^2 < p, so two such fractions congruent to one residue are equal:
+    the one found is the entry's true value whenever that value has both
+    parts within N (Wang, SYMSAC 1981; von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.10). It is read off the extended Euclidean
+    algorithm on (p, u), run for every entry at once: each remainder is
+    r = t u (mod p) for its cofactor t, and at the first r <= N the
+    fraction is r / t, sign moved to the numerator, if |t| <= N and
+    gcd(r, t) = 1. Every value stays below p in absolute value.
+    """
+    bound = math.isqrt(p // 2)
+    r0, r1 = np.full_like(u, p), u % p
+    t0, t1 = np.zeros_like(u), np.ones_like(u)
+    while (live := r1 > bound).any():
+        q = r0 // np.maximum(r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
+        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - q * t1, t1)
+    den = abs(t1)
+    ok = (den <= bound) & (np.gcd(r1, den) == 1)
+    return np.where(ok, np.sign(t1) * r1, 0), np.where(ok, den, 0)
+
+
+def int64_product(x, y):
+    """x @ y for int64 arrays x and y, exact: AssertionError before the
+    product unless the largest absolute row sum of x times the largest
+    |y| entry, computed in Python ints, is below 2^63. That bounds every
+    partial sum, so int64 never wraps."""
+    bound = (max(abs(x.astype(object)).sum(axis=1), default=0)
+             * max(abs(y.astype(object)).ravel(), default=0))
+    if bound >= 1 << 63:
+        raise AssertionError(f"an int64 product could reach {bound}")
+    return x @ y
 
 
 def _int64(m):

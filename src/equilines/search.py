@@ -1,21 +1,21 @@
 """Exhaustive searches: non-extendibility and the integral-spectrum sub-scan.
 
-Both run in one process. The extendibility search reads an independent
-basis and every inner product it needs off the members' int64 Gram
-matrix, tests all 2^rank sign patterns at once in exact int64
-arithmetic, after dividing the exact adjugate by its content, and
-re-checks every hit in integers. The adjugate, inner products and hits
-are object arrays of Python ints; the scan casts to int64 only after a
-bound check. The sub-scan examines the lexicographically least
-removed-index set of each orbit of the automorphism group, generated
-level by level, screens each with an exact annihilator test modulo a
-prime, and confirms every survivor with the same test over the
-integers, run modulo enough word-size primes. Neither search decides
-anything by floating point: where they compute in float64, every value
-is an exact integer.
+Both run in one process, on word-size arithmetic whose exactness each
+step proves by a checked bound or a verified identity. The extendibility
+search reads an independent basis and every inner product it needs off
+the members' int64 Gram matrix, inverts the basis Gram matrix by
+exactlin.inverse (a modular guess that the int64 identity G a = d I
+verifies), tests all 2^rank sign patterns at once in float64 whose
+every value is an integer below 2^52, and re-checks every hit in Python
+ints. The sub-scan examines the lexicographically least removed-index
+set of each orbit of the automorphism group, generated level by level,
+screens each with an exact annihilator test modulo a prime, reducing
+once per as many products as stay below 2^52, and confirms every
+survivor with the same test over the integers, run modulo enough
+word-size primes. Neither search decides anything by rounding: where
+they compute in float64, every value is an exact integer.
 """
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +29,7 @@ from .construct import SCALED_ANGLE, SCALED_NORM
 SCREEN_PRIME = 1_048_573        # prime, below 2^20
 SCREEN_SEED = 54                # fixes the screen vector v
 SCREEN_BATCH = 128              # subsets per batch; small keeps memory flat
-SCAN_BLOCK = 1 << 14            # int64 entries per pattern-scan or orbit-level block (128 KiB)
+SCAN_BLOCK = 1 << 14            # 8-byte entries per pattern-scan or orbit-level block (128 KiB)
 
 
 @dataclass
@@ -62,8 +62,8 @@ def greedy_basis(gram, target_rank):
       members would be one among their columns: the members in C are
       independent too.
 
-    check_extendibility needs only that, and exactlin.adjugate asserts
-    once more that their Gram matrix is positive definite. (Over Q the
+    check_extendibility needs only that, and exactlin.inverse verifies
+    once more that their Gram matrix is invertible. (Over Q the
     pivot columns are the greedy basis, each member independent of those
     before it: V u = 0 for u in the row space of V forces u^T u = 0.
     Modulo p they can differ only where p divides a minor.)
@@ -77,16 +77,16 @@ def greedy_basis(gram, target_rank):
 
 
 def _sign_rows(bits):
-    """Row p holds s_j = +1 where bit j of p is set, else -1: shape (2^bits, bits)."""
+    """Row p holds s_j = +1 where bit j of p is set, else -1: float64, shape (2^bits, bits)."""
     p = np.arange(1 << bits)
-    return np.where(p[:, None] >> np.arange(bits) & 1, 1, -1).astype(np.int64)
+    return np.where(p[:, None] >> np.arange(bits) & 1, 1.0, -1.0)
 
 
 def _pattern_scan(a, d, inner):
     """The sign vectors s in {+1, -1}^r, r = len(a), that pass the
     reduced norm and angle tests below, as bit masks g (bit j set means
     s_j = +1) in the order of a Gray-code walk: by increasing k with
-    g = k ^ (k >> 1). a and inner are object arrays of Python ints, d > 0.
+    g = k ^ (k >> 1). a (symmetric) and inner are integer arrays, d > 0.
 
     The norm test: SCALED_ANGLE^2 s^T a s = SCALED_NORM d. For integer
     q = s^T a s that is q = top and rem = 0, with top, rem the quotient
@@ -96,18 +96,24 @@ def _pattern_scan(a, d, inner):
     q is computed for all 2^r patterns at once from a split into the
     low r // 2 coordinates and the rest:
     q = s_lo^T a_ll s_lo + 2 s_lo^T a_lh s_hi + s_hi^T a_hh s_hi,
-    in blocks of SCAN_BLOCK entries. Every value computed, partial sums
-    included, is a signed sum of entries of a, of a row of inner, or d,
-    so its absolute value is at most the bound checked before the int64
-    cast, below 2^62: int64 never wraps. (The cross term's factor 2 is
-    covered because a is symmetric: 2 sum |a_lh| = sum |a_lh| + sum |a_hl|.)
+    in blocks of SCAN_BLOCK entries, in float64. Every value computed,
+    partial sums included, is an integer and a signed sum of entries of
+    a, of a row of inner, or d, so its absolute value is at most the
+    bound checked, in Python ints, before the float64 cast: below 2^52,
+    so in any BLAS summation order every value is exact and nothing
+    rounds. (The cross term's factor 2 is covered because a is
+    symmetric: 2 sum |a_lh| = sum |a_lh| + sum |a_hl|.) A block with no
+    norm hit is skipped before its hits are listed.
     """
     r = len(a)
     top, rem = divmod(SCALED_NORM * d, SCALED_ANGLE ** 2)
+    a, inner = a.astype(object), inner.astype(object)
     bound = max(d, abs(a).sum(), abs(inner).sum(axis=1).max())
-    if bound >= 1 << 62:
-        raise AssertionError(f"reduced entries reach {bound}, beyond the int64 scan")
-    a, inner = a.astype(np.int64), inner.astype(np.int64)
+    if bound >= 1 << 52:
+        raise AssertionError(f"reduced entries reach {bound}, beyond the exact float64 scan")
+    if rem:
+        return []
+    a, inner = a.astype(float), inner.astype(float)
     lo = r // 2
     s_lo, s_hi = _sign_rows(lo), _sign_rows(r - lo)
     q_lo = ((s_lo @ a[:lo, :lo]) * s_lo).sum(axis=1)
@@ -119,7 +125,10 @@ def _pattern_scan(a, d, inner):
         q = x_lo[b:b + step] @ s_hi.T
         q += q_lo[b:b + step, None]
         q += q_hi
-        i, j = np.nonzero((q == top) & (rem == 0))
+        norm_ok = q == top
+        if not norm_ok.any():
+            continue
+        i, j = np.nonzero(norm_ok)
         signs = np.hstack([s_lo[b + i], s_hi[j]])
         angles_ok = (np.abs(signs @ inner.T) == d).all(axis=1)
         hits.extend((j[angles_ok] << lo | (b + i[angles_ok])).tolist())
@@ -145,32 +154,31 @@ def check_extendibility(system):
     its scaled norm is exactly 80.
 
     For a pattern eps = 16 s, s in {+1, -1}^r, the candidate is
-    w = B^T G^-1 eps, where G = B B^T is positive definite: G is
-    gram[basis][:, basis], with gram = V V^T the members' Gram matrix.
-    exactlin.adjugate gives det = det G > 0 and adj = det G^-1, certified
-    by G @ adj = det I. Let g be the gcd of det and every entry of adj, so
-    g divides each of them: a = adj / g and d = det / g > 0 are integers,
-    a is symmetric and a / d = G^-1. Then d w = B^T a eps, its scaled
-    norm is eps^T a eps / d and its scaled inner products with the
-    members V are inner @ eps / d, where inner = V B^T a =
-    gram[:, basis] @ a is an integer matrix. Multiplying by d > 0 and
-    dividing by 16, the norm test eps^T G^-1 eps = 80 is
-    256 s^T a s = 80 d, and the angle test V w = +-16 is inner @ s = +-d
-    in every entry. _pattern_scan runs these tests exactly, in int64.
-    Every pattern it returns is rebuilt as the integer vector
-    d w = B^T (a eps) and re-checked against every member's coordinates
-    by _verify_witness; only then is w made exact Fractions for the report.
+    w = B^T G^-1 eps, where G = B B^T is invertible, the rows of B being
+    independent: G is gram[basis][:, basis], with gram = V V^T the
+    members' Gram matrix. exactlin.inverse gives an int64 matrix a and an
+    integer d > 0 with G a = d I, verified exactly in int64: a / d = G^-1,
+    so a is symmetric. Then d w = B^T a eps, its scaled norm is
+    eps^T a eps / d and its scaled inner products with the members V are
+    inner @ eps / d, where inner = V B^T a = gram[:, basis] @ a is an
+    integer matrix, formed by exactlin.int64_product after its bound
+    check. Multiplying by d > 0 and dividing by 16, the norm test
+    eps^T G^-1 eps = 80 is 256 s^T a s = 80 d, and the angle test
+    V w = +-16 is inner @ s = +-d in every entry. _pattern_scan runs
+    these tests exactly, in float64 below 2^52. Every pattern it returns
+    is rebuilt as the integer vector d w = B^T (a eps), an object-array
+    product of Python ints, and re-checked against every member's
+    coordinates by _verify_witness; only then is w made exact Fractions
+    for the report.
     """
     coords, gram, r = system.coords, system.gram, system.ambient_dim
     basis = greedy_basis(gram, r)
-    det, adj = exactlin.adjugate(gram[np.ix_(basis, basis)])
-    g = math.gcd(det, *adj.flat)
-    a, d = adj // g, det // g
-    inner = gram[:, basis] @ a                              # members x r
+    a, d = exactlin.inverse(gram[np.ix_(basis, basis)])
+    inner = exactlin.int64_product(gram[:, basis], a)     # members x r
     witnesses = []
     for pattern in _pattern_scan(a, d, inner):
         eps = np.where(pattern >> np.arange(r) & 1, SCALED_ANGLE, -SCALED_ANGLE)
-        dw = a @ eps @ coords[basis]
+        dw = a.astype(object) @ eps @ coords[basis]
         _verify_witness(coords, dw, d)
         witnesses.append(tuple(Fraction(x, d) for x in dw))
     return ExtendibilityReport(
@@ -276,19 +284,37 @@ def _orbit(perms, removed):
     return sorted({tuple(sorted(p[i] for i in removed)) for p in perms})
 
 
-def _screen(factors, v, removed):
+def _screen_stride(n, lams):
+    """The k of _screen for S - lam I, S of order n, lam in lams: the
+    largest k with P (n - 1 + max |lam|)^k < 2^52, P = SCREEN_PRIME, the
+    width taken as at least 2 (a wider width only lowers k); proved in
+    subseidel_scan. AssertionError if k = 0: then not even one product
+    is exact."""
+    width = max(2, n - 1 + max(map(abs, lams), default=0))
+    k = 0
+    while SCREEN_PRIME * width ** (k + 1) < 1 << 52:
+        k += 1
+    if not k:
+        raise AssertionError(f"width {width} leaves no exact float64 screen product")
+    return k
+
+
+def _screen(factors, v, removed, stride):
     """Which rows of removed, an array of removed-index sets, pass
     p_L(M) v = 0 (mod P). Row b of x is set b's vector, zero off the kept
     indices, so masked x @ (S - lam I) applies M - lam I to each row.
 
-    Each product is reduced by exactlin.float_mod to a representative in
-    (-P, P), which is 0 modulo P iff it is 0, so the final test needs no
-    further reduction. Exactness is proved in subseidel_scan."""
+    x is masked after every product and reduced by exactlin.float_mod
+    after every stride products and after the last, to a representative
+    in (-P, P), which is 0 modulo P iff it is 0, so the final test needs
+    no further reduction. Exactness is proved in subseidel_scan."""
     mask = np.ones((len(removed), len(v)))
     mask[np.arange(len(removed))[:, None], removed] = 0.0
     x = mask * v
-    for factor in factors:
-        x = exactlin.float_mod(x @ factor, SCREEN_PRIME) * mask
+    for lo in range(0, len(factors), stride):
+        for factor in factors[lo:lo + stride]:
+            x = x @ factor * mask
+        x = exactlin.float_mod(x, SCREEN_PRIME)
     return ~x.any(axis=1)
 
 
@@ -337,12 +363,18 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
       det(xI - M) = (x - m + 1)(x + 1)^(m-1) = (x + 1)^m (mod 2) for even
       m. An integer root of this monic integer polynomial is therefore a
       root of (x + 1)^m over GF(2), that is, odd.
-    - Exact float64. Entries of x lie in (-P, P): v's are in [1, P),
-      and exactlin.float_mod returns that range. A column of S - lam I
-      has n - 1 entries +-1 and one -lam, |lam| <= n - 1, so every
-      partial sum of x @ (S - lam I) is an integer below 2(n - 1)P < 2^52
-      in absolute value (n <= 63): no BLAS summation order can round,
-      and float_mod of it is exact.
+    - Exact float64. After each reduction the entries of x lie in
+      (-P, P): v's are in [1, P), and exactlin.float_mod returns that
+      range. A column of S - lam I has n - 1 entries +-1 and one -lam, so
+      its absolute sum is at most w = n - 1 + max |lam| over L, and
+      masking only zeroes entries. By induction, after j products since
+      the last reduction every entry, and every partial sum of the j-th
+      product in any BLAS summation order, is an integer below P w^j in
+      absolute value. _screen_stride picks the largest k with P w^k <
+      2^52 (k = 5 for S54: P < 2^20 and |lam| <= 18, so w <= 71), so up
+      to k products nothing rounds, and float_mod, which needs |y| <
+      2^52, is exact on the k-th. A window so wide that k = 0 raises
+      AssertionError before any screen.
     - Survivors are not trusted. Each goes to compute_spectrum, which
       proves p_L(M) = 0 over the integers with one annihilator chain
       modulo enough primes and reads the multiplicities off the chain's
@@ -372,9 +404,11 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
         factors = [s.array - lam * np.eye(n) for lam in lams]
+        stride = _screen_stride(n, lams)
         for lo in range(0, len(reps), SCREEN_BATCH):
             batch = reps[lo:lo + SCREEN_BATCH]
-            passed = _screen(factors, v, np.array(batch, dtype=np.intp).reshape(len(batch), k))
+            removed = np.array(batch, dtype=np.intp).reshape(len(batch), k)
+            passed = _screen(factors, v, removed, stride)
             for removed, size in compress(zip(batch, sizes[lo:lo + SCREEN_BATCH]), passed):
                 sub = s.principal_submatrix(i for i in range(n) if i not in removed)
                 claim = seidel.compute_spectrum(sub, lams)

@@ -79,6 +79,12 @@ def test_report_round_trip(tmp_path):
     assert json.loads(json.dumps(report)) == report
 
 
+@pytest.mark.parametrize("argv", [["bogus"], ["construct", "--corrupt-generator"]],
+                         ids=["unknown_command", "corrupt_construct"])
+def test_unknown_command_and_misplaced_option_rejected(argv):
+    assert run(argv) == 2
+
+
 def test_bad_orders_rejected():
     assert run(["subscan", "--orders", "49"]) == 2
 
@@ -100,7 +106,11 @@ def test_invalid_jobs_rejected():
     {"command": "maximality", "drop_line": 54},
     {"command": "maximality", "drop_line": 99},
     {"command": "golay", "jobs": 0},
-], ids=["order_49", "no_orders", "order_54", "drop_minus_1", "drop_54", "drop_99", "jobs_0"])
+    {"command": "bogus"},
+    {"command": "golay", "emit_vectors": True},
+    {"command": "construct", "corrupt_generator": True},
+], ids=["order_49", "no_orders", "order_54", "drop_minus_1", "drop_54", "drop_99", "jobs_0",
+        "unknown_command", "emit_vectors_golay", "corrupt_construct"])
 def test_run_config_refuses_what_the_cli_refuses(fields):
     with pytest.raises(ValueError):
         cli.RunConfig(**fields)

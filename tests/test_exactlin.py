@@ -149,44 +149,141 @@ def test_char_poly_empty_and_single():
     assert exactlin.char_poly([[5]]) == [-5, 1]
 
 
-def adjugate_rows(m):
-    """exactlin.adjugate(m) with adj as rows, after checking that every
-    entry is a Python int."""
-    det, adj = exactlin.adjugate(m)
-    assert type(det) is int and set(map(type, adj.flat)) <= {int}
-    return det, adj.tolist()
+def reduced_adjugate(m):
+    """(adj / g, det / g) as rows and an int, g = gcd(det, adj), from
+    reference_adjugate: the exact inverse of a positive definite m in
+    lowest terms, the oracle for exactlin.inverse."""
+    det, adj = reference_adjugate(m)
+    g = math.gcd(det, *(x for row in adj for x in row))
+    return [[x // g for x in row] for row in adj], det // g
+
+
+def inverse_rows(m):
+    """exactlin.inverse(m) with a as rows, after checking its types."""
+    a, d = exactlin.inverse(m)
+    assert a.dtype == np.int64 and type(d) is int
+    return a.tolist(), d
+
+
+def inverse_or_raise(m, expected):
+    """exactlin.inverse(m) must equal expected, (a as rows, d), or raise
+    AssertionError; never return anything else. It must return if every
+    entry of a / d has both parts within the reconstruction bound of
+    PRIMES[-1]. True if it returned."""
+    a, d = expected
+    bound = math.isqrt(exactlin.PRIMES[-1] // 2)
+    within = all(abs(f.numerator) <= bound and f.denominator <= bound
+                 for f in (Fraction(x, d) for row in a for x in row))
+    try:
+        got = inverse_rows(m)
+    except AssertionError:
+        assert not within
+        return False
+    assert got == expected
+    return True
 
 
 def test_adjugate_known():
-    assert adjugate_rows([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
-    assert adjugate_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == (
-        4, [[3, -2, 1], [-2, 4, -2], [1, -2, 3]])
+    assert inverse_rows([[2, -1], [-1, 2]]) == ([[2, 1], [1, 2]], 3) == reduced_adjugate(
+        [[2, -1], [-1, 2]])
+    assert inverse_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == (
+        [[3, -2, 1], [-2, 4, -2], [1, -2, 3]], 4)
+    assert inverse_rows([[4, 2], [2, 4]]) == ([[2, -1], [-1, 2]], 6)   # det 12, adj content 2
 
 
 def test_adjugate_random_positive_definite():
     rng = random.Random(3)
-    for _ in range(30):
+    returned = 0
+    for _ in range(60):
         n, k = rng.randint(1, 6), rng.randint(1, 6)
         b = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
         m = reference_mat_mul(b, transpose(b))
         for i in range(n):
             m[i][i] += 1
-        det, adj = adjugate_rows(m)
-        assert (det, adj) == reference_adjugate(m)
-        assert det == exactlin.bareiss_det(m)
+        returned += inverse_or_raise(m, reduced_adjugate(m))
+        assert reference_adjugate(m)[0] == exactlin.bareiss_det(m)
+    assert returned > 35
 
 
-@pytest.mark.parametrize("m", [
-    [[1, 1], [1, 1]],
-    [[1, 2], [2, 1]],
-    [[-2, 1], [1, -2]],
-    [[0, 1], [1, 0]],                # a row swap would hide the zero pivot
+@pytest.mark.parametrize("m, expected", [
+    ([[1, 1], [1, 1]], None),
+    ([[1, 2], [2, 1]], ([[-1, 2], [2, -1]], 3)),
+    ([[-2, 1], [1, -2]], ([[-2, -1], [-1, -2]], 3)),
+    ([[0, 1], [1, 0]], ([[0, 1], [1, 0]], 1)),       # needs a row swap
 ], ids=["singular", "indefinite", "negative_definite", "zero_pivot"])
-def test_adjugate_rejects_non_positive_definite(m):
-    with pytest.raises(ValueError):
-        exactlin.adjugate(m)
+def test_adjugate_rejects_non_positive_definite(m, expected):
+    # the adjugate oracle needs a positive definite m; the inverse needs
+    # only an invertible one, and raises on a singular one
     with pytest.raises(ValueError):
         reference_adjugate(m)
+    if expected is None:
+        with pytest.raises(AssertionError):
+            exactlin.inverse(m)
+    else:
+        assert inverse_rows(m) == expected
+
+
+def test_inverse_beyond_the_reconstruction_bound_raises():
+    # 1 / 65537 has its denominator beyond isqrt(p // 2) = 32767 for every
+    # prime, yet 23 primes reconstruct some other fraction within the
+    # bound; the identity rejects each. 1 / PRIMES[-1] also has its first
+    # prime divide det
+    for g in (65537, exactlin.PRIMES[-1]):
+        wrong = 0
+        for p in exactlin.PRIMES:
+            if g % p:
+                num, den = exactlin.rational_reconstruction(
+                    np.array([pow(g, -1, p)], dtype=np.int64), p)
+                wrong += int(den[0] != 0)
+                assert (num[0], den[0]) != (1, g)
+        assert wrong > 20
+        with pytest.raises(AssertionError):
+            exactlin.inverse([[g]])
+    # random Gram matrices of larger vectors: an exact answer or a raise
+    rng = random.Random(41)
+    returned = 0
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        b = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        m = reference_mat_mul(b, transpose(b))
+        if exactlin.rank(m) == n:
+            returned += inverse_or_raise(m, reduced_adjugate(m))
+    assert 0 < returned < 25
+
+
+def test_inverse_escalates_past_a_prime_dividing_det(monkeypatch):
+    # det = 101: with 101 first, the next prime gives the inverse
+    m = [[2, 1], [1, 51]]
+    monkeypatch.setattr(exactlin, "PRIMES", (exactlin.PRIMES[0], 101))
+    assert inverse_rows(m) == ([[51, -1], [-1, 2]], 101) == reduced_adjugate(m)
+    monkeypatch.setattr(exactlin, "PRIMES", (101,))
+    with pytest.raises(AssertionError):
+        exactlin.inverse(m)
+
+
+def test_inverse_lifts_entries_at_both_ends_of_the_range():
+    # a = d m^-1 holds +-(p // 2) for p = PRIMES[-1]: 1 / 693, 1 / 151
+    # and +-10261 reconstruct, d = 693 * 151 and 10261 d = 2^30 - 1. Every
+    # other prime is below 2^31 - 1, so only the first can lift them
+    p = exactlin.PRIMES[-1]
+    m = np.diag([693, 151, 1, 1, 1, 1])
+    m[2, 3], m[4, 5] = -10261, 10261
+    a, d = inverse_rows(m)
+    assert d == 693 * 151
+    assert a[2][3] == p // 2 and a[4][5] == -(p // 2)
+    assert (np.array(m) @ np.array(a, dtype=object) == d * np.identity(6, dtype=object)).all()
+
+
+def test_rational_reconstruction_finds_fractions_within_the_bound():
+    rng = random.Random(43)
+    for p in (101, 1_048_573, exactlin.PRIMES[-1]):
+        bound = math.isqrt(p // 2)
+        fractions = {Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                     for _ in range(200)} | {Fraction(0), Fraction(bound), Fraction(-bound, bound)}
+        u = np.array([f.numerator * pow(f.denominator, -1, p) % p for f in fractions])
+        num, den = exactlin.rational_reconstruction(u, p)
+        assert [Fraction(int(x), int(y)) for x, y in zip(num, den)] == list(fractions)
+        assert (den > 0).all() and (np.gcd(num, den) == 1).all()
 
 
 def test_char_poly_trace_det_identities_random():
@@ -392,7 +489,8 @@ def test_list_and_int64_array_inputs_agree():
             lam = rng.randint(-3, 3)
             assert exactlin.nullity_at(a, lam) == exactlin.nullity_at(m, lam)
             if pivots_positive_definite(m):
-                assert adjugate_rows(a) == adjugate_rows(m) == reference_adjugate(m)
+                assert inverse_or_raise(a, reduced_adjugate(m)) == inverse_or_raise(
+                    m, reduced_adjugate(m))
                 definite += 1
     assert definite > 10
 

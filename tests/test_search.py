@@ -129,44 +129,61 @@ def drop_line_systems(final54):
 
 
 def test_check_extendibility_matches_python_int_reference(final54, drop_line_systems):
-    # S54 and all 54 drop-line systems: the array adjugate of the basis
-    # Gram matrix and every report field against the list-of-rows oracle
+    # S54 and all 54 drop-line systems: the verified inverse (a, d) of the
+    # basis Gram matrix is the adjugate oracle's adj / g and det / g,
+    # g = gcd(det, adj), and every report field matches the list-of-rows oracle
     for system in [final54, *drop_line_systems]:
         (det, adj), fields = reference_check_extendibility(system)
+        g = math.gcd(det, *(x for row in adj for x in row))
         basis = search.greedy_basis(system.gram, system.ambient_dim)
-        got_det, got_adj = exactlin.adjugate(system.gram[np.ix_(basis, basis)])
-        assert (got_det, got_adj.tolist()) == (det, adj)
+        a, d = exactlin.inverse(system.gram[np.ix_(basis, basis)])
+        assert (a.tolist(), d) == ([[x // g for x in row] for row in adj], det // g)
         report = search.check_extendibility(system)
         assert (report.basis_indices, report.witnesses, report.patterns_examined) == fields
         assert report.extendible == bool(fields[1]) == (system is not final54)
         assert all(type(x.numerator) is int for w in report.witnesses for x in w)
 
 
-def test_adjugate_off_by_one_entry_fails_check(final54):
+def test_inverse_off_by_one_entry_fails_check(final54, monkeypatch):
+    # one entry of the modular inverse off by one fails the identity, so
+    # the next prime gives the answer; off for every prime, none does
     basis = search.greedy_basis(final54.gram, 18)
-    gram = final54.gram[np.ix_(basis, basis)].tolist()
-    det, adj = exactlin.adjugate(gram)
+    gram = final54.gram[np.ix_(basis, basis)]
+    a, d = exactlin.inverse(gram)
+    (det, adj), _ = reference_check_extendibility(final54)
     assert det.bit_length() > 64          # the raw adjugate is beyond int64
-    exactlin.check_adjugate(gram, det, adj)
-    adj[3][11] += 1
+    inverse_mod, tried = exactlin._inverse_mod, []
+
+    def off_by_one(m, p, every=False):
+        u = inverse_mod(m, p)
+        if every or not tried:
+            u[3, 11] = (u[3, 11] + 1) % p
+        tried.append(p)
+        return u
+    monkeypatch.setattr(exactlin, "_inverse_mod", off_by_one)
+    got = exactlin.inverse(gram)
+    assert (got[0].tolist(), got[1]) == (a.tolist(), d)
+    assert tried == list(exactlin.PRIMES[:-3:-1])
+    monkeypatch.setattr(exactlin, "_inverse_mod", lambda m, p: off_by_one(m, p, every=True))
     with pytest.raises(AssertionError):
-        exactlin.check_adjugate(gram, det, adj)
+        exactlin.inverse(gram)
 
 
-def test_int64_bound_raises_before_any_scan(monkeypatch):
-    # each entry is below 2^62 but s^T a s reaches 4 * 2^61 = 2^63, which
-    # wraps; so does a row of inner @ s at 2 * 2^61
+def test_float64_bound_raises_before_any_scan(monkeypatch):
+    # s^T a s reaches 4 * 2^50 = 2^52, beyond exact float64 integers with
+    # room for every partial sum; so does a row of inner @ s at 2 * 2^51,
+    # and d itself at 2^52
     def no_scan(bits):
         raise RuntimeError("scan started")
     monkeypatch.setattr(search, "_sign_rows", no_scan)
-    big, half = 1 << 62, 1 << 61
-    for a, inner in (([[half, half], [half, half]], [[1, 1]]),
-                     ([[1, 0], [0, 1]], [[half, half]])):
+    big, quarter, half = 1 << 52, 1 << 50, 1 << 51
+    for a, d, inner in (([[quarter, quarter], [quarter, quarter]], 16, [[1, 1]]),
+                        ([[1, 0], [0, 1]], 16, [[half, half]]),
+                        ([[1]], big, [[1]])):
         with pytest.raises(AssertionError):
-            search._pattern_scan(np.array(a, dtype=object), 5, np.array(inner, dtype=object))
+            search._pattern_scan(np.array(a), d, np.array(inner))
     with pytest.raises(RuntimeError):          # just below the bound it scans
-        search._pattern_scan(np.array([[big - 1]], dtype=object), 5,
-                             np.array([[1]], dtype=object))
+        search._pattern_scan(np.array([[big - 1]]), 16, np.array([[1]]))
 
 
 def test_drop_one_control_finds_removed_member(final54):
@@ -280,7 +297,8 @@ def screen_all(s, window, order):
     factors = [np.array(s.rows, dtype=float) - lam * np.eye(s.n) for lam in lams]
     subsets = list(combinations(range(s.n), s.n - order))
     passed = search._screen(factors, np.arange(1, s.n + 1, dtype=float),
-                            np.array(subsets).reshape(len(subsets), -1))
+                            np.array(subsets).reshape(len(subsets), -1),
+                            search._screen_stride(s.n, lams))
     return [r for r, ok in zip(subsets, passed) if ok], lams
 
 
@@ -336,9 +354,87 @@ def test_screen_matches_np_mod_oracle(s54, s54_window):
         factors = [np.array(s.rows, dtype=float) - lam * np.eye(s.n) for lam in lams]
         removed = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
         expected = mod_screen(factors, v, removed)
-        assert (search._screen(factors, v, removed) == expected).all()
+        stride = search._screen_stride(s.n, lams)
+        assert (search._screen(factors, v, removed, stride) == expected).all()
+        assert (reference_screen(factors, v, removed) == expected).all()
         passed += int(expected.sum())
     assert passed > 50
+
+
+def reference_screen(factors, v, removed):
+    """Oracle for search._screen: exactlin.float_mod after every product."""
+    mask = np.ones((len(removed), len(v)))
+    mask[np.arange(len(removed))[:, None], removed] = 0.0
+    x = mask * v
+    for factor in factors:
+        x = exactlin.float_mod(x @ factor, search.SCREEN_PRIME) * mask
+    return ~x.any(axis=1)
+
+
+def test_screen_matches_per_product_reference(s54, s54_window, monkeypatch):
+    # every order-51, 52 and 53 representative of S54, then random removed
+    # sets of random Seidel matrices with wide windows and v near 0 and P
+    p = search.SCREEN_PRIME
+    perms = search.switching_automorphisms(s54)
+    cases = []
+    for order in (51, 52, 53):
+        reps, _ = search.orbit_representatives(perms, 54, 54 - order)
+        lams = [lam for lam in s54_window if order % 2 or lam % 2]
+        cases.append((s54, lams, np.array([random.Random(order).randrange(1, p)
+                                           for _ in range(54)], dtype=float), reps))
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(7, 63)
+        rows = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.choice([1, -1])
+        lo = rng.randint(1 - n, 0)
+        lams = list(range(lo, rng.randint(lo, n - 1) + 1))
+        v = np.array([rng.choice([1, 2, p - 1, p - 2, rng.randrange(1, p)])
+                      for _ in range(n)], dtype=float)
+        k = rng.randint(1, n // 2)
+        subsets = [tuple(rng.sample(range(n), k)) for _ in range(rng.randint(1, 200))]
+        cases.append((seidel.SeidelMatrix.from_rows(rows), lams, v, subsets))
+    calls, float_mod = [], exactlin.float_mod
+    monkeypatch.setattr(exactlin, "float_mod", lambda y, p: calls.append(p) or float_mod(y, p))
+    strides, passed = set(), 0
+    for s, lams, v, subsets in cases:
+        factors = [s.array - lam * np.eye(s.n) for lam in lams]
+        removed = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
+        expected = reference_screen(factors, v, removed)
+        stride = search._screen_stride(s.n, lams)
+        del calls[:]
+        assert (search._screen(factors, v, removed, stride) == expected).all()
+        assert len(calls) == -(-len(factors) // stride)
+        strides.add(stride)
+        passed += int(expected.sum())
+    assert {4, 5} <= strides and passed > 0
+
+
+def test_screen_stride_falls_as_the_window_widens():
+    # k is the largest with P w^k < 2^52, w = n - 1 + max |lam|: 5 for S54
+    p = search.SCREEN_PRIME
+    assert search._screen_stride(54, range(-5, 19)) == 5
+    previous = 64
+    for top in (0, 1, 10, 18, 100, 10 ** 3, 10 ** 5, 10 ** 8, (1 << 32) - 80):
+        k = search._screen_stride(54, [-3, top])
+        w = 53 + max(3, top)
+        assert p * w ** k < 1 << 52 <= p * w ** (k + 1)
+        assert 1 <= k <= previous
+        previous = k
+    assert previous == 1
+    with pytest.raises(AssertionError):
+        search._screen_stride(54, [1 << 33])
+
+
+def test_too_wide_window_raises_before_any_screen(monkeypatch):
+    # P (n - 1 + 2^33) >= 2^52: not even one product is exact
+    s = petersen_seidel()
+    screened = []
+    monkeypatch.setattr(search, "_screen", lambda *args: screened.append(args))
+    with pytest.raises(AssertionError):
+        search.subseidel_scan(s, range((1 << 33) + 1, (1 << 33) + 2), orders=(9,))
+    assert screened == []
 
 
 def test_subscan_orbit_scan_agrees_with_full_scan(s54, s54_window):
@@ -755,7 +851,7 @@ def test_screened_ambiguous_counts_subsets(monkeypatch):
     s = petersen_seidel()
     orders = (6, 7, 8, 9)
     monkeypatch.setattr(search, "_screen",
-                        lambda factors, v, removed: np.ones(len(removed), dtype=bool))
+                        lambda factors, v, removed, stride: np.ones(len(removed), dtype=bool))
     result = search.subseidel_scan(s, certified_window(s), orders=orders)
     assert result.hits == brute_force_hits(s, orders)
     assert result.screened_ambiguous == 385 - 205
