@@ -7,6 +7,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,35 +27,75 @@ T52_SPECTRUM = seidel.SpectrumClaim.make(
 )
 
 
-@dataclass
+def _orders_arg(text):
+    try:                                        # "", "52," and "x" are usage errors
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated subset of 50,51,52,53, not {text!r}") from None
+
+
+def one_based_int(text):
+    return int(text) - 1                        # --drop-line counts from 1, drop_line from 0
+
+
+# A RunConfig field other than command: its default, ok(value), true of the
+# values that `wants` names, and its CLI flag with the flag's argparse
+# keywords. `type(x) is int` refuses a bool, a float and a numpy integer.
+Option = NamedTuple("Option", [("default", object), ("ok", object), ("wants", str),
+                               ("flag", str), ("kwargs", dict)])
+OPTIONS = {
+    "output_path": Option(None, lambda path: True, "a path", "--out", {}),
+    "jobs": Option(
+        1, lambda jobs: type(jobs) is int and jobs >= 1, "an int >= 1",
+        "--jobs", {"type": int,
+                   "help": "accepted for compatibility (must be >= 1); every search runs in "
+                           "one process, so it changes neither the report nor the run time"}),
+    "corrupt_generator": Option(
+        False, lambda flag: type(flag) is bool, "True or False",
+        "--corrupt-generator", {"action": "store_true",
+                                "help": "negative control: flip one generator bit"}),
+    "emit_vectors": Option(
+        False, lambda flag: type(flag) is bool, "True or False",
+        "--emit-vectors", {"action": "store_true"}),
+    "drop_line": Option(
+        None, lambda line: line is None or type(line) is int and line in range(54),
+        "None or an int in range(54)",
+        "--drop-line", {"type": one_based_int,
+                        "help": "control run: remove this member (1-based) first"}),
+    "orders": Option(
+        ORDERS, lambda orders: {type(o) for o in orders} == {int} and set(orders) <= set(ORDERS),
+        f"a non-empty subset of {ORDERS}",
+        "--orders", {"type": _orders_arg}),
+}
+SHARED_OPTIONS = ("output_path", "jobs")        # taken by every command
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """A run's inputs; ValueError for every input the CLI refuses: an
-    unknown command, orders, drop_line or jobs out of range, and
-    emit_vectors or corrupt_generator with a command that has no such
-    option."""
+    """A run's inputs, checked once: ValueError for an unknown command, for
+    a value that its option does not allow, and for a value other than the
+    default of an option that the command does not take (orders compared
+    once sorted)."""
     command: str = "all"
-    orders: tuple = ORDERS       # a non-empty subset of ORDERS; stored sorted, once each
-    jobs: int = 1                # must be >= 1; every search runs in one process
-    output_path: str = None
-    emit_vectors: bool = False
-    corrupt_generator: bool = False
-    drop_line: int = None        # maximality control: 0-based member to remove, below 54
+    orders: tuple = OPTIONS["orders"].default          # stored sorted, once each
+    jobs: int = OPTIONS["jobs"].default
+    output_path: str = OPTIONS["output_path"].default
+    emit_vectors: bool = OPTIONS["emit_vectors"].default
+    corrupt_generator: bool = OPTIONS["corrupt_generator"].default
+    drop_line: int = OPTIONS["drop_line"].default      # maximality control: 0-based member
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.emit_vectors and self.command != "construct":
-            raise ValueError("emit_vectors is an option of construct only")
-        if self.corrupt_generator and self.command not in ("golay", "all"):
-            raise ValueError("corrupt_generator is an option of golay and all only")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        orders = set(self.orders)
-        if not orders or not orders <= set(ORDERS):
-            raise ValueError(f"orders must be a non-empty subset of {ORDERS}: {self.orders!r}")
-        self.orders = tuple(sorted(orders))
-        if self.drop_line is not None and self.drop_line not in range(54):
-            raise ValueError(f"drop_line must be in range(54), not {self.drop_line!r}")
+        for name, option in OPTIONS.items():
+            if not option.ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {option.wants}, not {getattr(self, name)!r}")
+        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
+        takes = SHARED_OPTIONS + COMMANDS[self.command].options
+        for name, option in OPTIONS.items():
+            if name not in takes and getattr(self, name) != option.default:
+                raise ValueError(f"{name} is not an option of {self.command}")
 
 
 class Pipeline:
@@ -146,16 +187,6 @@ def cmd_construct(pipeline):
         b.note("vectors", [list(v.coords) for v in final.vectors])
         b.note("octads_1based", [golay.coords_from_mask(v.source) for v in final.vectors])
     return b.build()
-
-
-def cmd_remark(pipeline):
-    return construct.verify_remark(
-        pipeline.asche, pipeline.final, pipeline.filters.m
-    )
-
-
-def cmd_spectrum(pipeline):
-    return pipeline.spectrum
 
 
 def cmd_aut(pipeline):
@@ -280,23 +311,32 @@ def cmd_subscan(pipeline):
     return b.build()
 
 
-CLAIM_IDS = {cmd_golay: "golay.gates", cmd_construct: "theorem1.count",
-             cmd_remark: "remark.cliques", cmd_spectrum: "spectrum.S",
-             cmd_aut: "aut.order", cmd_maximality: "maximality",
-             cmd_subscan: "subscan.unique"}
-ALL_FNS = list(CLAIM_IDS)
+CLAIMS = {"golay.gates": cmd_golay, "theorem1.count": cmd_construct,
+          "remark.cliques": lambda p: construct.verify_remark(p.asche, p.final, p.filters.m),
+          "spectrum.S": lambda p: p.spectrum, "aut.order": cmd_aut,
+          "maximality": cmd_maximality, "subscan.unique": cmd_subscan}
+ALL_FNS = list(CLAIMS.values())
 # what a Pipeline stage raises when its input is not what the claims need
 STAGE_ERRORS = (golay.CodeValidationError, construct.ConstructionError,
                 seidel.NotEquiangularError, seidel.SpectrumNotCertifiedError)
 
+
+# a command: its help text, the OPTIONS it takes besides SHARED_OPTIONS,
+# and the CLAIMS it certifies, in this order
+Command = NamedTuple("Command", [("help", str), ("options", tuple), ("claims", tuple)])
 COMMANDS = {
-    "golay": [cmd_golay],
-    "construct": [cmd_construct, cmd_remark],
-    "spectrum": [cmd_spectrum],
-    "aut": [cmd_aut],
-    "maximality": [cmd_maximality],
-    "subscan": [cmd_subscan],
-    "all": ALL_FNS,
+    "golay": Command("validate the [24,12,8] code and its 759 octads",
+                     ("corrupt_generator",), ("golay.gates",)),
+    "construct": Command("build the 72- and 54-line systems and certify the structure "
+                         "of the 18 removed lines", ("emit_vectors",),
+                         ("theorem1.count", "remark.cliques")),
+    "spectrum": Command("certify the exact Seidel spectrum", (), ("spectrum.S",)),
+    "aut": Command("certify the order-216 signed automorphism group", (), ("aut.order",)),
+    "maximality": Command("exhaustive non-extendibility search", ("drop_line",), ("maximality",)),
+    "subscan": Command("integral-spectrum scan over sub-Seidel matrices", ("orders",),
+                       ("subscan.unique",)),
+    "all": Command("run every certificate in dependency order",
+                   ("corrupt_generator", "orders"), tuple(CLAIMS)),
 }
 
 
@@ -305,11 +345,10 @@ def run_command(config):
     with the stage error as its witness."""
     pipeline = Pipeline(config)
     certificates = []
-    for fn in COMMANDS[config.command]:
+    for claim_id in COMMANDS[config.command].claims:
         try:
-            certificates.append(fn(pipeline))
+            certificates.append(CLAIMS[claim_id](pipeline))
         except STAGE_ERRORS as exc:
-            claim_id = CLAIM_IDS[fn]
             b = CertificateBuilder(claim_id, claim_inputs(claim_id, config))
             b.check("stages_built", False, f"{type(exc).__name__}: {exc}")
             certificates.append(b.build())
@@ -338,49 +377,12 @@ def _parse_args(argv):
         "certify every claim about it exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "golay": "validate the [24,12,8] code and its 759 octads",
-        "construct": "build the 72- and 54-line systems and certify the "
-                     "structure of the 18 removed lines",
-        "spectrum": "certify the exact Seidel spectrum",
-        "aut": "certify the order-216 signed automorphism group",
-        "maximality": "exhaustive non-extendibility search",
-        "subscan": "integral-spectrum scan over sub-Seidel matrices",
-        "all": "run every certificate in dependency order",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (must be >= 1); every "
-                            "search runs in one process, so it changes neither "
-                            "the report nor the run time")
-        p.add_argument("--out", dest="output_path")
-        if name in ("golay", "all"):
-            p.add_argument("--corrupt-generator", action="store_true",
-                           help="negative control: flip one generator bit")
-        if name == "construct":
-            p.add_argument("--emit-vectors", action="store_true")
-        if name == "maximality":
-            p.add_argument("--drop-line", type=int, default=None,
-                           help="control run: remove this member (1-based) first")
-        if name in ("subscan", "all"):
-            p.add_argument("--orders", default="50,51,52,53")
-    args = parser.parse_args(argv)
-    try:                                        # "", "52," and "x" are usage errors
-        orders = tuple(int(x) for x in getattr(args, "orders", "50,51,52,53").split(","))
-    except ValueError:
-        parser.error(f"--orders must be a comma-separated subset of 50,51,52,53, "
-                     f"not {args.orders!r}")
-    drop = getattr(args, "drop_line", None)
-    return RunConfig(
-        command=args.command,
-        orders=orders,
-        jobs=args.jobs,
-        output_path=args.output_path,
-        emit_vectors=getattr(args, "emit_vectors", False),
-        corrupt_generator=getattr(args, "corrupt_generator", False),
-        drop_line=None if drop is None else drop - 1,
-    )
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
+        for name in SHARED_OPTIONS + spec.options:
+            option = OPTIONS[name]
+            p.add_argument(option.flag, dest=name, default=option.default, **option.kwargs)
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def main(argv=None):

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -113,6 +114,83 @@ def test_invalid_jobs_rejected():
         "unknown_command", "emit_vectors_golay", "corrupt_construct"])
 def test_run_config_refuses_what_the_cli_refuses(fields):
     with pytest.raises(ValueError):
+        cli.RunConfig(**fields)
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c != "maximality"])
+def test_drop_line_refused_off_maximality(command):
+    # with drop_line, maximality certifies control_extendible in place of
+    # not_extendible, so `all` would pass without its non-extendibility claim
+    with pytest.raises(ValueError, match=f"drop_line is not an option of {command}"):
+        cli.RunConfig(command=command, drop_line=3)
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS if c not in ("subscan", "all")])
+def test_orders_refused_off_subscan_and_all(command):
+    with pytest.raises(ValueError, match=f"orders is not an option of {command}"):
+        cli.RunConfig(command=command, orders=(52,))
+    # compared once sorted: the default orders in another order are the default
+    assert cli.RunConfig(command=command, orders=(53, 52, 51, 50, 50)).orders == cli.ORDERS
+
+
+def test_run_config_cannot_be_changed_after_its_checks():
+    config = cli.RunConfig(command="maximality", drop_line=3)
+    with pytest.raises(AttributeError):
+        config.command = "all"
+    assert config.command == "maximality"
+
+
+# one value other than the default per option: the CLI arguments that give
+# it and the RunConfig value they stand for
+NON_DEFAULT = {
+    "output_path": (["--out", "r.json"], "r.json"),
+    "jobs": (["--jobs", "2"], 2),
+    "corrupt_generator": (["--corrupt-generator"], True),
+    "emit_vectors": (["--emit-vectors"], True),
+    "drop_line": (["--drop-line", "4"], 3),
+    "orders": (["--orders", "53,52"], (52, 53)),
+}
+
+
+def test_cli_takes_a_flag_iff_run_config_takes_its_value():
+    assert NON_DEFAULT.keys() == cli.OPTIONS.keys()
+    taken = 0
+    for command in cli.COMMANDS:
+        for name, (argv, value) in NON_DEFAULT.items():
+            try:
+                parsed = cli._parse_args([command, *argv])
+            except SystemExit as exc:
+                assert exc.code == 2
+                parsed = None
+            try:
+                config = cli.RunConfig(command=command, **{name: value})
+            except ValueError:
+                config = None
+            assert parsed == config, (command, name)
+            taken += config is not None
+    # jobs and --out on all seven commands, and the six command options
+    assert taken == 2 * 7 + 6
+
+
+@pytest.mark.parametrize("fields", [
+    {"command": "maximality", "drop_line": True},
+    {"command": "maximality", "drop_line": 4.0},
+    {"command": "maximality", "drop_line": np.int64(4)},
+    {"command": "subscan", "orders": (53.0,)},
+    {"command": "subscan", "orders": (52, 53.0)},
+    {"command": "subscan", "orders": np.array([52])},
+    {"command": "subscan", "orders": "52"},
+    {"jobs": 1.5},
+    {"jobs": True},
+    {"command": "golay", "corrupt_generator": 1},
+    {"command": "construct", "emit_vectors": "yes"},
+], ids=["drop_true", "drop_float", "drop_numpy", "orders_float", "orders_mixed",
+        "orders_numpy", "orders_str", "jobs_float", "jobs_true", "corrupt_int",
+        "emit_str"])
+def test_run_config_refuses_values_of_the_wrong_type(fields):
+    # drop_line=True once dropped member 1, drop_line=4.0 ran with another
+    # digest than 4, and orders=(53.0,) raised TypeError inside the scan
+    with pytest.raises(ValueError, match="must be"):
         cli.RunConfig(**fields)
 
 
@@ -286,7 +364,7 @@ def test_whole_run_negative_control_reports(tmp_path):
     out = tmp_path / "r.json"
     assert run(["all", "--corrupt-generator", "--out", str(out)]) == 1
     certs = json.loads(out.read_text())["certificates"]
-    assert [c["claim_id"] for c in certs] == list(cli.CLAIM_IDS.values())
+    assert [c["claim_id"] for c in certs] == list(cli.CLAIMS)
     assert all(c["status"] == "fail" for c in certs)
     gates = certs[0]["details"]["checks"]
     assert not all(gates.values()) and "stages_built" not in gates
@@ -301,7 +379,7 @@ def test_code_error_fails_every_certificate(monkeypatch):
         raise golay.CodeValidationError("no code")
     monkeypatch.setattr(golay, "generate_code", reject)
     certs = cli.run_command(cli.RunConfig(command="all"))
-    assert [c.claim_id for c in certs] == list(cli.CLAIM_IDS.values())
+    assert [c.claim_id for c in certs] == list(cli.CLAIMS)
     assert all(c.details["first_failure"] == {
         "check": "stages_built", "witness": "CodeValidationError: no code"}
         for c in certs)
@@ -333,7 +411,7 @@ def test_stage_error_keeps_each_claims_digest(monkeypatch):
             else:
                 assert cert.inputs_digest == passing.inputs_digest
     digests = [c.inputs_digest for c in cli.run_command(configs[0])]
-    assert len(set(digests)) == len(cli.CLAIM_IDS)
+    assert len(set(digests)) == len(cli.CLAIMS)
 
 
 def test_certify_all_builds_the_code_and_asche_system_once(monkeypatch):
@@ -390,6 +468,20 @@ def test_readme_cli_lines_parse():
     assert len(lines) >= 7
     for args in lines:
         cli._parse_args(args)
+
+
+def test_readme_command_table_matches_commands():
+    # README's table of each command's options and claims, read back; its
+    # `all` row names no claim but says "all seven, in the order above"
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [line.split("|")[1:4] for line in text.splitlines() if line.startswith("| `")]
+    table = {command.strip(" `"): (re.findall(r"--[a-z-]+", options),
+                                   re.findall(r"`([\w.]+)`", claims))
+             for command, options, claims in rows}
+    assert table == {command: ([cli.OPTIONS[name].flag for name in spec.options],
+                               [] if command == "all" else list(spec.claims))
+                     for command, spec in cli.COMMANDS.items()}
+    assert cli.COMMANDS["all"].claims == tuple(c for _, claims in table.values() for c in claims)
 
 
 def test_unwritable_out_is_an_error(tmp_path, capsys):

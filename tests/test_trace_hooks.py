@@ -60,6 +60,18 @@ PERTURBED = textwrap.dedent("""
         assert sample.verdicts.checked > 0 and sample.verdicts.errors == [], sample.verdicts.errors
 """)
 
+# every benchmark workload's config is a RunConfig the package accepts
+WORKLOAD_CONFIGS = textwrap.dedent("""
+    import sys
+    sys.path[:0] = ["src", "certbench"]
+    from equilines.cli import RunConfig
+    from workloads import WORKLOADS
+
+    assert {"certify_all", "certify_core", "perturbed"} <= WORKLOADS.keys(), WORKLOADS
+    for workload in WORKLOADS.values():
+        RunConfig(**workload.config)
+""")
+
 
 def test_trace_hooks_enter_and_exit_on_fresh_modules():
     subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, check=True)
@@ -71,3 +83,7 @@ def test_traced_certify_all_iteration_makes_no_nullity():
 
 def test_perturbed_iterations_hold_every_verdict():
     subprocess.run([sys.executable, "-c", PERTURBED], cwd=ROOT, check=True)
+
+
+def test_every_workload_config_is_accepted():
+    subprocess.run([sys.executable, "-c", WORKLOAD_CONFIGS], cwd=ROOT, check=True)
