@@ -22,6 +22,7 @@ S54_SPECTRUM = seidel.SpectrumClaim.make(
 )
 S54_AUT_ORDER = 216
 ORDERS = (50, 51, 52, 53)        # the sub-matrix orders of the paper's scan
+LINES = range(54)                # the members of S54, 0-based: drop_line's values
 T52_SPECTRUM = seidel.SpectrumClaim.make(
     {-5: 34, 3: 1, 5: 1, 7: 6, 11: 7, 13: 2, 17: 1}
 )
@@ -36,7 +37,13 @@ def _orders_arg(text):
 
 
 def one_based_int(text):
-    return int(text) - 1                        # --drop-line counts from 1, drop_line from 0
+    try:
+        line = int(text) - 1                    # --drop-line counts from 1, drop_line from 0
+        if line in LINES:
+            return line
+    except ValueError:                          # "x" is worded like "0"
+        pass
+    raise argparse.ArgumentTypeError(f"must be a line from 1 to {len(LINES)}, not {text}")
 
 
 # A RunConfig field other than command: its default, ok(value), true of the
@@ -59,12 +66,13 @@ OPTIONS = {
         False, lambda flag: type(flag) is bool, "True or False",
         "--emit-vectors", {"action": "store_true"}),
     "drop_line": Option(
-        None, lambda line: line is None or type(line) is int and line in range(54),
-        "None or an int in range(54)",
+        None, lambda line: line is None or type(line) is int and line in LINES,
+        f"None or an int in range({len(LINES)})",
         "--drop-line", {"type": one_based_int,
                         "help": "control run: remove this member (1-based) first"}),
     "orders": Option(
-        ORDERS, lambda orders: {type(o) for o in orders} == {int} and set(orders) <= set(ORDERS),
+        ORDERS, lambda orders: isinstance(orders, (tuple, list))
+        and {type(o) for o in orders} == {int} and set(orders) <= set(ORDERS),
         f"a non-empty subset of {ORDERS}",
         "--orders", {"type": _orders_arg}),
 }
@@ -104,7 +112,6 @@ class Pipeline:
 
     def __init__(self, config):
         self.config = config
-        self.filters = construct.FilterSet.standard()
 
     @cached_property
     def gated_code(self):
@@ -122,11 +129,11 @@ class Pipeline:
 
     @cached_property
     def asche(self):
-        return construct.asche_system(self.code, self.filters)
+        return construct.asche_system(self.code)
 
     @cached_property
     def final(self):
-        return construct.final_system(self.asche, self.filters)
+        return construct.final_system(self.asche)
 
     @cached_property
     def seidel_matrix(self):
@@ -312,7 +319,7 @@ def cmd_subscan(pipeline):
 
 
 CLAIMS = {"golay.gates": cmd_golay, "theorem1.count": cmd_construct,
-          "remark.cliques": lambda p: construct.verify_remark(p.asche, p.final, p.filters.m),
+          "remark.cliques": lambda p: construct.verify_remark(p.asche, p.final),
           "spectrum.S": lambda p: p.spectrum, "aut.order": cmd_aut,
           "maximality": cmd_maximality, "subscan.unique": cmd_subscan}
 ALL_FNS = list(CLAIMS.values())

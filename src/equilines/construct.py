@@ -16,21 +16,15 @@ import numpy as np
 
 from . import exactlin
 from .certificate import CertificateBuilder
-from .golay import (
-    C1_COORDS,
-    C2_COORDS,
-    N_COORDS,
-    coords_from_mask,
-    mask_from_coords,
-    weight,
-)
+from .golay import C1, C2, N_COORDS, coords_from_mask, weight
 
 SCALED_NORM = 80
 SCALED_ANGLE = 16
 GRAM_COORD_BOUND = 1 << 29      # largest |coordinate| LineSystem.coords accepts
 
-# Entries of the separating vector, by 1-based coordinate.
-M_ENTRIES = {4: 2, 5: -1, 6: -1, 7: 2, 8: -1, 10: -1, 17: 2, 18: -1, 20: -1, 22: -3, 23: 3}
+# The separating vector m, coordinate 1 first. final_system and
+# verify_remark pair it with coordinates in int64, which |M_i| <= 3 keeps exact.
+M = (0, 0, 0, 2, -1, -1, 2, -1, 0, -1, 0, 0, 0, 0, 0, 0, 2, -1, 0, -1, 0, -3, 3, 0)
 
 
 class ConstructionError(RuntimeError):
@@ -43,33 +37,6 @@ class LineVector:
 
     coords: tuple               # 24 integers
     source: int                 # octad bitmask
-
-
-@dataclass(frozen=True)
-class FilterSet:
-    """The two octads and the integer vector that cut 72 lines down to 54."""
-
-    c1: int
-    c2: int
-    m: tuple
-    aux: dict                   # the three auxiliary integer vectors
-
-    @classmethod
-    def standard(cls):
-        m = tuple(M_ENTRIES.get(c, 0) for c in range(1, N_COORDS + 1))
-        e = lambda c: tuple(1 if i == c - 1 else 0 for i in range(N_COORDS))
-        four_e1_plus_all = tuple(4 + 1 if i == 0 else 1 for i in range(N_COORDS))
-        sub = lambda u, v: tuple(a - b for a, b in zip(u, v))
-        return cls(
-            c1=mask_from_coords(C1_COORDS),
-            c2=mask_from_coords(C2_COORDS),
-            m=m,
-            aux={
-                "4e1+eS": four_e1_plus_all,
-                "e1-e2": sub(e(1), e(2)),
-                "e1-e3": sub(e(1), e(3)),
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +86,7 @@ def _system_from(vectors, expected_count, expected_rank):
     return system
 
 
-def asche_system(code, filters=None):
+def asche_system(code):
     """The 72-line system: octads through coordinate 1 passing the four filters.
 
     Each filter condition is evaluated both as a bit/intersection test and
@@ -127,23 +94,22 @@ def asche_system(code, filters=None):
     two must agree. The orthogonality of every member to 4*e1 + e_all is
     an identity for octads through coordinate 1 and is asserted, never
     filtered on. The inner products are one int64 product of the lifts'
-    coords with the five test vectors; every entry is at most 24 * 5 * 5 in
+    coords with the five test vectors e1 - e2, e1 - e3, the indicators of
+    C1 and C2, and 4*e1 + e_all; every entry is at most 24 * 5 * 5 in
     absolute value.
     """
-    filters = filters or FilterSet.standard()
     lifts = LineSystem(vectors=tuple(lift(d) for d in code.octads if d & 1), ambient_dim=None)
-    tests = [filters.aux["e1-e2"], filters.aux["e1-e3"],
-             [filters.c1 >> j & 1 for j in range(N_COORDS)],
-             [filters.c2 >> j & 1 for j in range(N_COORDS)], filters.aux["4e1+eS"]]
-    dots = (lifts.coords @ np.array(tests, dtype=np.int64).T).tolist()
+    e, bits = np.eye(N_COORDS, dtype=np.int64), np.arange(N_COORDS)
+    tests = np.array([e[0] - e[1], e[0] - e[2], C1 >> bits & 1, C2 >> bits & 1, 4 * e[0] + 1])
+    dots = (lifts.coords @ tests.T).tolist()
     picked = []
     for v, row in zip(lifts.vectors, dots):
         d = v.source
         bit_tests = (
             not d & 0b010,
             not d & 0b100,
-            weight(d & filters.c1) == 2,
-            weight(d & filters.c2) == 2,
+            weight(d & C1) == 2,
+            weight(d & C2) == 2,
         )
         if bit_tests != tuple(x == 0 for x in row[:4]):
             raise ConstructionError(
@@ -159,11 +125,13 @@ def asche_system(code, filters=None):
     return _system_from(picked, 72, 19)
 
 
-def final_system(full, filters=None):
+def final_system(full):
     """The 54-line subsystem: members of the 72-line system full that are
-    orthogonal to m, checked equiangular (ConstructionError)."""
-    filters = filters or FilterSet.standard()
-    orthogonal = (full.coords @ np.array(filters.m, dtype=object) == 0).tolist()
+    orthogonal to M, checked equiangular (ConstructionError). The
+    pairings are one int64 product: |M_i| <= 3 and LineSystem.coords
+    bounds every coordinate by 2^29, so each is below 24 * 3 * 2^29 <
+    2^37 in absolute value."""
+    orthogonal = (full.coords @ np.array(M, dtype=np.int64) == 0).tolist()
     system = _system_from([v for v, ok in zip(full.vectors, orthogonal) if ok], 54, 18)
     defect = first_defect(system.gram)
     if defect is not None:
@@ -192,16 +160,17 @@ def removed_indices(full, final):
     return [i for i, v in enumerate(full.vectors) if v.source not in final_sources]
 
 
-def verify_remark(full, final, m):
+def verify_remark(full, final):
     """Certify the structure of the 18 removed lines.
 
-    They split 9/9 by the sign of the m-pairing (scaled values +/-24,
+    They split 9/9 by the sign of the M-pairing (scaled values +/-24,
     i.e. 6/sqrt(5) on unit vectors), each 9-set is a clique at cosine
     +1/5, and every member of one clique has exactly two partners at
-    +1/5 in the other. The pairings are one product of the members'
-    coordinates with m, in Python ints (an object array) so that no m
-    can make them wrap; the clique and cross inner products are blocks
-    of full.gram.
+    +1/5 in the other. The pairings are int64 products of the members'
+    coordinates with M: |M_i| <= 3 and LineSystem.coords bounds every
+    coordinate by 2^29, so each is below 24 * 3 * 2^29 < 2^37 in
+    absolute value. The clique and cross inner products are blocks of
+    full.gram.
     """
     b = CertificateBuilder(
         "remark.cliques",
@@ -210,7 +179,7 @@ def verify_remark(full, final, m):
     removed = removed_indices(full, final)
     b.check("removed_count_18", len(removed) == 18, len(removed))
 
-    m = np.array(m, dtype=object)
+    m = np.array(M, dtype=np.int64)
     pairings = (full.coords[removed] @ m).tolist()
     b.check("m_pairings_pm24", all(p in (24, -24) for p in pairings), sorted(set(pairings)))
     b.check("final_orthogonal_to_m", not (final.coords @ m).any())

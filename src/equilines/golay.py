@@ -17,10 +17,6 @@ N_OCTADS = 759
 
 CIRCULANT_FIRST_ROW = (0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1)
 
-# The two specific octads used downstream to filter the line system.
-C1_COORDS = (2, 3, 14, 15, 16, 19, 22, 23)
-C2_COORDS = (2, 3, 9, 11, 12, 13, 21, 24)
-
 
 class CodeValidationError(ValueError):
     """Generated code violates a structural requirement."""
@@ -39,6 +35,11 @@ def mask_from_coords(coords):
 def coords_from_mask(mask):
     """Sorted 1-based coordinates of the set bits."""
     return tuple(c for c in range(1, N_COORDS + 1) if mask >> (c - 1) & 1)
+
+
+# The two octads that filter the line system downstream, as masks.
+C1 = mask_from_coords((2, 3, 14, 15, 16, 19, 22, 23))
+C2 = mask_from_coords((2, 3, 9, 11, 12, 13, 21, 24))
 
 
 def weight(mask):
@@ -146,8 +147,8 @@ def validation_gates(code):
         "octad_count_759": len(code.octads) == N_OCTADS,
         "self_dual_generator": self_dual,
         "weight_distribution": dist == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1},
-        "c1_in_code": mask_from_coords(C1_COORDS) in code.word_set,
-        "c2_in_code": mask_from_coords(C2_COORDS) in code.word_set,
+        "c1_in_code": C1 in code.word_set,
+        "c2_in_code": C2 in code.word_set,
     }
 
 

@@ -153,6 +153,16 @@ def check_extendibility(system):
     ambient space is the span of the system, so a new line lies in it and
     its scaled norm is exactly 80.
 
+    That B spans every member is proved, not read off system.ambient_dim.
+    The projection of a member v onto span(B) is P v = B^T G^-1 B v, and
+    v lies in span(B) iff |P v|^2 = |v|^2. Row v of inner (below) is
+    d (B v)^T G^-1, so d |P v|^2 is row v of inner times row v of
+    gram[:, basis], summed; the identity
+    (inner * gram[:, basis]).sum(axis=1) == d * diag(gram), computed in
+    Python ints, holds iff every member lies in span(B). ValueError when
+    it fails, as when ambient_dim is below the members' rank (one above
+    it fails in greedy_basis).
+
     For a pattern eps = 16 s, s in {+1, -1}^r, the candidate is
     w = B^T G^-1 eps, where G = B B^T is invertible, the rows of B being
     independent: G is gram[basis][:, basis], with gram = V V^T the
@@ -175,6 +185,11 @@ def check_extendibility(system):
     basis = greedy_basis(gram, r)
     a, d = exactlin.inverse(gram[np.ix_(basis, basis)])
     inner = exactlin.int64_product(gram[:, basis], a)     # members x r
+    projected = (inner.astype(object) * gram[:, basis]).sum(axis=1)
+    outside = np.flatnonzero(projected != d * np.diagonal(gram).astype(object))
+    if len(outside):
+        raise ValueError(f"member {outside[0]} is outside the span of the {r}-member basis: "
+                         f"ambient_dim {r} is below the members' rank")
     witnesses = []
     for pattern in _pattern_scan(a, d, inner):
         eps = np.where(pattern >> np.arange(r) & 1, SCALED_ANGLE, -SCALED_ANGLE)

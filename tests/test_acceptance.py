@@ -62,7 +62,7 @@ def test_criterion_2_construction_counts(asche, final54):
 
 def test_criterion_3_remark(asche, final54):
     t0 = time.monotonic()
-    cert = construct.verify_remark(asche, final54, construct.FilterSet.standard().m)
+    cert = construct.verify_remark(asche, final54)
     report(3, cert.passed,
            f"removed 18 lines split into two 9-cliques, two cross-partners "
            f"each ({time.monotonic() - t0:.2f}s)")

@@ -90,9 +90,12 @@ def test_bad_orders_rejected():
     assert run(["subscan", "--orders", "49"]) == 2
 
 
-@pytest.mark.parametrize("line", ["0", "55", "-1"])
-def test_drop_line_out_of_range_rejected(line):
+@pytest.mark.parametrize("line", ["0", "55", "-1", "x"])
+def test_drop_line_out_of_range_rejected(line, capsys):
+    # worded in the flag's terms: what was typed and the 1-based range
     assert run(["maximality", "--drop-line", line]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --drop-line: must be a line from 1 to 54, not {line}\n" in err
 
 
 def test_invalid_jobs_rejected():
@@ -180,17 +183,20 @@ def test_cli_takes_a_flag_iff_run_config_takes_its_value():
     {"command": "subscan", "orders": (52, 53.0)},
     {"command": "subscan", "orders": np.array([52])},
     {"command": "subscan", "orders": "52"},
+    {"command": "subscan", "orders": 53},
     {"jobs": 1.5},
     {"jobs": True},
     {"command": "golay", "corrupt_generator": 1},
     {"command": "construct", "emit_vectors": "yes"},
 ], ids=["drop_true", "drop_float", "drop_numpy", "orders_float", "orders_mixed",
-        "orders_numpy", "orders_str", "jobs_float", "jobs_true", "corrupt_int",
+        "orders_numpy", "orders_str", "orders_int", "jobs_float", "jobs_true", "corrupt_int",
         "emit_str"])
 def test_run_config_refuses_values_of_the_wrong_type(fields):
     # drop_line=True once dropped member 1, drop_line=4.0 ran with another
-    # digest than 4, and orders=(53.0,) raised TypeError inside the scan
-    with pytest.raises(ValueError, match="must be"):
+    # digest than 4, and orders=(53.0,) raised TypeError inside the scan;
+    # orders=53 raised TypeError from the check itself
+    (name,) = fields.keys() - {"command"}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         cli.RunConfig(**fields)
 
 
@@ -342,6 +348,16 @@ def test_maximality_control_run(tmp_path):
     report = json.loads(out.read_text())
     (cert,) = report["certificates"]
     assert cert["details"]["checks"]["control_extendible"]
+
+
+def test_drop_line_reports_match_golden():
+    # tests/data/drop_line_reports.json: `equilines maximality --drop-line N`
+    # after report_without_timings, keyed by N = 1..54
+    golden = json.loads((Path(__file__).parent / "data" / "drop_line_reports.json").read_text())
+    assert list(golden) == sorted(str(n) for n in range(1, 55))
+    for n, expected in golden.items():
+        config = cli._parse_args(["maximality", "--drop-line", n])
+        assert cli.report_without_timings(cli.report_dict(cli.run_command(config))) == expected, n
 
 
 def test_determinism_across_job_counts(tmp_path):

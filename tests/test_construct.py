@@ -16,11 +16,10 @@ def test_lift_zero_codeword():
 
 
 def test_lift_c1():
-    c1 = golay.mask_from_coords(golay.C1_COORDS)
-    v = construct.lift(c1)
+    v = construct.lift(golay.C1)
     assert v.coords[0] == -5
     for c in range(2, 25):
-        expected = 3 if c in golay.C1_COORDS else -1
+        expected = 3 if c in golay.coords_from_mask(golay.C1) else -1
         assert v.coords[c - 1] == expected
 
 
@@ -49,8 +48,8 @@ def test_asche_counts(asche):
 
 
 def test_asche_orthogonal_to_4e1_plus_all(asche):
-    aux = construct.FilterSet.standard().aux["4e1+eS"]
-    assert all(dot(v, aux) == 0 for v in asche.vectors)
+    four_e1_plus_all = (5,) + (1,) * 23
+    assert all(dot(v, four_e1_plus_all) == 0 for v in asche.vectors)
 
 
 def test_final_counts(final54):
@@ -71,8 +70,7 @@ def test_final_equiangular(final54):
 
 
 def test_final_is_m_kernel_of_asche(asche, final54):
-    m = construct.FilterSet.standard().m
-    expected = {v.source for v in asche.vectors if dot(v, m) == 0}
+    expected = {v.source for v in asche.vectors if dot(v, construct.M) == 0}
     assert {v.source for v in final54.vectors} == expected
 
 
@@ -102,39 +100,37 @@ def test_ordering_deterministic(code, final54):
 
 
 def test_filter_vector_entries():
-    m = construct.FilterSet.standard().m
+    m = construct.M
+    assert len(m) == 24
     nonzero = {c: m[c - 1] for c in range(1, 25) if m[c - 1] != 0}
     assert nonzero == {4: 2, 5: -1, 6: -1, 7: 2, 8: -1, 10: -1,
                        17: 2, 18: -1, 20: -1, 22: -3, 23: 3}
 
 
 def test_filter_octads_avoid_coordinate_1():
-    f = construct.FilterSet.standard()
-    assert not f.c1 & 1 and not f.c2 & 1
-    assert golay.weight(f.c1) == 8 and golay.weight(f.c2) == 8
+    assert not golay.C1 & 1 and not golay.C2 & 1
+    assert golay.weight(golay.C1) == 8 and golay.weight(golay.C2) == 8
 
 
 def test_verify_remark_passes(asche, final54):
-    cert = construct.verify_remark(asche, final54, construct.FilterSet.standard().m)
+    cert = construct.verify_remark(asche, final54)
     assert cert.passed
     assert len(cert.details["clique_u_octads"]) == 9
     assert len(cert.details["clique_v_octads"]) == 9
 
 
-def test_verify_remark_fails_with_wrong_m(asche, final54):
-    wrong_m = tuple(-x for x in construct.FilterSet.standard().m[:-1]) + (1,)
-    cert = construct.verify_remark(asche, final54, wrong_m)
+def test_verify_remark_fails_with_wrong_m(asche, final54, monkeypatch):
+    monkeypatch.setattr(construct, "M", tuple(-x for x in construct.M[:-1]) + (1,))
+    cert = construct.verify_remark(asche, final54)
     assert not cert.passed
     assert "first_failure" in cert.details
 
 
-def test_construction_error_on_wrong_filters(code):
-    # swapping c1 for an octad containing coordinate 1 breaks the counts
-    bad = construct.FilterSet.standard()
-    octad_with_1 = golay.octads_through(code, 1)[0]
-    broken = construct.FilterSet(c1=octad_with_1, c2=bad.c2, m=bad.m, aux=bad.aux)
+def test_construction_error_on_wrong_filters(code, monkeypatch):
+    # swapping C1 for an octad containing coordinate 1 breaks the counts
+    monkeypatch.setattr(construct, "C1", golay.octads_through(code, 1)[0])
     with pytest.raises(construct.ConstructionError):
-        construct.asche_system(code, broken)
+        construct.asche_system(code)
 
 
 def dot_gram(system):
@@ -265,11 +261,11 @@ def reference_verify_remark(full, final, m):
     return b.build()
 
 
-def remark_outcomes(full, final, m):
+def remark_outcomes(full, final):
     """The certificate dicts, without runtime_ms, of verify_remark and of
     its oracle."""
-    dicts = [fn(full, final, m).to_dict() for fn in (construct.verify_remark,
-                                                       reference_verify_remark)]
+    dicts = [construct.verify_remark(full, final).to_dict(),
+             reference_verify_remark(full, final, construct.M).to_dict()]
     for d in dicts:
         del d["runtime_ms"]
     return dicts
@@ -307,16 +303,8 @@ def perturbed_systems(full, final, count, seed):
 
 
 def test_verify_remark_matches_dot_loop_oracle(asche, final54):
-    m = construct.FilterSet.standard().m
-    rng = random.Random(23)
-    wrong_m = tuple(-x for x in m[:-1]) + (1,)
-    # m * 2^61 pairs with the removed lines at +-3 * 2^64, which int64 would wrap to 0
-    ms = [m, tuple(-x for x in m), tuple(2 * x for x in m), tuple(x << 61 for x in m), wrong_m]
-    ms += [tuple(rng.randint(-3, 3) for _ in range(24)) for _ in range(30)]
-    cases = [(asche, final54, x) for x in ms]
-    cases += [(full, final, m) for full, final in perturbed_systems(asche, final54, 60, 24)]
-    short = construct.LineSystem(vectors=final54.vectors[1:], ambient_dim=18)
-    cases.append((asche, short, m))
+    cases = [(asche, final54)] + perturbed_systems(asche, final54, 60, 24)
+    cases.append((asche, construct.LineSystem(vectors=final54.vectors[1:], ambient_dim=18)))
     # a removed line moved by the difference of two kept ones keeps its
     # pairing and breaks its clique; a kept line moved by a removed one
     # leaves m's kernel
@@ -324,15 +312,15 @@ def test_verify_remark_matches_dot_loop_oracle(asche, final54):
     kept = [i for i in range(72) if i not in gone]
     for i, j, k in (gone[0], kept[0], kept[1]), (kept[0], gone[0], kept[1]):
         moved = [x + y - z for x, y, z in zip(*(asche.vectors[t].coords for t in (i, j, k)))]
-        cases.append(with_coords(asche, final54, [(i, moved)]) + (m,))
+        cases.append(with_coords(asche, final54, [(i, moved)]))
     failed, first = set(), set()
-    for full, final, x in cases:
-        new, old = remark_outcomes(full, final, x)
+    for full, final in cases:
+        new, old = remark_outcomes(full, final)
         assert new == old
         failed.update(name for name, ok in new["details"]["checks"].items() if not ok)
         first.add(new["details"].get("first_failure", {}).get("check"))
-    assert remark_outcomes(asche, final54, m)[0]["status"] == "pass"
-    assert failed == set(remark_outcomes(asche, final54, m)[0]["details"]["checks"])
+    assert remark_outcomes(asche, final54)[0]["status"] == "pass"
+    assert failed == set(remark_outcomes(asche, final54)[0]["details"]["checks"])
     assert {"final_orthogonal_to_m", "intra_u_all_plus"} <= first
 
 

@@ -48,8 +48,7 @@ def test_validation_gates_all_pass(code):
 
 
 def test_c1_c2_membership_and_symmetric_difference(code):
-    c1 = golay.mask_from_coords(golay.C1_COORDS)
-    c2 = golay.mask_from_coords(golay.C2_COORDS)
+    c1, c2 = golay.C1, golay.C2
     assert c1 in code.word_set
     assert c2 in code.word_set
     diff = c1 ^ c2

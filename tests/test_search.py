@@ -55,6 +55,16 @@ def test_not_extendible(final54):
     assert report.patterns_examined == 1 << 18
 
 
+@pytest.mark.parametrize("rank", [16, 17, 19])
+def test_check_extendibility_refuses_an_ambient_dim_other_than_the_rank(final54, rank):
+    # at 17, S54 was once searched over a 17-dimensional span only, 2^17
+    # patterns, and reported not extendible
+    system = construct.LineSystem(vectors=final54.vectors, ambient_dim=rank)
+    match = f"ambient_dim {rank} is below the members' rank" if rank < 18 else "rank 18 < 19"
+    with pytest.raises(ValueError, match=match):
+        search.check_extendibility(system)
+
+
 def gray_loop_witnesses(system):
     """The witnesses of check_extendibility by the pure-Python reference:
     a Gray-code walk over all 2^r sign patterns eps that keeps
