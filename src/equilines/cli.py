@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import construct, exactlin, golay, search, seidel
+from . import construct, golay, search, seidel
 from .certificate import CertificateBuilder
 
 ARTIFACT_VERSION = "1.0"
@@ -244,11 +244,8 @@ def cmd_maximality(pipeline):
     b = CertificateBuilder("maximality", claim_inputs("maximality", config))
     system = pipeline.final
     if config.drop_line is not None:
-        keep = np.arange(len(system)) != config.drop_line
         system = construct.LineSystem(
-            vectors=tuple(v for v, k in zip(system.vectors, keep) if k),
-            ambient_dim=exactlin.rank(system.coords[keep]),
-        )
+            vectors=tuple(v for i, v in enumerate(system.vectors) if i != config.drop_line))
     report = search.check_extendibility(system)
     b.note("patterns_examined", report.patterns_examined)
     b.note("basis_indices_1based", [i + 1 for i in report.basis_indices])

@@ -42,7 +42,7 @@ class LineVector:
 @dataclass(frozen=True)
 class LineSystem:
     vectors: tuple              # LineVector, canonical octad order
-    ambient_dim: int            # rank of the span
+    ambient_dim: int = None     # rank of the span, as _system_from proved it; else None
 
     def __len__(self):
         return len(self.vectors)
@@ -98,7 +98,7 @@ def asche_system(code):
     C1 and C2, and 4*e1 + e_all; every entry is at most 24 * 5 * 5 in
     absolute value.
     """
-    lifts = LineSystem(vectors=tuple(lift(d) for d in code.octads if d & 1), ambient_dim=None)
+    lifts = LineSystem(vectors=tuple(lift(d) for d in code.octads if d & 1))
     e, bits = np.eye(N_COORDS, dtype=np.int64), np.arange(N_COORDS)
     tests = np.array([e[0] - e[1], e[0] - e[2], C1 >> bits & 1, C2 >> bits & 1, 4 * e[0] + 1])
     dots = (lifts.coords @ tests.T).tolist()

@@ -46,17 +46,6 @@ def weight(mask):
     return mask.bit_count()
 
 
-# _BYTE_REVERSED[b] is the byte b with its eight bits in reverse order
-_BYTE_REVERSED = tuple(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def lex_key(mask):
-    """Sort key putting coordinate 1 as the most significant bit: the low
-    24 bits of mask reversed, one byte-table lookup per byte."""
-    return (_BYTE_REVERSED[mask & 255] << 16 | _BYTE_REVERSED[mask >> 8 & 255] << 8
-            | _BYTE_REVERSED[mask >> 16 & 255])
-
-
 @dataclass(frozen=True)
 class GolayCode:
     """The full code: generator rows, all 4096 words, and the 759 octads."""
@@ -64,10 +53,6 @@ class GolayCode:
     generator: tuple            # 12 row masks
     words: tuple                # 4096 masks in canonical order
     octads: tuple               # 759 weight-8 masks in canonical order
-
-    @property
-    def word_set(self):
-        return frozenset(self.words)
 
 
 def build_generator():
@@ -109,14 +94,20 @@ def _span(generator):
 
 
 def generate_code(generator):
-    """Enumerate the row span of a rank-12 generator and extract octads."""
-    if len(generator) != 12:
-        raise CodeValidationError("generator must have 12 rows")
-    if gf2_rank(generator) != 12:
-        raise CodeValidationError("generator rank over GF(2) is below 12")
-    words = sorted(set(_span(generator)), key=lex_key)
-    if len(words) != N_WORDS:
-        raise CodeValidationError(f"span has {len(words)} words, expected {N_WORDS}")
+    """The row span of a systematic generator [I12 | B] and its octads,
+    in canonical order. CodeValidationError unless there are 12 rows and
+    bits 0-11 of row i are exactly 1 << i.
+
+    Entry c of _span(generator[::-1]) is the XOR of rows 11 - j over the
+    set bits j of c, so coordinate i + 1 is set iff bit 11 - i of c is.
+    For c < c', the first of coordinates 1-12 where the entries differ is
+    that of the highest bit where c and c' differ, set in c' only. So the
+    4096 entries are distinct (the rows have rank 12), and ascending c is
+    canonical order.
+    """
+    if [row & 0xFFF for row in generator] != [1 << i for i in range(12)]:
+        raise CodeValidationError("generator is not of the form [I12 | B]")
+    words = _span(generator[::-1])
     octads = tuple(w for w in words if weight(w) == 8)
     return GolayCode(generator=tuple(generator), words=tuple(words), octads=octads)
 
@@ -133,6 +124,7 @@ def validation_gates(code):
     and membership of the two filter octads.
     """
     dist = weight_distribution(code)
+    words = set(code.words)
     nonzero_weights = [w for w in dist if w > 0]
     rows = code.generator
     self_dual = all(
@@ -147,8 +139,8 @@ def validation_gates(code):
         "octad_count_759": len(code.octads) == N_OCTADS,
         "self_dual_generator": self_dual,
         "weight_distribution": dist == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1},
-        "c1_in_code": C1 in code.word_set,
-        "c2_in_code": C2 in code.word_set,
+        "c1_in_code": C1 in words,
+        "c2_in_code": C2 in words,
     }
 
 

@@ -50,10 +50,10 @@ class SubScanResult:
     screened_ambiguous: int = 0  # subsets whose orbit passed the screen, failed confirmation
 
 
-def greedy_basis(gram, target_rank):
-    """Indices of target_rank independent members: the first target_rank
-    pivot columns of their Gram matrix gram = V V^T, eliminated modulo
-    PRIMES[-1] by exactlin._modular_pivots.
+def greedy_basis(gram):
+    """Indices of independent members: every pivot column of their Gram
+    matrix gram = V V^T, eliminated modulo PRIMES[-1] by
+    exactlin._modular_pivots.
 
     - The pivot columns C are independent modulo p, so some |C|-minor of
       gram[:, C] is nonzero modulo p, hence nonzero: they are independent
@@ -62,18 +62,14 @@ def greedy_basis(gram, target_rank):
       members would be one among their columns: the members in C are
       independent too.
 
-    check_extendibility needs only that, and exactlin.inverse verifies
-    once more that their Gram matrix is invertible. (Over Q the
-    pivot columns are the greedy basis, each member independent of those
-    before it: V u = 0 for u in the row space of V forces u^T u = 0.
-    Modulo p they can differ only where p divides a minor.)
+    So |C| is at most the members' rank, and below it only where p
+    divides a minor; check_extendibility proves that it is the rank.
+    (Over Q the pivot columns are the greedy basis, each member
+    independent of those before it: V u = 0 for u in the row space of V
+    forces u^T u = 0. Modulo p they can differ only where p divides a
+    minor.)
     """
-    steps = islice(exactlin._modular_pivots(gram, exactlin.PRIMES[-1:]), target_rank)
-    chosen = [col for _, _, col in steps]
-    if len(chosen) < target_rank:
-        raise ValueError(f"gram has rank {len(chosen)} < {target_rank} "
-                         f"modulo {exactlin.PRIMES[-1]}")
-    return chosen
+    return [col for _, _, col in exactlin._modular_pivots(gram, exactlin.PRIMES[-1:])]
 
 
 def _sign_rows(bits):
@@ -153,15 +149,16 @@ def check_extendibility(system):
     ambient space is the span of the system, so a new line lies in it and
     its scaled norm is exactly 80.
 
-    That B spans every member is proved, not read off system.ambient_dim.
+    B is every pivot column of greedy_basis, independent over Q, and
+    r = len(B) is proved to be the members' rank: B spans every member.
     The projection of a member v onto span(B) is P v = B^T G^-1 B v, and
     v lies in span(B) iff |P v|^2 = |v|^2. Row v of inner (below) is
     d (B v)^T G^-1, so d |P v|^2 is row v of inner times row v of
     gram[:, basis], summed; the identity
     (inner * gram[:, basis]).sum(axis=1) == d * diag(gram), computed in
-    Python ints, holds iff every member lies in span(B). ValueError when
-    it fails, as when ambient_dim is below the members' rank (one above
-    it fails in greedy_basis).
+    Python ints, holds iff every member lies in span(B). It fails only if
+    r is below the rank, that is, if PRIMES[-1] divides a minor that
+    greedy_basis needed: AssertionError, before any pattern is scanned.
 
     For a pattern eps = 16 s, s in {+1, -1}^r, the candidate is
     w = B^T G^-1 eps, where G = B B^T is invertible, the rows of B being
@@ -181,15 +178,16 @@ def check_extendibility(system):
     coordinates by _verify_witness; only then is w made exact Fractions
     for the report.
     """
-    coords, gram, r = system.coords, system.gram, system.ambient_dim
-    basis = greedy_basis(gram, r)
+    coords, gram = system.coords, system.gram
+    basis = greedy_basis(gram)
+    r = len(basis)
     a, d = exactlin.inverse(gram[np.ix_(basis, basis)])
     inner = exactlin.int64_product(gram[:, basis], a)     # members x r
     projected = (inner.astype(object) * gram[:, basis]).sum(axis=1)
     outside = np.flatnonzero(projected != d * np.diagonal(gram).astype(object))
     if len(outside):
-        raise ValueError(f"member {outside[0]} is outside the span of the {r}-member basis: "
-                         f"ambient_dim {r} is below the members' rank")
+        raise AssertionError(f"member {outside[0]} is outside the span of the {r}-member "
+                             f"basis: {exactlin.PRIMES[-1]} divides a minor")
     witnesses = []
     for pattern in _pattern_scan(a, d, inner):
         eps = np.where(pattern >> np.arange(r) & 1, SCALED_ANGLE, -SCALED_ANGLE)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -49,19 +50,30 @@ def test_validation_gates_all_pass(code):
 
 def test_c1_c2_membership_and_symmetric_difference(code):
     c1, c2 = golay.C1, golay.C2
-    assert c1 in code.word_set
-    assert c2 in code.word_set
+    words = set(code.words)
+    assert c1 in words
+    assert c2 in words
     diff = c1 ^ c2
     assert golay.weight(diff) == 12
-    assert diff in code.word_set
+    assert diff in words
+
+
+@pytest.mark.parametrize("gate, octad", [("c1_in_code", golay.C1), ("c2_in_code", golay.C2)],
+                         ids=["C1", "C2"])
+def test_each_filter_octad_gate_reads_its_own_octad(code, gate, octad):
+    # the code's words less one filter octad fail that octad's gate alone
+    words = tuple(w for w in code.words if w != octad)
+    gates = golay.validation_gates(dataclasses.replace(code, words=words))
+    assert gates[gate] is False
+    assert gates["c1_in_code"] is not gates["c2_in_code"]
 
 
 def test_closure_under_symmetric_difference_sampled(code):
     rng = random.Random(7)
-    words = code.words
+    words, members = code.words, set(code.words)
     for _ in range(2000):
         a, b = rng.choice(words), rng.choice(words)
-        assert a ^ b in code.word_set
+        assert a ^ b in members
 
 
 def test_pairwise_even_intersections_sampled(code):
@@ -134,24 +146,61 @@ def test_left_shift_circulant_fails_only_the_filter_octads(code):
     assert {name for name, ok in gates.items() if not ok} == {"c1_in_code", "c2_in_code"}
 
 
+NOT_SYSTEMATIC = r"not of the form \[I12 \| B\]"
+
+
 def test_rank_deficient_generator_rejected(code):
     rows = list(code.generator)
     rows[11] = rows[0] ^ rows[1]
-    with pytest.raises(golay.CodeValidationError):
+    with pytest.raises(golay.CodeValidationError, match=NOT_SYSTEMATIC):
         golay.generate_code(rows)
 
 
-def test_canonical_order_is_lexicographic(code):
-    keys = [golay.lex_key(w) for w in code.words]
-    assert keys == sorted(keys)
+def test_permuted_rows_rejected(code):
+    # the same span, listed in another order than canonical
+    rows = [code.generator[1], code.generator[0], *code.generator[2:]]
+    with pytest.raises(golay.CodeValidationError, match=NOT_SYSTEMATIC):
+        golay.generate_code(rows)
+
+
+def test_flipped_identity_bit_rejected(code):
+    rows = list(code.generator)
+    rows[5] ^= 1 << 5
+    with pytest.raises(golay.CodeValidationError, match=NOT_SYSTEMATIC):
+        golay.generate_code(rows)
+
+
+def test_every_single_bit_flip_of_the_generator_rejected(code):
+    # 12 rows x 24 bits: a flip in bits 0-11 breaks the identity block, and
+    # one in B spans another code, which fails a gate
+    refused = 0
+    for row in range(12):
+        for bit in range(golay.N_COORDS):
+            rows = list(code.generator)
+            rows[row] ^= 1 << bit
+            try:
+                gates = golay.validation_gates(golay.generate_code(rows))
+            except golay.CodeValidationError:
+                assert bit < 12
+                refused += 1
+            else:
+                assert bit >= 12
+                refused += not all(gates.values())
+    assert refused == 288
 
 
 def reference_lex_key(mask):
-    """The 24-step loop that lex_key replaces: the oracle for its byte table."""
+    """Coordinate 1 as the most significant bit, one coordinate per step:
+    the canonical order's sort key, an oracle for generate_code's order."""
     key = 0
     for c in range(golay.N_COORDS):
         key = (key << 1) | (mask >> c & 1)
     return key
+
+
+def test_canonical_order_is_lexicographic(code):
+    keys = [reference_lex_key(w) for w in code.words]
+    assert keys == sorted(keys)
 
 
 def reference_span(generator):
@@ -169,26 +218,17 @@ def reference_span(generator):
     return words
 
 
-def random_rank_12_generators(count, seed):
+def random_systematic_generators(count, seed):
+    """count generators [I12 | B] with B uniformly random."""
     rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        rows = tuple(rng.getrandbits(golay.N_COORDS) for _ in range(12))
-        if golay.gf2_rank(rows) == 12:
-            found.append(rows)
-    return found
+    return [tuple(1 << i | rng.getrandbits(12) << 12 for i in range(12)) for _ in range(count)]
 
 
 def test_span_and_sort_match_reference_loops(code):
-    generators = [code.generator] + random_rank_12_generators(50, 5)
+    # the span in generate_code's order is the span sorted by the oracle key
+    generators = [code.generator] + random_systematic_generators(50, 5)
     for generator in generators:
         span = golay._span(generator)
         assert span == reference_span(generator)
-        assert [golay.lex_key(w) for w in span] == [reference_lex_key(w) for w in span]
         words = tuple(sorted(set(span), key=reference_lex_key))
         assert golay.generate_code(generator).words == words
-    rng = random.Random(6)
-    for _ in range(2000):
-        mask = rng.getrandbits(32)          # bits past coordinate 24 are ignored
-        assert golay.lex_key(mask) == reference_lex_key(mask)
-

@@ -22,8 +22,8 @@ def drop_member(system, index):
 
 def test_greedy_basis_is_independent(final54):
     rows = final54.coords.tolist()
-    basis = search.greedy_basis(final54.gram, 18)
-    assert len(basis) == 18
+    basis = search.greedy_basis(final54.gram)
+    assert len(basis) == 18 == exactlin.rank(rows)
     assert exactlin.rank([rows[i] for i in basis]) == 18
 
 
@@ -43,9 +43,9 @@ def test_greedy_basis_matches_incremental_rank(final54, drop):
     system = final54 if drop is None else drop_member(final54, drop)
     rows = system.coords.tolist()
     r = system.ambient_dim
-    assert search.greedy_basis(system.gram, r) == incremental_rank_basis(rows, r)
-    with pytest.raises(ValueError):
-        search.greedy_basis(system.gram, r + 1)
+    basis = search.greedy_basis(system.gram)
+    assert len(basis) == r
+    assert basis == incremental_rank_basis(rows, r)
 
 
 def test_not_extendible(final54):
@@ -55,14 +55,30 @@ def test_not_extendible(final54):
     assert report.patterns_examined == 1 << 18
 
 
-@pytest.mark.parametrize("rank", [16, 17, 19])
-def test_check_extendibility_refuses_an_ambient_dim_other_than_the_rank(final54, rank):
-    # at 17, S54 was once searched over a 17-dimensional span only, 2^17
-    # patterns, and reported not extendible
+@pytest.mark.parametrize("rank", [16, 17, 19, None])
+def test_check_extendibility_ignores_a_declared_ambient_dim(final54, rank):
+    # the search proves its rank from the basis: S54 declared with another
+    # ambient_dim, or none, is searched over all 2^18 patterns all the same
     system = construct.LineSystem(vectors=final54.vectors, ambient_dim=rank)
-    match = f"ambient_dim {rank} is below the members' rank" if rank < 18 else "rank 18 < 19"
-    with pytest.raises(ValueError, match=match):
-        search.check_extendibility(system)
+    assert search.check_extendibility(system) == search.check_extendibility(final54)
+
+
+@pytest.mark.parametrize("dropped", [0, 9, 17])
+def test_basis_missing_a_pivot_fails_the_span_identity(final54, monkeypatch, dropped):
+    # a basis one pivot short, as when PRIMES[-1] divides a minor, leaves
+    # that member outside its span: AssertionError before any pattern
+    greedy_basis = search.greedy_basis
+
+    def short_basis(gram):
+        basis = greedy_basis(gram)
+        return basis[:dropped] + basis[dropped + 1:]
+
+    def no_scan(*args):
+        raise RuntimeError("pattern scan started")
+    monkeypatch.setattr(search, "greedy_basis", short_basis)
+    monkeypatch.setattr(search, "_pattern_scan", no_scan)
+    with pytest.raises(AssertionError, match="outside the span of the 17-member basis"):
+        search.check_extendibility(final54)
 
 
 def gray_loop_witnesses(system):
@@ -145,7 +161,7 @@ def test_check_extendibility_matches_python_int_reference(final54, drop_line_sys
     for system in [final54, *drop_line_systems]:
         (det, adj), fields = reference_check_extendibility(system)
         g = math.gcd(det, *(x for row in adj for x in row))
-        basis = search.greedy_basis(system.gram, system.ambient_dim)
+        basis = search.greedy_basis(system.gram)
         a, d = exactlin.inverse(system.gram[np.ix_(basis, basis)])
         assert (a.tolist(), d) == ([[x // g for x in row] for row in adj], det // g)
         report = search.check_extendibility(system)
@@ -157,7 +173,7 @@ def test_check_extendibility_matches_python_int_reference(final54, drop_line_sys
 def test_inverse_off_by_one_entry_fails_check(final54, monkeypatch):
     # one entry of the modular inverse off by one fails the identity, so
     # the next prime gives the answer; off for every prime, none does
-    basis = search.greedy_basis(final54.gram, 18)
+    basis = search.greedy_basis(final54.gram)
     gram = final54.gram[np.ix_(basis, basis)]
     a, d = exactlin.inverse(gram)
     (det, adj), _ = reference_check_extendibility(final54)
