@@ -1,11 +1,14 @@
 """Exact integer/rational linear algebra on numpy arrays, in word-size
 arithmetic: int64 where a checked bound keeps every value in range, or
 float64 where every value is an integer below 2^52 (rank, nullity_at and
-inverse also take rows of ints). The modular kernel eliminates int64
-matrices modulo the word-size primes PRIMES. Rank (hence nullity) is
-decided over the rationals from it, each answer certified by a Hadamard
-bound on the minors it rests on, and it gives the pivot columns from
-which search picks an independent basis. inverse guesses a matrix's
+inverse also take rows of ints). The modular elimination reduces int64
+matrices modulo the word-size primes PRIMES, and rank (hence nullity) is
+decided over the rationals from it. A rank below full modulo the first
+prime is proved by a verified kernel: a null-space basis read off the
+echelon form, reconstructed as fractions and checked by an exact int64
+product. A Hadamard bound on the minors over more primes decides only
+where that kernel fails. The same elimination gives the pivot columns
+from which search picks an independent basis. inverse guesses a matrix's
 inverse modulo one prime by the same kind of elimination, recovers each
 entry by rational reconstruction and accepts only what the exact int64
 identity m a = d I verifies. float_mod reduces exact float64 integers
@@ -224,14 +227,19 @@ def _modular_pivots(a, primes):
     """Gaussian elimination of the int64 matrix a modulo every prime in
     primes at once, one (P, rows, cols) array for the P primes.
 
-    Yields (pivots, primes, col) per pivot, the first two arrays over the
-    primes still eliminated and col the pivot's column, before that
-    step's elimination. Row i becomes row i - (a_ic / pivot) row k, all
-    mod p: residues are below 2^31, so each product is below 2^62. Each
-    prime takes as pivot the first nonzero entry of the column at or
-    below row k; a prime with none there while another prime has one is
-    dropped (that column depends on the leading ones modulo it alone), so
-    the primes kept share one pivot count.
+    Yields (pivots, primes, col, x) per pivot, the first two arrays over
+    the primes still eliminated, col the pivot's column and x the
+    residues, before that step's elimination. Row i becomes row i -
+    (a_ic / pivot) row k, all mod p: residues are below 2^31, so each
+    product is below 2^62. Each prime takes as pivot the first nonzero
+    entry of the column at or below row k; a prime with none there while
+    another prime has one is dropped (that column depends on the leading
+    ones modulo it alone), so the primes kept share one pivot count.
+
+    x is eliminated in place, so once the generator is exhausted the
+    last x yielded holds a row echelon form: row k, for k below the
+    pivot count, is pivot row k, exact from its pivot column on and zero
+    before it except at earlier pivot columns, which no step clears.
     """
     p = np.array(primes, dtype=np.int64)[:, None, None]
     x = a % p
@@ -240,7 +248,7 @@ def _modular_pivots(a, primes):
     for col in range(nc):
         if k == nr:
             return
-        if not x[:, k, col].all():
+        if 0 in x[:, k, col].tolist():        # cheaper than .all() on a few entries
             nonzero = x[:, k:, col] != 0
             found = nonzero.any(axis=1)
             if not found.any():
@@ -252,7 +260,7 @@ def _modular_pivots(a, primes):
             x[lanes, row] = x[:, k]
             x[:, k] = top
         pivot, q = x[:, k, col], p[:, 0, 0]
-        yield pivot, q, col
+        yield pivot, q, col, x
         inverse = np.array([pow(v, -1, m) for v, m in zip(pivot.tolist(), q.tolist())])
         factor = x[:, k + 1:, col] * inverse[:, None] % p[:, 0]
         block = x[:, k + 1:, col + 1:]
@@ -262,43 +270,118 @@ def _modular_pivots(a, primes):
 
 
 def rank(m):
-    """Rank over the rationals, from ranks modulo PRIMES.
+    """Rank over the rationals, from its rank modulo PRIMES[0], proved by
+    a verified kernel or else by a Hadamard bound over more primes.
 
     Reducing mod p keeps every vanishing minor vanishing, so rank_p <=
-    rank_Q for every prime p. Let r be the largest rank_p seen; then
-    rank_Q >= r. If r is full, min(rows, cols), it is rank_Q, and the
-    first prime usually decides there. Otherwise every prime seen
-    divides every (r + 1)-minor M, since none has rank above r, so their
-    product P divides M. Hadamard's inequality bounds |M| by the product
-    H of the norms of its rows, each at most the norm of the whole row,
-    so H^2 <= the product of the r + 1 largest squared row norms. Once
-    P^2 > 4 H^2 (compared as exact integers), |M| < P forces M = 0 for
-    every such M, and rank_Q = r. Primes are added, fewest first, until
-    that holds; a prime dropped by _modular_pivots (its rank is not
-    known) does not count and is replaced by the next one. AssertionError
-    if PRIMES runs out.
+    rank_Q for every prime p: some r-minor, r = rank_p, is nonzero mod p,
+    hence nonzero over Q. If r is full, min(rows, cols), it is rank_Q,
+    and the first prime decides.
+
+    - Kernel. Otherwise _kernel guesses from the echelon form modulo
+      p = PRIMES[0] an int64 (c, c - r) matrix N, c the number of
+      columns, whose rows at the c - r free columns form diag(D_f), every
+      D_f > 0. If m N = 0 holds in int64, its bound checked by
+      int64_product, the columns of N are c - r independent vectors of
+      the kernel over Q, so rank_Q <= r, and rank_Q = r. Only that
+      identity is trusted, not the guess.
+    - Bound. If there is no guess, the bound check refuses, or the
+      identity fails (as it must when p divides a minor and rank_p <
+      rank_Q), primes are added to p. Let r be the largest rank_p seen;
+      then rank_Q >= r. Every prime seen divides every (r + 1)-minor M,
+      since none has rank above r, so their product P divides M.
+      Hadamard's inequality bounds |M| by the product H of the norms of
+      its rows, each at most the norm of the whole row, so H^2 <= the
+      product of the r + 1 largest squared row norms. Once P^2 > 4 H^2
+      (compared as exact integers), |M| < P forces M = 0 for every such
+      M, and rank_Q = r. Primes are added, fewest first, until that
+      holds; a prime dropped by _modular_pivots (its rank is not known)
+      does not count and is replaced by the next one. AssertionError if
+      PRIMES runs out.
     """
     a = _int64(m)
     full = min(a.shape)
-    r, product, used, batch, squares = 0, 1, 0, PRIMES[:1], None
-    while full and batch:
+    cols, x = [], None
+    for _, _, col, x in _modular_pivots(a, PRIMES[:1]):
+        cols.append(col)
+    r = len(cols)
+    if r == full:
+        return r
+    kernel = _kernel(x[0, :r] if r else a[:0], cols, PRIMES[0])
+    try:
+        if kernel is not None and not int64_product(a, kernel).any():
+            return r
+    except AssertionError:          # the bound check refused: fall back
+        pass
+    squares = sorted((a.astype(object) ** 2).sum(axis=1), reverse=True)
+    product, used = PRIMES[0], 1
+    while batch := _more_primes(product, 4 * math.prod(squares[:r + 1]), used):
         steps, kept = 0, batch
-        for _, kept, _ in _modular_pivots(a, batch):
+        for _, kept, _, _ in _modular_pivots(a, batch):
             steps += 1
         r, product, used = max(r, steps), product * math.prod(map(int, kept)), used + len(batch)
         if r == full:
             break
-        squares = squares or sorted((a.astype(object) ** 2).sum(axis=1), reverse=True)
-        batch = _more_primes(product, 4 * math.prod(squares[:r + 1]), used)
     return r
 
 
+def _kernel(upper, cols, p):
+    """A guess at a kernel basis over Q of a matrix whose row echelon form
+    modulo the prime p < 2^31 has the r pivot rows upper (as
+    _modular_pivots leaves them) with pivot columns cols: an int64
+    (c, c - r) matrix N, c the number of columns, or None.
+
+    Column f of the basis modulo p is 1 at free column f, -R[i, f] at
+    pivot column cols[i] and 0 elsewhere, for R the reduced echelon form;
+    R's free columns are T^-1 B for T the pivot columns of upper
+    (triangular, its stale entries below the diagonal cleared) and B its
+    free columns, by back substitution mod p after each row is divided by
+    its pivot. Each entry becomes rational_reconstruction's fraction, and
+    column f is scaled by the lcm D_f of its denominators, so N's row at
+    free column f is D_f e_f. None if an entry has no fraction or some
+    D_f >= 2^48, so that every entry, below 2^15 D_f in absolute value,
+    fits int64.
+    """
+    r, c = upper.shape
+    free = [j for j in range(c) if j not in set(cols)]
+    inverse = np.array([pow(v, -1, p) for v in upper[range(r), cols].tolist()],
+                       dtype=np.int64)[:, None]
+    # t[k]: column k of T above the diagonal, each row divided by its
+    # pivot; step k leaves rows k and below of y as they are
+    t = np.ascontiguousarray((np.triu(upper[:, cols], 1) * inverse % p).T)[:, :, None]
+    y = upper[:, free] * inverse % p
+    for k in range(r - 1, 0, -1):
+        y -= t[k] * y[k]
+        y %= p
+    num, den = rational_reconstruction(-y % p, p)
+    if not den.all():
+        return None
+    scale = [math.lcm(*column) for column in den.T.tolist()]
+    if max(scale) >= 1 << 48:
+        return None
+    kernel = np.zeros((c, c - r), dtype=np.int64)
+    kernel[cols] = num * (np.array(scale, dtype=np.int64) // den)
+    kernel[free, range(c - r)] = scale
+    return kernel
+
+
 def nullity_at(m, lam):
-    """dim ker(m - lam*I) over the rationals, m square; m - lam I is formed in Python ints."""
+    """dim ker(m - lam I) over the rationals, m square; m - lam I is
+    formed in Python ints.
+
+    0 without a rank when |lam| exceeds R, the largest absolute row sum of
+    m: then |m_ii - lam| >= |lam| - |m_ii| > R - |m_ii| >= sum over j != i
+    of |m_ij| for every row i, so m - lam I is strictly diagonally
+    dominant, hence nonsingular (Levy-Desplanques), however large lam is.
+    """
     n, c = dims(m)
     if n != c:
         raise ValueError("nullity of non-square matrix")
-    return n - rank(np.array(m, dtype=object) - lam * np.identity(n, dtype=object))
+    m = np.array(m, dtype=object).reshape(n, n)
+    if abs(lam) > max(abs(m).sum(axis=1), default=0):
+        return 0
+    m[range(n), range(n)] -= lam
+    return n - rank(m)
 
 
 def poly_mul(p, q):

@@ -69,7 +69,7 @@ def greedy_basis(gram):
     forces u^T u = 0. Modulo p they can differ only where p divides a
     minor.)
     """
-    return [col for _, _, col in exactlin._modular_pivots(gram, exactlin.PRIMES[-1:])]
+    return [col for _, _, col, _ in exactlin._modular_pivots(gram, exactlin.PRIMES[-1:])]
 
 
 def _sign_rows(bits):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -226,6 +227,34 @@ def test_failed_stage_build_is_not_cached():
         with pytest.raises(construct.ConstructionError):
             pipeline.asche
     assert "asche" not in vars(pipeline)
+
+
+def test_maximality_fails_on_an_extendible_system():
+    # S54 less one member, checked as the claim and not as the control:
+    # the sweep still covers 2^18 patterns, and it finds the lost line
+    pipeline = cli.Pipeline(cli.RunConfig(command="maximality"))
+    final = pipeline.final
+    pipeline.__dict__["final"] = dataclasses.replace(final, vectors=final.vectors[1:])
+    cert = cli.cmd_maximality(pipeline)
+    checks = cert.details["checks"]
+    assert checks["not_extendible"] is False and checks["patterns_2_pow_18"] is True
+    assert cert.details["first_failure"]["check"] == "not_extendible"
+
+
+def test_construct_fails_on_a_changed_coordinate():
+    # one coordinate of one member moved by 1: its norm and its angles to
+    # the other 53 members change, and only the checks that read them fail
+    pipeline = cli.Pipeline(cli.RunConfig(command="construct"))
+    final = pipeline.final
+    v = final.vectors[0]
+    moved = dataclasses.replace(v, coords=(v.coords[0] + 1,) + v.coords[1:])
+    pipeline.__dict__["final"] = dataclasses.replace(
+        final, vectors=(moved,) + final.vectors[1:])
+    cert = cli.cmd_construct(pipeline)
+    failed = {name for name, ok in cert.details["checks"].items() if not ok}
+    assert failed == {"pairwise_scaled_angle_pm16", "scaled_norms_80"}
+    assert cert.details["first_failure"] == {
+        "check": "pairwise_scaled_angle_pm16", "witness": [-17, -16, 15, 16]}
 
 
 def test_subscan_restricted_orders(tmp_path):

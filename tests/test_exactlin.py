@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from equilines import exactlin
+from equilines import cli, exactlin, seidel
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -124,6 +124,15 @@ def test_rank_rectangular():
 def test_nullity_at_identity():
     assert exactlin.nullity_at(I3, 1) == 3
     assert exactlin.nullity_at(I3, 0) == 0
+
+
+def test_nullity_beyond_the_largest_row_sum_is_zero():
+    # |lam| > 2, the largest absolute row sum, makes m - lam I strictly
+    # diagonally dominant; at |lam| = 2 it is not, and the rank decides
+    m = [[1, 1], [1, 1]]
+    assert [exactlin.nullity_at(m, lam) for lam in (-3, -2, 0, 2, 3)] == [0, 0, 1, 1, 0]
+    assert exactlin.nullity_at(m, 10 ** 20) == exactlin.nullity_at(m, -10 ** 20) == 0
+    assert exactlin.nullity_at([[2 ** 63 - 1]], 2 ** 64) == 0
 
 
 def test_positive_definite():
@@ -517,14 +526,71 @@ def test_definite_despite_a_minor_divisible_by_the_first_prime():
 
 
 def test_dropped_prime_is_not_counted(monkeypatch):
-    # rows 0 + 1 = row 2: rank 2, and rank 1 modulo P1. The batch after P0
-    # drops P1, and P0 P2 alone is below the bound, so three primes are
-    # not enough and a fourth is
-    m = [[1, 0, 1], [0, P1, P1], [1, P1, 1 + P1]]
+    # rows 0 + 1 = row 2 and column 2 = column 0 + 10^6 column 1: rank 2,
+    # and rank 1 modulo P1. The kernel vector (-1, -10^6, 1) has an entry
+    # beyond isqrt(P0 // 2), with no fraction within the bound congruent
+    # to it modulo P0, so the Hadamard bound decides. Four primes meet it,
+    # but the batch after P0 drops P1, so four are not enough and a fifth
+    # is
+    c = 10 ** 6
+    m = [[1, 0, 1], [0, P1, c * P1], [1, P1, 1 + c * P1]]
+    assert exactlin.rational_reconstruction(np.array([-c % P0]), P0)[1][0] == 0
+    assert exactlin.rank(m) == 2 == pivots_rank(m)
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:5])
     assert exactlin.rank(m) == 2
-    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:3])
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:4])
     with pytest.raises(AssertionError):
         exactlin.rank(m)
+
+
+def first_kernel(m):
+    """The kernel rank guesses modulo P0 for the int64 matrix m, and the
+    rank modulo P0."""
+    cols, x = [], None
+    for _, _, col, x in exactlin._modular_pivots(m, (P0,)):
+        cols.append(col)
+    r = len(cols)
+    return exactlin._kernel(x[0, :r] if r else m[:0], cols, P0), r
+
+
+@pytest.mark.parametrize("m, rank_p0, rank_q", [
+    ([[1, 2], [3, 6 + P0]], 1, 2),
+    ([[2 ** 61, 2 ** 62], [2 ** 61, 2 ** 62]], 1, 1),
+], ids=["p0_divides_a_minor", "bound_refused"])
+def test_rank_falls_back_to_the_bound_when_the_kernel_fails(monkeypatch, m, rank_p0, rank_q):
+    # each guess reconstructs, and the kernel check rejects it: P0 divides
+    # a minor, so m N != 0, or m N could pass 2^63, so int64_product
+    # refuses it. Only the Hadamard bound over more primes gives the rank
+    a = np.array(m, dtype=np.int64)
+    kernel, r = first_kernel(a)
+    assert r == rank_p0 and kernel is not None
+    if rank_p0 < rank_q:
+        assert (exactlin.int64_product(a, kernel) != 0).any()
+    else:
+        with pytest.raises(AssertionError):
+            exactlin.int64_product(a, kernel)
+    assert exactlin.rank(m) == rank_q == pivots_rank(m)
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:1])
+    with pytest.raises(AssertionError):
+        exactlin.rank(m)
+
+
+def no_fallback(*args):
+    raise AssertionError("rank fell back to the Hadamard bound")
+
+
+def test_rank_deficiency_is_proved_by_the_kernel_alone(monkeypatch):
+    # one prime, and no Hadamard bound: each kernel below verifies
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:1])
+    monkeypatch.setattr(exactlin, "_more_primes", no_fallback)
+    rng = random.Random(31)
+    for _ in range(100):
+        m = random_oracle_matrix(rng)
+        assert exactlin.rank(m) == pivots_rank(m)
+    assert exactlin.rank([[0, 0], [0, 0]]) == 0
+    # column f of the kernel is D_f at free column f: 1/2 scales it by 2
+    kernel, r = first_kernel(np.array([[2, 1], [4, 2]]))
+    assert r == 1 and kernel.tolist() == [[-1], [2]]
 
 
 def test_unlucky_prime_is_replaced_not_used(monkeypatch):
@@ -577,3 +643,26 @@ def test_float_mod_is_an_exact_representative_in_the_open_range(p):
     both = exactlin.float_mod(np.array(ys, dtype=float)[None, :], primes)
     assert (both[1] == got).all()
     assert all((y - int(r)) % 3 == 0 and -3 < r < 3 for y, r in zip(ys, both[0].tolist()))
+
+
+def test_the_programs_ranks_need_no_hadamard_bound(monkeypatch):
+    # every rank of the program's own inputs is proved by PRIMES[0] and a
+    # verified kernel: the construction ranks, the 54 drop-line systems and
+    # the nullities of a wrong claim of each kind the benchmark draws (a
+    # moved multiplicity, a replaced value, a changed quadratic constant)
+    monkeypatch.setattr(exactlin, "_more_primes", no_fallback)
+    pipeline = cli.Pipeline(cli.RunConfig(command="all"))
+    final = pipeline.final
+    assert (pipeline.asche.ambient_dim, final.ambient_dim) == (19, 18)
+    assert {exactlin.rank(np.delete(final.coords, i, axis=0)) for i in range(54)} == {18}
+    for eigs, quadratic, failed in [
+        ({-5: 35, 7: 7, 11: 8, 13: 2}, (-24, 107),
+         ["nullity_at_-5", "nullity_at_7", "trace_identity", "trace_square_identity"]),
+        ({-5: 36, 3: 2, 7: 6, 11: 8}, (-24, 107),
+         ["nullity_at_3", "trace_identity", "trace_square_identity"]),
+        ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), ["trace_square_identity"]),
+    ]:
+        cert = seidel.certify_spectrum(pipeline.seidel_matrix,
+                                       seidel.SpectrumClaim.make(eigs, quadratic))
+        assert cert.details["first_failure"] == {
+            "check": "char_poly_matches", "witness": {"failed_premises": failed}}

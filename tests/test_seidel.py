@@ -1304,3 +1304,20 @@ def test_adjacency_bits_match_double_loop_oracle(s54):
             perm = list(range(len(adj)))
             rng.shuffle(perm)
             assert seidel._adjacency_bits(rows, perm) == double_loop_bits(adj, perm)
+
+
+def test_claim_value_beyond_int64_fails_its_premise(s54):
+    # S54 - 10^20 I does not fit int64, yet it is strictly diagonally
+    # dominant, so its nullity is 0 without a rank
+    claim = seidel.SpectrumClaim.make({-5: 36, 7: 6, 11: 8, 10 ** 20: 2}, quadratic=(-24, 107))
+    cert = seidel.certify_spectrum(s54, claim)
+    assert certificate_fields(cert) == certificate_fields(
+        reference_certify_spectrum(s54, claim))
+    assert exactlin.nullity_at(s54.array, 10 ** 20) == 0
+    checks = cert.details["checks"]
+    assert not cert.passed and checks["char_poly_matches"] is False
+    assert checks["nullity_at_100000000000000000000"] is False
+    assert cert.details["first_failure"] == {
+        "check": "char_poly_matches",
+        "witness": {"failed_premises": ["nullity_at_100000000000000000000",
+                                        "trace_identity", "trace_square_identity"]}}
