@@ -1,22 +1,25 @@
 """Exact integer/rational linear algebra on numpy arrays, in word-size
 arithmetic: int64 where a checked bound keeps every value in range, or
 float64 where every value is an integer below 2^52 (rank, nullity_at and
-inverse also take rows of ints). The modular elimination reduces int64
-matrices modulo the word-size primes PRIMES, and rank (hence nullity) is
-decided over the rationals from it. A rank below full modulo the first
-prime is proved by a verified kernel: a null-space basis read off the
-echelon form, reconstructed as fractions and checked by an exact int64
-product. A Hadamard bound on the minors over more primes decides only
-where that kernel fails. The same elimination gives the pivot columns
-from which search picks an independent basis. inverse guesses a matrix's
-inverse modulo one prime by the same kind of elimination, recovers each
-entry by rational reconstruction and accepts only what the exact int64
-identity m a = d I verifies. float_mod reduces exact float64 integers
-modulo a prime for the spectral screens. The Bareiss pivots of rows of
-Python ints, behind determinants and the characteristic polynomial, run
-in no certificate: the tests use them as the oracle for the modular
-answers. Nothing is decided by rounding, so results can serve as
-certificates.
+inverse also take rows of ints). One modular elimination, _echelon,
+reduces an int64 matrix to its reduced row echelon form modulo one of the
+word-size primes PRIMES at a time, and every exact answer is read off it:
+
+- rank (hence nullity_at) over the rationals: a full rank modulo a prime
+  is the rank, a rank below full is proved by a verified kernel (a
+  null-space basis read off the reduced form, reconstructed as fractions
+  and checked by an exact int64 product), and where no kernel verifies, a
+  Hadamard bound on the minors over the primes seen decides;
+- inverse: [m | I] reduced modulo one prime gives m^-1 modulo it, each
+  entry is recovered by rational reconstruction, and only what the exact
+  int64 identity m a = d I verifies is accepted;
+- the pivot columns from which search picks an independent basis.
+
+float_mod reduces exact float64 integers modulo a prime for the spectral
+screens. The Bareiss pivots of rows of Python ints, behind determinants
+and the characteristic polynomial, run in no certificate: the tests use
+them as the oracle for the modular answers. Nothing is decided by
+rounding, so results can serve as certificates.
 """
 
 import math
@@ -87,17 +90,56 @@ def bareiss_det(m):
     return (-1) ** swaps * steps[-1][2] if steps else 1
 
 
+def _echelon(a, p):
+    """(cols, x): the pivot columns and the reduced row echelon form of the
+    int64 matrix a modulo the prime p < 2^31, by Gauss-Jordan elimination.
+
+    Column by column, the pivot is the first nonzero entry at or below row
+    k, k the number of pivots so far; its row is swapped into row k and
+    divided by the pivot, and every other row i becomes row i - x_i,col
+    row k, all mod p. Residues are below 2^31, so each product is below
+    2^62 and every value fits int64. Row k is zero before the pivot
+    column, as every earlier pivot column is cleared in every row but its
+    own and a skipped column is zero from row k down, so each step touches
+    only the columns from the pivot column on. So cols are the columns
+    independent modulo p of the ones before them, x[:len(cols)] is the
+    reduced form R (1 at (i, cols[i]), its pivot columns unit vectors) and
+    the rows below are zero.
+    """
+    x = a % p
+    nr, nc = x.shape
+    cols = []
+    for col in range(nc):
+        k = len(cols)
+        if k == nr:
+            break
+        if not x[k, col]:
+            rows = np.flatnonzero(x[k:, col])
+            if not len(rows):
+                continue
+            x[[k, k + rows[0]], col:] = x[[k + rows[0], k], col:]
+        rowk = x[k, col:] * pow(int(x[k, col]), -1, p) % p
+        block = x[:, col:]
+        block -= x[:, col, None] * rowk
+        block %= p
+        x[k, col:] = rowk               # the step maps row k to zeros; it stays
+        cols.append(col)
+    return cols, x
+
+
 def inverse(m):
     """(a, d) with m a = d I, d > 0 and gcd(d, a) = 1: a / d = m^-1 in
     lowest terms, a an int64 array, for a square invertible matrix m of
     int64 entries (or rows of ints). Guess, then verify, one prime p at a
     time from PRIMES[-1] down:
 
-    - Guess. _inverse_mod gives m^-1 modulo p, or None if p divides
-      det m. rational_reconstruction turns each entry into the fraction
-      it must be if its reduced numerator and denominator are at most
-      isqrt(p // 2). d is the lcm of their denominators and a = d m^-1
-      mod p, lifted to (-p/2, p/2).
+    - Guess. _echelon reduces [m | I] modulo p. Its rank is n, so its
+      reduced form is [I | m^-1 mod p] if its pivot columns are 0..n-1;
+      otherwise m is singular modulo p, and p divides det m.
+      rational_reconstruction turns each entry of m^-1 mod p into the
+      fraction it must be if its reduced numerator and denominator are at
+      most isqrt(p // 2). d is the lcm of their denominators and a =
+      d m^-1 mod p, lifted to (-p/2, p/2).
     - Verify. m a == d I in int64, its bound checked by int64_product
       (for a basis Gram matrix of the 54 lines, 18 terms |m| <= 80 times
       |a| < p/2 stay far below 2^63), with 0 < d < 2^62 and
@@ -114,10 +156,12 @@ def inverse(m):
     n, c = m.shape
     if n != c:
         raise ValueError("inverse of non-square matrix")
+    identity = np.identity(n, dtype=np.int64)
     for p in reversed(PRIMES):
-        u = _inverse_mod(m, p)
-        if u is None:
+        cols, x = _echelon(np.hstack([m, identity]), p)
+        if cols[:n] != list(range(n)):
             continue
+        u = x[:, n:]
         den = rational_reconstruction(u, p)[1]
         if not den.all():
             continue
@@ -125,28 +169,9 @@ def inverse(m):
         a = d % p * u % p
         a[a > p // 2] -= p
         if (0 < d < 1 << 62 and np.gcd.reduce(a.ravel(), initial=d) == 1
-                and (int64_product(m, a) == d * np.identity(n, dtype=np.int64)).all()):
+                and (int64_product(m, a) == d * identity).all()):
             return a, d
     raise AssertionError("no prime in PRIMES gives a verified inverse")
-
-
-def _inverse_mod(m, p):
-    """m^-1 modulo the prime p < 2^31 for a square int64 matrix m, by
-    Gauss-Jordan elimination of [m | I] in int64, or None if p divides
-    det m (no pivot is left in some column). Residues are below 2^31, so
-    each product is below 2^62."""
-    n = len(m)
-    x = np.hstack([m % p, np.identity(n, dtype=np.int64)])
-    for k in range(n):
-        rows = np.flatnonzero(x[k:, k])
-        if not len(rows):
-            return None
-        x[[k, k + rows[0]]] = x[[k + rows[0], k]]
-        rowk = x[k] * pow(int(x[k, k]), -1, p) % p
-        x -= np.outer(x[:, k], rowk)
-        x %= p
-        x[k] = rowk                 # the step maps row k to zeros; it stays
-    return x[:, n:]
 
 
 def rational_reconstruction(u, p):
@@ -176,13 +201,18 @@ def rational_reconstruction(u, p):
     return np.where(ok, np.sign(t1) * r1, 0), np.where(ok, den, 0)
 
 
+def _row_sum(x):
+    """The largest absolute row sum of the int64 array x, in Python ints
+    (0 for no rows)."""
+    return max(abs(x.astype(object)).sum(axis=1), default=0)
+
+
 def int64_product(x, y):
     """x @ y for int64 arrays x and y, exact: AssertionError before the
     product unless the largest absolute row sum of x times the largest
     |y| entry, computed in Python ints, is below 2^63. That bounds every
     partial sum, so int64 never wraps."""
-    bound = (max(abs(x.astype(object)).sum(axis=1), default=0)
-             * max(abs(y.astype(object)).ravel(), default=0))
+    bound = _row_sum(x) * max(abs(y.astype(object)).ravel(), default=0)
     if bound >= 1 << 63:
         raise AssertionError(f"an int64 product could reach {bound}")
     return x @ y
@@ -211,149 +241,71 @@ def float_mod(y, p):
     return y - np.floor(y / p) * p
 
 
-def _more_primes(product, bound, start):
-    """The fewest primes PRIMES[start:stop] with (product times their
-    product)^2 > bound; AssertionError if PRIMES runs out first."""
-    stop = start
-    while product * product <= bound:
-        if stop == len(PRIMES):
-            raise AssertionError("PRIMES is too short for the Hadamard bound")
-        product *= PRIMES[stop]
-        stop += 1
-    return PRIMES[start:stop]
-
-
-def _modular_pivots(a, primes):
-    """Gaussian elimination of the int64 matrix a modulo every prime in
-    primes at once, one (P, rows, cols) array for the P primes.
-
-    Yields (pivots, primes, col, x) per pivot, the first two arrays over
-    the primes still eliminated, col the pivot's column and x the
-    residues, before that step's elimination. Row i becomes row i -
-    (a_ic / pivot) row k, all mod p: residues are below 2^31, so each
-    product is below 2^62. Each prime takes as pivot the first nonzero
-    entry of the column at or below row k; a prime with none there while
-    another prime has one is dropped (that column depends on the leading
-    ones modulo it alone), so the primes kept share one pivot count.
-
-    x is eliminated in place, so once the generator is exhausted the
-    last x yielded holds a row echelon form: row k, for k below the
-    pivot count, is pivot row k, exact from its pivot column on and zero
-    before it except at earlier pivot columns, which no step clears.
-    """
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    x = a % p
-    nr, nc = a.shape
-    k = 0
-    for col in range(nc):
-        if k == nr:
-            return
-        if 0 in x[:, k, col].tolist():        # cheaper than .all() on a few entries
-            nonzero = x[:, k:, col] != 0
-            found = nonzero.any(axis=1)
-            if not found.any():
-                continue
-            if not found.all():
-                x, p, nonzero = x[found], p[found], nonzero[found]
-            lanes, row = np.arange(len(p)), k + nonzero.argmax(axis=1)
-            top = x[lanes, row]
-            x[lanes, row] = x[:, k]
-            x[:, k] = top
-        pivot, q = x[:, k, col], p[:, 0, 0]
-        yield pivot, q, col, x
-        inverse = np.array([pow(v, -1, m) for v, m in zip(pivot.tolist(), q.tolist())])
-        factor = x[:, k + 1:, col] * inverse[:, None] % p[:, 0]
-        block = x[:, k + 1:, col + 1:]
-        block -= factor[:, :, None] * x[:, k, None, col + 1:]
-        np.remainder(block, p, out=block)
-        k += 1
-
-
 def rank(m):
-    """Rank over the rationals, from its rank modulo PRIMES[0], proved by
-    a verified kernel or else by a Hadamard bound over more primes.
+    """Rank over the rationals of a matrix of int64 entries (or rows of
+    ints), from its rank modulo one prime of PRIMES at a time, in order.
 
     Reducing mod p keeps every vanishing minor vanishing, so rank_p <=
     rank_Q for every prime p: some r-minor, r = rank_p, is nonzero mod p,
-    hence nonzero over Q. If r is full, min(rows, cols), it is rank_Q,
-    and the first prime decides.
+    hence nonzero over Q. Each prime's _echelon ends the search at one of
+    three exits, checked in this order:
 
-    - Kernel. Otherwise _kernel guesses from the echelon form modulo
-      p = PRIMES[0] an int64 (c, c - r) matrix N, c the number of
-      columns, whose rows at the c - r free columns form diag(D_f), every
-      D_f > 0. If m N = 0 holds in int64, its bound checked by
-      int64_product, the columns of N are c - r independent vectors of
-      the kernel over Q, so rank_Q <= r, and rank_Q = r. Only that
-      identity is trusted, not the guess.
-    - Bound. If there is no guess, the bound check refuses, or the
-      identity fails (as it must when p divides a minor and rank_p <
-      rank_Q), primes are added to p. Let r be the largest rank_p seen;
-      then rank_Q >= r. Every prime seen divides every (r + 1)-minor M,
+    - Full rank. If rank_p is min(rows, cols), it is rank_Q.
+    - Kernel. Otherwise _kernel guesses from the reduced echelon form an
+      int64 (c, c - r) matrix N, c the number of columns and r = rank_p,
+      whose rows at the c - r free columns form diag(D_f), every D_f > 0.
+      If m N = 0 holds in int64, its bound checked by int64_product, the
+      columns of N are c - r independent vectors of the kernel over Q, so
+      rank_Q <= r, and rank_Q = r. Only that identity is trusted, not the
+      guess.
+    - Bound. Let r be the largest rank_p over the primes seen; then
+      rank_Q >= r. Every (r + 1)-minor M vanishes modulo each prime seen,
       since none has rank above r, so their product P divides M.
       Hadamard's inequality bounds |M| by the product H of the norms of
       its rows, each at most the norm of the whole row, so H^2 <= the
       product of the r + 1 largest squared row norms. Once P^2 > 4 H^2
       (compared as exact integers), |M| < P forces M = 0 for every such
-      M, and rank_Q = r. Primes are added, fewest first, until that
-      holds; a prime dropped by _modular_pivots (its rank is not known)
-      does not count and is replaced by the next one. AssertionError if
-      PRIMES runs out.
+      M, and rank_Q = r.
+
+    No exit is reached, as where p divides a minor and the kernel check
+    fails or its bound check refuses: the next prime is taken.
+    AssertionError if PRIMES runs out.
     """
     a = _int64(m)
-    full = min(a.shape)
-    cols, x = [], None
-    for _, _, col, x in _modular_pivots(a, PRIMES[:1]):
-        cols.append(col)
-    r = len(cols)
-    if r == full:
-        return r
-    kernel = _kernel(x[0, :r] if r else a[:0], cols, PRIMES[0])
-    try:
-        if kernel is not None and not int64_product(a, kernel).any():
+    full, product, r = min(a.shape), 1, 0
+    for p in PRIMES:
+        cols, x = _echelon(a, p)
+        if len(cols) == full:
+            return full
+        kernel = _kernel(x, cols, p)
+        try:
+            if kernel is not None and not int64_product(a, kernel).any():
+                return len(cols)
+        except AssertionError:          # the bound check refused the product
+            pass
+        r, product = max(r, len(cols)), product * p
+        squares = sorted((a.astype(object) ** 2).sum(axis=1), reverse=True)
+        if product * product > 4 * math.prod(squares[:r + 1]):
             return r
-    except AssertionError:          # the bound check refused: fall back
-        pass
-    squares = sorted((a.astype(object) ** 2).sum(axis=1), reverse=True)
-    product, used = PRIMES[0], 1
-    while batch := _more_primes(product, 4 * math.prod(squares[:r + 1]), used):
-        steps, kept = 0, batch
-        for _, kept, _, _ in _modular_pivots(a, batch):
-            steps += 1
-        r, product, used = max(r, steps), product * math.prod(map(int, kept)), used + len(batch)
-        if r == full:
-            break
-    return r
+    raise AssertionError("PRIMES is too short for the Hadamard bound")
 
 
-def _kernel(upper, cols, p):
-    """A guess at a kernel basis over Q of a matrix whose row echelon form
-    modulo the prime p < 2^31 has the r pivot rows upper (as
-    _modular_pivots leaves them) with pivot columns cols: an int64
-    (c, c - r) matrix N, c the number of columns, or None.
+def _kernel(x, cols, p):
+    """A guess at a kernel basis over Q of a matrix whose reduced row
+    echelon form modulo the prime p < 2^31 is x with pivot columns cols,
+    as _echelon returns them: an int64 (c, c - r) matrix N, c the number
+    of columns and r = len(cols), or None.
 
     Column f of the basis modulo p is 1 at free column f, -R[i, f] at
-    pivot column cols[i] and 0 elsewhere, for R the reduced echelon form;
-    R's free columns are T^-1 B for T the pivot columns of upper
-    (triangular, its stale entries below the diagonal cleared) and B its
-    free columns, by back substitution mod p after each row is divided by
-    its pivot. Each entry becomes rational_reconstruction's fraction, and
-    column f is scaled by the lcm D_f of its denominators, so N's row at
-    free column f is D_f e_f. None if an entry has no fraction or some
-    D_f >= 2^48, so that every entry, below 2^15 D_f in absolute value,
-    fits int64.
+    pivot column cols[i] and 0 elsewhere, for R = x[:r]. Each entry
+    becomes rational_reconstruction's fraction, and column f is scaled by
+    the lcm D_f of its denominators, so N's row at free column f is
+    D_f e_f. None if an entry has no fraction or some D_f >= 2^48, so that
+    every entry, below 2^15 D_f in absolute value, fits int64.
     """
-    r, c = upper.shape
-    free = [j for j in range(c) if j not in set(cols)]
-    inverse = np.array([pow(v, -1, p) for v in upper[range(r), cols].tolist()],
-                       dtype=np.int64)[:, None]
-    # t[k]: column k of T above the diagonal, each row divided by its
-    # pivot; step k leaves rows k and below of y as they are
-    t = np.ascontiguousarray((np.triu(upper[:, cols], 1) * inverse % p).T)[:, :, None]
-    y = upper[:, free] * inverse % p
-    for k in range(r - 1, 0, -1):
-        y -= t[k] * y[k]
-        y %= p
-    num, den = rational_reconstruction(-y % p, p)
+    r, c = len(cols), x.shape[1]
+    free = sorted(set(range(c)) - set(cols))
+    num, den = rational_reconstruction(-x[:r, free] % p, p)
     if not den.all():
         return None
     scale = [math.lcm(*column) for column in den.T.tolist()]
@@ -366,22 +318,24 @@ def _kernel(upper, cols, p):
 
 
 def nullity_at(m, lam):
-    """dim ker(m - lam I) over the rationals, m square; m - lam I is
-    formed in Python ints.
+    """dim ker(m - lam I) over the rationals, m square of int64 entries (or
+    rows of ints).
 
     0 without a rank when |lam| exceeds R, the largest absolute row sum of
     m: then |m_ii - lam| >= |lam| - |m_ii| > R - |m_ii| >= sum over j != i
     of |m_ij| for every row i, so m - lam I is strictly diagonally
     dominant, hence nonsingular (Levy-Desplanques), however large lam is.
+    Otherwise m - lam I is formed in int64, its n diagonal entries
+    computed in Python ints; ValueError if one does not fit.
     """
-    n, c = dims(m)
+    a = _int64(m)
+    n, c = a.shape
     if n != c:
         raise ValueError("nullity of non-square matrix")
-    m = np.array(m, dtype=object).reshape(n, n)
-    if abs(lam) > max(abs(m).sum(axis=1), default=0):
+    if abs(lam) > _row_sum(a):
         return 0
-    m[range(n), range(n)] -= lam
-    return n - rank(m)
+    a[range(n), range(n)] = _int64([[x - lam for x in a.diagonal().tolist()]])[0]
+    return n - rank(a)
 
 
 def poly_mul(p, q):

@@ -52,8 +52,9 @@ class SubScanResult:
 
 def greedy_basis(gram):
     """Indices of independent members: every pivot column of their Gram
-    matrix gram = V V^T, eliminated modulo PRIMES[-1] by
-    exactlin._modular_pivots.
+    matrix gram = V V^T reduced modulo p = PRIMES[-1] by
+    exactlin._echelon, each the first column independent modulo p of the
+    ones before it.
 
     - The pivot columns C are independent modulo p, so some |C|-minor of
       gram[:, C] is nonzero modulo p, hence nonzero: they are independent
@@ -69,7 +70,7 @@ def greedy_basis(gram):
     forces u^T u = 0. Modulo p they can differ only where p divides a
     minor.)
     """
-    return [col for _, _, col, _ in exactlin._modular_pivots(gram, exactlin.PRIMES[-1:])]
+    return exactlin._echelon(gram, exactlin.PRIMES[-1])[0]
 
 
 def _sign_rows(bits):

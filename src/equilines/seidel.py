@@ -291,7 +291,8 @@ def certify_spectrum(s, claim):
     exact multiplicities of the values and the two trace identities. Once
     multiplicities_sum_to_n holds, char_poly_matches holds iff every
     nullity_at_<v> and both trace identities do; otherwise its witness
-    names the failed premises.
+    maps each failed premise to that premise's own witness (claimed and
+    exact multiplicity, or the trace sum).
 
     - Multiplicities. One annihilator chain over the claim's values, after
       q(S) for its quadratic q (_chain_multiplicities), gives the exact
@@ -347,7 +348,7 @@ def certify_spectrum(s, claim):
     premises += [("trace_identity", claim.eig_sum() == 0, claim.eig_sum()),
                  ("trace_square_identity", claim.eig_square_sum() == n * (n - 1),
                   claim.eig_square_sum())]
-    failed = [name for name, ok, _ in premises if not ok]
+    failed = {name: witness for name, ok, witness in premises if not ok}
     b.check("char_poly_matches", not failed,
             {"failed_premises": failed} if failed else None)
     for premise in premises:

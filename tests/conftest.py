@@ -1,12 +1,31 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from equilines import cli, construct, golay, seidel
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dot(u, v):
     """Scaled inner product, in Python ints, of two members or a member and a vector."""
     u, v = (x.coords if isinstance(x, construct.LineVector) else x for x in (u, v))
     return sum(a * b for a, b in zip(u, v))
+
+
+def subprocess_report(out, hash_seed, *argv):
+    """report_without_timings of `equilines *argv --out out`, run in a
+    fresh interpreter under PYTHONHASHSEED=hash_seed; CalledProcessError
+    unless it exits 0."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=path)
+    subprocess.run([sys.executable, "-m", "equilines.cli", *argv, "--out", str(out)],
+                   env=env, check=True)
+    return cli.report_without_timings(json.loads(out.read_text()))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
-from conftest import dot
+from conftest import dot, subprocess_report
 from test_seidel import brute_force_automorphism_count, claim_poly
 
 
@@ -243,27 +243,27 @@ def test_criterion_8e_switching_form_invariance():
 
 
 @pytest.fixture(scope="module")
-def all_reports():
-    """The whole-run report, without timings, at jobs 1 and 8, and the
-    seconds the two runs took."""
+def all_reports(tmp_path_factory):
+    """The report of `equilines all`, without timings, from two fresh
+    interpreters under PYTHONHASHSEED 0 and 12345, and the seconds the
+    two runs took."""
+    out = tmp_path_factory.mktemp("all")
     t0 = time.monotonic()
-    reports = {jobs: cli.report_without_timings(cli.report_dict(
-                   cli.run_command(cli.RunConfig(command="all", jobs=jobs))))
-               for jobs in (1, 8)}
+    reports = {seed: subprocess_report(out / f"{seed}.json", seed, "all") for seed in (0, 12345)}
     return reports, time.monotonic() - t0
 
 
-def test_criterion_9_determinism_across_job_counts(all_reports):
+def test_criterion_9_determinism_across_hash_seeds(all_reports):
     reports, seconds = all_reports
-    ok = reports[1] == reports[8] and all(
-        c["status"] == "pass" for c in reports[1]["certificates"]
+    ok = reports[0] == reports[12345] and all(
+        c["status"] == "pass" for c in reports[0]["certificates"]
     )
-    report(9, ok, f"full certificate report identical for jobs=1 and "
-                  f"jobs=8, all 7 certificates pass ({seconds:.2f}s)")
+    report(9, ok, f"full certificate report identical under PYTHONHASHSEED 0 "
+                  f"and 12345, all 7 certificates pass ({seconds:.2f}s)")
 
 
 def test_whole_run_report_matches_golden(all_reports):
     # tests/data/all_report.json: `equilines all` after report_without_timings
     reports, _ = all_reports
     golden = json.loads((Path(__file__).parent / "data" / "all_report.json").read_text())
-    assert reports[1] == golden
+    assert reports[0] == golden

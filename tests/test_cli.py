@@ -9,6 +9,7 @@ import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
 from equilines.certificate import digest_of
+from conftest import subprocess_report
 
 
 def run(args):
@@ -389,13 +390,14 @@ def test_drop_line_reports_match_golden():
         assert cli.report_without_timings(cli.report_dict(cli.run_command(config))) == expected, n
 
 
-def test_determinism_across_job_counts(tmp_path):
-    reports = []
-    for jobs in (1, 2):
-        config = cli.RunConfig(command="all", orders=(53,), jobs=jobs)
-        certs = cli.run_command(config)
-        reports.append(cli.report_without_timings(cli.report_dict(certs)))
+def test_determinism_across_hash_seeds(tmp_path):
+    # --jobs is accepted; the reports of two fresh interpreters under
+    # different hash seeds are identical
+    reports = [subprocess_report(tmp_path / f"{seed}.json", seed,
+                                 "all", "--orders", "53", "--jobs", "2")
+               for seed in (0, 12345)]
     assert reports[0] == reports[1]
+    assert [c["status"] for c in reports[0]["certificates"]] == ["pass"] * 7
 
 
 def test_exit_code_one_on_certificate_failure():

@@ -65,6 +65,18 @@ def swap_free_pivots(a, primes):
         np.remainder(block, p, out=block)
 
 
+def fewest_primes(product, bound, start):
+    """The fewest primes PRIMES[start:stop] with (product times their
+    product)^2 > bound; AssertionError if PRIMES runs out first."""
+    stop = start
+    while product * product <= bound:
+        if stop == len(exactlin.PRIMES):
+            raise AssertionError("PRIMES is too short for the Hadamard bound")
+        product *= exactlin.PRIMES[stop]
+        stop += 1
+    return exactlin.PRIMES[start:stop]
+
+
 def positive_definite(m):
     """True iff the symmetric integer matrix m is positive definite, from
     its leading principal minors modulo exactlin.PRIMES: the definiteness
@@ -90,7 +102,7 @@ def positive_definite(m):
     bound = 4 * math.prod(max(1, q) for q in (a.astype(object) ** 2).sum(axis=1))
     kept, used = (), 0
     while True:
-        primes = kept + exactlin._more_primes(math.prod(kept), bound, used)
+        primes = kept + fewest_primes(math.prod(kept), bound, used)
         used += len(primes) - len(kept)
         modulus = math.prod(primes)
         crt = [modulus // q * pow(modulus // q, -1, q) for q in primes]
@@ -513,7 +525,7 @@ def test_modular_edge_cases():
 
 
 def test_rank_survives_a_prime_that_drops_it():
-    # rank 1 modulo PRIMES[0]; the Hadamard bound calls for more primes
+    # below rank modulo PRIMES[0], whose kernel fails; the next prime decides
     assert exactlin.rank([[1, 0], [0, P0]]) == 2
     assert exactlin.nullity_at([[1, 0], [0, P0]], 0) == 0
     assert exactlin.rank([[P0, P0], [P0, P0]]) == 1
@@ -525,20 +537,24 @@ def test_definite_despite_a_minor_divisible_by_the_first_prime():
     assert not positive_definite([[-P0, 1], [1, 1]])
 
 
-def test_dropped_prime_is_not_counted(monkeypatch):
+def test_lower_rank_prime_is_counted(monkeypatch):
     # rows 0 + 1 = row 2 and column 2 = column 0 + 10^6 column 1: rank 2,
     # and rank 1 modulo P1. The kernel vector (-1, -10^6, 1) has an entry
     # beyond isqrt(P0 // 2), with no fraction within the bound congruent
-    # to it modulo P0, so the Hadamard bound decides. Four primes meet it,
-    # but the batch after P0 drops P1, so four are not enough and a fifth
-    # is
+    # to it modulo P0, and P1's kernel of two columns fails m N = 0, so the
+    # Hadamard bound decides. Four primes meet it only if P1, of rank 1,
+    # counts among them
     c = 10 ** 6
     m = [[1, 0, 1], [0, P1, c * P1], [1, P1, 1 + c * P1]]
     assert exactlin.rational_reconstruction(np.array([-c % P0]), P0)[1][0] == 0
+    assert [len(exactlin._echelon(np.array(m), p)[0]) for p in exactlin.PRIMES[:4]] == [2, 1, 2, 2]
+    squares = sorted((sum(x * x for x in row) for row in m), reverse=True)
+    assert (math.prod(exactlin.PRIMES[:3]) ** 2 <= 4 * math.prod(squares)
+            < math.prod(exactlin.PRIMES[:4]) ** 2)
     assert exactlin.rank(m) == 2 == pivots_rank(m)
-    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:5])
-    assert exactlin.rank(m) == 2
     monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:4])
+    assert exactlin.rank(m) == 2
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:3])
     with pytest.raises(AssertionError):
         exactlin.rank(m)
 
@@ -546,11 +562,8 @@ def test_dropped_prime_is_not_counted(monkeypatch):
 def first_kernel(m):
     """The kernel rank guesses modulo P0 for the int64 matrix m, and the
     rank modulo P0."""
-    cols, x = [], None
-    for _, _, col, x in exactlin._modular_pivots(m, (P0,)):
-        cols.append(col)
-    r = len(cols)
-    return exactlin._kernel(x[0, :r] if r else m[:0], cols, P0), r
+    cols, x = exactlin._echelon(m, P0)
+    return exactlin._kernel(x, cols, P0), len(cols)
 
 
 @pytest.mark.parametrize("m, rank_p0, rank_q", [
@@ -560,7 +573,8 @@ def first_kernel(m):
 def test_rank_falls_back_to_the_bound_when_the_kernel_fails(monkeypatch, m, rank_p0, rank_q):
     # each guess reconstructs, and the kernel check rejects it: P0 divides
     # a minor, so m N != 0, or m N could pass 2^63, so int64_product
-    # refuses it. Only the Hadamard bound over more primes gives the rank
+    # refuses it. Only more primes give the rank: P1's full rank, or for
+    # the refused kernel the Hadamard bound over five primes
     a = np.array(m, dtype=np.int64)
     kernel, r = first_kernel(a)
     assert r == rank_p0 and kernel is not None
@@ -570,27 +584,93 @@ def test_rank_falls_back_to_the_bound_when_the_kernel_fails(monkeypatch, m, rank
         with pytest.raises(AssertionError):
             exactlin.int64_product(a, kernel)
     assert exactlin.rank(m) == rank_q == pivots_rank(m)
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:5])
+    assert exactlin.rank(m) == rank_q
     monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:1])
     with pytest.raises(AssertionError):
         exactlin.rank(m)
 
 
-def no_fallback(*args):
-    raise AssertionError("rank fell back to the Hadamard bound")
+def hadamard_beyond(m, primes):
+    """True if the Hadamard bound over primes cannot decide the rank of m:
+    their product squared is at most 4 times the product of the rank + 1
+    largest squared row norms."""
+    squares = sorted((sum(x * x for x in row) for row in m), reverse=True)
+    return math.prod(primes) ** 2 <= 4 * math.prod(squares[:pivots_rank(m) + 1])
+
+
+def refuse_later_primes(monkeypatch):
+    """Make _echelon refuse every prime but PRIMES[0], and PRIMES[-1], at
+    which inverse and search.greedy_basis start: a rank that PRIMES[0]
+    does not decide raises."""
+    echelon = exactlin._echelon
+
+    def first_prime_only(a, p):
+        if p in exactlin.PRIMES[1:-1]:
+            raise AssertionError(f"rank went on to the prime {p}")
+        return echelon(a, p)
+    monkeypatch.setattr(exactlin, "_echelon", first_prime_only)
+
+
+def test_full_rank_needs_no_kernel(monkeypatch):
+    # square, tall and wide: the first prime's full rank is the answer
+    def no_kernel(*args):
+        raise AssertionError("rank guessed a kernel")
+    monkeypatch.setattr(exactlin, "_kernel", no_kernel)
+    refuse_later_primes(monkeypatch)
+    rng = random.Random(37)
+    for shape in [(5, 5), (7, 3), (3, 7)] * 10:
+        m = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(shape[1])] for _ in range(shape[0])]
+        assert exactlin.rank(m) == min(shape) == pivots_rank(m)
 
 
 def test_rank_deficiency_is_proved_by_the_kernel_alone(monkeypatch):
-    # one prime, and no Hadamard bound: each kernel below verifies
-    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:1])
-    monkeypatch.setattr(exactlin, "_more_primes", no_fallback)
+    # one prime: each kernel below verifies. For the deficient products
+    # with large entries the Hadamard bound over one prime is out of reach,
+    # so the kernel alone decides them
+    refuse_later_primes(monkeypatch)
     rng = random.Random(31)
     for _ in range(100):
         m = random_oracle_matrix(rng)
         assert exactlin.rank(m) == pivots_rank(m)
+    beyond = 0
+    for _ in range(40):
+        nr, nc, r = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 4)
+        b = [[rng.randint(-10 ** 4, 10 ** 4) for _ in range(r)] for _ in range(nr)]
+        c = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(r)]
+        m = reference_mat_mul(b, c)
+        if pivots_rank(m) < min(nr, nc) and hadamard_beyond(m, (P0,)):
+            beyond += 1
+            assert exactlin.rank(m) == pivots_rank(m)
+    assert beyond > 20
     assert exactlin.rank([[0, 0], [0, 0]]) == 0
     # column f of the kernel is D_f at free column f: 1/2 scales it by 2
     kernel, r = first_kernel(np.array([[2, 1], [4, 2]]))
     assert r == 1 and kernel.tolist() == [[-1], [2]]
+
+
+@pytest.mark.parametrize("m, rank_q", [
+    ([[1, 2], [3, 6 + P0]], 2),
+    ([[P0, P0], [P0, P0]], 1),
+    ([[P0, 2 * P0, 3 * P0], [2 * P0, 4 * P0, 6 * P0]], 1),
+], ids=["full_rank", "kernel", "kernel_of_a_wide_matrix"])
+def test_a_later_prime_decides_where_the_first_divides_a_minor(monkeypatch, m, rank_q):
+    # rank_q - 1 modulo P0, whose kernel fails. P1's full rank decides, or
+    # for a deficient m its verified kernel: two primes are too few for the
+    # Hadamard bound
+    assert len(exactlin._echelon(np.array(m), P0)[0]) == rank_q - 1
+    assert rank_q == min(exactlin.dims(m)) or hadamard_beyond(m, exactlin.PRIMES[:2])
+    monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[:2])
+    assert exactlin.rank(m) == rank_q == pivots_rank(m)
+
+
+def test_int64_product_accepts_a_bound_just_below_2_pow_63():
+    x = np.array([[2 ** 62, 2 ** 62 - 1]], dtype=np.int64)
+    assert exactlin.int64_product(x, np.array([[1], [1]])).tolist() == [[2 ** 63 - 1]]
+    with pytest.raises(AssertionError):
+        exactlin.int64_product(x + [[0, 1]], np.array([[1], [0]]))
+    with pytest.raises(AssertionError):
+        exactlin.int64_product(np.array([[-2 ** 63]]), np.array([[1]]))
 
 
 def test_unlucky_prime_is_replaced_not_used(monkeypatch):
@@ -646,21 +726,25 @@ def test_float_mod_is_an_exact_representative_in_the_open_range(p):
 
 
 def test_the_programs_ranks_need_no_hadamard_bound(monkeypatch):
-    # every rank of the program's own inputs is proved by PRIMES[0] and a
-    # verified kernel: the construction ranks, the 54 drop-line systems and
-    # the nullities of a wrong claim of each kind the benchmark draws (a
-    # moved multiplicity, a replaced value, a changed quadratic constant)
-    monkeypatch.setattr(exactlin, "_more_primes", no_fallback)
+    # every rank of the program's own inputs is proved by PRIMES[0], by
+    # full rank or a verified kernel: the construction ranks, the 54
+    # drop-line systems and the nullities of a wrong claim of each kind the
+    # benchmark draws (a moved multiplicity, a replaced value, a changed
+    # quadratic constant), whose exact values the failure's witness shows
+    refuse_later_primes(monkeypatch)
     pipeline = cli.Pipeline(cli.RunConfig(command="all"))
     final = pipeline.final
     assert (pipeline.asche.ambient_dim, final.ambient_dim) == (19, 18)
     assert {exactlin.rank(np.delete(final.coords, i, axis=0)) for i in range(54)} == {18}
     for eigs, quadratic, failed in [
         ({-5: 35, 7: 7, 11: 8, 13: 2}, (-24, 107),
-         ["nullity_at_-5", "nullity_at_7", "trace_identity", "trace_square_identity"]),
+         {"nullity_at_-5": {"claimed": 35, "exact": 36},
+          "nullity_at_7": {"claimed": 7, "exact": 6},
+          "trace_identity": 12, "trace_square_identity": 2886}),
         ({-5: 36, 3: 2, 7: 6, 11: 8}, (-24, 107),
-         ["nullity_at_3", "trace_identity", "trace_square_identity"]),
-        ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), ["trace_square_identity"]),
+         {"nullity_at_3": {"claimed": 2, "exact": 0},
+          "trace_identity": -20, "trace_square_identity": 2542}),
+        ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), {"trace_square_identity": 2864}),
     ]:
         cert = seidel.certify_spectrum(pipeline.seidel_matrix,
                                        seidel.SpectrumClaim.make(eigs, quadratic))

@@ -178,19 +178,21 @@ def test_inverse_off_by_one_entry_fails_check(final54, monkeypatch):
     a, d = exactlin.inverse(gram)
     (det, adj), _ = reference_check_extendibility(final54)
     assert det.bit_length() > 64          # the raw adjugate is beyond int64
-    inverse_mod, tried = exactlin._inverse_mod, []
+    echelon, tried = exactlin._echelon, []
 
     def off_by_one(m, p, every=False):
-        u = inverse_mod(m, p)
+        # m is [gram | I]: column n + j of the reduced form is column j of
+        # the inverse modulo p
+        cols, x = echelon(m, p)
         if every or not tried:
-            u[3, 11] = (u[3, 11] + 1) % p
+            x[3, len(x) + 11] = (x[3, len(x) + 11] + 1) % p
         tried.append(p)
-        return u
-    monkeypatch.setattr(exactlin, "_inverse_mod", off_by_one)
+        return cols, x
+    monkeypatch.setattr(exactlin, "_echelon", off_by_one)
     got = exactlin.inverse(gram)
     assert (got[0].tolist(), got[1]) == (a.tolist(), d)
     assert tried == list(exactlin.PRIMES[:-3:-1])
-    monkeypatch.setattr(exactlin, "_inverse_mod", lambda m, p: off_by_one(m, p, every=True))
+    monkeypatch.setattr(exactlin, "_echelon", lambda m, p: off_by_one(m, p, every=True))
     with pytest.raises(AssertionError):
         exactlin.inverse(gram)
 

@@ -241,15 +241,18 @@ def test_s54_perturbed_multiplicity_fails(s54):
     assert cert.details["checks"]["char_poly_matches"] is False
     assert cert.details["first_failure"] == {
         "check": "char_poly_matches",
-        "witness": {"failed_premises": ["nullity_at_-5", "nullity_at_7",
-                                        "trace_identity", "trace_square_identity"]},
+        "witness": {"failed_premises": {"nullity_at_-5": {"claimed": 35, "exact": 36},
+                                        "nullity_at_7": {"claimed": 7, "exact": 6},
+                                        "trace_identity": 12,
+                                        "trace_square_identity": 2886}},
     }
 
 
 @pytest.mark.parametrize("eigs, quadratic, failed", [
     ({-5: 36, 3: 2, 7: 6, 11: 8}, (-24, 107),
-     ["nullity_at_3", "trace_identity", "trace_square_identity"]),
-    ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), ["trace_square_identity"]),
+     {"nullity_at_3": {"claimed": 2, "exact": 0}, "trace_identity": -20,
+      "trace_square_identity": 2542}),
+    ({-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 106), {"trace_square_identity": 2864}),
 ], ids=["replaced_eigenvalue", "shifted_quadratic_constant"])
 def test_s54_wrong_claim_names_failed_premise(s54, eigs, quadratic, failed):
     claim = seidel.SpectrumClaim.make(eigs, quadratic)
@@ -288,7 +291,7 @@ def reference_certify_spectrum(s, claim):
     premises += [("trace_identity", claim.eig_sum() == 0, claim.eig_sum()),
                  ("trace_square_identity", claim.eig_square_sum() == n * (n - 1),
                   claim.eig_square_sum())]
-    failed = [name for name, ok, _ in premises if not ok]
+    failed = {name: witness for name, ok, witness in premises if not ok}
     b.check("char_poly_matches", not failed,
             {"failed_premises": failed} if failed else None)
     for premise in premises:
@@ -1319,5 +1322,7 @@ def test_claim_value_beyond_int64_fails_its_premise(s54):
     assert checks["nullity_at_100000000000000000000"] is False
     assert cert.details["first_failure"] == {
         "check": "char_poly_matches",
-        "witness": {"failed_premises": ["nullity_at_100000000000000000000",
-                                        "trace_identity", "trace_square_identity"]}}
+        "witness": {"failed_premises": {
+            "nullity_at_100000000000000000000": {"claimed": 2, "exact": 0},
+            "trace_identity": 2 * 10 ** 20 - 26,
+            "trace_square_identity": 2 * 10 ** 40 + 2524}}}
