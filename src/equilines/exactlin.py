@@ -201,9 +201,18 @@ def rational_reconstruction(u, p):
     return np.where(ok, np.sign(t1) * r1, 0), np.where(ok, den, 0)
 
 
+def _max_abs(x):
+    """The largest |entry| of the int64 array x as a Python int (0 if
+    empty): -2^63 gives 2^63, which np.abs would wrap."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
 def _row_sum(x):
-    """The largest absolute row sum of the int64 array x, in Python ints
-    (0 for no rows)."""
+    """The largest absolute row sum of the (rows, cols) int64 array x, as
+    a Python int (0 for no rows). In int64 when cols max|x| < 2^63: no
+    |entry| is then 2^63 and no partial sum can wrap. Else in Python ints."""
+    if x.shape[1] * _max_abs(x) < 1 << 63:
+        return int(np.abs(x).sum(axis=1).max(initial=0))
     return max(abs(x.astype(object)).sum(axis=1), default=0)
 
 
@@ -212,7 +221,7 @@ def int64_product(x, y):
     product unless the largest absolute row sum of x times the largest
     |y| entry, computed in Python ints, is below 2^63. That bounds every
     partial sum, so int64 never wraps."""
-    bound = _row_sum(x) * max(abs(y.astype(object)).ravel(), default=0)
+    bound = _row_sum(x) * _max_abs(y)
     if bound >= 1 << 63:
         raise AssertionError(f"an int64 product could reach {bound}")
     return x @ y

@@ -2,12 +2,14 @@
 
 A Seidel matrix is symmetric with zero diagonal and +/-1 off-diagonal.
 Every graph question goes to one engine, canonical_graph_form: an
-individualization-refinement search that returns a graph's canonical
-form, a canonical labelling and its whole automorphism group.
+individualization-refinement search, pruned by the automorphisms it
+finds (McKay), that returns a graph's canonical form, a canonical
+labelling and its whole automorphism group.
 Isomorphisms are composed from two labellings. The signed group and the
 switching canonical form come from one search over the descendants of S
 (switch row v to all +1, drop v), which labels one vertex per orbit of
-the signed automorphisms found so far (_switching_search); the
+the signed automorphisms found so far, extended from the labelled
+descendants' automorphisms and isomorphisms (_switching_search); the
 permutation group of S is the part of the signed group with all signs +1.
 A signed permutation is a permutation of 2n points, (i, s) being the
 point 2i + (s > 0), so the signed and the plain groups share one
@@ -384,7 +386,8 @@ def _refine(adj, cells, splitters):
     cell by the slices, most significant first, each piece into its part
     with the bit clear and then its part with the bit set, orders the
     pieces lexicographically by their bits from the top down: by
-    increasing count.
+    increasing count. A singleton splitter {v} has counts 0 or 1, so
+    adj[v] is its one slice.
 
     The queue is keyed by mask. A cell that splits leaves the set of
     queued masks, and a partition only refines, so every later cell is a
@@ -401,28 +404,28 @@ def _refine(adj, cells, splitters):
         if splitter not in queued:
             continue                    # a stale mask: its cell has since split
         queued.remove(splitter)
-        slices = []
-        rest = splitter
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            carry = adj[low.bit_length() - 1]
-            for i, bits in enumerate(slices):
-                if not carry:
-                    break
-                slices[i] = bits ^ carry
-                carry &= bits
-            if carry:
-                slices.append(carry)
-        slices.reverse()
+        if splitter & (splitter - 1):
+            slices = []
+            for low in _singles(splitter):
+                carry = adj[low.bit_length() - 1]
+                for i, bits in enumerate(slices):
+                    if not carry:
+                        break
+                    slices[i] = bits ^ carry
+                    carry &= bits
+                if carry:
+                    slices.append(carry)
+            slices.reverse()
+        else:
+            slices = [adj[splitter.bit_length() - 1]]   # counts in {v} are 0 or 1
         still_open = []
         for cell in open_cells:
-            pieces = [cell]
+            pieces = None
             for bits in slices:
                 high = cell & bits
                 if high and high != cell:
-                    pieces = [q for p in pieces for q in (p & ~bits, p & bits) if q]
-            if len(pieces) == 1:
+                    pieces = [q for p in pieces or (cell,) for q in (p & ~bits, p & bits) if q]
+            if pieces is None:
                 still_open.append(cell)
                 continue
             i = cells.index(cell)
@@ -463,9 +466,31 @@ class CanonicalLabelling:
     automorphisms: tuple         # all of Aut, as tuples of images of 0..n-1
 
 
+def _singles(mask):
+    """The vertices of a cell held as a bitmask, as one-bit masks in
+    increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _individualize(adj, cells, target, single):
+    """The refined child of an equitable partition: the cell at target
+    replaced by the vertex single and the rest of the cell."""
+    cell = cells[target]
+    return _refine(adj, cells[:target] + [single, cell ^ single] + cells[target + 1:], [single])
+
+
+def _target(cells):
+    """The position of the first cell of two or more vertices, or None."""
+    return next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+
+
 def canonical_graph_form(n, adj):
     """Canonical form, canonical labelling and automorphism group of a graph,
-    from one individualization-refinement search with no pruning.
+    from one individualization-refinement search pruned by the
+    automorphisms it finds (McKay, "Practical graph isomorphism", 1981).
 
     Each node refines its ordered partition, a list of cells held as
     vertex bitmasks, to the coarsest equitable one and branches on every
@@ -506,42 +531,98 @@ def canonical_graph_form(n, adj):
 
     Refinement and the choice of cell use adjacency counts and cell
     positions only, so an isomorphism phi maps the tree of a graph onto the
-    tree of its image, leaf q to leaf phi.q, with equal adjacency bits.
-    Hence the least bits are a canonical form, and for the first least
-    leaf b the automorphisms are exactly b[i] -> q[i] over the leaves q
-    with the least bits: every such map preserves adjacency, and each g in
-    Aut arises from the leaf g.b alone (two leaves differ at the position
-    where their paths first individualize different vertices).
+    tree of its image, node with path (v_1, ..) to node (phi v_1, ..), leaf
+    q to leaf phi.q, with equal adjacency bits. Hence the least bits over
+    the whole tree are a canonical form, and a leaf q with the bits of the
+    first leaf z gives the automorphism z[i] -> q[i].
+
+    The search walks the first path z_0, .., z_m = z, z_{k+1} the child
+    of z_k at its least vertex v_{k+1}, then the other children of z_k
+    for k = m - 1 down to 0, each subtree in leaf order: all in leaf
+    order. Two rules prune it.
+
+    - Backjump. Below a child w of z_k, the first leaf with z's bits
+      gives g with g(z) below w; g fixes v_1..v_k and maps v_{k+1} to w,
+      so it maps the subtree of z_{k+1} onto that of w, and the rest of
+      w's subtree is left.
+    - Orbits. Every automorphism found so far came from below z_k, so it
+      fixes v_1..v_k. A child w in the orbit of an explored child u under
+      them (the union-find forest orbit) is skipped: the subtree of w is
+      the image of that of u.
+
+    Either way each unvisited leaf is the image of an earlier leaf with
+    the same bits, so the least bits and the first leaf that has them
+    (labelling) are those of the whole tree. Let A_k, the stabilizer of
+    z_k, be the automorphisms fixing v_1..v_k. The ones found below z_k
+    reach the orbit of v_{k+1} under A_k: below an explored w in it lies
+    g(z) for a g in A_k, so a leaf with z's bits is found there, and a
+    skipped w is the image under found ones of an explored child, then
+    in the orbit. By induction down from A_m = 1 (z_m is discrete), they
+    generate A_k: they hold generators of A_{k+1}, the stabilizer of
+    v_{k+1} in A_k, and reach its orbit. So the found automorphisms
+    generate Aut = A_0, of order the product over k of the orbit sizes.
+    automorphisms is their closure (_greedy_generators), sorted;
+    AssertionError unless its order is that product.
     """
-    best_bits, best_leaves = None, []
     rows = _adjacency_rows(adj)
+    orbit = list(range(n))              # a forest: the orbits of the automorphisms found
+    gens = []
 
-    def rec(cells, splitters):
-        nonlocal best_bits, best_leaves
-        cells = _refine(adj, cells, splitters)
-        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-        if target is None:
-            leaf = tuple(c.bit_length() - 1 for c in cells)
-            bits = _adjacency_bits(rows, leaf)
-            if best_bits is None or bits < best_bits:
-                best_bits, best_leaves = bits, [leaf]
-            elif bits == best_bits:
-                best_leaves.append(leaf)
-            return
+    def root(v):
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    def leaf_bits(cells):
+        leaf = tuple(c.bit_length() - 1 for c in cells)
+        return leaf, _adjacency_bits(rows, leaf)
+
+    path = []
+    cells = [(1 << n) - 1] if n else []
+    cells = _refine(adj, cells, cells)
+    while (target := _target(cells)) is not None:
+        path.append((cells, target))
+        first_single = cells[target] & -cells[target]
+        cells = _individualize(adj, cells, target, first_single)
+    first, first_bits = best_leaf, best_bits = leaf_bits(cells)
+    first_inverse = _inverse(first)
+
+    def below(cells):
+        """Whether the subtree of cells, walked in leaf order, has a leaf
+        with the first leaf's bits; it is recorded when found."""
+        nonlocal best_leaf, best_bits
+        target = _target(cells)
+        if target is not None:
+            return any(below(_individualize(adj, cells, target, single))
+                       for single in _singles(cells[target]))
+        leaf, bits = leaf_bits(cells)
+        if bits < best_bits:
+            best_leaf, best_bits = leaf, bits
+        if bits != first_bits:
+            return False
+        g = _compose(leaf, first_inverse)
+        gens.append(g)
+        for v, u in enumerate(g):
+            orbit[root(v)] = root(u)
+        return True
+
+    order = 1
+    for cells, target in reversed(path):
         cell = cells[target]
-        head, tail = cells[:target], cells[target + 1:]
-        rest = cell
-        while rest:                     # the vertices of the cell, in increasing order
-            single = rest & -rest
-            rest ^= single
-            rec(head + [single, cell ^ single] + tail, [single])
-
-    root = [(1 << n) - 1] if n else []
-    rec(root, root)
-    first = best_leaves[0]
-    inverse = _inverse(first)
-    return CanonicalLabelling(best_bits, first,
-                              tuple(_compose(leaf, inverse) for leaf in best_leaves))
+        first_single = cell & -cell
+        explored = [first_single.bit_length() - 1]
+        for single in _singles(cell ^ first_single):
+            w = single.bit_length() - 1
+            if root(w) not in {root(u) for u in explored}:
+                explored.append(w)
+                below(_individualize(adj, cells, target, single))
+        r = root(explored[0])
+        order *= sum(root(single.bit_length() - 1) == r for single in _singles(cell))
+    group = _greedy_generators(tuple(range(n)), gens)[1]
+    if len(group) != order:
+        raise AssertionError(
+            f"automorphisms found generate {len(group)}, first-path orbits give {order}")
+    return CanonicalLabelling(best_bits, best_leaf, tuple(sorted(group)))
 
 
 def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
@@ -743,8 +824,9 @@ def _switching_search(s):
     descendants matches their all-+1 switched rows, so with v -> w it
     extends to a signed automorphism, unique up to sign (_extend_to_signed
     builds and verifies it). The generators are -I, the extensions of
-    Aut(descendant_0), and one extended isomorphism 0 -> w for each
-    labelled w whose descendant has descendant_0's form.
+    Aut(descendant_w) (which fixes w) for every labelled w, and one
+    extended isomorphism 0 -> w for each labelled w whose descendant has
+    descendant_0's form. All are verified signed automorphisms.
 
     w is skipped if the generators found so far map a labelled u onto it;
     then its descendant has u's form. The generators and the labelled
@@ -752,32 +834,33 @@ def _switching_search(s):
     labelled vertices' orbits (_orbit_union) is rebuilt only then. So (a)
     the least form over the labelled vertices is the least over all
     vertices, and (b) every w with descendant_0's form is in the orbit of
-    0 under the generators: a labelled one is 0 or got a generator 0 -> w,
-    and a skipped one is the image of a labelled u with that form. With the stabilizer of 0 (+/-
-    the extensions of Aut(descendant_0)) the generators therefore generate
-    the whole group, of order 2 |Aut(descendant_0)| |orbit of 0|.
+    0 under the generators: a labelled one is 0 or got a generator 0 ->
+    w, and a skipped one is the image of a labelled u with that form.
+    With the stabilizer of 0 (+/- the extensions of Aut(descendant_0))
+    the generators therefore generate the whole group, of order
+    2 |Aut(descendant_0)| |orbit of 0|. The other descendants' extensions
+    only fill the orbits sooner, so fewer vertices are labelled.
     """
     n = s.n
-    rest0, adj0 = _descendant(s, 0)      # rest0[a] = a + 1
-    first = canonical_graph_form(n - 1, adj0)
     gens = [_on_points(range(n), [-1] * n)]
-    for g in minimal_generators(n - 1, first.automorphisms):
-        gens.append(_extend_to_signed(s, (0, *_compose(rest0, g))))
-    labelled = [0]
-    best = first.bits
-    reached = _orbit_union(labelled, gens)
-    for w in range(1, n):
+    labelled, forms, reached = [], [], set()
+    for w in range(n):
         if w in reached:
             continue
         labelled.append(w)
         rest, adj = _descendant(s, w)
         form = canonical_graph_form(n - 1, adj)
-        best = min(best, form.bits)
-        if form.bits == first.bits:
+        for g in minimal_generators(n - 1, form.automorphisms):
+            images = _compose(rest, g)
+            gens.append(_extend_to_signed(s, (*images[:w], w, *images[w:])))
+        if w == 0:
+            first = form
+        elif form.bits == first.bits:
             matching = _compose(form.labelling, _inverse(first.labelling))
             gens.append(_extend_to_signed(s, (w, *_compose(rest, matching))))
+        forms.append(form.bits)
         reached = _orbit_union(labelled, gens)
-    return best, len(first.automorphisms), tuple(gens)
+    return min(forms), len(first.automorphisms), tuple(gens)
 
 
 @functools.lru_cache(maxsize=1)

@@ -258,6 +258,50 @@ def test_construct_fails_on_a_changed_coordinate():
         "check": "pairwise_scaled_angle_pm16", "witness": [-17, -16, 15, 16]}
 
 
+def test_aut_fails_on_a_sign_flipped_pair():
+    # S54 with S[0, 1] and S[1, 0] negated: every generator found for it
+    # preserves it, and its signed group has order 4
+    pipeline = cli.Pipeline(cli.RunConfig(command="aut"))
+    flipped = pipeline.seidel_matrix.array.copy()
+    flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+    pipeline.__dict__["seidel_matrix"] = seidel.SeidelMatrix(flipped)
+    cert = cli.cmd_aut(pipeline)
+    failed = {name for name, ok in cert.details["checks"].items() if not ok}
+    assert failed == {"signed_order_216"}
+    assert cert.details["first_failure"] == {"check": "signed_order_216", "witness": 4}
+
+
+def aut_with_recorded_generator_off(monkeypatch, name, off):
+    """cmd_aut on S54 with the group that seidel.<name> returns, its first
+    generator replaced by off(generator)."""
+    real = getattr(seidel, name)
+
+    def recorded(s):
+        result = real(s)
+        first, *rest = result.generators
+        return dataclasses.replace(result, generators=(off(first), *rest))
+
+    monkeypatch.setattr(seidel, name, recorded)
+    cert = cli.cmd_aut(cli.Pipeline(cli.RunConfig(command="aut")))
+    return {name for name, ok in cert.details["checks"].items() if not ok}
+
+
+def test_aut_fails_on_a_signed_generator_with_one_sign_off(monkeypatch):
+    # the sign of column 0 negated: the points (0, -1) and (0, +1) swap
+    # images, and row 0 of M^T S M changes sign off the diagonal
+    failed = aut_with_recorded_generator_off(
+        monkeypatch, "signed_automorphism_group", lambda g: (g[1], g[0], *g[2:]))
+    assert failed == {"signed_generators_preserve_matrix"}
+
+
+def test_aut_fails_on_a_permutation_generator_with_one_target_off(monkeypatch):
+    # vertex 0 sent where vertex 1 goes: rows 0 and 1 of the relabelled
+    # matrix coincide, so it has a 0 off its diagonal
+    failed = aut_with_recorded_generator_off(
+        monkeypatch, "automorphism_order", lambda g: (g[1], *g[1:]))
+    assert failed == {"permutation_generators_preserve_matrix"}
+
+
 def test_subscan_restricted_orders(tmp_path):
     out = tmp_path / "s.json"
     assert run(["subscan", "--orders", "53", "--out", str(out)]) == 0

@@ -673,6 +673,54 @@ def test_int64_product_accepts_a_bound_just_below_2_pow_63():
         exactlin.int64_product(np.array([[-2 ** 63]]), np.array([[1]]))
 
 
+def reference_row_sum(x):
+    """Oracle for _row_sum: every row of |x| summed in Python ints."""
+    return max((sum(abs(v) for v in row) for row in x.tolist()), default=0)
+
+
+@pytest.mark.parametrize("x", [
+    [[(2 ** 63 - 1) // 7] * 3 + [-((2 ** 63 - 1) // 7)] * 4],      # 7 max|x| = 2^63 - 1
+    [[2 ** 63 - 1], [-(2 ** 63 - 1)]],
+    [[2 ** 62, -2 ** 62]],                                          # 2 max|x| = 2^63
+    [[-2 ** 63]],
+    [[2 ** 62, 2 ** 62 - 1], [1, 2]],
+    [[0, 0, 0]],
+    np.zeros((0, 3)),
+    np.zeros((3, 0)),
+], ids=["7_cols_at_2_pow_63_less_1", "one_col_at_2_pow_63_less_1", "2_cols_at_2_pow_63",
+        "minus_2_pow_63", "bound_above_a_sum_below", "zeros", "no_rows", "no_cols"])
+def test_row_sum_at_the_int64_boundary(x):
+    # cols max|x| = 2^63 - 1 is summed in int64, exactly; at 2^63 the sum
+    # itself or the |entry| of -2^63 would wrap, so Python ints take over
+    x = np.array(x, dtype=np.int64)
+    assert exactlin._row_sum(x) == reference_row_sum(x)
+    assert type(exactlin._row_sum(x)) is int
+    assert exactlin._max_abs(x) == max((abs(v) for v in x.ravel().tolist()), default=0)
+
+
+def test_int64_product_bound_matches_python_int_oracle():
+    # the same products and refusals as the bound in Python ints
+    rng = random.Random(137)
+    scales = [1, 2 ** 20, 2 ** 31, 2 ** 40, 2 ** 62, 2 ** 63 - 1]
+    refused = 0
+    for _ in range(300):
+        rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        sx, sy = rng.choice(scales), rng.choice(scales)
+        x = np.array([[rng.randint(-sx, sx) for _ in range(inner)] for _ in range(rows)],
+                     dtype=np.int64)
+        y = np.array([[rng.randint(-sy, sy) for _ in range(cols)] for _ in range(inner)],
+                     dtype=np.int64)
+        bound = reference_row_sum(x) * max(abs(v) for row in y.tolist() for v in row)
+        if bound < 2 ** 63:
+            assert exactlin.int64_product(x, y).tolist() == reference_mat_mul(
+                x.tolist(), y.tolist())
+        else:
+            refused += 1
+            with pytest.raises(AssertionError, match=f"could reach {bound}$"):
+                exactlin.int64_product(x, y)
+    assert 50 < refused < 250
+
+
 def test_unlucky_prime_is_replaced_not_used(monkeypatch):
     # two primes meet the bound, but P0 divides the first minor, so a
     # third must replace it

@@ -878,14 +878,74 @@ def moved_s54(s54):
     return seidel.switch(seidel.permute(s54, perm), signs)
 
 
+def complete_graph(n):
+    return [((1 << n) - 1) ^ 1 << v for v in range(n)]
+
+
+def cycle_graph(n):
+    return [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)]
+
+
+def petersen_graph():
+    adj = [0] * 10
+    for i in range(5):
+        for a, b in ((i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, i + 5)):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def disjoint_union(*graphs):
+    adj, shift = [], 0
+    for g in graphs:
+        adj += [mask << shift for mask in g]
+        shift += len(g)
+    return adj
+
+
+def random_regular_graph(rng, n, d):
+    """A d-regular graph on n vertices: random pairings of n d stubs until
+    one has no loop and no repeated edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        adj = [0] * n
+        for a, b in zip(stubs[::2], stubs[1::2]):
+            if a == b or adj[a] >> b & 1:
+                break
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        else:
+            return adj
+
+
+def structured_graphs():
+    """Graphs with large groups, many leaves of equal bits and orbits
+    that split late: complete, empty and cycle graphs, the Petersen
+    graph and disjoint unions; and random regular graphs, whose root is
+    not split, so their trees hold many leaves that are not equivalent."""
+    graphs = [complete_graph(n) for n in range(7)] + [[0] * n for n in range(1, 7)]
+    graphs += [cycle_graph(n) for n in range(3, 11)] + [petersen_graph()]
+    graphs += [disjoint_union(complete_graph(3), complete_graph(3)),
+               disjoint_union(complete_graph(2), complete_graph(2), complete_graph(2)),
+               disjoint_union(cycle_graph(5), cycle_graph(5)),
+               disjoint_union(complete_graph(3), cycle_graph(4), [0]),
+               disjoint_union(cycle_graph(4), complete_graph(4)),
+               disjoint_union(petersen_graph(), complete_graph(2))]
+    rng = random.Random(139)
+    graphs += [random_regular_graph(rng, n, 3) for n in (10,) * 30 + (12,) * 10]
+    return graphs
+
+
 def test_mask_cells_match_list_cell_oracle(s54, moved_s54):
-    # the whole labelling: form, first least leaf and the automorphisms
-    # in leaf order, on random graphs and every descendant of S54 and of
-    # a relabelled and switched S54; the refinement of the root and of one
-    # child, as ordered partitions
+    # the whole labelling: form, first least leaf and the sorted
+    # automorphisms, on random and structured graphs and every descendant
+    # of S54 and of a relabelled and switched S54; the refinement of the
+    # root and of one child, as ordered partitions
     rng = random.Random(109)
     graphs = [random_graph(rng, rng.randint(0, 16), density)
               for density in (0.2, 0.5, 0.8) for _ in range(40)]
+    graphs += structured_graphs()
     for adj in graphs:
         unit = [list(range(len(adj)))] if adj else []
         root = seidel._refine(adj, [as_mask(c) for c in unit], [as_mask(c) for c in unit])
@@ -905,8 +965,10 @@ def test_mask_cells_match_list_cell_oracle(s54, moved_s54):
                     == [sorted(c) for c in reference_list_refine(adj, child, [single])])
     graphs += [seidel._descendant(s, v)[1] for s in (s54, moved_s54) for v in range(54)]
     for adj in graphs:
-        assert seidel.canonical_graph_form(len(adj), adj) == reference_canonical_graph_form(
-            len(adj), adj)
+        got = seidel.canonical_graph_form(len(adj), adj)
+        oracle = reference_canonical_graph_form(len(adj), adj)
+        assert (got.bits, got.labelling) == (oracle.bits, oracle.labelling)
+        assert got.automorphisms == tuple(sorted(oracle.automorphisms))
 
 
 def all_descendants_form(s):
@@ -934,17 +996,17 @@ def fresh_switching_caches():
 
 
 def test_switching_search_labels_few_descendants(s54, monkeypatch, fresh_switching_caches):
-    real = seidel.canonical_graph_form
-    calls = []
-
-    def counted(n, adj):
-        calls.append(n)
-        return real(n, adj)
-
-    monkeypatch.setattr(seidel, "canonical_graph_form", counted)
+    # 4 descendants labelled; their pruned searches refine 20 partitions
+    # and read 12 leaves, against 34 and 26 with no pruning
+    calls = {"canonical_graph_form": 0, "_refine": 0, "_adjacency_bits": 0}
+    for name in calls:
+        def counted(*args, real=getattr(seidel, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(seidel, name, counted)
     assert seidel.signed_automorphism_group(s54).order == 216
     form = seidel.switching_canonical_form(s54)
-    assert len(calls) == 4
+    assert calls == {"canonical_graph_form": 4, "_refine": 20, "_adjacency_bits": 12}
     monkeypatch.undo()
     assert form == all_descendants_form(s54)
 
@@ -963,6 +1025,19 @@ def test_dropped_descendant_automorphism_fails_orbit_stabilizer(
     monkeypatch.setattr(seidel, "canonical_graph_form", lossy)
     with pytest.raises(AssertionError, match="orbit-stabilizer"):
         seidel.signed_automorphism_group(s54)
+
+
+def test_dropped_found_automorphism_fails_orbit_product(s54, monkeypatch):
+    # the closure of all found generators but the last is a proper
+    # subgroup: each generator moves a first-path vertex outside the
+    # orbit of those found before it
+    adj0 = seidel._descendant(s54, 0)[1]
+    assert len(seidel.canonical_graph_form(53, adj0).automorphisms) == 4
+    real = seidel._greedy_generators
+    monkeypatch.setattr(seidel, "_greedy_generators",
+                        lambda identity, elements: real(identity, list(elements)[:-1]))
+    with pytest.raises(AssertionError, match="first-path orbits give 4"):
+        seidel.canonical_graph_form(53, adj0)
 
 
 def reference_descendant(s, v):
@@ -988,20 +1063,14 @@ def test_descendant_matches_double_loop_oracle(s54, moved_s54):
 
 def reference_switching_search(s):
     """Oracle for _switching_search: the orbits of the labelled vertices
-    rebuilt before each w, descendants from reference_descendant. Returns
-    its (best, aut0, gens) and the labelled vertices."""
+    rebuilt before each w, descendants from reference_descendant, the
+    automorphisms of every labelled descendant extended to generators.
+    Returns its (best, aut0, gens) and the labelled vertices."""
     n = s.n
-    rest0, adj0 = reference_descendant(s, 0)
-    first = seidel.canonical_graph_form(n - 1, adj0)
     gens = [seidel._on_points(range(n), [-1] * n)]
-    for g in seidel.minimal_generators(n - 1, first.automorphisms):
-        perm = [0] * n
-        for pos, v in enumerate(rest0):
-            perm[v] = rest0[g[pos]]
-        gens.append(seidel._extend_to_signed(s, tuple(perm)))
-    labelled = [0]
-    best = first.bits
-    for w in range(1, n):
+    labelled = []
+    first = best = None
+    for w in range(n):
         reached, frontier = set(labelled), list(labelled)
         while frontier:
             v = frontier.pop()
@@ -1015,6 +1084,14 @@ def reference_switching_search(s):
         labelled.append(w)
         rest, adj = reference_descendant(s, w)
         form = seidel.canonical_graph_form(n - 1, adj)
+        for g in seidel.minimal_generators(n - 1, form.automorphisms):
+            perm = list(range(n))
+            for pos, v in enumerate(rest):
+                perm[v] = rest[g[pos]]
+            gens.append(seidel._extend_to_signed(s, tuple(perm)))
+        if first is None:
+            first, rest0, best = form, rest, form.bits
+            continue
         best = min(best, form.bits)
         if form.bits == first.bits:
             perm = [0] * n
@@ -1045,6 +1122,8 @@ def test_switching_search_matches_per_vertex_closure_oracle(
         assert tuple(described) == labelled
         if s is s54:
             assert labelled == (0, 1, 2, 9) and got[1] == 4
+        if s is moved_s54:
+            assert len(labelled) == 5
 
 
 def reference_seidel_from(system):
