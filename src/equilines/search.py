@@ -35,10 +35,10 @@ SCAN_BLOCK = 1 << 14            # 8-byte entries per pattern-scan or orbit-level
 @dataclass
 class ExtendibilityReport:
     extendible: bool
-    witness: tuple               # Fractions, span coordinates in R^24; or None
+    witness: tuple               # exact rationals in R^24, int where integral; or None
     patterns_examined: int
     basis_indices: tuple
-    witnesses: list = field(default_factory=list)
+    witnesses: list = field(default_factory=list)   # all of them, each typed like witness
 
 
 @dataclass
@@ -176,8 +176,18 @@ def check_extendibility(system):
     these tests exactly, in float64 below 2^52. Every pattern it returns
     is rebuilt as the integer vector d w = B^T (a eps), an object-array
     product of Python ints, and re-checked against every member's
-    coordinates by _verify_witness; only then is w made exact Fractions
-    for the report.
+    coordinates by _verify_witness; only then is each coordinate x / d of
+    w reported, as an int where d divides x and otherwise as a Fraction in
+    lowest terms, so that a receiver re-checks the witness in the cheapest
+    exact type.
+
+    The search decides only where exactlin.inverse can reconstruct G^-1
+    modulo one prime: every entry, in lowest terms, needs numerator and
+    denominator of at most isqrt(p // 2) = 32,767 for every p in PRIMES.
+    The basis Gram matrices of S54 and its drop-line systems have d = 576;
+    some 9- to 13-member subsystems of the 72 lines reach denominators of
+    136,480, and for them inverse raises AssertionError, so the search
+    stops without an answer and never gives a wrong one.
     """
     coords, gram = system.coords, system.gram
     basis = greedy_basis(gram)
@@ -194,7 +204,7 @@ def check_extendibility(system):
         eps = np.where(pattern >> np.arange(r) & 1, SCALED_ANGLE, -SCALED_ANGLE)
         dw = a.astype(object) @ eps @ coords[basis]
         _verify_witness(coords, dw, d)
-        witnesses.append(tuple(Fraction(x, d) for x in dw))
+        witnesses.append(tuple(Fraction(x, d) if x % d else x // d for x in dw))
     return ExtendibilityReport(
         extendible=bool(witnesses),
         witness=witnesses[0] if witnesses else None,

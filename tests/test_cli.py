@@ -33,7 +33,10 @@ def test_golay_corrupt_generator_fails(tmp_path):
     report = json.loads(out.read_text())
     (cert,) = report["certificates"]
     assert cert["status"] == "fail"
-    assert cert["details"]["first_failure"]["check"]
+    failed = {name for name, ok in cert["details"]["checks"].items() if not ok}
+    assert failed == {"min_weight_8", "octad_count_759", "self_dual_generator",
+                      "weight_distribution", "octads_through_each_coordinate_253"}
+    assert cert["details"]["first_failure"]["check"] == "min_weight_8"
 
 
 def test_golay_digest_stable():
@@ -240,6 +243,23 @@ def test_maximality_fails_on_an_extendible_system():
     checks = cert.details["checks"]
     assert checks["not_extendible"] is False and checks["patterns_2_pow_18"] is True
     assert cert.details["first_failure"]["check"] == "not_extendible"
+
+
+def test_maximality_fails_on_a_system_of_rank_17():
+    # the first 17 members of S54's basis: the sweep covers 2^17 patterns
+    # and finds 106 witnesses in their span. On this input the two checks
+    # fail together: no input of rank 18 fails patterns_2_pow_18, and this
+    # one of rank 17 is extendible
+    pipeline = cli.Pipeline(cli.RunConfig(command="maximality"))
+    final = pipeline.final
+    basis = search.greedy_basis(final.gram)[:17]
+    pipeline.__dict__["final"] = dataclasses.replace(
+        final, vectors=tuple(final.vectors[i] for i in basis))
+    cert = cli.cmd_maximality(pipeline)
+    failed = {name for name, ok in cert.details["checks"].items() if not ok}
+    assert failed == {"not_extendible", "patterns_2_pow_18"}
+    assert cert.details["first_failure"]["check"] == "not_extendible"
+    assert cert.details["patterns_examined"] == 1 << 17
 
 
 def test_construct_fails_on_a_changed_coordinate():

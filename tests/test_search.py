@@ -12,12 +12,16 @@ from test_exactlin import positive_definite, reference_adjugate, reference_mat_m
 from test_seidel import nullity_spectrum
 
 
-def drop_member(system, index):
-    kept = [v for i, v in enumerate(system.vectors) if i != index]
+def subsystem(system, members):
+    """The members of system at the given indices, with their rank as ambient_dim."""
     return construct.LineSystem(
-        vectors=tuple(kept),
-        ambient_dim=exactlin.rank([list(v.coords) for v in kept]),
+        vectors=tuple(system.vectors[i] for i in members),
+        ambient_dim=exactlin.rank([list(system.vectors[i].coords) for i in members]),
     )
+
+
+def drop_member(system, index):
+    return subsystem(system, [i for i in range(len(system.vectors)) if i != index])
 
 
 def test_greedy_basis_is_independent(final54):
@@ -154,11 +158,18 @@ def drop_line_systems(final54):
     return [drop_member(final54, i) for i in range(54)]
 
 
-def test_check_extendibility_matches_python_int_reference(final54, drop_line_systems):
-    # S54 and all 54 drop-line systems: the verified inverse (a, d) of the
-    # basis Gram matrix is the adjugate oracle's adj / g and det / g,
-    # g = gcd(det, adj), and every report field matches the list-of-rows oracle
-    for system in [final54, *drop_line_systems]:
+# Asche members whose rank-10 system has 36 witnesses with coordinates of
+# denominators 1, 3, 7 and 21, such as 5/21 and 11/3
+FRACTIONAL_WITNESS_MEMBERS = [4, 12, 17, 31, 46, 49, 50, 54, 56, 67]
+
+
+def test_check_extendibility_matches_python_int_reference(final54, asche, drop_line_systems):
+    # S54, all 54 drop-line systems and one Asche subsystem: the verified
+    # inverse (a, d) of the basis Gram matrix is the adjugate oracle's
+    # adj / g and det / g, g = gcd(det, adj), and every report field
+    # matches the list-of-rows oracle
+    cases = [final54, *drop_line_systems, subsystem(asche, FRACTIONAL_WITNESS_MEMBERS)]
+    for k, system in enumerate(cases):
         (det, adj), fields = reference_check_extendibility(system)
         g = math.gcd(det, *(x for row in adj for x in row))
         basis = search.greedy_basis(system.gram)
@@ -166,8 +177,31 @@ def test_check_extendibility_matches_python_int_reference(final54, drop_line_sys
         assert (a.tolist(), d) == ([[x // g for x in row] for row in adj], det // g)
         report = search.check_extendibility(system)
         assert (report.basis_indices, report.witnesses, report.patterns_examined) == fields
-        assert report.extendible == bool(fields[1]) == (system is not final54)
-        assert all(type(x.numerator) is int for w in report.witnesses for x in w)
+        assert report.extendible == bool(fields[1]) == (k > 0)
+        coords = [x for w in report.witnesses for x in w]
+        # a coordinate is an int exactly where it is integral, else a Fraction
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in coords)
+        if k <= len(drop_line_systems):     # the drop-line witnesses are integer vectors
+            assert all(type(x) is int for x in coords)
+    assert {x.denominator for x in coords} == {1, 3, 7, 21}
+    assert len(report.witnesses) == 36
+
+
+def test_check_extendibility_stops_beyond_one_prime_reconstruction(asche, final54):
+    # the inverse of this subsystem's basis Gram matrix has denominators up
+    # to 136,480, beyond the 32,767 that rational reconstruction modulo one
+    # prime of PRIMES returns: no inverse is verified and the search stops
+    # without an answer; S54's d = 576 is far inside the limit
+    system = subsystem(asche, [1, 8, 9, 14, 24, 29, 33, 40, 50, 55, 60, 65, 69])
+    rows = system.coords.tolist()
+    bmat = [rows[i] for i in incremental_rank_basis(rows, system.ambient_dim)]
+    det, adj = reference_adjugate(reference_mat_mul(bmat, transpose(bmat)))
+    assert max(Fraction(x, det).denominator for row in adj for x in row) == 136_480
+    assert {math.isqrt(p // 2) for p in exactlin.PRIMES} == {32_767}
+    with pytest.raises(AssertionError, match="no prime in PRIMES gives a verified inverse"):
+        search.check_extendibility(system)
+    basis = search.greedy_basis(final54.gram)
+    assert exactlin.inverse(final54.gram[np.ix_(basis, basis)])[1] == 576
 
 
 def test_inverse_off_by_one_entry_fails_check(final54, monkeypatch):
