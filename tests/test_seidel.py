@@ -3,6 +3,7 @@ import math
 import random
 from collections import deque
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -832,12 +833,30 @@ def reference_list_refine(adj, cells, splitters):
     return cells
 
 
+def adjacency_rows(adj):
+    """Row v of the graph as a string: character u is '1' iff u ~ v."""
+    n = len(adj)
+    return [format(a, f"0{n}b")[::-1] for a in adj]
+
+
+def adjacency_bits(rows, perm):
+    """String oracle for _leaf_bits: the upper triangle of the relabeled
+    graph, row i being rows[perm[i]] read in the order perm, joined row
+    by row and read as a binary number, pair 0 lowest. rows are
+    adjacency_rows of the graph."""
+    if len(perm) < 2:
+        return 0
+    relabel = itemgetter(*perm)
+    upper = "".join("".join(relabel(rows[v]))[i + 1:] for i, v in enumerate(perm))
+    return int(upper[::-1], 2)
+
+
 def reference_canonical_graph_form(n, adj):
     """Oracle for canonical_graph_form: the same search on vertex-list
     cells, refined by reference_list_refine, branching on the target
-    cell's vertices in sorted order."""
+    cell's vertices in sorted order, leaves read by adjacency_bits."""
     best_bits, best_leaves = None, []
-    rows = seidel._adjacency_rows(adj)
+    rows = adjacency_rows(adj)
 
     def rec(cells, splitters):
         nonlocal best_bits, best_leaves
@@ -845,7 +864,7 @@ def reference_canonical_graph_form(n, adj):
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             leaf = tuple(c[0] for c in cells)
-            bits = seidel._adjacency_bits(rows, leaf)
+            bits = adjacency_bits(rows, leaf)
             if best_bits is None or bits < best_bits:
                 best_bits, best_leaves = bits, [leaf]
             elif bits == best_bits:
@@ -996,9 +1015,10 @@ def fresh_switching_caches():
 
 
 def test_switching_search_labels_few_descendants(s54, monkeypatch, fresh_switching_caches):
-    # 4 descendants labelled; their pruned searches refine 20 partitions
-    # and read 12 leaves, against 34 and 26 with no pruning
-    calls = {"canonical_graph_form": 0, "_refine": 0, "_adjacency_bits": 0}
+    # 3 descendants labelled, one per orbit (0, 2, 9); their pruned
+    # searches refine 14 partitions and read 9 leaves, against 27 and 22
+    # with no pruning
+    calls = {"canonical_graph_form": 0, "_refine": 0, "_leaf_bits": 0}
     for name in calls:
         def counted(*args, real=getattr(seidel, name), name=name):
             calls[name] += 1
@@ -1006,7 +1026,7 @@ def test_switching_search_labels_few_descendants(s54, monkeypatch, fresh_switchi
         monkeypatch.setattr(seidel, name, counted)
     assert seidel.signed_automorphism_group(s54).order == 216
     form = seidel.switching_canonical_form(s54)
-    assert calls == {"canonical_graph_form": 4, "_refine": 20, "_adjacency_bits": 12}
+    assert calls == {"canonical_graph_form": 3, "_refine": 14, "_leaf_bits": 9}
     monkeypatch.undo()
     assert form == all_descendants_form(s54)
 
@@ -1061,16 +1081,30 @@ def test_descendant_matches_double_loop_oracle(s54, moved_s54):
             assert seidel._descendant(s, v) == reference_descendant(s, v)
 
 
-def reference_switching_search(s):
+def reference_class_heads(s):
+    """Oracle for _class_heads: the least vertex of each class of the
+    descendants' sorted degree sequences, counted from the
+    reference_descendant masks, in increasing order."""
+    heads = {}
+    for v in range(s.n):
+        degrees = tuple(sorted(bin(a).count("1") for a in reference_descendant(s, v)[1]))
+        heads.setdefault(degrees, v)
+    return sorted(heads.values())
+
+
+def reference_switching_search(s, index_order=False):
     """Oracle for _switching_search: the orbits of the labelled vertices
     rebuilt before each w, descendants from reference_descendant, the
     automorphisms of every labelled descendant extended to generators.
-    Returns its (best, aut0, gens) and the labelled vertices."""
+    The walk visits the reference_class_heads first, then every vertex
+    in index order; with index_order, in index order only. Returns its
+    (best, aut0, gens) and the labelled vertices."""
     n = s.n
     gens = [seidel._on_points(range(n), [-1] * n)]
     labelled = []
     first = best = None
-    for w in range(n):
+    heads = [] if index_order else reference_class_heads(s)
+    for w in heads + list(range(n)):
         reached, frontier = set(labelled), list(labelled)
         while frontier:
             v = frontier.pop()
@@ -1118,12 +1152,60 @@ def test_switching_search_matches_per_vertex_closure_oracle(
         seidel._switching_search.cache_clear()
         got = seidel._switching_search(s)
         expected, labelled = reference_switching_search(s)
+        assert seidel._class_heads(s) == reference_class_heads(s)
         assert got == expected
         assert tuple(described) == labelled
         if s is s54:
-            assert labelled == (0, 1, 2, 9) and got[1] == 4
+            assert labelled == (0, 2, 9) and got[1] == 4
         if s is moved_s54:
-            assert len(labelled) == 5
+            assert len(labelled) == 3
+
+
+def test_switching_search_labels_three_descendants_of_relabelled_s54(
+        s54, monkeypatch, fresh_switching_caches):
+    # each switched and relabelled copy labels one descendant per orbit
+    # and finds what the index-order walk finds: the least form,
+    # |Aut(descendant_0)| and the signed group
+    real, described = seidel._descendant, []
+    monkeypatch.setattr(seidel, "_descendant", lambda s, v: described.append(v) or real(s, v))
+    rng = random.Random(1)
+    identity = tuple(range(2 * 54))
+    for _ in range(60):
+        perm = rng.sample(range(54), 54)
+        signs = [rng.choice((1, -1)) for _ in range(54)]
+        s = seidel.switch(seidel.permute(s54, perm), signs)
+        described.clear()
+        seidel._switching_search.cache_clear()
+        best, aut0, gens = seidel._switching_search(s)
+        assert len(described) == 3
+        (old_best, old_aut0, old_gens), _ = reference_switching_search(s, index_order=True)
+        assert (best, aut0) == (old_best, old_aut0)
+        group = seidel._greedy_generators(identity, gens)[1]
+        assert group == seidel._greedy_generators(identity, old_gens)[1]
+        assert len(group) == 216
+
+
+def test_extend_to_signed_refuses_a_non_switching_automorphism(s54):
+    # no signs d make the transposition (0 1) preserve S54: up to the
+    # sign of all of d, d_0 = 1, and then row 0 forces d_j = S[0, j]
+    # S[1, swap j], which fails some entry
+    swap = (1, 0, *range(2, 54))
+    d = [1] + [s54.rows[0][j] * s54.rows[1][swap[j]] for j in range(1, 54)]
+    assert not all(s54.rows[swap[i]][swap[j]] * d[i] * d[j] == s54.rows[i][j]
+                   for i in range(54) for j in range(54))
+    with pytest.raises(AssertionError, match="claimed switching automorphism does not extend"):
+        seidel._extend_to_signed(s54, swap)
+
+
+def test_minus_identity_preserves_every_seidel_matrix():
+    # the one generator of the switching search that no check verifies
+    rng = random.Random(151)
+    for n in range(10):
+        for _ in range(5):
+            s = random_seidel(rng, n)
+            minus = seidel._on_points(range(n), [-1] * n)
+            assert seidel._signed_preserves(s, minus)
+            assert reference_signed_preserves(s, [(i, -1) for i in range(n)])
 
 
 def reference_seidel_from(system):
@@ -1362,7 +1444,7 @@ def test_group_closure_and_greedy_generators_match_bfs_oracles(s54):
 
 
 def double_loop_bits(adj, perm):
-    """Oracle for _adjacency_bits: one bit test per pair of positions."""
+    """Oracle for _leaf_bits: one bit test per pair of positions."""
     n = len(perm)
     bits = 0
     k = 0
@@ -1376,16 +1458,21 @@ def double_loop_bits(adj, perm):
 
 
 def test_adjacency_bits_match_double_loop_oracle(s54):
+    # the packed leaf bits against the string and double-loop oracles,
+    # on random graphs of every n in 0..12 and on every descendant of S54
     rng = random.Random(97)
-    graphs = [random_graph(rng, rng.randint(0, 12), rng.choice((0.2, 0.5, 0.8)))
-              for _ in range(300)]
-    graphs += [seidel._descendant(s54, v)[1] for v in range(0, 54, 13)]
+    graphs = [random_graph(rng, n, density) for n in range(13)
+              for density in (0.2, 0.5, 0.8) for _ in range(8)]
+    graphs += [seidel._descendant(s54, v)[1] for v in range(54)]
     for adj in graphs:
-        rows = seidel._adjacency_rows(adj)
+        matrix = seidel._adjacency_matrix(len(adj), adj)
+        assert matrix.tolist() == [[bool(a >> u & 1) for u in range(len(adj))] for a in adj]
+        rows = adjacency_rows(adj)
         for _ in range(3):
             perm = list(range(len(adj)))
             rng.shuffle(perm)
-            assert seidel._adjacency_bits(rows, perm) == double_loop_bits(adj, perm)
+            bits = seidel._leaf_bits(matrix, tuple(perm))
+            assert bits == adjacency_bits(rows, perm) == double_loop_bits(adj, perm)
 
 
 def test_claim_value_beyond_int64_fails_its_premise(s54):
