@@ -15,11 +15,12 @@ word-size primes PRIMES at a time, and every exact answer is read off it:
   int64 identity m a = d I verifies is accepted;
 - the pivot columns from which search picks an independent basis.
 
-float_mod reduces exact float64 integers modulo a prime for the spectral
-screens. The Bareiss pivots of rows of Python ints, behind determinants
-and the characteristic polynomial, run in no certificate: the tests use
-them as the oracle for the modular answers. Nothing is decided by
-rounding, so results can serve as certificates.
+product_chain runs both spectral tests, the sub-scan screen and the
+annihilator chain, in float64 modulo primes, and holds the one proof that
+none of its values rounds. The Bareiss pivots of rows of Python ints,
+behind determinants and the characteristic polynomial, run in no
+certificate: the tests use them as the oracle for the modular answers.
+Nothing is decided by rounding, so results can serve as certificates.
 """
 
 import math
@@ -248,6 +249,40 @@ def float_mod(y, p):
     y - (q + 1) p in (-p, 0). A fraction of the cost of np.mod on float64.
     """
     return y - np.floor(y / p) * p
+
+
+def product_stride(terms, p, width):
+    """The largest k >= 0 with t p w^k < 2^52, t = max(1, terms) and w =
+    max(2, width) (so k < 53), or 0 if there is none: how many products
+    product_chain may take between reductions modulo primes up to p by
+    factors of absolute column sums up to width, a caller summing terms
+    entries of a product (n for a trace, else 1). 0: no product is exact."""
+    t, w = max(1, terms), max(2, width)
+    return next(k for k in range(53) if t * p * w ** (k + 1) >= 1 << 52)
+
+
+def product_chain(x, factors, p, stride, mask=1.0):
+    """Yield x, x F_1, ..., x F_1 ... F_m for the factors F_i, modulo p:
+    after every product the array is multiplied by mask, and after every
+    stride products and after the last it is reduced by float_mod, to
+    (-p, p), where it is 0 modulo p iff it is 0. x is a batch of row
+    vectors, or lanes of matrices with p an array of one prime per lane.
+
+    Exact for integer entries of x in (-p, p), w at least every absolute
+    column sum of a factor and 0 < stride <= product_stride(terms, max p,
+    w). If |y| < B entrywise, every partial sum of y F in any summation
+    order is an integer below B w in absolute value, and masking only
+    zeroes entries. So after j <= stride products since the last
+    reduction every value is an integer below p w^j < 2^52 / terms: no
+    product rounds, float_mod (which needs |y| < 2^52) is exact, and so
+    is a sum of terms entries of a yielded array, such as a trace.
+    """
+    for i, factor in enumerate(factors, 1):
+        yield x
+        x = x @ factor * mask
+        if i % stride == 0 or i == len(factors):
+            x = float_mod(x, p)
+    yield x
 
 
 def rank(m):

@@ -9,11 +9,11 @@ verifies), tests all 2^rank sign patterns at once in float64 whose
 every value is an integer below 2^52, and re-checks every hit in Python
 ints. The sub-scan examines the lexicographically least removed-index
 set of each orbit of the automorphism group, generated level by level,
-screens each with an exact annihilator test modulo a prime, reducing
-once per as many products as stay below 2^52, and confirms every
-survivor with the same test over the integers, run modulo enough
-word-size primes. Neither search decides anything by rounding: where
-they compute in float64, every value is an exact integer.
+screens each with an exact annihilator test modulo a prime and confirms
+every survivor with the same test over the integers, run modulo enough
+word-size primes; both tests run on exactlin.product_chain, which proves
+itself exact. Neither search decides anything by rounding: where they
+compute in float64, every value is an exact integer.
 """
 
 import random
@@ -308,40 +308,6 @@ def _orbit(perms, removed):
     return sorted({tuple(sorted(p[i] for i in removed)) for p in perms})
 
 
-def _screen_stride(n, lams):
-    """The k of _screen for S - lam I, S of order n, lam in lams: the
-    largest k with P (n - 1 + max |lam|)^k < 2^52, P = SCREEN_PRIME, the
-    width taken as at least 2 (a wider width only lowers k); proved in
-    subseidel_scan. AssertionError if k = 0: then not even one product
-    is exact."""
-    width = max(2, n - 1 + max(map(abs, lams), default=0))
-    k = 0
-    while SCREEN_PRIME * width ** (k + 1) < 1 << 52:
-        k += 1
-    if not k:
-        raise AssertionError(f"width {width} leaves no exact float64 screen product")
-    return k
-
-
-def _screen(factors, v, removed, stride):
-    """Which rows of removed, an array of removed-index sets, pass
-    p_L(M) v = 0 (mod P). Row b of x is set b's vector, zero off the kept
-    indices, so masked x @ (S - lam I) applies M - lam I to each row.
-
-    x is masked after every product and reduced by exactlin.float_mod
-    after every stride products and after the last, to a representative
-    in (-P, P), which is 0 modulo P iff it is 0, so the final test needs
-    no further reduction. Exactness is proved in subseidel_scan."""
-    mask = np.ones((len(removed), len(v)))
-    mask[np.arange(len(removed))[:, None], removed] = 0.0
-    x = mask * v
-    for lo in range(0, len(factors), stride):
-        for factor in factors[lo:lo + stride]:
-            x = x @ factor * mask
-        x = exactlin.float_mod(x, SCREEN_PRIME)
-    return ~x.any(axis=1)
-
-
 def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
@@ -387,18 +353,13 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
       det(xI - M) = (x - m + 1)(x + 1)^(m-1) = (x + 1)^m (mod 2) for even
       m. An integer root of this monic integer polynomial is therefore a
       root of (x + 1)^m over GF(2), that is, odd.
-    - Exact float64. After each reduction the entries of x lie in
-      (-P, P): v's are in [1, P), and exactlin.float_mod returns that
-      range. A column of S - lam I has n - 1 entries +-1 and one -lam, so
-      its absolute sum is at most w = n - 1 + max |lam| over L, and
-      masking only zeroes entries. By induction, after j products since
-      the last reduction every entry, and every partial sum of the j-th
-      product in any BLAS summation order, is an integer below P w^j in
-      absolute value. _screen_stride picks the largest k with P w^k <
-      2^52 (k = 5 for S54: P < 2^20 and |lam| <= 18, so w <= 71), so up
-      to k products nothing rounds, and float_mod, which needs |y| <
-      2^52, is exact on the k-th. A window so wide that k = 0 raises
-      AssertionError before any screen.
+    - The screen. exactlin.product_chain multiplies SCREEN_BATCH copies
+      of v, each zeroed at one set's indices before and after every
+      product, by each S - lam I, lam in L, which applies M - lam I to
+      each. It reduces modulo P every k = exactlin.product_stride(1, P, w)
+      products, w = n - 1 + max |lam| over L (k = 5 for S54: P < 2^20
+      and w <= 71), exact as proved there. A window so wide that k = 0
+      raises AssertionError before the order is screened.
     - Survivors are not trusted. Each goes to compute_spectrum, which
       proves p_L(M) = 0 over the integers with one annihilator chain
       modulo enough primes and reads the multiplicities off the chain's
@@ -428,12 +389,18 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
         factors = [s.array - lam * np.eye(n) for lam in lams]
-        stride = _screen_stride(n, lams)
+        width = n - 1 + max(map(abs, lams), default=0)
+        stride = exactlin.product_stride(1, SCREEN_PRIME, width)
+        if not stride:
+            raise AssertionError(f"width {width} leaves no exact float64 screen product")
         for lo in range(0, len(reps), SCREEN_BATCH):
             batch = reps[lo:lo + SCREEN_BATCH]
-            removed = np.array(batch, dtype=np.intp).reshape(len(batch), k)
-            passed = _screen(factors, v, removed, stride)
-            for removed, size in compress(zip(batch, sizes[lo:lo + SCREEN_BATCH]), passed):
+            mask = np.ones((len(batch), n))
+            mask[np.arange(len(batch))[:, None],
+                 np.array(batch, dtype=np.intp).reshape(len(batch), k)] = 0.0
+            for x in exactlin.product_chain(mask * v, factors, SCREEN_PRIME, stride, mask):
+                pass                    # the screen reads the last array only
+            for removed, size in compress(zip(batch, sizes[lo:lo + SCREEN_BATCH]), ~x.any(axis=1)):
                 sub = s.principal_submatrix(i for i in range(n) if i not in removed)
                 claim = seidel.compute_spectrum(sub, lams)
                 if claim is not None:

@@ -171,29 +171,27 @@ def _annihilator_chain(s, lams, primes, quadratic=None):
     of q(S) and the first k of lams, k = 0..len(lams). q(x) = x^2 + bx + c
     for quadratic = (b, c), else q = 1.
 
-    One (primes, n, n) float64 array holds X_k modulo every prime, each
-    entry in (-p, p) by exactlin.float_mod. X_0 is float_mod of S^2 +
-    (b mod p) S + (c mod p) I, whose entries are integers below
-    n - 1 + 2p in absolute value. A column of S - lam I has n - 1
-    entries +-1 and one -lam, so every partial sum of X_k (S - lam I) is
-    an integer below p (n - 1 + |lam|) in absolute value, checked below
-    2^52 first (ValueError): no summation order can round, and float_mod
-    of it is exact. A trace sums n entries, below n p < 2^52.
+    exactlin.product_chain computes X_k modulo every prime at once, one
+    lane per prime, exact with k = product_stride(n, max(primes), w)
+    products between reductions (n: a trace sums n entries), as a
+    column of S - lam I has n - 1 entries +-1 and one -lam: w = n - 1 +
+    max |lam|. ValueError if k = 0. X_0 = S^2 + bS + cI, with b and c
+    reduced to (-p/2, p/2), has integer entries below n - 1 + p/2 < p.
     """
     n, p0 = s.n, primes[0]
     norm = n - 1 + max(map(abs, lams), default=0)
-    if max(primes) * norm >= 1 << 52:
+    stride = exactlin.product_stride(n, max(primes), norm)
+    if not stride:
         raise ValueError(f"column sums up to {norm} overflow the exact float64 chain")
     p = np.array(primes, dtype=float)[:, None, None]
     a = s.array.astype(float)
     x = np.eye(n)[None]
     if quadratic:
-        b, c = (np.array([v % prime for prime in primes], dtype=float)[:, None, None]
+        b, c = (np.array([(v + q // 2) % q - q // 2 for q in primes], dtype=float)[:, None, None]
                 for v in quadratic)
-        x = exactlin.float_mod(a @ a + b * a + c * x, p)
-    traces = [int(np.trace(x[0])) % p0]
-    for lam in lams:
-        x = exactlin.float_mod(x @ (a - lam * np.eye(n)), p)
+        x = a @ a + b * a + c * x
+    traces = []
+    for x in exactlin.product_chain(x, [a - lam * np.eye(n) for lam in lams], p, stride):
         traces.append(int(np.trace(x[0])) % p0)
     return not x.any(), traces
 
@@ -203,20 +201,16 @@ def _chain_primes(n, lams, quadratic=None):
     the integers: p0 = PRIMES[-1], then the fewest further PRIMES whose
     product with p0 exceeds the entry bound of _chain_multiplicities,
     (n - 1 + |b| + |c|) prod (n - 1 + |lam|) with quadratic = (b, c), or
-    prod (n - 1 + |lam|) without. None if PRIMES is too short for it, or
-    if some |lam| puts the chain beyond exact float64.
+    prod (n - 1 + |lam|) without. None if PRIMES is too short for it.
     """
-    if max(exactlin.PRIMES) * (n - 1 + max(map(abs, lams), default=0)) >= 1 << 52:
-        return None
     bound = math.prod(n - 1 + abs(lam) for lam in lams)
     if quadratic:
         bound *= n - 1 + abs(quadratic[0]) + abs(quadratic[1])
-    primes = [exactlin.PRIMES[-1]]
-    for p in exactlin.PRIMES[:-1]:
-        if math.prod(primes) > bound:
-            break
-        primes.append(p)
-    return primes if math.prod(primes) > bound else None
+    primes = exactlin.PRIMES[-1:] + exactlin.PRIMES[:-1]
+    for count in range(1, len(primes) + 1):
+        if math.prod(primes[:count]) > bound:
+            return primes[:count]
+    return None
 
 
 def _chain_multiplicities(s, lams, quadratic=None):
@@ -237,17 +231,18 @@ def _chain_multiplicities(s, lams, quadratic=None):
       symmetric, so its minimal polynomial divides q(x) prod (x - lam):
       every eigenvalue of S is in lams or a root of q.
     - Multiplicities. Then t_k = tr X_k = sum_mu q(mu) prod_{i<k} (mu -
-      lam_i) over the eigenvalues mu of S, with multiplicity. The roots
-      of q add 0, so t_k = sum_j m_j q(lam_j) prod_{i<k} (lam_j - lam_i)
-      over the multiplicities m_j of lams in S, and the terms j < k
-      vanish: a triangular system with diagonal d_k = q(lam_k)
-      prod_{i<k} (lam_k - lam_i). It is solved from k = len - 1 down
-      modulo p0. q(lam_k) is not 0 modulo p0 (checked first), and each
-      other factor of d_k is nonzero and, by the check in
-      _annihilator_chain, below p0 in absolute value, so p0 does not
-      divide d_k, and the residues are unique; as 0 <= m_j <= n < p0, the
-      residues in [0, p0) are the m_j. That they lie in [0, n] and sum to
-      at most n, and to n without q, is asserted.
+      lam_i) over the eigenvalues mu of S, with multiplicity, read exactly
+      modulo p0 (exactlin.product_chain). The roots of q add 0, so t_k =
+      sum_j m_j q(lam_j) prod_{i<k} (lam_j - lam_i) over the
+      multiplicities m_j of lams in S, and the terms j < k vanish: a
+      triangular system with diagonal d_k = q(lam_k) prod_{i<k} (lam_k -
+      lam_i). It is solved from k = len - 1 down modulo p0. q(lam_k) is
+      not 0 modulo p0 (checked first), and each other factor of d_k is
+      nonzero and, by the stride check in _annihilator_chain, below p0 in
+      absolute value, so p0 does not divide d_k, and the residues are
+      unique; as 0 <= m_j <= n < p0, the residues in [0, p0) are the m_j.
+      That they lie in [0, n] and sum to at most n, and to n without q,
+      is asserted.
     """
     n, p0 = s.n, exactlin.PRIMES[-1]
     column = [1] * len(lams)            # column j: q(lam_j) prod_{i<k} (lam_j - lam_i)
@@ -305,7 +300,7 @@ def certify_spectrum(s, claim):
       multiplicity of each value whenever the values and the roots of q
       hold every eigenvalue of S, as for a true claim. Otherwise (the
       chain does not vanish, q(v) = 0 modulo p0 for some value v, or
-      _chain_primes finds the chain beyond its exact range) it is
+      exactlin.product_stride or _chain_primes rules the chain out) it is
       nullity_at(S, v): S is symmetric, so the nullity at v is the
       multiplicity of v. nullity_at_<v> compares the same number either
       way.
@@ -343,7 +338,9 @@ def certify_spectrum(s, claim):
                 disc)
     values = [value for value, _ in claim.integer_eigs]
     mults = None
-    if _chain_primes(n, values, claim.quadratic):
+    width = n - 1 + max(map(abs, values), default=0)
+    if (exactlin.product_stride(n, exactlin.PRIMES[-1], width)
+            and _chain_primes(n, values, claim.quadratic)):
         mults = _chain_multiplicities(s, values, claim.quadratic)
     if mults is None:
         mults = [exactlin.nullity_at(s.array, value) for value in values]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from equilines import cli, construct, exactlin, golay, search, seidel
 from equilines.certificate import digest_of
 from conftest import subprocess_report
+from test_search import masked_calls
 
 
 def run(args):
@@ -322,6 +324,111 @@ def test_aut_fails_on_a_permutation_generator_with_one_target_off(monkeypatch):
     assert failed == {"permutation_generators_preserve_matrix"}
 
 
+GOLDEN_ALL = Path(__file__).parent / "data" / "all_report.json"
+
+
+def golden_details(claim_id):
+    """The details of claim_id's certificate in the golden whole-run report."""
+    (details,) = [c["details"] for c in json.loads(GOLDEN_ALL.read_text())["certificates"]
+                  if c["claim_id"] == claim_id]
+    return details
+
+
+def failed_checks(cert):
+    return {name for name, ok in cert.details["checks"].items() if not ok}
+
+
+def test_subscan_fails_on_a_sign_flipped_pair():
+    # S54 with S[0, 1] and S[1, 0] negated, scanned in the window of S54's
+    # passing spectrum certificate: the screen rejects every representative,
+    # so there is no hit and no class
+    pipeline = cli.Pipeline(cli.RunConfig(command="subscan"))
+    spectrum = pipeline.spectrum
+    flipped = pipeline.seidel_matrix.array.copy()
+    flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+    pipeline.__dict__["seidel_matrix"] = seidel.SeidelMatrix(flipped)
+    pipeline.__dict__["spectrum"] = spectrum
+    cert = cli.cmd_subscan(pipeline)
+    assert failed_checks(cert) == {"hits_exist", "unique_equivalence_class"}
+    assert cert.details["first_failure"] == {"check": "unique_equivalence_class", "witness": 0}
+    assert cert.details["hits"] == [] and cert.details["screened_ambiguous"] == 0
+
+
+def subscan_with_recorded_hit_off(monkeypatch, off):
+    """cmd_subscan on S54 with the result that search.subseidel_scan
+    returns, its first hit (order, removed, claim) replaced by off(*hit)."""
+    real = search.subseidel_scan
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        first, *rest = result.hits
+        return dataclasses.replace(result, hits=[off(*first), *rest])
+
+    monkeypatch.setattr(search, "subseidel_scan", recorded)
+    return cli.cmd_subscan(cli.Pipeline(cli.RunConfig(command="subscan")))
+
+
+def test_subscan_fails_on_a_recorded_hit_of_order_51(monkeypatch):
+    cert = subscan_with_recorded_hit_off(monkeypatch, lambda order, removed, claim:
+                                         (51, removed, claim))
+    assert failed_checks(cert) == {"representative_order_52"}
+    assert cert.details["first_failure"] == {"check": "representative_order_52",
+                                             "witness": [51, 52]}
+
+
+def test_subscan_fails_on_a_recorded_hit_with_the_spectrum_of_s54(monkeypatch):
+    cert = subscan_with_recorded_hit_off(monkeypatch, lambda order, removed, claim:
+                                         (order, removed, cli.S54_SPECTRUM))
+    assert failed_checks(cert) == {"representative_spectrum"}
+    assert cert.details["first_failure"]["check"] == "representative_spectrum"
+
+
+def relabelled_copies(final):
+    """(perm, copy) for three copies of a line system: member i of the copy
+    is member perm[i] of final, negated where its sign is -1. A pure
+    permutation, a pure sign switch, and one of each from random.Random(5)."""
+    n = len(final.vectors)
+    rng = random.Random(5)
+    pure_perm = list(range(n))
+    rng.shuffle(pure_perm)
+    mixed = list(range(n))
+    rng.shuffle(mixed)
+    for perm, signs in [(pure_perm, [1] * n),
+                        (list(range(n)), [rng.choice([1, -1]) for _ in range(n)]),
+                        (mixed, [rng.choice([1, -1]) for _ in range(n)])]:
+        vectors = tuple(dataclasses.replace(final.vectors[j], coords=tuple(
+            sign * x for x in final.vectors[j].coords)) for j, sign in zip(perm, signs))
+        yield perm, dataclasses.replace(final, vectors=vectors)
+
+
+def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
+    # relabelling and negating members changes no claim: spectrum.S and
+    # subscan.unique pass with the golden notes, and the hits are the golden
+    # hits carried over by the relabelling
+    golden_spectrum, golden_scan = golden_details("spectrum.S"), golden_details("subscan.unique")
+    notes = ("subsets_examined", "orbit_representatives", "screened_ambiguous",
+             "equivalence_class_count")
+    base = cli.Pipeline(cli.RunConfig(command="all"))
+    final, s54 = base.final, base.seidel_matrix
+    for perm, copy in relabelled_copies(final):
+        seidel.signed_automorphism_group.cache_clear()
+        seidel._switching_search.cache_clear()
+        pipeline = cli.Pipeline(cli.RunConfig(command="all"))
+        pipeline.__dict__["final"] = copy
+        assert pipeline.seidel_matrix != s54
+        spectrum, scan = pipeline.spectrum, cli.cmd_subscan(pipeline)
+        assert spectrum.passed and scan.passed
+        assert spectrum.details == golden_spectrum
+        assert {k: scan.details[k] for k in notes} == {k: golden_scan[k] for k in notes}
+        position = {j: i for i, j in enumerate(perm)}       # member j of final is member i
+        expected = {(h["order"], frozenset(position[j - 1] + 1 for j in h["removed_1based"]),
+                     json.dumps(h["spectrum"])) for h in golden_scan["hits"]}
+        assert {(h["order"], frozenset(h["removed_1based"]), json.dumps(h["spectrum"]))
+                for h in scan.details["hits"]} == expected
+    seidel.signed_automorphism_group.cache_clear()
+    seidel._switching_search.cache_clear()
+
+
 def test_subscan_restricted_orders(tmp_path):
     out = tmp_path / "s.json"
     assert run(["subscan", "--orders", "53", "--out", str(out)]) == 0
@@ -385,12 +492,12 @@ def test_uncertified_spectrum_stops_the_scan_before_any_screen(tmp_path, monkeyp
     assert wrong.integer_window() == range(-5, 17)
     screened = []
 
-    def no_screen(factors, v, removed):
-        screened.append(len(removed))
+    def no_screen(x, factors, p, stride, mask):
+        screened.append(len(x))
         raise AssertionError("screened with an uncertified window")
 
     monkeypatch.setattr(cli, "S54_SPECTRUM", wrong)
-    monkeypatch.setattr(search, "_screen", no_screen)
+    masked_calls(monkeypatch, no_screen)
     out = tmp_path / "r.json"
     assert run(["all", "--out", str(out)]) == 1
     certs = {c["claim_id"]: c for c in json.loads(out.read_text())["certificates"]}

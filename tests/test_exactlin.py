@@ -1,11 +1,13 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equilines import cli, exactlin, seidel
+from equilines import cli, exactlin, search, seidel
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -771,6 +773,74 @@ def test_float_mod_is_an_exact_representative_in_the_open_range(p):
     both = exactlin.float_mod(np.array(ys, dtype=float)[None, :], primes)
     assert (both[1] == got).all()
     assert all((y - int(r)) % 3 == 0 and -3 < r < 3 for y, r in zip(ys, both[0].tolist()))
+
+
+def test_product_stride_is_the_largest_exact_stride():
+    # terms p w^k < 2^52 <= terms p w^(k+1), for terms 1 (the screen) and n
+    # (the chain's traces), over word-size and small primes and wide widths
+    rng = random.Random(52)
+    cases = [(terms, p, w) for terms in (1, 54) for p in (3, 1_048_573, exactlin.PRIMES[-1])
+             for w in (2, 3, 54, 66, 71, 1000, 1 << 20)]
+    cases += [(rng.choice([1, rng.randint(2, 63)]), rng.randrange(2, 1 << 31),
+               rng.randrange(2, 1 << 24)) for _ in range(300)]
+    for terms, p, w in cases:
+        k = exactlin.product_stride(terms, p, w)
+        assert k >= 0 and terms * p * w ** (k + 1) >= 1 << 52, (terms, p, w)
+        assert k == 0 or terms * p * w ** k < 1 << 52, (terms, p, w)
+    assert {exactlin.product_stride(terms, p, w) for terms, p, w in cases} >= {0, 1, 2, 5}
+    # widths below 2 count as 2, so k stays finite, and a sum of no terms as
+    # one term; none when terms p >= 2^52
+    assert exactlin.product_stride(1, 3, 0) == exactlin.product_stride(1, 3, 2) == 50
+    assert exactlin.product_stride(0, 3, -1) == 50
+    assert exactlin.product_stride(1 << 21, 1 << 31, 2) == 0
+
+
+def test_s54_screen_and_chain_strides(s54, s54_window, monkeypatch):
+    # S54's screen reduces every 5 products (P w^5 < 2^52, w <= 71) and its
+    # chains every 2 (54 p0 66^2 < 2^52 <= 54 p0 66^3; 52 p0 68^2 for T52)
+    real, strides = exactlin.product_chain, []
+
+    def spy(x, factors, p, stride, mask=1.0):
+        strides.append(("screen" if isinstance(mask, np.ndarray) else "chain", stride))
+        return real(x, factors, p, stride, mask)
+
+    monkeypatch.setattr(exactlin, "product_chain", spy)
+    assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
+    assert strides == [("chain", 2)] * 2           # modulo p0, then one more prime
+    search.subseidel_scan(s54, s54_window)
+    assert set(strides) == {("chain", 2), ("screen", 5)}
+    assert exactlin.product_stride(1, search.SCREEN_PRIME, 71) == 5
+    assert exactlin.product_stride(54, exactlin.PRIMES[-1], 66) == 2
+
+
+def name_uses(tree, name):
+    """The innermost enclosing def (None at module level) of each use of
+    name in tree: a Name, an attribute or an imported alias."""
+    uses = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            uses.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return uses
+
+
+def test_float_mod_is_used_only_by_the_product_chain():
+    # one exact float64 chain with one proof: a second loop reducing by
+    # float_mod would need a proof of its own
+    src = Path(exactlin.__file__).parent
+    uses = {(path.name, owner) for path in sorted(src.glob("*.py"))
+            for owner in name_uses(ast.parse(path.read_text()), "float_mod")}
+    assert uses == {("exactlin.py", "product_chain")}
+    second = "from .exactlin import float_mod\ndef f(x):\n    return exactlin.float_mod(x, 3)\n"
+    assert name_uses(ast.parse(second), "float_mod") == [None, "f"]
 
 
 def test_the_programs_ranks_need_no_hadamard_bound(monkeypatch):

@@ -352,15 +352,37 @@ def test_each_order_builds_only_its_own_orbit_level(s54, s54_window, monkeypatch
     assert built == expected
 
 
+def screen_mask(v, removed):
+    """One copy of v per row of removed, zeroed at that row's indices, and
+    the 0/1 mask that zeroes them, as the sub-scan screen builds them."""
+    mask = np.ones((len(removed), len(v)))
+    mask[np.arange(len(removed))[:, None], removed] = 0.0
+    return mask * v, mask
+
+
+def screen_stride(n, lams):
+    """The screen's k: exactlin.product_stride with terms 1 and P."""
+    return exactlin.product_stride(1, search.SCREEN_PRIME, n - 1 + max(map(abs, lams), default=0))
+
+
+def chain_screen(factors, v, removed, stride):
+    """The sub-scan screen as subseidel_scan runs it: which rows of
+    removed leave exactlin.product_chain, masked, at 0 modulo P."""
+    x, mask = screen_mask(v, removed)
+    for x in exactlin.product_chain(x, factors, search.SCREEN_PRIME, stride, mask):
+        pass
+    return ~x.any(axis=1)
+
+
 def screen_all(s, window, order):
     """Every removed-index set of one order that passes the screen, and the
     members L of window used for it."""
     lams = [lam for lam in window if order % 2 or lam % 2]
     factors = [np.array(s.rows, dtype=float) - lam * np.eye(s.n) for lam in lams]
     subsets = list(combinations(range(s.n), s.n - order))
-    passed = search._screen(factors, np.arange(1, s.n + 1, dtype=float),
-                            np.array(subsets).reshape(len(subsets), -1),
-                            search._screen_stride(s.n, lams))
+    passed = chain_screen(factors, np.arange(1, s.n + 1, dtype=float),
+                          np.array(subsets).reshape(len(subsets), -1),
+                          screen_stride(s.n, lams))
     return [r for r, ok in zip(subsets, passed) if ok], lams
 
 
@@ -378,10 +400,8 @@ def full_scan(s, window, orders):
 
 
 def mod_screen(factors, v, removed):
-    """Oracle for search._screen: np.mod after every product."""
-    mask = np.ones((len(removed), len(v)))
-    mask[np.arange(len(removed))[:, None], removed] = 0.0
-    x = mask * v
+    """Oracle for the screen: np.mod after every product."""
+    x, mask = screen_mask(v, removed)
     for factor in factors:
         x = np.mod(x @ factor, search.SCREEN_PRIME) * mask
     return ~x.any(axis=1)
@@ -416,18 +436,15 @@ def test_screen_matches_np_mod_oracle(s54, s54_window):
         factors = [np.array(s.rows, dtype=float) - lam * np.eye(s.n) for lam in lams]
         removed = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
         expected = mod_screen(factors, v, removed)
-        stride = search._screen_stride(s.n, lams)
-        assert (search._screen(factors, v, removed, stride) == expected).all()
+        assert (chain_screen(factors, v, removed, screen_stride(s.n, lams)) == expected).all()
         assert (reference_screen(factors, v, removed) == expected).all()
         passed += int(expected.sum())
     assert passed > 50
 
 
 def reference_screen(factors, v, removed):
-    """Oracle for search._screen: exactlin.float_mod after every product."""
-    mask = np.ones((len(removed), len(v)))
-    mask[np.arange(len(removed))[:, None], removed] = 0.0
-    x = mask * v
+    """Oracle for the screen: exactlin.float_mod after every product."""
+    x, mask = screen_mask(v, removed)
     for factor in factors:
         x = exactlin.float_mod(x @ factor, search.SCREEN_PRIME) * mask
     return ~x.any(axis=1)
@@ -464,9 +481,9 @@ def test_screen_matches_per_product_reference(s54, s54_window, monkeypatch):
         factors = [s.array - lam * np.eye(s.n) for lam in lams]
         removed = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
         expected = reference_screen(factors, v, removed)
-        stride = search._screen_stride(s.n, lams)
+        stride = screen_stride(s.n, lams)
         del calls[:]
-        assert (search._screen(factors, v, removed, stride) == expected).all()
+        assert (chain_screen(factors, v, removed, stride) == expected).all()
         assert len(calls) == -(-len(factors) // stride)
         strides.add(stride)
         passed += int(expected.sum())
@@ -476,25 +493,34 @@ def test_screen_matches_per_product_reference(s54, s54_window, monkeypatch):
 def test_screen_stride_falls_as_the_window_widens():
     # k is the largest with P w^k < 2^52, w = n - 1 + max |lam|: 5 for S54
     p = search.SCREEN_PRIME
-    assert search._screen_stride(54, range(-5, 19)) == 5
+    assert screen_stride(54, range(-5, 19)) == 5
     previous = 64
     for top in (0, 1, 10, 18, 100, 10 ** 3, 10 ** 5, 10 ** 8, (1 << 32) - 80):
-        k = search._screen_stride(54, [-3, top])
+        k = screen_stride(54, [-3, top])
         w = 53 + max(3, top)
         assert p * w ** k < 1 << 52 <= p * w ** (k + 1)
         assert 1 <= k <= previous
         previous = k
     assert previous == 1
-    with pytest.raises(AssertionError):
-        search._screen_stride(54, [1 << 33])
+    assert screen_stride(54, [1 << 33]) == 0
+
+
+def masked_calls(monkeypatch, screen):
+    """Route every masked exactlin.product_chain call, the screen's, to
+    screen(x, factors, p, stride, mask); the annihilator chain's go on."""
+    real = exactlin.product_chain
+
+    def chain(x, factors, p, stride, mask=1.0):
+        return (screen if isinstance(mask, np.ndarray) else real)(x, factors, p, stride, mask)
+    monkeypatch.setattr(exactlin, "product_chain", chain)
 
 
 def test_too_wide_window_raises_before_any_screen(monkeypatch):
     # P (n - 1 + 2^33) >= 2^52: not even one product is exact
     s = petersen_seidel()
     screened = []
-    monkeypatch.setattr(search, "_screen", lambda *args: screened.append(args))
-    with pytest.raises(AssertionError):
+    masked_calls(monkeypatch, lambda *args: screened.append(args) or iter([args[0]]))
+    with pytest.raises(AssertionError, match="leaves no exact float64 screen product"):
         search.subseidel_scan(s, range((1 << 33) + 1, (1 << 33) + 2), orders=(9,))
     assert screened == []
 
@@ -912,8 +938,7 @@ def test_screened_ambiguous_counts_subsets(monkeypatch):
     # confirmation; each one rejected counts its whole orbit
     s = petersen_seidel()
     orders = (6, 7, 8, 9)
-    monkeypatch.setattr(search, "_screen",
-                        lambda factors, v, removed, stride: np.ones(len(removed), dtype=bool))
+    masked_calls(monkeypatch, lambda x, *rest: iter([np.zeros_like(x)]))
     result = search.subseidel_scan(s, certified_window(s), orders=orders)
     assert result.hits == brute_force_hits(s, orders)
     assert result.screened_ambiguous == 385 - 205

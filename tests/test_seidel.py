@@ -1322,13 +1322,13 @@ def test_chain_primes_exceed_the_entry_bound(s54, t52, monkeypatch):
     # must multiply to more than the bound on every entry of the chain,
     # prod (n - 1 + |lam|) for T52, times 53 + 24 + 107 for S54's chain
     # after its quadratic x^2 - 24x + 107
-    real, calls = seidel._annihilator_chain, []
+    real, calls = exactlin.product_chain, []
 
-    def spy(s, lams, primes, quadratic=None):
-        calls.append(tuple(primes))
-        return real(s, lams, primes, quadratic)
+    def spy(x, factors, p, stride, mask=1.0):
+        calls.append(tuple(int(q) for q in np.ravel(p)))
+        return real(x, factors, p, stride, mask)
 
-    monkeypatch.setattr(seidel, "_annihilator_chain", spy)
+    monkeypatch.setattr(exactlin, "product_chain", spy)
     for s, lams, quadratic, q_bound in [(*t52, None, 1),
                                         (s54, [-5, 7, 11, 13], (-24, 107), 53 + 24 + 107)]:
         calls.clear()
@@ -1353,10 +1353,65 @@ def test_chain_without_enough_primes_raises(monkeypatch):
     assert seidel.compute_spectrum(s, range(-9, 9)) is None
 
 
+def reference_chain(s, lams, p, quadratic=None):
+    """Oracle for _annihilator_chain modulo one prime p: whether X vanishes
+    modulo p, and tr X_k mod p for every k, with exactlin.float_mod after
+    q(S), formed with b mod p and c mod p, and after every product."""
+    a = s.array.astype(float)
+    x = np.eye(s.n)
+    if quadratic:
+        b, c = quadratic
+        x = exactlin.float_mod(a @ a + b % p * a + c % p * x, p)
+    traces = [int(np.trace(x)) % p]
+    for lam in lams:
+        x = exactlin.float_mod(x @ (a - lam * np.eye(s.n)), p)
+        traces.append(int(np.trace(x)) % p)
+    return not x.any(), traces
+
+
+def test_chain_matches_per_product_reference(s54, t52):
+    # random Seidel matrices, with and without a quadratic (big coefficients
+    # too), lams in any order up to the edge where the chain may take one
+    # product between reductions, and chains that vanish: every lane of three
+    # primes is read as lane 0 in turn, and the vanishing of all three is
+    # compared
+    p0 = exactlin.PRIMES[-1]
+    rng = random.Random(31)
+    cases = [(s54, [-5, 7, 11, 13], (-24, 107)), (*t52, None), (clique_seidel(9), [-1, 8], None),
+             (cycle_seidel(5), [0], (0, -5)), (cycle_seidel(5), [0], (0, -5 + 7 * p0))]
+    for _ in range(60):
+        n = rng.randint(1, 20)
+        edge = (2 ** 52 - 1) // (n * p0) - (n - 1)      # k = 1 for max |lam| = edge
+        wide = [edge, -edge, edge - 1, 1 - edge, rng.randint(n, edge)]
+        lams = list(set(rng.sample(range(1 - n, n), rng.randint(0, min(6, 2 * n - 1)))
+                        + rng.sample(wide, rng.randint(0, 4))))
+        rng.shuffle(lams)                               # wide factors anywhere in the chain
+        quadratic = rng.choice([None, (rng.randint(-9, 9), rng.randint(-9, 9)),
+                                (rng.randint(-10 ** 12, 10 ** 12), rng.randint(-10 ** 12, 10 ** 12))])
+        cases.append((random_seidel(rng, n), lams, quadratic))
+    strides, vanished = set(), 0
+    for s, lams, quadratic in cases:
+        norm = s.n - 1 + max(map(abs, lams), default=0)
+        strides.add(exactlin.product_stride(s.n, p0, norm))
+        primes = exactlin.PRIMES[-3:][::-1]
+        expected = [reference_chain(s, lams, p, quadratic) for p in primes]
+        for lane in range(3):
+            order = primes[lane:] + primes[:lane]
+            vanishes, traces = seidel._annihilator_chain(s, lams, order, quadratic)
+            assert traces == expected[lane][1], (s.n, lams, quadratic, lane)
+            assert vanishes == all(v for v, _ in expected), (s.n, lams, quadratic)
+        vanished += expected[0][0]
+    assert {1, 2} <= strides and vanished >= 5
+
+
 def test_chain_beyond_exact_float64_raises():
-    with pytest.raises(ValueError, match="float64"):
+    # the chain reads traces of n = 3 entries, so it needs 3 p0 (2 + 699,048)
+    # < 2^52 <= 3 p0 (2 + 699,049): one product between reductions, then none
+    with pytest.raises(ValueError, match="overflow the exact float64 chain"):
         seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 21])
-    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 20]) == (
+    with pytest.raises(ValueError, match="overflow the exact float64 chain"):
+        seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_049])
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_048]) == (
         seidel.SpectrumClaim.make({-1: 2, 2: 1}))
 
 
