@@ -251,7 +251,7 @@ def cmd_maximality(pipeline):
     b.note("basis_indices_1based", [i + 1 for i in report.basis_indices])
     if config.drop_line is None:
         b.check("not_extendible", not report.extendible,
-                [str(x) for x in report.witness] if report.witness else None)
+                [str(x) for x in report.witnesses[0]] if report.witnesses else None)
         b.check("patterns_2_pow_18", report.patterns_examined == 1 << 18,
                 report.patterns_examined)
     else:

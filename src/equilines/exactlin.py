@@ -51,13 +51,11 @@ def pivots(m):
     Yields (row, col, pivot) for pivot k = 0, 1, ...: col is the first
     column with a nonzero entry at or below row k, and row >= k is where
     that entry's row was before it was swapped into place k (row == k: no
-    swap). Each step is yielded before its elimination, so a caller that
-    stops early pays for no further step. By Sylvester's determinant
-    identity every entry left after step k is a minor of order k+2 of the
-    row-permuted m, so each division by the previous pivot is exact. With
-    no swap and no skipped column before step k, pivot k is the leading
-    principal minor of order k+1; a swap or a skipped column at step k
-    means that minor is 0.
+    swap). By Sylvester's determinant identity every entry left after
+    step k is a minor of order k+2 of the row-permuted m, so each division
+    by the previous pivot is exact. With no swap and no skipped column
+    before step k, pivot k is the leading principal minor of order k+1; a
+    swap or a skipped column at step k means that minor is 0.
     """
     nr, nc = dims(m)
     a = [list(row) for row in m]

@@ -17,9 +17,9 @@ compute in float64, every value is an exact integer.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 
 import numpy as np
 
@@ -35,10 +35,9 @@ SCAN_BLOCK = 1 << 14            # 8-byte entries per pattern-scan or orbit-level
 @dataclass
 class ExtendibilityReport:
     extendible: bool
-    witness: tuple               # exact rationals in R^24, int where integral; or None
     patterns_examined: int
     basis_indices: tuple
-    witnesses: list = field(default_factory=list)   # all of them, each typed like witness
+    witnesses: list              # each exact rationals in R^24, int where integral
 
 
 @dataclass
@@ -207,7 +206,6 @@ def check_extendibility(system):
         witnesses.append(tuple(Fraction(x, d) if x % d else x // d for x in dw))
     return ExtendibilityReport(
         extendible=bool(witnesses),
-        witness=witnesses[0] if witnesses else None,
         patterns_examined=1 << r,
         basis_indices=tuple(basis),
         witnesses=witnesses,
@@ -231,10 +229,11 @@ def switching_automorphisms(s):
     return set(seidel.permutation_parts(seidel.signed_automorphism_group(s).elements, s.n))
 
 
-def orbit_representatives(perms, n, k):
-    """The k-subsets of range(n) that are lexicographically least among
-    their images under perms, in combinations order, and how many distinct
-    images each has.
+def _orbit_levels(perms, n):
+    """Level k = 0, 1, 2, ..., each built from level k - 1 only when it is
+    asked for: (reps, sizes), the k-subsets of range(n) that are
+    lexicographically least among their images under perms, in
+    combinations order, and how many distinct images each has.
 
     For a permutation group G these are one subset per G-orbit, and each
     count is the orbit size, so the counts sum to C(n, k). Counting
@@ -253,16 +252,8 @@ def orbit_representatives(perms, n, k):
       So g(T') <lex T' would give g(T) <lex T: T' is lex-least too. The
       k-subsets kept are therefore the lex-least extensions R + {x},
       x > max R, of the (k-1)-subsets R kept, each reached once, from its
-      own R = T'. _orbit_levels builds them so, for any perms.
-    """
-    if k < 0:
-        raise ValueError(f"negative subset size {k}")
-    return next(islice(_orbit_levels(perms, n), k, None))
-
-
-def _orbit_levels(perms, n):
-    """orbit_representatives(perms, n, k) for k = 0, 1, 2, ..., level k
-    built from level k - 1 only when it is asked for.
+      own R = T'. Each level is built so from the one before, for any
+      perms.
 
     Level k is built from all its parents R at once. The candidates are
     the pairs (R, x), x > max R, in parent-major order, which is
@@ -308,9 +299,11 @@ def _orbit(perms, removed):
     return sorted({tuple(sorted(p[i] for i in removed)) for p in perms})
 
 
-def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
+def subseidel_scan(s, window, orders, progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
+    ValueError, before any orbit level is built, for an order outside
+    1..n.
 
     Precondition: window holds every integer in [lambda_min(s),
     lambda_max(s)] and none outside [1 - n, n - 1], as
@@ -324,12 +317,13 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
       d_i d_j S[i, j]. So the submatrix kept after removing pi(K) is a
       signed permutation conjugate of the one kept after removing K: the
       two have the same spectrum and lie in the same switching class.
-      The lex-least representative from orbit_representatives therefore
-      decides its whole orbit: a confirmed one contributes every member,
-      with its spectrum. Orders run in descending order, so k = n - order
-      rises, and level k is built from level k - 1 just before order
-      n - k is screened. Hits are sorted by order descending, then in
-      combinations order, as a scan of every subset would list them.
+      The lex-least representative that _orbit_levels yields (its
+      docstring proves one per orbit) therefore decides its whole orbit:
+      a confirmed one contributes every member, with its spectrum. Orders
+      run in descending order, so k = n - order rises, and level k is
+      built from level k - 1 just before order n - k is screened. Hits
+      are sorted by order descending, then in combinations order, as a
+      scan of every subset would list them.
       Orbits partition the k-subsets, so subsets_examined, the sum of the
       orbit sizes, must be C(n, k); the certificate checks it.
     - Classes. equivalence_classes lists the hit positions of each
@@ -372,6 +366,9 @@ def subseidel_scan(s, window, orders=(50, 51, 52, 53), progress=None):
     and confirmation, before classification.
     """
     n = s.n
+    outside = sorted(set(orders) - set(range(1, n + 1)))
+    if outside:
+        raise ValueError(f"orders {outside} are not sub-matrix orders of a {n} x {n} matrix")
     perms = switching_automorphisms(s)
     rng = random.Random(SCREEN_SEED)
     v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)

@@ -66,13 +66,6 @@ class SeidelMatrix:
         self.array = a.astype(np.int64, copy=False)
         self.array.flags.writeable = False
 
-    @classmethod
-    def from_rows(cls, rows):
-        """From rows of Python ints; numpy would read a bool as 0 or 1."""
-        if set(map(type, chain.from_iterable(rows))) - {int}:
-            raise ValueError("a Seidel matrix's rows hold Python ints only")
-        return cls(np.array(rows) if len(rows) else np.zeros((0, 0), dtype=np.int64))
-
     @functools.cached_property
     def rows(self):
         return tuple(map(tuple, self.array.tolist()))
@@ -629,7 +622,7 @@ def canonical_graph_form(n, adj):
     return CanonicalLabelling(best_bits, best_leaf, tuple(sorted(group)))
 
 
-def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
+def enumerate_isomorphisms(n, adj_src, adj_dst):
     """All edge-preserving bijections from one graph onto another: none if
     the canonical forms differ, else phi.g over g in Aut(src), with phi
     taking the canonical labelling of src onto that of dst."""
@@ -638,12 +631,12 @@ def enumerate_isomorphisms(n, adj_src, adj_dst, limit=None):
     if src.bits != dst.bits:
         return []
     phi = _compose(dst.labelling, _inverse(src.labelling))
-    return [_compose(phi, g) for g in src.automorphisms[:limit]]
+    return [_compose(phi, g) for g in src.automorphisms]
 
 
 def find_isomorphism(n, adj_src, adj_dst):
     """One isomorphism between two graphs, or None."""
-    found = enumerate_isomorphisms(n, adj_src, adj_dst, limit=1)
+    found = enumerate_isomorphisms(n, adj_src, adj_dst)
     return found[0] if found else None
 
 

@@ -205,7 +205,7 @@ def test_criterion_8d_automorphism_brute_force():
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.choice([1, -1])
-        s = seidel.SeidelMatrix.from_rows(rows)
+        s = seidel.SeidelMatrix(rows)
         if seidel.automorphism_order(s).order != brute_force_automorphism_count(s):
             ok = False
             break
@@ -226,7 +226,7 @@ def test_criterion_8e_switching_form_invariance():
         for i in range(n):
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = rng.choice([1, -1])
-        s = seidel.SeidelMatrix.from_rows(rows)
+        s = seidel.SeidelMatrix(rows)
         form = seidel.switching_canonical_form(s)
         for _ in range(10):
             signs = [rng.choice([1, -1]) for _ in range(n)]

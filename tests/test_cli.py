@@ -384,9 +384,10 @@ def test_subscan_fails_on_a_recorded_hit_with_the_spectrum_of_s54(monkeypatch):
 
 
 def relabelled_copies(final):
-    """(perm, copy) for three copies of a line system: member i of the copy
-    is member perm[i] of final, negated where its sign is -1. A pure
-    permutation, a pure sign switch, and one of each from random.Random(5)."""
+    """(perm, signs, copy) for three copies of a line system: member i of
+    the copy is member perm[i] of final, negated where signs[i] is -1. A
+    pure permutation, a pure sign switch, and one of each from
+    random.Random(5)."""
     n = len(final.vectors)
     rng = random.Random(5)
     pure_perm = list(range(n))
@@ -398,7 +399,7 @@ def relabelled_copies(final):
                         (mixed, [rng.choice([1, -1]) for _ in range(n)])]:
         vectors = tuple(dataclasses.replace(final.vectors[j], coords=tuple(
             sign * x for x in final.vectors[j].coords)) for j, sign in zip(perm, signs))
-        yield perm, dataclasses.replace(final, vectors=vectors)
+        yield perm, signs, dataclasses.replace(final, vectors=vectors)
 
 
 def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
@@ -410,7 +411,7 @@ def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
              "equivalence_class_count")
     base = cli.Pipeline(cli.RunConfig(command="all"))
     final, s54 = base.final, base.seidel_matrix
-    for perm, copy in relabelled_copies(final):
+    for perm, _signs, copy in relabelled_copies(final):
         seidel.signed_automorphism_group.cache_clear()
         seidel._switching_search.cache_clear()
         pipeline = cli.Pipeline(cli.RunConfig(command="all"))
@@ -425,6 +426,34 @@ def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
                      json.dumps(h["spectrum"])) for h in golden_scan["hits"]}
         assert {(h["order"], frozenset(h["removed_1based"]), json.dumps(h["spectrum"]))
                 for h in scan.details["hits"]} == expected
+    seidel.signed_automorphism_group.cache_clear()
+    seidel._switching_search.cache_clear()
+
+
+def test_aut_and_maximality_agree_on_relabelled_and_switched_copies():
+    # the signed group of each copy is the golden group carried over by the
+    # relabelling, and the maximality search examines 2^18 patterns over
+    # 18 independent members of the copy
+    base = cli.Pipeline(cli.RunConfig(command="all"))
+    golden = seidel.signed_automorphism_group(base.seidel_matrix).elements
+    for perm, signs, copy in relabelled_copies(base.final):
+        seidel.signed_automorphism_group.cache_clear()
+        seidel._switching_search.cache_clear()
+        pipeline = cli.Pipeline(cli.RunConfig(command="all"))
+        pipeline.__dict__["final"] = copy
+        aut, maximality = cli.cmd_aut(pipeline), cli.cmd_maximality(pipeline)
+        assert aut.passed and maximality.passed
+        assert aut.details["signed_order"] == cli.S54_AUT_ORDER
+        assert maximality.details["patterns_examined"] == 1 << 18
+        # point (i, s) of the copy is point (perm[i], signs[i] s) of final
+        onto = seidel._on_points(perm, signs)
+        back = seidel._inverse(onto)
+        carried = {seidel._compose(back, seidel._compose(m, onto)) for m in golden}
+        elements = seidel.signed_automorphism_group(pipeline.seidel_matrix).elements
+        assert len(carried) == cli.S54_AUT_ORDER and set(elements) == carried
+        basis = maximality.details["basis_indices_1based"]
+        assert len(basis) == 18
+        assert exactlin.rank([copy.vectors[i - 1].coords for i in basis]) == 18
     seidel.signed_automorphism_group.cache_clear()
     seidel._switching_search.cache_clear()
 

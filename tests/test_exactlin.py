@@ -807,7 +807,7 @@ def test_s54_screen_and_chain_strides(s54, s54_window, monkeypatch):
     monkeypatch.setattr(exactlin, "product_chain", spy)
     assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
     assert strides == [("chain", 2)] * 2           # modulo p0, then one more prime
-    search.subseidel_scan(s54, s54_window)
+    search.subseidel_scan(s54, s54_window, cli.ORDERS)
     assert set(strides) == {("chain", 2), ("screen", 5)}
     assert exactlin.product_stride(1, search.SCREEN_PRIME, 71) == 5
     assert exactlin.product_stride(54, exactlin.PRIMES[-1], 66) == 2

@@ -55,7 +55,7 @@ def test_greedy_basis_matches_incremental_rank(final54, drop):
 def test_not_extendible(final54):
     report = search.check_extendibility(final54)
     assert not report.extendible
-    assert report.witness is None
+    assert report.witnesses == []
     assert report.patterns_examined == 1 << 18
 
 
@@ -328,11 +328,17 @@ def test_one_hit_orbit_is_classified_without_a_form(s54, s54_window, monkeypatch
     assert result.equivalence_classes == [list(range(9))]
 
 
+def orbit_level(perms, n, k):
+    """Level k of search._orbit_levels: the lex-least k-subsets under perms
+    and the number of distinct images of each."""
+    return next(islice(search._orbit_levels(perms, n), k, None))
+
+
 def test_each_order_builds_only_its_own_orbit_level(s54, s54_window, monkeypatch):
     # orders run 53, 52, 51, so level k = 54 - order is the deepest one
     # built when order 54 - k reports
     perms = search.switching_automorphisms(s54)
-    expected = [search.orbit_representatives(perms, 54, k) for k in range(4)]
+    expected = [orbit_level(perms, 54, k) for k in range(4)]
     built = []
     levels = search._orbit_levels
 
@@ -423,7 +429,7 @@ def test_screen_matches_np_mod_oracle(s54, s54_window):
         rows = [[0] * n for _ in range(n)]
         for i, j in combinations(range(n), 2):
             rows[i][j] = rows[j][i] = rng.choice([1, -1])
-        s = seidel.SeidelMatrix.from_rows(rows)
+        s = seidel.SeidelMatrix(rows)
         lams = sorted(rng.sample(range(1 - n, n), rng.randint(1, 12)))
         # v near 0 and near P, so products land near +-multiples of P
         v = np.array([rng.choice([1, 2, p - 1, p - 2, rng.randrange(1, p)])
@@ -457,7 +463,7 @@ def test_screen_matches_per_product_reference(s54, s54_window, monkeypatch):
     perms = search.switching_automorphisms(s54)
     cases = []
     for order in (51, 52, 53):
-        reps, _ = search.orbit_representatives(perms, 54, 54 - order)
+        reps, _ = orbit_level(perms, 54, 54 - order)
         lams = [lam for lam in s54_window if order % 2 or lam % 2]
         cases.append((s54, lams, np.array([random.Random(order).randrange(1, p)
                                            for _ in range(54)], dtype=float), reps))
@@ -473,7 +479,7 @@ def test_screen_matches_per_product_reference(s54, s54_window, monkeypatch):
                       for _ in range(n)], dtype=float)
         k = rng.randint(1, n // 2)
         subsets = [tuple(rng.sample(range(n), k)) for _ in range(rng.randint(1, 200))]
-        cases.append((seidel.SeidelMatrix.from_rows(rows), lams, v, subsets))
+        cases.append((seidel.SeidelMatrix(rows), lams, v, subsets))
     calls, float_mod = [], exactlin.float_mod
     monkeypatch.setattr(exactlin, "float_mod", lambda y, p: calls.append(p) or float_mod(y, p))
     strides, passed = set(), 0
@@ -515,6 +521,23 @@ def masked_calls(monkeypatch, screen):
     monkeypatch.setattr(exactlin, "product_chain", chain)
 
 
+def test_orders_outside_one_to_n_raise_before_any_level(monkeypatch):
+    # a 3 x 3 matrix has sub-matrices of orders 1, 2 and 3 only: order 5
+    # once reported a hit with the whole matrix's spectrum, order 4 one
+    # subset examined and order -1 none
+    s = seidel.SeidelMatrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
+    levels = search._orbit_levels
+    built = []
+    monkeypatch.setattr(search, "_orbit_levels", lambda *args: built.append(args) or levels(*args))
+    for orders in [(5,), (4,), (-1,), (0,), (3, 4)]:
+        with pytest.raises(ValueError, match="not sub-matrix orders"):
+            search.subseidel_scan(s, range(-2, 3), orders=orders)
+    assert built == []
+    result = search.subseidel_scan(s, range(-2, 3), orders=(1, 2, 3))
+    assert result.subsets_examined == {1: 3, 2: 3, 3: 1}
+    assert len(built) == 1
+
+
 def test_too_wide_window_raises_before_any_screen(monkeypatch):
     # P (n - 1 + 2^33) >= 2^52: not even one product is exact
     s = petersen_seidel()
@@ -538,7 +561,7 @@ def test_orbit_representatives_s54(s54):
     perms = search.switching_automorphisms(s54)
     assert len(perms) == 108
     for k, count in zip((1, 2, 3, 4), (3, 25, 279, 3111)):
-        reps, sizes = search.orbit_representatives(perms, 54, k)
+        reps, sizes = orbit_level(perms, 54, k)
         assert len(reps) == len(sizes) == count
         assert reps == sorted(reps)
         assert sum(sizes) == math.comb(54, k)
@@ -546,9 +569,9 @@ def test_orbit_representatives_s54(s54):
 
 
 def least_bitmask_representatives(perms, n, k):
-    """Reference for orbit_representatives: image every k-subset under
-    perms, in batches, and keep those whose mask (bit i for element i) is
-    least among their images, with their number of distinct images."""
+    """Reference for orbit_level: image every k-subset under perms, in
+    batches, and keep those whose mask (bit i for element i) is least
+    among their images, with their number of distinct images."""
     bits = np.left_shift(np.int64(1), np.array(list(perms), dtype=np.int64).T)
     subsets = combinations(range(n), k)
     reps, sizes = [], []
@@ -602,7 +625,7 @@ def group_cases(s54):
 def test_orbit_representatives_match_least_bitmask_oracle(s54):
     for n, perms, top in group_cases(s54):
         for k in range(1, top + 1):
-            reps, sizes = search.orbit_representatives(perms, n, k)
+            reps, sizes = orbit_level(perms, n, k)
             orbits = [images_of(perms, rep) for rep in reps]
             assert all(rep == min(orbit) for rep, orbit in zip(reps, orbits))
             assert sizes == [len(orbit) for orbit in orbits]
@@ -628,7 +651,7 @@ def test_orbit_representatives_of_any_perm_set():
     for n, perms in random_perm_sets():
         for k in range(n + 1):
             kept = [t for t in combinations(range(n), k) if min(images_of(perms, t)) >= t]
-            assert search.orbit_representatives(perms, n, k) == (
+            assert orbit_level(perms, n, k) == (
                 kept, [len(images_of(perms, t)) for t in kept])
 
 
@@ -672,7 +695,7 @@ def test_orbit_levels_memory_budget(s54):
     perms = search.switching_automorphisms(s54)
     tracemalloc.start()
     try:
-        search.orbit_representatives(perms, 54, 4)
+        orbit_level(perms, 54, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -694,13 +717,11 @@ def test_switching_search_memory_budget(s54):
 
 def test_orbit_representatives_mask_width():
     mirror = tuple(range(62, -1, -1))
-    reps, sizes = search.orbit_representatives([tuple(range(63)), mirror], 63, 1)
+    reps, sizes = orbit_level([tuple(range(63)), mirror], 63, 1)
     assert reps == [(i,) for i in range(32)]
     assert sizes == [2] * 31 + [1]
     with pytest.raises(ValueError):
-        search.orbit_representatives([tuple(range(64))], 64, 1)
-    with pytest.raises(ValueError):
-        search.orbit_representatives([tuple(range(5))], 5, -1)
+        orbit_level([tuple(range(64))], 64, 1)
 
 
 def test_automorphisms_map_hits_to_hits(s54, s54_window):
@@ -756,8 +777,7 @@ def integer_window(s):
 
 
 def j_minus_i(n):
-    return seidel.SeidelMatrix.from_rows([[0 if i == j else 1 for j in range(n)]
-                                          for i in range(n)])
+    return seidel.SeidelMatrix([[0 if i == j else 1 for j in range(n)] for i in range(n)])
 
 
 def random_seidel_matrices(count, seed):
@@ -767,7 +787,7 @@ def random_seidel_matrices(count, seed):
         rows = [[0] * n for _ in range(n)]
         for i, j in combinations(range(n), 2):
             rows[i][j] = rows[j][i] = rng.choice([1, -1])
-        yield seidel.SeidelMatrix.from_rows(rows)
+        yield seidel.SeidelMatrix(rows)
 
 
 def certified_window(s, claim=None):
@@ -854,7 +874,7 @@ def petersen_seidel(flip=False):
              for j in range(10)] for i in range(10)]
     if flip:
         rows[0][1] = rows[1][0] = -rows[0][1]
-    return seidel.SeidelMatrix.from_rows(rows)
+    return seidel.SeidelMatrix(rows)
 
 
 def brute_force_hits(s, orders):

