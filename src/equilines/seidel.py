@@ -52,15 +52,18 @@ class SpectrumNotCertifiedError(ValueError):
 
 class SeidelMatrix:
     """One read-only (n, n) int64 array, copied and checked once: square,
-    integer (if not empty), symmetric and |S| + I = 1, which is a zero
-    diagonal and +/-1 off it. rows, the entries as tuples of Python ints,
-    keys == and hash (so the lru_caches) and the spectrum digest."""
+    integer (if not empty; no bool in rows), symmetric and |S| + I = 1,
+    which is a zero diagonal and +/-1 off it. rows, the entries as tuples
+    of Python ints, keys == and hash (so the lru_caches) and the spectrum
+    digest."""
 
     def __init__(self, array):
         a = np.array(array)
         self.n = n = len(a) if a.ndim else 0
         if a.shape != (n, n) or (a.size and not np.issubdtype(a.dtype, np.integer)):
             raise ValueError(f"not a square integer matrix: {a.dtype} of shape {a.shape}")
+        if not isinstance(array, np.ndarray) and {bool, np.bool_} & set(map(type, chain(*array))):
+            raise ValueError("a bool is not a Seidel matrix entry")
         if (a != a.T).any() or (np.abs(a) + np.eye(n, dtype=np.int64) != 1).any():
             raise ValueError("not a symmetric +/-1 matrix with zero diagonal")
         self.array = a.astype(np.int64, copy=False)
@@ -380,8 +383,7 @@ def _refine(adj, cells, splitters):
     cell by the slices, most significant first, each piece into its part
     with the bit clear and then its part with the bit set, orders the
     pieces lexicographically by their bits from the top down: by
-    increasing count. A singleton splitter {v} has counts 0 or 1, so
-    adj[v] is its one slice.
+    increasing count.
 
     The queue is keyed by mask. A cell that splits leaves the set of
     queued masks, and a partition only refines, so every later cell is a
@@ -398,20 +400,17 @@ def _refine(adj, cells, splitters):
         if splitter not in queued:
             continue                    # a stale mask: its cell has since split
         queued.remove(splitter)
-        if splitter & (splitter - 1):
-            slices = []
-            for low in _singles(splitter):
-                carry = adj[low.bit_length() - 1]
-                for i, bits in enumerate(slices):
-                    if not carry:
-                        break
-                    slices[i] = bits ^ carry
-                    carry &= bits
-                if carry:
-                    slices.append(carry)
-            slices.reverse()
-        else:
-            slices = [adj[splitter.bit_length() - 1]]   # counts in {v} are 0 or 1
+        slices = []
+        for low in _singles(splitter):
+            carry = adj[low.bit_length() - 1]
+            for i, bits in enumerate(slices):
+                if not carry:
+                    break
+                slices[i] = bits ^ carry
+                carry &= bits
+            if carry:
+                slices.append(carry)
+        slices.reverse()
         still_open = []
         for cell in open_cells:
             pieces = None
@@ -461,6 +460,7 @@ class CanonicalLabelling:
     bits: int                    # adjacency bits of the least leaf: the form
     labelling: tuple             # least leaf: position i holds vertex labelling[i]
     automorphisms: tuple         # all of Aut, as tuples of images of 0..n-1
+    generators: tuple            # greedy ones among those found, generating Aut
 
 
 def _singles(mask):
@@ -477,6 +477,19 @@ def _individualize(adj, cells, target, single):
     replaced by the vertex single and the rest of the cell."""
     cell = cells[target]
     return _refine(adj, cells[:target] + [single, cell ^ single] + cells[target + 1:], [single])
+
+
+def _root(forest, v):
+    """The root of v in a union-find forest of parents, halving its path."""
+    while forest[v] != v:
+        forest[v] = v = forest[forest[v]]
+    return v
+
+
+def _join(forest, images):
+    """Merge the trees of v and images[v] in forest, for every v."""
+    for v, u in enumerate(images):
+        forest[_root(forest, v)] = _root(forest, u)
 
 
 def _target(cells):
@@ -558,17 +571,12 @@ def canonical_graph_form(n, adj):
     generate A_k: they hold generators of A_{k+1}, the stabilizer of
     v_{k+1} in A_k, and reach its orbit. So the found automorphisms
     generate Aut = A_0, of order the product over k of the orbit sizes.
-    automorphisms is their closure (_greedy_generators), sorted;
-    AssertionError unless its order is that product.
+    automorphisms is their closure, sorted, generators the greedy subset
+    (_greedy_generators); AssertionError unless its order is that product.
     """
     matrix = _adjacency_matrix(n, adj)
     orbit = list(range(n))              # a forest: the orbits of the automorphisms found
     gens = []
-
-    def root(v):
-        while orbit[v] != v:
-            orbit[v] = v = orbit[orbit[v]]
-        return v
 
     def leaf_bits(cells):
         leaf = tuple(c.bit_length() - 1 for c in cells)
@@ -599,8 +607,7 @@ def canonical_graph_form(n, adj):
             return False
         g = _compose(leaf, first_inverse)
         gens.append(g)
-        for v, u in enumerate(g):
-            orbit[root(v)] = root(u)
+        _join(orbit, g)
         return True
 
     order = 1
@@ -610,16 +617,16 @@ def canonical_graph_form(n, adj):
         explored = [first_single.bit_length() - 1]
         for single in _singles(cell ^ first_single):
             w = single.bit_length() - 1
-            if root(w) not in {root(u) for u in explored}:
+            if _root(orbit, w) not in {_root(orbit, u) for u in explored}:
                 explored.append(w)
                 below(_individualize(adj, cells, target, single))
-        r = root(explored[0])
-        order *= sum(root(single.bit_length() - 1) == r for single in _singles(cell))
-    group = _greedy_generators(tuple(range(n)), gens)[1]
+        r = _root(orbit, explored[0])
+        order *= sum(_root(orbit, single.bit_length() - 1) == r for single in _singles(cell))
+    generators, group = _greedy_generators(tuple(range(n)), gens)
     if len(group) != order:
         raise AssertionError(
             f"automorphisms found generate {len(group)}, first-path orbits give {order}")
-    return CanonicalLabelling(best_bits, best_leaf, tuple(sorted(group)))
+    return CanonicalLabelling(best_bits, best_leaf, tuple(sorted(group)), tuple(generators))
 
 
 def enumerate_isomorphisms(n, adj_src, adj_dst):
@@ -691,12 +698,6 @@ def _greedy_generators(identity, elements):
     return gens, group
 
 
-def minimal_generators(n, elements):
-    """Greedy generating subset of a permutation group given all elements,
-    taken in sorted order."""
-    return _greedy_generators(tuple(range(n)), sorted(elements))[0]
-
-
 def _on_points(perm, signs):
     """The signed permutation i -> signs[i] perm[i] on the 2n points:
     (i, side) goes to (perm[i], signs[i] side)."""
@@ -738,8 +739,8 @@ def automorphism_order(s):
     # number of signs +1
     plain = permutation_parts([g for g in signed_automorphism_group(s).elements
                                if sum(g[1::2]) == s.n * s.n], s.n)
-    return AutGroupResult(generators=tuple(minimal_generators(s.n, plain)),
-                          elements=tuple(plain))
+    generators = _greedy_generators(tuple(range(s.n)), sorted(plain))[0]
+    return AutGroupResult(generators=tuple(generators), elements=tuple(plain))
 
 
 def _descendant(s, v):
@@ -794,21 +795,6 @@ def _extend_to_signed(s, perm):
     return m
 
 
-def _orbit_union(vertices, gens):
-    """The union of the orbits of vertices under the group generated by
-    gens, signed permutations on the 2n points: vertex v goes to the
-    vertex of the image of the point (v, +1)."""
-    reached, frontier = set(vertices), list(vertices)
-    while frontier:
-        v = frontier.pop()
-        for g in gens:
-            u = g[2 * v + 1] >> 1
-            if u not in reached:
-                reached.add(u)
-                frontier.append(u)
-    return reached
-
-
 def _class_heads(s):
     """The least vertex of each class of a switching invariant, in
     increasing order, 0 first: v's class is its descendant's degree
@@ -843,11 +829,11 @@ def _switching_search(s):
     (_descendant) onto the one at w. Conversely an isomorphism of the
     descendants matches their all-+1 switched rows, so with v -> w it
     extends to a signed automorphism, unique up to sign (_extend_to_signed
-    builds and verifies it). The generators are -I, the extensions of
-    Aut(descendant_w) (which fixes w) for every labelled w, and one
-    extended isomorphism 0 -> w for each labelled w whose descendant has
-    descendant_0's form. -I preserves every S and the others are
-    verified, so all are signed automorphisms.
+    builds and verifies it). The generators are -I, the extensions of the
+    generators of Aut(descendant_w) (which fixes w) that its search took
+    for every labelled w, and one extended isomorphism 0 -> w for each
+    labelled w whose descendant has descendant_0's form. -I preserves
+    every S and the others are verified, so all are signed automorphisms.
 
     The walk visits 0, then the least vertex of each other class of the
     descendants' sorted degree sequences (_class_heads), then every
@@ -860,14 +846,14 @@ def _switching_search(s):
     already reach every vertex, so three descendants are labelled, not
     the four (0, 1, 2, 9) of the index-order walk.
 
-    w is skipped if the generators found so far map a labelled u onto it;
-    then its descendant has u's form. The generators and the labelled
-    vertices change only when a vertex is labelled, so the union of the
-    labelled vertices' orbits (_orbit_union) is rebuilt only then. So (a)
-    the least form over the labelled vertices is the least over all
-    vertices, and (b) every w with descendant_0's form is in the orbit of
-    0 under the generators: a labelled one is 0 or got a generator 0 ->
-    w, and a skipped one is the image of a labelled u with that form.
+    w is skipped if the generators found so far map a labelled u onto it,
+    that is, if w has u's root in the forest of their orbits (each
+    generator's vertex map joined by _join, as in canonical_graph_form);
+    then its descendant has u's form. So (a) the least form over the
+    labelled vertices is the least over all vertices, and (b) every w
+    with descendant_0's form is in the orbit of 0 under the generators: a
+    labelled one is 0 or got a generator 0 -> w, and a skipped one is the
+    image of a labelled u with that form.
     With the stabilizer of 0 (+/- the extensions of Aut(descendant_0))
     the generators therefore generate the whole group, of order
     2 |Aut(descendant_0)| |orbit of 0|. The other descendants' extensions
@@ -875,24 +861,28 @@ def _switching_search(s):
     """
     n = s.n
     gens = [_on_points(range(n), [-1] * n)]
-    labelled, forms, reached = [], [], set()
+    orbit = list(range(n))              # a forest: the orbits of the vertices under gens
+    labelled = []
+
+    def add(perm):
+        gens.append(_extend_to_signed(s, perm))
+        _join(orbit, perm)
+
     for w in chain(_class_heads(s), range(n)):
-        if w in reached:
+        if _root(orbit, w) in {_root(orbit, u) for u in labelled}:
             continue
         labelled.append(w)
         rest, adj = _descendant(s, w)
         form = canonical_graph_form(n - 1, adj)
-        for g in minimal_generators(n - 1, form.automorphisms):
+        for g in form.generators:
             images = _compose(rest, g)
-            gens.append(_extend_to_signed(s, (*images[:w], w, *images[w:])))
+            add((*images[:w], w, *images[w:]))
         if w == 0:
             first = form
         elif form.bits == first.bits:
-            matching = _compose(form.labelling, _inverse(first.labelling))
-            gens.append(_extend_to_signed(s, (w, *_compose(rest, matching))))
-        forms.append(form.bits)
-        reached = _orbit_union(labelled, gens)
-    return min(forms), len(first.automorphisms), tuple(gens)
+            add((w, *_compose(rest, _compose(form.labelling, _inverse(first.labelling)))))
+        least = form.bits if w == 0 else min(least, form.bits)
+    return least, len(first.automorphisms), tuple(gens)
 
 
 @functools.lru_cache(maxsize=1)

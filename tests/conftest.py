@@ -53,3 +53,17 @@ def s54_window(s54):
     """The sub-scan's window for S54, from its certified spectrum claim."""
     assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
     return cli.S54_SPECTRUM.integer_window()
+
+
+def clear_switching_caches():
+    """Empty seidel's two lru_caches, so that the next signed group or
+    switching form is searched afresh."""
+    seidel.signed_automorphism_group.cache_clear()
+    seidel._switching_search.cache_clear()
+
+
+@pytest.fixture
+def fresh_switching_caches():
+    clear_switching_caches()
+    yield
+    clear_switching_caches()

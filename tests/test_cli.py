@@ -10,8 +10,9 @@ import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
 from equilines.certificate import digest_of
-from conftest import subprocess_report
+from conftest import clear_switching_caches, subprocess_report
 from test_search import masked_calls
+from test_seidel import bfs_generate
 
 
 def run(args):
@@ -280,6 +281,25 @@ def test_construct_fails_on_a_changed_coordinate():
         "check": "pairwise_scaled_angle_pm16", "witness": [-17, -16, 15, 16]}
 
 
+def test_spectrum_fails_on_a_multiplicity_moved_from_13_to_11(s54, monkeypatch):
+    # S54's spectrum with one eigenvalue 13 claimed as 11: the chain over
+    # -5, 7, 11, 13 after the quadratic still vanishes and reads the exact
+    # multiplicities, so no nullity is computed, and each premise the move
+    # breaks is named with its witness
+    nullities = []
+    monkeypatch.setattr(exactlin, "nullity_at", lambda m, lam: nullities.append(lam))
+    claim = seidel.SpectrumClaim.make({-5: 36, 7: 6, 11: 9, 13: 1},
+                                      quadratic=cli.S54_SPECTRUM.quadratic)
+    cert = seidel.certify_spectrum(s54, claim)
+    failed = {"nullity_at_11": {"claimed": 9, "exact": 8},
+              "nullity_at_13": {"claimed": 1, "exact": 2},
+              "trace_identity": -2, "trace_square_identity": 2814}
+    assert nullities == []
+    assert failed_checks(cert) == {"char_poly_matches", *failed}
+    assert cert.details["first_failure"] == {
+        "check": "char_poly_matches", "witness": {"failed_premises": failed}}
+
+
 def test_aut_fails_on_a_sign_flipped_pair():
     # S54 with S[0, 1] and S[1, 0] negated: every generator found for it
     # preserves it, and its signed group has order 4
@@ -402,7 +422,7 @@ def relabelled_copies(final):
         yield perm, signs, dataclasses.replace(final, vectors=vectors)
 
 
-def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
+def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies(fresh_switching_caches):
     # relabelling and negating members changes no claim: spectrum.S and
     # subscan.unique pass with the golden notes, and the hits are the golden
     # hits carried over by the relabelling
@@ -412,8 +432,7 @@ def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
     base = cli.Pipeline(cli.RunConfig(command="all"))
     final, s54 = base.final, base.seidel_matrix
     for perm, _signs, copy in relabelled_copies(final):
-        seidel.signed_automorphism_group.cache_clear()
-        seidel._switching_search.cache_clear()
+        clear_switching_caches()
         pipeline = cli.Pipeline(cli.RunConfig(command="all"))
         pipeline.__dict__["final"] = copy
         assert pipeline.seidel_matrix != s54
@@ -426,19 +445,16 @@ def test_spectrum_and_subscan_agree_on_relabelled_and_switched_copies():
                      json.dumps(h["spectrum"])) for h in golden_scan["hits"]}
         assert {(h["order"], frozenset(h["removed_1based"]), json.dumps(h["spectrum"]))
                 for h in scan.details["hits"]} == expected
-    seidel.signed_automorphism_group.cache_clear()
-    seidel._switching_search.cache_clear()
 
 
-def test_aut_and_maximality_agree_on_relabelled_and_switched_copies():
+def test_aut_and_maximality_agree_on_relabelled_and_switched_copies(fresh_switching_caches):
     # the signed group of each copy is the golden group carried over by the
     # relabelling, and the maximality search examines 2^18 patterns over
     # 18 independent members of the copy
     base = cli.Pipeline(cli.RunConfig(command="all"))
     golden = seidel.signed_automorphism_group(base.seidel_matrix).elements
     for perm, signs, copy in relabelled_copies(base.final):
-        seidel.signed_automorphism_group.cache_clear()
-        seidel._switching_search.cache_clear()
+        clear_switching_caches()
         pipeline = cli.Pipeline(cli.RunConfig(command="all"))
         pipeline.__dict__["final"] = copy
         aut, maximality = cli.cmd_aut(pipeline), cli.cmd_maximality(pipeline)
@@ -454,8 +470,35 @@ def test_aut_and_maximality_agree_on_relabelled_and_switched_copies():
         basis = maximality.details["basis_indices_1based"]
         assert len(basis) == 18
         assert exactlin.rank([copy.vectors[i - 1].coords for i in basis]) == 18
-    seidel.signed_automorphism_group.cache_clear()
-    seidel._switching_search.cache_clear()
+
+
+def test_permutation_group_on_relabelled_and_switched_copies(s54, fresh_switching_caches):
+    # the plain group is not a switching invariant. On a relabelled S54,
+    # also switched on an orbit of the plain group, it is the golden group
+    # carried over; on copies switched at random it is the part of the
+    # copy's signed group with every sign +1 (on these ten, the identity)
+    golden = seidel.automorphism_order(s54).elements
+    orbit = {g[0] for g in golden}
+    rng = random.Random(5)
+    perm = rng.sample(range(54), 54)
+    carried = {seidel._compose(seidel._inverse(perm), seidel._compose(g, perm)) for g in golden}
+    moved = seidel.permute(s54, perm)
+    for s in (moved, seidel.switch(moved, [-1 if j in orbit else 1 for j in perm])):
+        clear_switching_caches()
+        plain = seidel.automorphism_order(s)
+        assert plain.order == 36 and set(plain.elements) == carried
+        assert bfs_generate(tuple(range(54)), plain.generators, seidel._compose) == carried
+    for _ in range(10):
+        perm = rng.sample(range(54), 54)
+        s = seidel.switch(seidel.permute(s54, perm), [rng.choice((1, -1)) for _ in range(54)])
+        clear_switching_caches()
+        plain = seidel.automorphism_order(s)
+        signed = map(seidel.signed_pairs, seidel.signed_automorphism_group(s).elements)
+        expected = [tuple(t for t, _ in pairs) for pairs in signed
+                    if all(sign == 1 for _, sign in pairs)]
+        assert list(plain.elements) == expected
+        assert all(seidel.permute(s, g) == s for g in expected)
+        assert bfs_generate(tuple(range(54)), plain.generators, seidel._compose) == set(expected)
 
 
 def test_subscan_restricted_orders(tmp_path):
@@ -492,8 +535,7 @@ def test_subscan_coverage_fails_for_non_group_pairs(monkeypatch):
         "check": "subsets_covered", "witness": {"52": [1481, 1431]}}
 
 
-def test_signed_group_computed_once_per_pipeline():
-    seidel.signed_automorphism_group.cache_clear()
+def test_signed_group_computed_once_per_pipeline(fresh_switching_caches):
     pipeline = cli.Pipeline(cli.RunConfig(command="all", orders=(53,)))
     assert cli.cmd_aut(pipeline).passed
     assert cli.cmd_subscan(pipeline).passed

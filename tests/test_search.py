@@ -702,10 +702,9 @@ def test_orbit_levels_memory_budget(s54):
     assert peak <= 2 << 20
 
 
-def test_switching_search_memory_budget(s54):
+def test_switching_search_memory_budget(s54, fresh_switching_caches):
     # a cold switching search of S54 peaks near 150 KiB: bitmask cells,
     # and descendants packed from the int64 array
-    seidel._switching_search.cache_clear()
     tracemalloc.start()
     try:
         seidel._switching_search(s54)

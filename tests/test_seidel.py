@@ -10,7 +10,7 @@ import pytest
 
 from equilines import construct, exactlin, search, seidel
 from equilines.certificate import CertificateBuilder
-from conftest import dot
+from conftest import clear_switching_caches, dot
 from test_exactlin import reference_mat_mul
 
 
@@ -69,7 +69,8 @@ def claim_poly(claim):
 def test_seidel_matrix_rejects_bad_entries():
     bad = ([[1, 1], [1, 0]], [[0, 2], [2, 0]], [[0, 1], [-1, 0]],
            [[0, 1, 5], [1, 0, 7]], [[0, 1], [1]], [[]], [[0, 1], [1, 0], [1, 1]],
-           [[0, 1.0], [1.0, 0]], [[False, True], [True, False]],
+           [[0, 1.0], [1.0, 0]], [[False, True], [True, False]], [[0, True], [True, 0]],
+           [[0, np.True_], [np.True_, 0]],
            [[0, 2 ** 70], [2 ** 70, 0]])
     for rows in bad:
         with pytest.raises(ValueError):
@@ -503,7 +504,8 @@ def test_plain_group_matches_minus_graph_search(s54):
         expected = minus_graph_automorphisms(s)
         got = seidel.automorphism_order(s)
         assert set(got.elements) == expected and got.order == len(expected)
-        assert list(got.generators) == seidel.minimal_generators(s.n, expected)
+        assert list(got.generators) == seidel._greedy_generators(tuple(range(s.n)),
+                                                                 sorted(expected))[0]
     assert seidel.automorphism_order(s54).order == 36
     assert seidel.automorphism_order(petersen_seidel()).order == 120
 
@@ -888,7 +890,8 @@ def reference_canonical_graph_form(n, adj):
         for a, b in zip(first, leaf):
             g[a] = b
         automorphisms.append(tuple(g))
-    return seidel.CanonicalLabelling(best_bits, first, tuple(automorphisms))
+    return seidel.CanonicalLabelling(best_bits, first, tuple(automorphisms),
+                                     generators=tuple(automorphisms))
 
 
 @pytest.fixture(scope="module")
@@ -991,6 +994,11 @@ def test_mask_cells_match_list_cell_oracle(s54, moved_s54):
         oracle = reference_canonical_graph_form(len(adj), adj)
         assert (got.bits, got.labelling) == (oracle.bits, oracle.labelling)
         assert got.automorphisms == tuple(sorted(oracle.automorphisms))
+        # the generators taken are each new, and generate the whole group
+        identity = tuple(range(len(adj)))
+        assert (regenerating_greedy_generators(identity, got.generators, seidel._compose)
+                == list(got.generators))
+        assert bfs_generate(identity, got.generators, seidel._compose) == set(got.automorphisms)
 
 
 def all_descendants_form(s):
@@ -1005,16 +1013,6 @@ def test_pruned_switching_form_matches_all_descendants_random():
     for _ in range(150):
         s = random_seidel(rng, rng.randint(2, 8))
         assert seidel.switching_canonical_form(s) == all_descendants_form(s)
-
-
-@pytest.fixture
-def fresh_switching_caches():
-    def clear():
-        seidel.signed_automorphism_group.cache_clear()
-        seidel._switching_search.cache_clear()
-    clear()
-    yield
-    clear()
 
 
 def test_switching_search_labels_few_descendants(s54, monkeypatch, fresh_switching_caches):
@@ -1097,8 +1095,9 @@ def reference_class_heads(s):
 
 def reference_switching_search(s, index_order=False):
     """Oracle for _switching_search: the orbits of the labelled vertices
-    rebuilt before each w, descendants from reference_descendant, the
-    automorphisms of every labelled descendant extended to generators.
+    rebuilt by a breadth-first search before each w, descendants from
+    reference_descendant, and the generators that canonical_graph_form
+    took for every labelled descendant's group extended to generators.
     The walk visits the reference_class_heads first, then every vertex
     in index order; with index_order, in index order only. Returns its
     (best, aut0, gens) and the labelled vertices."""
@@ -1121,7 +1120,7 @@ def reference_switching_search(s, index_order=False):
         labelled.append(w)
         rest, adj = reference_descendant(s, w)
         form = seidel.canonical_graph_form(n - 1, adj)
-        for g in seidel.minimal_generators(n - 1, form.automorphisms):
+        for g in form.generators:
             perm = list(range(n))
             for pos, v in enumerate(rest):
                 perm[v] = rest[g[pos]]
@@ -1152,7 +1151,7 @@ def test_switching_search_matches_per_vertex_closure_oracle(
     matrices = [s54, moved_s54] + [random_seidel(rng, rng.randint(2, 8)) for _ in range(80)]
     for s in matrices:
         described.clear()
-        seidel._switching_search.cache_clear()
+        clear_switching_caches()
         got = seidel._switching_search(s)
         expected, labelled = reference_switching_search(s)
         assert seidel._class_heads(s) == reference_class_heads(s)
@@ -1178,7 +1177,7 @@ def test_switching_search_labels_three_descendants_of_relabelled_s54(
         signs = [rng.choice((1, -1)) for _ in range(54)]
         s = seidel.switch(seidel.permute(s54, perm), signs)
         described.clear()
-        seidel._switching_search.cache_clear()
+        clear_switching_caches()
         best, aut0, gens = seidel._switching_search(s)
         assert len(described) == 3
         (old_best, old_aut0, old_gens), _ = reference_switching_search(s, index_order=True)
@@ -1492,11 +1491,11 @@ def test_group_closure_and_greedy_generators_match_bfs_oracles(s54):
         plain = seidel.automorphism_order(s).elements
         assert [tuple(t for t, _ in pairs) for pairs in closure
                 if all(sign == 1 for _, sign in pairs)] == list(plain)
-        assert (seidel.minimal_generators(s.n, plain)
+        assert (list(seidel.automorphism_order(s).generators)
                 == regenerating_greedy_generators(tuple(range(s.n)), sorted(plain),
                                                   seidel._compose))
     symmetric = list(permutations(range(5)))
-    assert (seidel.minimal_generators(5, symmetric)
+    assert (seidel._greedy_generators(tuple(range(5)), sorted(symmetric))[0]
             == regenerating_greedy_generators(tuple(range(5)), sorted(symmetric),
                                               seidel._compose))
 
