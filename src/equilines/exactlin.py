@@ -1,7 +1,7 @@
 """Exact integer/rational linear algebra on numpy arrays, in word-size
 arithmetic: int64 where a checked bound keeps every value in range, or
-float64 where every value is an integer below 2^52 (rank, nullity_at and
-inverse also take rows of ints). One modular elimination, _echelon,
+floats whose every value is an integer below 2^mantissa (rank, nullity_at
+and inverse also take rows of ints). One modular elimination, _echelon,
 reduces an int64 matrix to its reduced row echelon form modulo one of the
 word-size primes PRIMES at a time, and every exact answer is read off it:
 
@@ -15,12 +15,12 @@ word-size primes PRIMES at a time, and every exact answer is read off it:
   int64 identity m a = d I verifies is accepted;
 - the pivot columns from which search picks an independent basis.
 
-product_chain runs both spectral tests, the sub-scan screen and the
-annihilator chain, in float64 modulo primes, and holds the one proof that
-none of its values rounds. The Bareiss pivots of rows of Python ints,
-behind determinants and the characteristic polynomial, run in no
-certificate: the tests use them as the oracle for the modular answers.
-Nothing is decided by rounding, so results can serve as certificates.
+product_chain runs both spectral tests modulo primes, the sub-scan
+screen in float32 and the annihilator chain in float64, and holds the
+one proof that none of its values rounds. The Bareiss pivots of rows of
+Python ints, behind determinants and the characteristic polynomial, run
+in no certificate: the tests use them as the oracle for the modular
+answers. Nothing is decided by rounding, so results can serve as certificates.
 """
 
 import math
@@ -236,27 +236,28 @@ def _int64(m):
 
 def float_mod(y, p):
     """y - floor(y / p) p: congruent to y modulo p and in (-p, p), for a
-    float64 array y of integers with |y| < 2^52 and integers 0 < p < 2^52
-    (or an array of them that broadcasts against y).
+    float array y of integers |y| < 2^m, m = np.finfo(y.dtype).nmant, and
+    integers 0 < p < 2^m (or an array of them that broadcasts against y).
 
     Let q = floor(y / p) over the reals. y / p is correctly rounded,
     rounding is monotone and q, q + 1 are exact floats, so floor(fl(y / p))
     is q or q + 1, and it is q when p divides y, as fl(y / p) = q then.
-    The product by p is an integer below |y| + p < 2^53 in absolute
+    The product by p is an integer below |y| + p < 2^(m+1) in absolute
     value, so it is exact, and so is the difference: y - q p in [0, p), or
-    y - (q + 1) p in (-p, 0). A fraction of the cost of np.mod on float64.
+    y - (q + 1) p in (-p, 0). A fraction of the cost of np.mod.
     """
     return y - np.floor(y / p) * p
 
 
-def product_stride(terms, p, width):
-    """The largest k >= 0 with t p w^k < 2^52, t = max(1, terms) and w =
-    max(2, width) (so k < 53), or 0 if there is none: how many products
-    product_chain may take between reductions modulo primes up to p by
-    factors of absolute column sums up to width, a caller summing terms
-    entries of a product (n for a trace, else 1). 0: no product is exact."""
-    t, w = max(1, terms), max(2, width)
-    return next(k for k in range(53) if t * p * w ** (k + 1) >= 1 << 52)
+def product_stride(terms, p, width, dtype):
+    """The largest k >= 0 with t p w^k < 2^m, t = max(1, terms), w =
+    max(2, width) and m = np.finfo(dtype).nmant (so k <= m), or 0 if there
+    is none: how many products product_chain may take, in the float dtype,
+    between reductions modulo primes up to p by factors of absolute column
+    sums up to width, a caller summing terms entries of a product (n for a
+    trace, else 1). 0: no product is exact."""
+    t, w, m = max(1, terms), max(2, width), np.finfo(dtype).nmant
+    return next(k for k in range(m + 1) if t * p * w ** (k + 1) >= 1 << m)
 
 
 def product_chain(x, factors, p, stride, mask=1.0):
@@ -267,13 +268,14 @@ def product_chain(x, factors, p, stride, mask=1.0):
     vectors, or lanes of matrices with p an array of one prime per lane.
 
     Exact for integer entries of x in (-p, p), w at least every absolute
-    column sum of a factor and 0 < stride <= product_stride(terms, max p,
-    w). If |y| < B entrywise, every partial sum of y F in any summation
-    order is an integer below B w in absolute value, and masking only
-    zeroes entries. So after j <= stride products since the last
-    reduction every value is an integer below p w^j < 2^52 / terms: no
-    product rounds, float_mod (which needs |y| < 2^52) is exact, and so
-    is a sum of terms entries of a yielded array, such as a trace.
+    column sum of a factor, 0 < stride <= product_stride(terms, max p, w,
+    dtype) and x, mask, factors and p of that float dtype (or Python
+    numbers), m its mantissa bits. If |y| < B entrywise, every partial sum
+    of y F in any summation order is an integer below B w in absolute
+    value, and masking only zeroes entries. So after j <= stride products
+    since the last reduction every value is an integer below p w^j < 2^m /
+    terms: no product rounds, float_mod (which needs |y| < 2^m) is exact,
+    and so is a sum of terms entries of a yielded array, such as a trace.
     """
     for i, factor in enumerate(factors, 1):
         yield x

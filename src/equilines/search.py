@@ -13,7 +13,7 @@ screens each with an exact annihilator test modulo a prime and confirms
 every survivor with the same test over the integers, run modulo enough
 word-size primes; both tests run on exactlin.product_chain, which proves
 itself exact. Neither search decides anything by rounding: where they
-compute in float64, every value is an exact integer.
+compute in floats, every value is an exact integer.
 """
 
 import random
@@ -26,9 +26,9 @@ import numpy as np
 from . import exactlin, seidel
 from .construct import SCALED_ANGLE, SCALED_NORM
 
-SCREEN_PRIME = 1_048_573        # prime, below 2^20
+SCREEN_PRIME = 1_663            # the largest prime with P 71^2 < 2^23 (float32, S54: k = 2)
 SCREEN_SEED = 54                # fixes the screen vector v
-SCREEN_BATCH = 128              # subsets per batch; small keeps memory flat
+SCREEN_BATCH = 256              # subsets per batch: 55 KiB of float32 rows on S54, memory flat
 SCAN_BLOCK = 1 << 14            # 8-byte entries per pattern-scan or orbit-level block (128 KiB)
 
 
@@ -350,10 +350,11 @@ def subseidel_scan(s, window, orders, progress=None):
     - The screen. exactlin.product_chain multiplies SCREEN_BATCH copies
       of v, each zeroed at one set's indices before and after every
       product, by each S - lam I, lam in L, which applies M - lam I to
-      each. It reduces modulo P every k = exactlin.product_stride(1, P, w)
-      products, w = n - 1 + max |lam| over L (k = 5 for S54: P < 2^20
-      and w <= 71), exact as proved there. A window so wide that k = 0
-      raises AssertionError before the order is screened.
+      each, all in float32. It reduces modulo P every k = product_stride(1,
+      P, w, float32) products, w = n - 1 + max |lam| over L (k = 2 for S54:
+      P < 2^11 and w <= 71), exact as proved there. The precondition and
+      n <= 63 give w <= 124 < 2^23 / P, so k >= 1; a window so wide that
+      k = 0 raises AssertionError before the order is screened.
     - Survivors are not trusted. Each goes to compute_spectrum, which
       proves p_L(M) = 0 over the integers with one annihilator chain
       modulo enough primes and reads the multiplicities off the chain's
@@ -371,7 +372,7 @@ def subseidel_scan(s, window, orders, progress=None):
         raise ValueError(f"orders {outside} are not sub-matrix orders of a {n} x {n} matrix")
     perms = switching_automorphisms(s)
     rng = random.Random(SCREEN_SEED)
-    v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=float)
+    v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=np.float32)
     found = []
     subsets_examined = {}
     representatives = {}
@@ -385,14 +386,14 @@ def subseidel_scan(s, window, orders, progress=None):
         subsets_examined[order] = sum(sizes)
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
-        factors = [s.array - lam * np.eye(n) for lam in lams]
+        factors = [(s.array - lam * np.eye(n)).astype(np.float32) for lam in lams]
         width = n - 1 + max(map(abs, lams), default=0)
-        stride = exactlin.product_stride(1, SCREEN_PRIME, width)
+        stride = exactlin.product_stride(1, SCREEN_PRIME, width, np.float32)
         if not stride:
-            raise AssertionError(f"width {width} leaves no exact float64 screen product")
+            raise AssertionError(f"width {width} leaves no exact float32 screen product")
         for lo in range(0, len(reps), SCREEN_BATCH):
             batch = reps[lo:lo + SCREEN_BATCH]
-            mask = np.ones((len(batch), n))
+            mask = np.ones((len(batch), n), dtype=np.float32)
             mask[np.arange(len(batch))[:, None],
                  np.array(batch, dtype=np.intp).reshape(len(batch), k)] = 0.0
             for x in exactlin.product_chain(mask * v, factors, SCREEN_PRIME, stride, mask):

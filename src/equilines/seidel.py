@@ -168,15 +168,15 @@ def _annihilator_chain(s, lams, primes, quadratic=None):
     for quadratic = (b, c), else q = 1.
 
     exactlin.product_chain computes X_k modulo every prime at once, one
-    lane per prime, exact with k = product_stride(n, max(primes), w)
-    products between reductions (n: a trace sums n entries), as a
-    column of S - lam I has n - 1 entries +-1 and one -lam: w = n - 1 +
-    max |lam|. ValueError if k = 0. X_0 = S^2 + bS + cI, with b and c
+    float64 lane per prime, exact with k = product_stride(n, max(primes),
+    w, float64) products between reductions (n: a trace sums n entries),
+    as a column of S - lam I has n - 1 entries +-1 and one -lam: w = n - 1
+    + max |lam|. ValueError if k = 0. X_0 = S^2 + bS + cI, with b and c
     reduced to (-p/2, p/2), has integer entries below n - 1 + p/2 < p.
     """
     n, p0 = s.n, primes[0]
     norm = n - 1 + max(map(abs, lams), default=0)
-    stride = exactlin.product_stride(n, max(primes), norm)
+    stride = exactlin.product_stride(n, max(primes), norm, np.float64)
     if not stride:
         raise ValueError(f"column sums up to {norm} overflow the exact float64 chain")
     p = np.array(primes, dtype=float)[:, None, None]
@@ -335,7 +335,7 @@ def certify_spectrum(s, claim):
     values = [value for value, _ in claim.integer_eigs]
     mults = None
     width = n - 1 + max(map(abs, values), default=0)
-    if (exactlin.product_stride(n, exactlin.PRIMES[-1], width)
+    if (exactlin.product_stride(n, exactlin.PRIMES[-1], width, np.float64)
             and _chain_primes(n, values, claim.quadratic)):
         mults = _chain_multiplicities(s, values, claim.quadratic)
     if mults is None:

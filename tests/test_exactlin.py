@@ -757,47 +757,60 @@ def test_primes_are_distinct_sorted_word_size_primes():
     assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
 
 
-@pytest.mark.parametrize("p", [3, 1_048_573, exactlin.PRIMES[-1]])
-def test_float_mod_is_an_exact_representative_in_the_open_range(p):
-    # values at and around +-multiples of p, small and near the 2^52 limit
+@pytest.mark.parametrize("p, dtype", [
+    *(pytest.param(p, np.float64, id=str(p)) for p in (3, 1_048_573, exactlin.PRIMES[-1])),
+    *(pytest.param(p, np.float32, id=f"{p}-float32") for p in (3, 1_663, 4_194_301))])
+def test_float_mod_is_an_exact_representative_in_the_open_range(p, dtype):
+    # values at and around +-multiples of p, small and near the 2^m limit
+    m = np.finfo(dtype).nmant
     rng = random.Random(p)
-    ks = [0, 1, 2, 7] + [rng.randrange(1, ((1 << 52) - 4) // p) for _ in range(50)]
-    ks.append(((1 << 52) - 4) // p)
+    ks = [0, 1, 2, 7] + [rng.randrange(1, ((1 << m) - 4) // p + 1) for _ in range(50)]
+    ks.append(((1 << m) - 4) // p)
     ys = sorted({sign * (k * p + d) for k in ks for d in range(-3, 4) for sign in (1, -1)
-                 if abs(k * p + d) < 1 << 52})
-    got = exactlin.float_mod(np.array(ys, dtype=float), p)
+                 if abs(k * p + d) < 1 << m})
+    got = exactlin.float_mod(np.array(ys, dtype=dtype), p)
+    assert got.dtype == dtype
     for y, r in zip(ys, got.tolist()):
         assert r == int(r) and -p < r < p and (y - int(r)) % p == 0, (y, r)
     # a broadcast array of primes reduces each slice by its own prime
-    primes = np.array([3.0, float(p)])[:, None]
-    both = exactlin.float_mod(np.array(ys, dtype=float)[None, :], primes)
+    primes = np.array([3.0, float(p)], dtype=dtype)[:, None]
+    both = exactlin.float_mod(np.array(ys, dtype=dtype)[None, :], primes)
     assert (both[1] == got).all()
     assert all((y - int(r)) % 3 == 0 and -3 < r < 3 for y, r in zip(ys, both[0].tolist()))
 
 
 def test_product_stride_is_the_largest_exact_stride():
-    # terms p w^k < 2^52 <= terms p w^(k+1), for terms 1 (the screen) and n
-    # (the chain's traces), over word-size and small primes and wide widths
+    # terms p w^k < 2^m <= terms p w^(k+1), m = 52 for float64 and 23 for
+    # float32, for terms 1 (the screen) and n (the chain's traces), over
+    # word-size and small primes and wide widths
     rng = random.Random(52)
-    cases = [(terms, p, w) for terms in (1, 54) for p in (3, 1_048_573, exactlin.PRIMES[-1])
-             for w in (2, 3, 54, 66, 71, 1000, 1 << 20)]
+    cases = [(terms, p, w) for terms in (1, 54)
+             for p in (3, 1_663, 1_048_573, exactlin.PRIMES[-1])
+             for w in (2, 3, 54, 66, 71, 72, 1000, 5044, 5045, 1 << 20)]
     cases += [(rng.choice([1, rng.randint(2, 63)]), rng.randrange(2, 1 << 31),
                rng.randrange(2, 1 << 24)) for _ in range(300)]
-    for terms, p, w in cases:
-        k = exactlin.product_stride(terms, p, w)
-        assert k >= 0 and terms * p * w ** (k + 1) >= 1 << 52, (terms, p, w)
-        assert k == 0 or terms * p * w ** k < 1 << 52, (terms, p, w)
-    assert {exactlin.product_stride(terms, p, w) for terms, p, w in cases} >= {0, 1, 2, 5}
+    for dtype, m, seen in ((np.float64, 52, {0, 1, 2, 5}), (np.float32, 23, {0, 1, 2})):
+        strides = set()
+        for terms, p, w in cases:
+            k = exactlin.product_stride(terms, p, w, dtype)
+            assert k >= 0 and terms * p * w ** (k + 1) >= 1 << m, (terms, p, w, dtype)
+            assert k == 0 or terms * p * w ** k < 1 << m, (terms, p, w, dtype)
+            strides.add(k)
+        assert strides >= seen
     # widths below 2 count as 2, so k stays finite, and a sum of no terms as
-    # one term; none when terms p >= 2^52
-    assert exactlin.product_stride(1, 3, 0) == exactlin.product_stride(1, 3, 2) == 50
-    assert exactlin.product_stride(0, 3, -1) == 50
-    assert exactlin.product_stride(1 << 21, 1 << 31, 2) == 0
+    # one term; none when terms p >= 2^m
+    assert exactlin.product_stride(1, 3, 0, np.float64) == 50
+    assert exactlin.product_stride(1, 3, 2, np.float64) == 50
+    assert exactlin.product_stride(0, 3, -1, np.float64) == 50
+    assert exactlin.product_stride(1 << 21, 1 << 31, 2, np.float64) == 0
+    assert exactlin.product_stride(0, 3, -1, np.float32) == 21
+    assert exactlin.product_stride(1, 1 << 23, 2, np.float32) == 0
 
 
 def test_s54_screen_and_chain_strides(s54, s54_window, monkeypatch):
-    # S54's screen reduces every 5 products (P w^5 < 2^52, w <= 71) and its
-    # chains every 2 (54 p0 66^2 < 2^52 <= 54 p0 66^3; 52 p0 68^2 for T52)
+    # S54's screen reduces every 2 float32 products (P 71^2 < 2^23) and its
+    # chains every 2 float64 ones (54 p0 66^2 < 2^52 <= 54 p0 66^3; 52 p0
+    # 68^2 for T52)
     real, strides = exactlin.product_chain, []
 
     def spy(x, factors, p, stride, mask=1.0):
@@ -808,9 +821,75 @@ def test_s54_screen_and_chain_strides(s54, s54_window, monkeypatch):
     assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
     assert strides == [("chain", 2)] * 2           # modulo p0, then one more prime
     search.subseidel_scan(s54, s54_window, cli.ORDERS)
-    assert set(strides) == {("chain", 2), ("screen", 5)}
-    assert exactlin.product_stride(1, search.SCREEN_PRIME, 71) == 5
-    assert exactlin.product_stride(54, exactlin.PRIMES[-1], 66) == 2
+    assert set(strides) == {("chain", 2), ("screen", 2)}
+    assert exactlin.product_stride(1, search.SCREEN_PRIME, 71, np.float32) == 2
+    assert exactlin.product_stride(54, exactlin.PRIMES[-1], 66, np.float64) == 2
+
+
+def test_screen_runs_in_float32_and_the_chain_in_float64(s54, s54_window, monkeypatch):
+    # a NumPy promotion (a float64 scalar P, an int64 lam times a float32
+    # array) must not switch the screen back to float64, nor run float64
+    # arrays at the float32 stride or float32 arrays at the float64 one
+    real, calls = exactlin.product_chain, []
+
+    def spy(x, factors, p, stride, mask=1.0):
+        screen = isinstance(mask, np.ndarray)
+        dtype = np.float32 if screen else np.float64
+        terms = 1 if screen else x.shape[-1]
+        width = max(int(np.abs(f).sum(axis=0).max()) for f in factors)
+        top = max(np.ravel(p).tolist())
+        assert x.dtype == dtype and all(f.dtype == dtype for f in factors)
+        assert not screen or (mask.dtype == dtype and p == search.SCREEN_PRIME)
+        assert 0 < stride == exactlin.product_stride(terms, top, width, dtype)
+        calls.append("screen" if screen else "chain")
+        for y in real(x, factors, p, stride, mask):
+            assert y.dtype == dtype
+            yield y
+
+    monkeypatch.setattr(exactlin, "product_chain", spy)
+    assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
+    assert calls == ["chain"] * 2
+    result = search.subseidel_scan(s54, s54_window, cli.ORDERS)
+    assert len(result.hits) == 9 and result.screened_ambiguous == 0
+    assert {"screen", "chain"} == set(calls)
+
+
+def signed_factor(rng, n, w, sign=None):
+    """An n x n float32 factor whose every absolute column sum is exactly
+    w: off-diagonal entries +-1 (all sign, if given) and a diagonal entry
+    +-(w - n + 1), like a column of S - lam I."""
+    pick = (lambda: sign) if sign else (lambda: rng.choice((1, -1)))
+    rows = [[pick() * (w - n + 1 if i == j else 1) for j in range(n)] for i in range(n)]
+    return np.array(rows, dtype=np.float32)
+
+
+def test_float32_chain_at_the_stride_edge_matches_python_ints():
+    # entries +-(P - 1) and factors with absolute column sums of exactly w,
+    # at the largest w with k = 2 (P 71^2 < 2^23 <= P 72^2) and with k = 1
+    # (P 5,044 < 2^23 <= P 5,045): the chain agrees with Python ints reduced
+    # after every product, and one stride more rounds on the all-positive
+    # input, whose entries reach (P - 1) w^(k+1) >= 2^23
+    p, n = search.SCREEN_PRIME, 8
+    rng = random.Random(23)
+    for w, k in ((71, 2), (5_044, 1)):
+        stride = exactlin.product_stride(1, p, w, np.float32)
+        assert stride == k and exactlin.product_stride(1, p, w + 1, np.float32) == k - 1
+        rows = [[p - 1] * n, [1 - p] * n] + [[rng.choice((1 - p, p - 1)) for _ in range(n)]
+                                             for _ in range(30)]
+        x = np.array(rows, dtype=np.float32)
+        for factors in ([signed_factor(rng, n, w, 1) for _ in range(2 * k + 1)],
+                        [signed_factor(rng, n, w) for _ in range(2 * k + 1)]):
+            expected = np.array(rows, dtype=object)
+            for factor in factors:
+                expected = expected @ factor.astype(int).astype(object) % p
+            got = list(exactlin.product_chain(x, factors, p, stride))[-1]
+            assert got.dtype == np.float32 and (abs(got) < p).all()
+            assert ((got.astype(np.int64) - expected.astype(np.int64)) % p == 0).all()
+        # row 0 by all-positive factors at one stride more: every residue is wrong
+        positive = [signed_factor(rng, n, w, 1)] * (k + 1)
+        rounded = list(exactlin.product_chain(x[:1], positive, p, k + 1))[-1]
+        assert (p - 1) * w ** (k + 1) >= 1 << 23
+        assert ((rounded.astype(np.int64) - (p - 1) * w ** (k + 1)) % p != 0).all(), rounded
 
 
 def name_uses(tree, name):
@@ -833,7 +912,7 @@ def name_uses(tree, name):
 
 
 def test_float_mod_is_used_only_by_the_product_chain():
-    # one exact float64 chain with one proof: a second loop reducing by
+    # one exact float chain with one proof: a second loop reducing by
     # float_mod would need a proof of its own
     src = Path(exactlin.__file__).parent
     uses = {(path.name, owner) for path in sorted(src.glob("*.py"))

@@ -360,23 +360,27 @@ def test_each_order_builds_only_its_own_orbit_level(s54, s54_window, monkeypatch
 
 def screen_mask(v, removed):
     """One copy of v per row of removed, zeroed at that row's indices, and
-    the 0/1 mask that zeroes them, as the sub-scan screen builds them."""
-    mask = np.ones((len(removed), len(v)))
+    the 0/1 mask that zeroes them, in float32, as the sub-scan screen
+    builds them."""
+    mask = np.ones((len(removed), len(v)), dtype=np.float32)
     mask[np.arange(len(removed))[:, None], removed] = 0.0
-    return mask * v, mask
+    return mask * np.asarray(v, dtype=np.float32), mask
 
 
 def screen_stride(n, lams):
-    """The screen's k: exactlin.product_stride with terms 1 and P."""
-    return exactlin.product_stride(1, search.SCREEN_PRIME, n - 1 + max(map(abs, lams), default=0))
+    """The screen's k: exactlin.product_stride with terms 1, P and float32."""
+    width = n - 1 + max(map(abs, lams), default=0)
+    return exactlin.product_stride(1, search.SCREEN_PRIME, width, np.float32)
 
 
 def chain_screen(factors, v, removed, stride):
-    """The sub-scan screen as subseidel_scan runs it: which rows of
-    removed leave exactlin.product_chain, masked, at 0 modulo P."""
+    """The sub-scan screen as subseidel_scan runs it, in float32: which
+    rows of removed leave exactlin.product_chain, masked, at 0 modulo P."""
     x, mask = screen_mask(v, removed)
+    factors = [factor.astype(np.float32) for factor in factors]
     for x in exactlin.product_chain(x, factors, search.SCREEN_PRIME, stride, mask):
         pass
+    assert x.dtype == np.float32
     return ~x.any(axis=1)
 
 
@@ -406,8 +410,8 @@ def full_scan(s, window, orders):
 
 
 def mod_screen(factors, v, removed):
-    """Oracle for the screen: np.mod after every product."""
-    x, mask = screen_mask(v, removed)
+    """Oracle for the screen: np.mod after every product, in float64."""
+    x, mask = (a.astype(float) for a in screen_mask(v, removed))
     for factor in factors:
         x = np.mod(x @ factor, search.SCREEN_PRIME) * mask
     return ~x.any(axis=1)
@@ -448,11 +452,12 @@ def test_screen_matches_np_mod_oracle(s54, s54_window):
     assert passed > 50
 
 
-def reference_screen(factors, v, removed):
-    """Oracle for the screen: exactlin.float_mod after every product."""
-    x, mask = screen_mask(v, removed)
+def reference_screen(factors, v, removed, p=search.SCREEN_PRIME):
+    """Oracle for the screen: exactlin.float_mod modulo p after every
+    product, in float64."""
+    x, mask = (a.astype(float) for a in screen_mask(v, removed))
     for factor in factors:
-        x = exactlin.float_mod(x @ factor, search.SCREEN_PRIME) * mask
+        x = exactlin.float_mod(x @ factor, p) * mask
     return ~x.any(axis=1)
 
 
@@ -493,22 +498,44 @@ def test_screen_matches_per_product_reference(s54, s54_window, monkeypatch):
         assert len(calls) == -(-len(factors) // stride)
         strides.add(stride)
         passed += int(expected.sum())
-    assert {4, 5} <= strides and passed > 0
+    assert {1, 2} <= strides and passed > 0
+
+
+def test_float32_screen_keeps_the_float64_screens_survivors(s54, s54_window):
+    # on every representative of orders 50-53 of S54 (3,418 rows), the
+    # float32 screen at P = 1,663, with the scan's v, and a float64 screen
+    # at the former prime 1,048,573, reduced after every product, keep the
+    # same survivors: the one order-52 representative of the nine hits
+    perms = search.switching_automorphisms(s54)
+    levels = islice(search._orbit_levels(perms, 54), 1, 5)
+    rows, kept = 0, {}
+    for order, (reps, _) in zip((53, 52, 51, 50), levels):
+        lams = [lam for lam in s54_window if order % 2 or lam % 2]
+        factors = [s54.array - lam * np.eye(54) for lam in lams]
+        removed = np.array(reps, dtype=np.intp)
+        new, old = (np.array([random.Random(search.SCREEN_SEED).randrange(1, p)
+                              for _ in range(54)]) for p in (search.SCREEN_PRIME, 1_048_573))
+        passed = chain_screen(factors, new, removed, screen_stride(54, lams))
+        assert (passed == reference_screen(factors, old, removed, 1_048_573)).all()
+        rows += len(reps)
+        kept[order] = [r for r, ok in zip(reps, passed) if ok]
+    assert rows == 3_418
+    assert kept == {53: [], 52: [search.subseidel_scan(s54, s54_window, (52,)).hits[0][1]],
+                    51: [], 50: []}
 
 
 def test_screen_stride_falls_as_the_window_widens():
-    # k is the largest with P w^k < 2^52, w = n - 1 + max |lam|: 5 for S54
+    # k is the largest with P w^k < 2^23, w = n - 1 + max |lam|: 2 for S54,
+    # 1 up to w = 5,044 (P 5,044 < 2^23 <= P 5,045), far above the widest
+    # legal window's 2 (63 - 1) = 124, and 0 beyond
     p = search.SCREEN_PRIME
-    assert screen_stride(54, range(-5, 19)) == 5
-    previous = 64
-    for top in (0, 1, 10, 18, 100, 10 ** 3, 10 ** 5, 10 ** 8, (1 << 32) - 80):
+    assert screen_stride(54, range(-5, 19)) == 2
+    assert screen_stride(63, range(-62, 63)) == 1
+    for top in (0, 1, 10, 18, 19, 71, 100, 10 ** 3, 4_991, 4_992, 10 ** 5, 1 << 33):
         k = screen_stride(54, [-3, top])
         w = 53 + max(3, top)
-        assert p * w ** k < 1 << 52 <= p * w ** (k + 1)
-        assert 1 <= k <= previous
-        previous = k
-    assert previous == 1
-    assert screen_stride(54, [1 << 33]) == 0
+        assert p * w ** k < 1 << 23 <= p * w ** (k + 1)
+        assert k == (2 if top <= 18 else 1 if top <= 4_991 else 0)
 
 
 def masked_calls(monkeypatch, screen):
@@ -539,11 +566,11 @@ def test_orders_outside_one_to_n_raise_before_any_level(monkeypatch):
 
 
 def test_too_wide_window_raises_before_any_screen(monkeypatch):
-    # P (n - 1 + 2^33) >= 2^52: not even one product is exact
+    # P (n - 1 + 2^33) >= 2^23: not even one float32 product is exact
     s = petersen_seidel()
     screened = []
     masked_calls(monkeypatch, lambda *args: screened.append(args) or iter([args[0]]))
-    with pytest.raises(AssertionError, match="leaves no exact float64 screen product"):
+    with pytest.raises(AssertionError, match="leaves no exact float32 screen product"):
         search.subseidel_scan(s, range((1 << 33) + 1, (1 << 33) + 2), orders=(9,))
     assert screened == []
 

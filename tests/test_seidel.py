@@ -1394,7 +1394,7 @@ def test_chain_matches_per_product_reference(s54, t52):
     strides, vanished = set(), 0
     for s, lams, quadratic in cases:
         norm = s.n - 1 + max(map(abs, lams), default=0)
-        strides.add(exactlin.product_stride(s.n, p0, norm))
+        strides.add(exactlin.product_stride(s.n, p0, norm, np.float64))
         primes = exactlin.PRIMES[-3:][::-1]
         expected = [reference_chain(s, lams, p, quadratic) for p in primes]
         for lane in range(3):
