@@ -19,7 +19,6 @@ compute in floats, every value is an exact integer.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -231,9 +230,9 @@ def switching_automorphisms(s):
 
 def _orbit_levels(perms, n):
     """Level k = 0, 1, 2, ..., each built from level k - 1 only when it is
-    asked for: (reps, sizes), the k-subsets of range(n) that are
-    lexicographically least among their images under perms, in
-    combinations order, and how many distinct images each has.
+    asked for: int64 arrays reps, (m, k), whose rows are the k-subsets of
+    range(n) lexicographically least among their images under perms, in
+    combinations order, and sizes, (m,), how many distinct images each has.
 
     For a permutation group G these are one subset per G-orbit, and each
     count is the orbit size, so the counts sum to C(n, k). Counting
@@ -272,9 +271,9 @@ def _orbit_levels(perms, n):
     own = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
     width = max(1, SCAN_BLOCK // bits.shape[1])             # candidates per block
     empty = np.zeros(0, dtype=np.int64)
-    reps, sizes = np.zeros((1, 0), dtype=np.int64), [1]
+    reps, sizes = np.zeros((1, 0), dtype=np.int64), np.ones(1, dtype=np.int64)
     while True:
-        yield list(map(tuple, reps.tolist())), sizes
+        yield reps, sizes
         start = reps[:, -1] + 1 if reps.shape[1] else np.zeros(len(reps), dtype=np.int64)
         reps, start = reps[start < n], start[start < n]     # parents with a candidate
         count = n - start
@@ -290,8 +289,8 @@ def _orbit_levels(perms, n):
             kept = images[keep]
             kept.sort(axis=1)
             blocks.append((p[keep], y[keep], 1 + (kept[:, 1:] != kept[:, :-1]).sum(axis=1)))
-        p, y, size = (np.concatenate(part) for part in zip(*blocks))
-        reps, sizes = np.column_stack([reps[p], y]), size.tolist()
+        p, y, sizes = (np.concatenate(part) for part in zip(*blocks))
+        reps = np.column_stack([reps[p], y])
 
 
 def _orbit(perms, removed):
@@ -317,22 +316,22 @@ def subseidel_scan(s, window, orders, progress=None):
       d_i d_j S[i, j]. So the submatrix kept after removing pi(K) is a
       signed permutation conjugate of the one kept after removing K: the
       two have the same spectrum and lie in the same switching class.
-      The lex-least representative that _orbit_levels yields (its
-      docstring proves one per orbit) therefore decides its whole orbit:
-      a confirmed one contributes every member, with its spectrum. Orders
-      run in descending order, so k = n - order rises, and level k is
-      built from level k - 1 just before order n - k is screened. Hits
-      are sorted by order descending, then in combinations order, as a
-      scan of every subset would list them.
+      Each row of the (m, k) int64 array reps that _orbit_levels yields
+      is lex-least in its orbit (one per orbit, proved there), so it
+      decides the whole orbit: a confirmed one contributes every member,
+      with its spectrum. Orders run in descending order, so k = n - order
+      rises, and level k is built from level k - 1 just before order
+      n - k is screened. Hits are sorted by order descending, then in
+      combinations order, as a scan of every subset would list them.
       Orbits partition the k-subsets, so subsets_examined, the sum of the
-      orbit sizes, must be C(n, k); the certificate checks it.
+      level's (m,) int64 sizes, must be C(n, k); the certificate checks it.
     - Classes. equivalence_classes lists the hit positions of each
       switching class (up to permutation), in order of first hit. By the
       orbit argument every member of one hit orbit lies in the class of
       its representative, so a single hit orbit is a single class and
-      needs no canonical form. Only when two or more orbits hit does each
-      representative get one switching_canonical_form, and orbits merge
-      iff their forms are equal, as equal forms mean the same class.
+      needs no canonical form. Only when two or more orbits hit does the
+      M kept from each confirmation get one switching_canonical_form, and
+      orbits merge iff their forms are equal, as equal forms mean one class.
 
     A submatrix M of order m survives the screen iff p_L(M) v = 0 (mod P),
     where p_L(x) = prod_{lam in L} (x - lam), v is a fixed vector and L is
@@ -347,21 +346,21 @@ def subseidel_scan(s, window, orders, progress=None):
       det(xI - M) = (x - m + 1)(x + 1)^(m-1) = (x + 1)^m (mod 2) for even
       m. An integer root of this monic integer polynomial is therefore a
       root of (x + 1)^m over GF(2), that is, odd.
-    - The screen. exactlin.product_chain multiplies SCREEN_BATCH copies
-      of v, each zeroed at one set's indices before and after every
-      product, by each S - lam I, lam in L, which applies M - lam I to
-      each, all in float32. It reduces modulo P every k = product_stride(1,
-      P, w, float32) products, w = n - 1 + max |lam| over L (k = 2 for S54:
-      P < 2^11 and w <= 71), exact as proved there. The precondition and
-      n <= 63 give w <= 124 < 2^23 / P, so k >= 1; a window so wide that
-      k = 0 raises AssertionError before the order is screened.
-    - Survivors are not trusted. Each goes to compute_spectrum, which
-      proves p_L(M) = 0 over the integers with one annihilator chain
-      modulo enough primes and reads the multiplicities off the chain's
-      traces. A survivor whose chain does not vanish (the residue vanished
-      only modulo P, or only for this v) has an eigenvalue outside L, so
-      no integral spectrum: it adds its orbit size to screened_ambiguous,
-      so that field counts subsets, as a scan of every subset would.
+    - The screen. Each slice of SCREEN_BATCH rows of reps zeroes a mask
+      at each row's indices; exactlin.product_chain multiplies v, masked
+      by a mask row before and after every product, by each S - lam I,
+      lam in L, which applies M - lam I, in float32, reducing modulo P
+      every k = product_stride(1, P, w, float32) products, w = n - 1 +
+      max |lam| over L (k = 2 for S54: P < 2^11 and w <= 71), exact as
+      proved there. The precondition and n <= 63 give w <= 124 < 2^23 / P,
+      so k >= 1; a window so wide that k = 0 raises AssertionError first.
+    - Survivors are not trusted. Each M, on the nonzero indices of its
+      mask row, goes to compute_spectrum, which proves p_L(M) = 0 over
+      the integers with one annihilator chain modulo enough primes and
+      reads the multiplicities off the chain's traces. A survivor whose
+      chain does not vanish (the residue vanished only modulo P, or only
+      for this v) has an eigenvalue outside L, so no integral spectrum:
+      it adds its orbit size to screened_ambiguous, which counts subsets.
 
     progress(order, subsets covered) is called after each order's screen
     and confirmation, before classification.
@@ -378,12 +377,11 @@ def subseidel_scan(s, window, orders, progress=None):
     representatives = {}
     rejected = 0
     levels = _orbit_levels(perms, n)
-    depth, (reps, sizes) = 0, next(levels)
+    reps, sizes = next(levels)
     for order in sorted(set(orders), reverse=True):
-        k = n - order
-        while depth < k:
-            depth, (reps, sizes) = depth + 1, next(levels)
-        subsets_examined[order] = sum(sizes)
+        while reps.shape[1] < n - order:
+            reps, sizes = next(levels)
+        subsets_examined[order] = int(sizes.sum())
         representatives[order] = len(reps)
         lams = [lam for lam in window if order % 2 or lam % 2]
         factors = [(s.array - lam * np.eye(n)).astype(np.float32) for lam in lams]
@@ -394,26 +392,24 @@ def subseidel_scan(s, window, orders, progress=None):
         for lo in range(0, len(reps), SCREEN_BATCH):
             batch = reps[lo:lo + SCREEN_BATCH]
             mask = np.ones((len(batch), n), dtype=np.float32)
-            mask[np.arange(len(batch))[:, None],
-                 np.array(batch, dtype=np.intp).reshape(len(batch), k)] = 0.0
+            mask[np.arange(len(batch))[:, None], batch] = 0.0
             for x in exactlin.product_chain(mask * v, factors, SCREEN_PRIME, stride, mask):
                 pass                    # the screen reads the last array only
-            for removed, size in compress(zip(batch, sizes[lo:lo + SCREEN_BATCH]), ~x.any(axis=1)):
-                sub = s.principal_submatrix(i for i in range(n) if i not in removed)
+            for i in np.flatnonzero(~x.any(axis=1)):
+                sub = s.principal_submatrix(np.flatnonzero(mask[i]))
                 claim = seidel.compute_spectrum(sub, lams)
                 if claim is not None:
-                    found.append((order, removed, claim))
+                    found.append((order, batch[i], claim, sub))
                 else:
-                    rejected += size
+                    rejected += int(sizes[lo + i])
         if progress:
             progress(order, subsets_examined[order])
 
     forms = [None] * len(found)
     if len(found) > 1:
-        forms = [seidel.switching_canonical_form(
-            s.principal_submatrix(i for i in range(n) if i not in rep)) for _, rep, _ in found]
+        forms = [seidel.switching_canonical_form(sub) for *_, sub in found]
     members = []
-    for (order, rep, claim), form in zip(found, forms):
+    for (order, rep, claim, _sub), form in zip(found, forms):
         members.extend((order, removed, claim, form) for removed in _orbit(perms, rep))
     members.sort(key=lambda hit: (-hit[0], hit[1]))
     classes = {}

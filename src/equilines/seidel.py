@@ -843,8 +843,7 @@ def _switching_search(s):
     0 and visits every vertex: the classes order the walk and decide
     nothing. On S54 they are its three orbits, of 27, 18 and 9 vertices
     with heads 0, 2 and 9, and the generators of those three descendants
-    already reach every vertex, so three descendants are labelled, not
-    the four (0, 1, 2, 9) of the index-order walk.
+    already reach every vertex.
 
     w is skipped if the generators found so far map a labelled u onto it,
     that is, if w has u's root in the forest of their orbits (each

@@ -501,6 +501,27 @@ def test_permutation_group_on_relabelled_and_switched_copies(s54, fresh_switchin
         assert bfs_generate(tuple(range(54)), plain.generators, seidel._compose) == set(expected)
 
 
+def test_construct_and_remark_agree_on_a_relabelled_copy():
+    # a pure permutation of the 54 members keeps their octads: theorem1.count
+    # passes with the golden details and digest, remark.cliques with the
+    # golden details; remark.cliques digests the final octads in order, so
+    # its digest differs from the golden one, which the unpermuted run gives
+    golden = {c["claim_id"]: c for c in json.loads(GOLDEN_ALL.read_text())["certificates"]}
+    base = cli.Pipeline(cli.RunConfig(command="all"))
+    perm, signs, copy = next(relabelled_copies(base.final))
+    assert perm != sorted(perm) and set(signs) == {1}
+    pipeline = cli.Pipeline(cli.RunConfig(command="all"))
+    pipeline.__dict__["final"] = copy
+    count, remark = cli.cmd_construct(pipeline), construct.verify_remark(pipeline.asche, copy)
+    assert count.passed and remark.passed
+    expected = golden["theorem1.count"]
+    assert (count.details, count.inputs_digest) == (expected["details"], expected["inputs_digest"])
+    expected = golden["remark.cliques"]
+    assert json.loads(json.dumps(remark.details)) == expected["details"]
+    assert remark.inputs_digest != expected["inputs_digest"]
+    assert construct.verify_remark(base.asche, base.final).inputs_digest == expected["inputs_digest"]
+
+
 def test_subscan_restricted_orders(tmp_path):
     out = tmp_path / "s.json"
     assert run(["subscan", "--orders", "53", "--out", str(out)]) == 0

@@ -334,11 +334,21 @@ def orbit_level(perms, n, k):
     return next(islice(search._orbit_levels(perms, n), k, None))
 
 
+def as_lists(level):
+    """A level of search._orbit_levels as a list of index tuples and a
+    list of sizes, once both are checked to be int64 arrays with one row
+    per representative."""
+    reps, sizes = level
+    assert reps.dtype == sizes.dtype == np.int64
+    assert reps.ndim == 2 and sizes.shape == (len(reps),)
+    return list(map(tuple, reps.tolist())), sizes.tolist()
+
+
 def test_each_order_builds_only_its_own_orbit_level(s54, s54_window, monkeypatch):
     # orders run 53, 52, 51, so level k = 54 - order is the deepest one
     # built when order 54 - k reports
     perms = search.switching_automorphisms(s54)
-    expected = [orbit_level(perms, 54, k) for k in range(4)]
+    expected = [as_lists(orbit_level(perms, 54, k)) for k in range(4)]
     built = []
     levels = search._orbit_levels
 
@@ -355,7 +365,7 @@ def test_each_order_builds_only_its_own_orbit_level(s54, s54_window, monkeypatch
     result = search.subseidel_scan(s54, s54_window, orders=(51, 52, 53), progress=progress)
     assert reported == [53, 52, 51]
     assert result.orbit_representatives == {51: 279, 52: 25, 53: 3}
-    assert built == expected
+    assert [as_lists(level) for level in built] == expected
 
 
 def screen_mask(v, removed):
@@ -509,7 +519,8 @@ def test_float32_screen_keeps_the_float64_screens_survivors(s54, s54_window):
     perms = search.switching_automorphisms(s54)
     levels = islice(search._orbit_levels(perms, 54), 1, 5)
     rows, kept = 0, {}
-    for order, (reps, _) in zip((53, 52, 51, 50), levels):
+    for order, level in zip((53, 52, 51, 50), levels):
+        reps, _ = as_lists(level)
         lams = [lam for lam in s54_window if order % 2 or lam % 2]
         factors = [s54.array - lam * np.eye(54) for lam in lams]
         removed = np.array(reps, dtype=np.intp)
@@ -588,7 +599,7 @@ def test_orbit_representatives_s54(s54):
     perms = search.switching_automorphisms(s54)
     assert len(perms) == 108
     for k, count in zip((1, 2, 3, 4), (3, 25, 279, 3111)):
-        reps, sizes = orbit_level(perms, 54, k)
+        reps, sizes = as_lists(orbit_level(perms, 54, k))
         assert len(reps) == len(sizes) == count
         assert reps == sorted(reps)
         assert sum(sizes) == math.comb(54, k)
@@ -652,7 +663,7 @@ def group_cases(s54):
 def test_orbit_representatives_match_least_bitmask_oracle(s54):
     for n, perms, top in group_cases(s54):
         for k in range(1, top + 1):
-            reps, sizes = orbit_level(perms, n, k)
+            reps, sizes = as_lists(orbit_level(perms, n, k))
             orbits = [images_of(perms, rep) for rep in reps]
             assert all(rep == min(orbit) for rep, orbit in zip(reps, orbits))
             assert sizes == [len(orbit) for orbit in orbits]
@@ -678,7 +689,7 @@ def test_orbit_representatives_of_any_perm_set():
     for n, perms in random_perm_sets():
         for k in range(n + 1):
             kept = [t for t in combinations(range(n), k) if min(images_of(perms, t)) >= t]
-            assert orbit_level(perms, n, k) == (
+            assert as_lists(orbit_level(perms, n, k)) == (
                 kept, [len(images_of(perms, t)) for t in kept])
 
 
@@ -707,11 +718,13 @@ def test_orbit_levels_match_per_parent_oracle(s54, monkeypatch):
     cases.append((0, [()], 2))
     for n, perms, top in cases:
         expected = list(islice(reference_orbit_levels(perms, n), top + 1))
-        assert list(islice(search._orbit_levels(perms, n), top + 1)) == expected
+        levels = islice(search._orbit_levels(perms, n), top + 1)
+        assert [as_lists(level) for level in levels] == expected
         # blocks of one group's width hold one candidate each, so the
         # candidates of one parent span several blocks
         monkeypatch.setattr(search, "SCAN_BLOCK", len(perms))
-        assert list(islice(search._orbit_levels(perms, n), top + 1)) == expected
+        levels = islice(search._orbit_levels(perms, n), top + 1)
+        assert [as_lists(level) for level in levels] == expected
         monkeypatch.undo()
 
 
@@ -743,7 +756,7 @@ def test_switching_search_memory_budget(s54, fresh_switching_caches):
 
 def test_orbit_representatives_mask_width():
     mirror = tuple(range(62, -1, -1))
-    reps, sizes = orbit_level([tuple(range(63)), mirror], 63, 1)
+    reps, sizes = as_lists(orbit_level([tuple(range(63)), mirror], 63, 1))
     assert reps == [(i,) for i in range(32)]
     assert sizes == [2] * 31 + [1]
     with pytest.raises(ValueError):
@@ -929,6 +942,7 @@ def test_subscan_matches_brute_force_oracle():
     result = search.subseidel_scan(s, integer_window(s), orders=orders)
     assert result.hits == expected
     assert result.screened_ambiguous == 0
+    assert_python_ints(result)
 
 
 def test_orbit_scan_matches_brute_force_on_petersen():
@@ -969,11 +983,18 @@ def assert_classes_are_switching_classes(s, result):
     assert len(set().union(*forms)) == len(forms)
 
 
-def test_hit_orbits_merge_by_form_on_flipped_petersen():
+def test_hit_orbits_merge_by_form_on_flipped_petersen(monkeypatch):
     # the flipped matrix leaves a scan group of order 16: its 16 hit
-    # orbits lie in 6 switching classes, so orbits of one order must merge
+    # orbits lie in 6 switching classes, so orbits of one order must merge;
+    # the sub-matrix of each of its 16 survivors is built once, for both
+    # its confirmation and its canonical form
     s = petersen_seidel(flip=True)
+    built, real = [], seidel.SeidelMatrix.principal_submatrix
+    monkeypatch.setattr(seidel.SeidelMatrix, "principal_submatrix",
+                        lambda self, keep: built.append(self) or real(self, keep))
     result = search.subseidel_scan(s, integer_window(s), orders=(6, 7, 8, 9))
+    monkeypatch.undo()
+    assert len(built) == 16
     assert len(hit_orbits(s, result.hits)) == 16
     assert_classes_are_switching_classes(s, result)
     assert len(result.equivalence_classes) == 6
@@ -988,6 +1009,25 @@ def test_screened_ambiguous_counts_subsets(monkeypatch):
     result = search.subseidel_scan(s, certified_window(s), orders=orders)
     assert result.hits == brute_force_hits(s, orders)
     assert result.screened_ambiguous == 385 - 205
+    assert_python_ints(result)
+
+
+def assert_python_ints(result):
+    """Every count and hit index of a scan result is a Python int: an
+    np.int64 compares equal to one, but json.dump refuses it."""
+    values = [*result.subsets_examined.values(), *result.orbit_representatives.values(),
+              result.screened_ambiguous, *(i for _, removed, _ in result.hits for i in removed)]
+    assert all(type(x) is int for x in values)
+
+
+def test_subscan_of_order_3_matches_brute_force():
+    # both switching classes of order 3, whose whole matrix is a hit with
+    # removed (), a level of width 0
+    for s in (seidel.SeidelMatrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]]), j_minus_i(3)):
+        result = search.subseidel_scan(s, integer_window(s), orders=(1, 2, 3))
+        assert result.hits == brute_force_hits(s, (1, 2, 3))
+        assert result.hits[0][:2] == (3, ())
+        assert_python_ints(result)
 
 
 def test_progress_callback_invoked(s54, s54_window):
