@@ -3,7 +3,7 @@
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def digest_of(obj):
@@ -25,13 +25,7 @@ class Certificate:
         return self.status == "pass"
 
     def to_dict(self):
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "inputs_digest": self.inputs_digest,
-            "details": self.details,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 class CertificateBuilder:

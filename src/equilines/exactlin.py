@@ -17,7 +17,10 @@ word-size primes PRIMES at a time, and every exact answer is read off it:
 
 product_chain runs both spectral tests modulo primes, the sub-scan
 screen in float32 and the annihilator chain in float64, and holds the
-one proof that none of its values rounds. The Bareiss pivots of rows of
+one proof that none of its values rounds. The two spectral callers share
+one multiplicity source (seidel._multiplicities), which takes nullity_at
+only where the chain cannot run or, for certify_spectrum alone, proves
+an eigenvalue outside the claim. The Bareiss pivots of rows of
 Python ints, behind determinants and the characteristic polynomial, run
 in no certificate: the tests use them as the oracle for the modular
 answers. Nothing is decided by rounding, so results can serve as certificates.

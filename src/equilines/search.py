@@ -103,7 +103,7 @@ def _pattern_scan(a, d, inner):
     r = len(a)
     top, rem = divmod(SCALED_NORM * d, SCALED_ANGLE ** 2)
     a, inner = a.astype(object), inner.astype(object)
-    bound = max(d, abs(a).sum(), abs(inner).sum(axis=1).max())
+    bound = max(d, abs(a).sum(), abs(inner).sum(axis=1).max(initial=0))
     if bound >= 1 << 52:
         raise AssertionError(f"reduced entries reach {bound}, beyond the exact float64 scan")
     if rem:
@@ -302,7 +302,7 @@ def subseidel_scan(s, window, orders, progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
     ValueError, before any orbit level is built, for an order outside
-    1..n.
+    1..n, and for n > 63, which the subset masks of _orbit_levels refuse.
 
     Precondition: window holds every integer in [lambda_min(s),
     lambda_max(s)] and none outside [1 - n, n - 1], as

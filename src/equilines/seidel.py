@@ -1,6 +1,11 @@
 """Seidel matrices: exact spectra, automorphism groups, switching classes.
 
 A Seidel matrix is symmetric with zero diagonal and +/-1 off-diagonal.
+Both spectral callers, certify_spectrum and compute_spectrum, take exact
+multiplicities from one source, _multiplicities: one annihilator chain
+pass over every prime it needs, or nullities where the chain cannot run;
+certify_spectrum also takes nullities where the chain proves an
+eigenvalue outside the claim, to name the premises that fail.
 Every graph question goes to one engine, canonical_graph_form: an
 individualization-refinement search, pruned by the automorphisms it
 finds (McKay), that returns a graph's canonical form, a canonical
@@ -161,24 +166,20 @@ def seidel_from(system):
     return SeidelMatrix((g - construct.SCALED_NORM * identity) // construct.SCALED_ANGLE)
 
 
-def _annihilator_chain(s, lams, primes, quadratic=None):
+def _annihilator_chain(s, lams, primes, stride, quadratic=None):
     """Whether X = q(S) prod_{lam in lams} (S - lam I) vanishes modulo
     every prime, and tr X_k modulo primes[0] for the partial products X_k
     of q(S) and the first k of lams, k = 0..len(lams). q(x) = x^2 + bx + c
     for quadratic = (b, c), else q = 1.
 
     exactlin.product_chain computes X_k modulo every prime at once, one
-    float64 lane per prime, exact with k = product_stride(n, max(primes),
-    w, float64) products between reductions (n: a trace sums n entries),
-    as a column of S - lam I has n - 1 entries +-1 and one -lam: w = n - 1
-    + max |lam|. ValueError if k = 0. X_0 = S^2 + bS + cI, with b and c
-    reduced to (-p/2, p/2), has integer entries below n - 1 + p/2 < p.
+    float64 lane per prime, reducing every stride products, which must be
+    at most product_stride(n, max(primes), w, float64) (n: a trace sums n
+    entries), as a column of S - lam I has n - 1 entries +-1 and one -lam:
+    w = n - 1 + max |lam|. X_0 = S^2 + bS + cI, with b and c reduced to
+    (-p/2, p/2), has integer entries below n - 1 + p/2 < p.
     """
     n, p0 = s.n, primes[0]
-    norm = n - 1 + max(map(abs, lams), default=0)
-    stride = exactlin.product_stride(n, max(primes), norm, np.float64)
-    if not stride:
-        raise ValueError(f"column sums up to {norm} overflow the exact float64 chain")
     p = np.array(primes, dtype=float)[:, None, None]
     a = s.array.astype(float)
     x = np.eye(n)[None]
@@ -192,38 +193,29 @@ def _annihilator_chain(s, lams, primes, quadratic=None):
     return not x.any(), traces
 
 
-def _chain_primes(n, lams, quadratic=None):
-    """The primes that prove the chain of _annihilator_chain vanishes over
-    the integers: p0 = PRIMES[-1], then the fewest further PRIMES whose
-    product with p0 exceeds the entry bound of _chain_multiplicities,
-    (n - 1 + |b| + |c|) prod (n - 1 + |lam|) with quadratic = (b, c), or
-    prod (n - 1 + |lam|) without. None if PRIMES is too short for it.
-    """
-    bound = math.prod(n - 1 + abs(lam) for lam in lams)
-    if quadratic:
-        bound *= n - 1 + abs(quadratic[0]) + abs(quadratic[1])
-    primes = exactlin.PRIMES[-1:] + exactlin.PRIMES[:-1]
-    for count in range(1, len(primes) + 1):
-        if math.prod(primes[:count]) > bound:
-            return primes[:count]
-    return None
+def _multiplicities(s, lams, quadratic=None):
+    """The exact multiplicity in S of each of lams, a sorted list of
+    distinct integers, or None where the chain proves that some eigenvalue
+    of S is neither in lams nor a root of q, with q as in
+    _annihilator_chain. The one source of multiplicities for both
+    spectral callers, certify_spectrum and compute_spectrum.
 
-
-def _chain_multiplicities(s, lams, quadratic=None):
-    """The multiplicity in S of each of lams, a sorted list of distinct
-    integers, if X = q(S) prod_{lam in lams} (S - lam I) = 0 over the
-    integers, with q as in _annihilator_chain; None if X != 0, or if
-    q(lam) = 0 (mod p0) for some lam, p0 = PRIMES[-1]. AssertionError if
-    PRIMES is too short to prove X = 0.
-
-    - Vanishing. The chain modulo p0 decides most cases: a nonzero
-      residue means X != 0. Every entry of a product A B is at most max|A|
-      times the largest column sum of |B|, n - 1 + |lam| for B = S - lam I.
-      S^2 has diagonal n - 1 and off-diagonal entries of at most n - 2,
-      so |entries of q(S)| <= n - 1 + |b| + |c|, and |entries of X| is at
-      most the bound of _chain_primes. The chain is run again modulo its
-      further primes; if it vanishes modulo all of them, every entry is a
-      multiple of their product, which exceeds the bound, hence 0. S is
+    - Chain or nullities. p0 = PRIMES[-1], the largest prime, then the
+      fewest further PRIMES whose product with p0 exceeds the entry bound
+      below, prove X = 0; the chain runs once, over all of them, p0 in
+      lane 0, reducing every k = product_stride(n, p0, n - 1 + max |lam|,
+      float64) products. Where it cannot prove anything (k = 0, PRIMES is
+      too short for the bound, or q(lam) = 0 modulo p0 for some lam), the
+      multiplicities are exactlin.nullity_at(S, lam): S is symmetric, so
+      the nullity at lam is the multiplicity of lam.
+    - Vanishing. Every entry of a product A B is at most max|A| times the
+      largest column sum of |B|, n - 1 + |lam| for B = S - lam I. S^2 has
+      diagonal n - 1 and off-diagonal entries of at most n - 2, so
+      |entries of q(S)| <= n - 1 + |b| + |c|, and |entries of X| is at
+      most (n - 1 + |b| + |c|) prod (n - 1 + |lam|) with quadratic = (b,
+      c), or prod (n - 1 + |lam|) without. A nonzero residue in any lane
+      means X != 0: None. If X vanishes modulo every prime, every entry is
+      a multiple of their product, which exceeds the bound, hence 0. S is
       symmetric, so its minimal polynomial divides q(x) prod (x - lam):
       every eigenvalue of S is in lams or a root of q.
     - Multiplicities. Then t_k = tr X_k = sum_mu q(mu) prod_{i<k} (mu -
@@ -233,27 +225,27 @@ def _chain_multiplicities(s, lams, quadratic=None):
       multiplicities m_j of lams in S, and the terms j < k vanish: a
       triangular system with diagonal d_k = q(lam_k) prod_{i<k} (lam_k -
       lam_i). It is solved from k = len - 1 down modulo p0. q(lam_k) is
-      not 0 modulo p0 (checked first), and each other factor of d_k is
-      nonzero and, by the stride check in _annihilator_chain, below p0 in
-      absolute value, so p0 does not divide d_k, and the residues are
-      unique; as 0 <= m_j <= n < p0, the residues in [0, p0) are the m_j.
-      That they lie in [0, n] and sum to at most n, and to n without q,
-      is asserted.
+      not 0 modulo p0, and each other factor of d_k is nonzero and below
+      p0 in absolute value: k >= 1 needs p0 max |lam| < 2^52, so
+      |lam_k - lam_i| <= 2^22. So p0 does not divide d_k, and the
+      residues are unique; as 0 <= m_j <= n < p0, the residues in [0, p0)
+      are the m_j. That they lie in [0, n] and sum to at most n, and to n
+      without q, is asserted.
     """
     n, p0 = s.n, exactlin.PRIMES[-1]
     column = [1] * len(lams)            # column j: q(lam_j) prod_{i<k} (lam_j - lam_i)
+    bound = math.prod(n - 1 + abs(lam) for lam in lams)
     if quadratic:
         b, c = quadratic
         column = [(lam * lam + b * lam + c) % p0 for lam in lams]
-        if 0 in column:
-            return None
-    vanishes, traces = _annihilator_chain(s, lams, (p0,), quadratic)
+        bound *= n - 1 + abs(b) + abs(c)
+    primes = exactlin.PRIMES[-1:] + exactlin.PRIMES[:-1]
+    count = next((k for k in range(1, len(primes) + 1) if math.prod(primes[:k]) > bound), 0)
+    stride = exactlin.product_stride(n, p0, n - 1 + max(map(abs, lams), default=0), np.float64)
+    if not count or not stride or 0 in column:
+        return [exactlin.nullity_at(s.array, lam) for lam in lams]
+    vanishes, traces = _annihilator_chain(s, lams, primes[:count], stride, quadratic)
     if not vanishes:
-        return None
-    primes = _chain_primes(n, lams, quadratic)
-    if primes is None:
-        raise AssertionError("PRIMES is too short for the chain's entry bound")
-    if len(primes) > 1 and not _annihilator_chain(s, lams, primes[1:], quadratic)[0]:
         return None
     rows = []
     for lam in lams:
@@ -271,13 +263,12 @@ def _chain_multiplicities(s, lams, quadratic=None):
 def compute_spectrum(s, candidates):
     """The spectrum of a Seidel matrix whose eigenvalues are all among
     candidates, integers, as a SpectrumClaim with no quadratic; None if
-    p_L(S) != 0 for L = candidates, that is, if some eigenvalue is not a
-    candidate. _chain_multiplicities proves p_L(S) = 0 and reads the
-    multiplicities off the chain's traces.
+    some eigenvalue is not a candidate: _multiplicities gives no
+    multiplicities, or ones that do not sum to n.
     """
     lams = sorted(set(candidates))
-    mults = _chain_multiplicities(s, lams)
-    if mults is None:
+    mults = _multiplicities(s, lams)
+    if mults is None or sum(mults) != s.n:
         return None
     return SpectrumClaim.make({lam: m for lam, m in zip(lams, mults) if m})
 
@@ -291,15 +282,14 @@ def certify_spectrum(s, claim):
     maps each failed premise to that premise's own witness (claimed and
     exact multiplicity, or the trace sum).
 
-    - Multiplicities. One annihilator chain over the claim's values, after
-      q(S) for its quadratic q (_chain_multiplicities), gives the exact
-      multiplicity of each value whenever the values and the roots of q
-      hold every eigenvalue of S, as for a true claim. Otherwise (the
-      chain does not vanish, q(v) = 0 modulo p0 for some value v, or
-      exactlin.product_stride or _chain_primes rules the chain out) it is
-      nullity_at(S, v): S is symmetric, so the nullity at v is the
-      multiplicity of v. nullity_at_<v> compares the same number either
-      way.
+    - Multiplicities. _multiplicities(S, values, q) gives the exact
+      multiplicity of each value: from one annihilator chain over the
+      values after q(S) for the claim's quadratic q where it vanishes, as
+      for a true claim, and from nullities where the chain cannot run.
+      Where the chain proves an eigenvalue outside the values and the
+      roots of q, it gives None, and the multiplicity is nullity_at(S,
+      v): S is symmetric, so the nullity at v is the multiplicity of v.
+      nullity_at_<v> compares the same number either way.
     - If the claimed multiplicities equal the exact ones (nullity_at_<v>)
       and sum to n - d (multiplicities_sum_to_n), with d = 2 for a
       quadratic and 0 without, the claim's values (distinct) hold n - d
@@ -333,11 +323,7 @@ def certify_spectrum(s, claim):
         b.check("quadratic_irreducible", disc < 0 or math.isqrt(disc) ** 2 != disc,
                 disc)
     values = [value for value, _ in claim.integer_eigs]
-    mults = None
-    width = n - 1 + max(map(abs, values), default=0)
-    if (exactlin.product_stride(n, exactlin.PRIMES[-1], width, np.float64)
-            and _chain_primes(n, values, claim.quadratic)):
-        mults = _chain_multiplicities(s, values, claim.quadratic)
+    mults = _multiplicities(s, values, claim.quadratic)
     if mults is None:
         mults = [exactlin.nullity_at(s.array, value) for value in values]
     exact = dict(zip(values, mults))

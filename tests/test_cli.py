@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import re
 from collections import Counter
@@ -358,6 +359,67 @@ def failed_checks(cert):
     return {name for name, ok in cert.details["checks"].items() if not ok}
 
 
+def golay_certificate(code):
+    """cmd_golay on a pipeline whose gated code is code and its gates."""
+    pipeline = cli.Pipeline(cli.RunConfig(command="golay"))
+    pipeline.__dict__["gated_code"] = (code, golay.validation_gates(code))
+    return cli.cmd_golay(pipeline)
+
+
+def test_golay_fails_on_a_dependent_generator_row(code):
+    # a GolayCode built directly, row 11 replaced by rows 0 + 1, with the
+    # true words and octads: the sum of two rows of a self-orthogonal set
+    # keeps every intersection even, so only the rank reads false
+    rows = code.generator[:11] + (code.generator[0] ^ code.generator[1],)
+    cert = golay_certificate(dataclasses.replace(code, generator=rows))
+    assert failed_checks(cert) == {"rank_12"}
+    assert cert.details["first_failure"] == {"check": "rank_12", "witness": None}
+
+
+@pytest.mark.parametrize("words", [lambda w: w[:-1], lambda w: w + w[-1:]],
+                         ids=["dropped", "repeated"])
+def test_golay_fails_on_a_dropped_or_repeated_word(code, words):
+    # the all-ones word dropped or listed twice: weight_distribution counts
+    # the same list of words, so its count of weight 24 changes with the
+    # word count and it always fails alongside word_count_4096
+    cert = golay_certificate(dataclasses.replace(code, words=words(code.words)))
+    assert code.words[-1] == (1 << 24) - 1
+    assert failed_checks(cert) == {"word_count_4096", "weight_distribution"}
+    assert cert.details["first_failure"] == {"check": "word_count_4096", "witness": None}
+
+
+def construct_with_asche(vectors, count, rank):
+    """cmd_construct with the run's final stage kept and its asche stage
+    replaced by the system of vectors, its count and rank proved by
+    construct._system_from."""
+    pipeline = cli.Pipeline(cli.RunConfig(command="construct"))
+    pipeline.final                              # built from the true asche first
+    pipeline.__dict__["asche"] = construct._system_from(vectors, count, rank)
+    return cli.cmd_construct(pipeline)
+
+
+def test_construct_fails_on_an_asche_stage_of_71_lines(asche, final54):
+    # one of the 54 kept lines dropped from the 72: the other 71 span the
+    # same 19 dimensions and the 18 removed lines stay removed
+    vectors = [v for v in asche.vectors if v.source != final54.vectors[0].source]
+    cert = construct_with_asche(vectors, 71, 19)
+    assert failed_checks(cert) == {"asche_count_72"}
+    assert cert.details["first_failure"] == {"check": "asche_count_72", "witness": 71}
+
+
+def test_construct_fails_on_an_asche_stage_of_rank_20(code, asche, final54):
+    # a removed line replaced by the lift of the first octad through
+    # coordinate 1 that the filters reject: still 72 lines and 18 removed,
+    # but they span 20 dimensions
+    sources = {v.source for v in asche.vectors}
+    other = next(d for d in code.octads if d & 1 and d not in sources)
+    vectors = list(asche.vectors)
+    vectors[construct.removed_indices(asche, final54)[0]] = construct.lift(other)
+    cert = construct_with_asche(vectors, 72, 20)
+    assert failed_checks(cert) == {"asche_rank_19"}
+    assert cert.details["first_failure"] == {"check": "asche_rank_19", "witness": 20}
+
+
 def test_subscan_fails_on_a_sign_flipped_pair():
     # S54 with S[0, 1] and S[1, 0] negated, scanned in the window of S54's
     # passing spectrum certificate: the screen rejects every representative,
@@ -633,6 +695,32 @@ def test_exact_spectral_work_of_a_whole_run_is_annihilator_chains(monkeypatch):
     assert spectra == [52]
     assert not hasattr(exactlin, "positive_definite")
     assert not hasattr(seidel, "integer_window")
+
+
+def test_a_whole_run_makes_one_float64_chain_pass_per_spectrum(monkeypatch):
+    # spectrum.S and the order-52 survivor each take one float64 chain
+    # pass over p0 = PRIMES[-1] and the fewest further primes whose
+    # product exceeds the bound on the chain's entries: (53 + 24 + 107)
+    # prod (53 + |lam|) after S's quadratic x^2 - 24x + 107, and
+    # prod (51 + |lam|) over the odd window members for the survivor
+    real, passes = exactlin.product_chain, []
+
+    def spy(x, factors, p, stride, mask=1.0):
+        if x.dtype == np.float64:
+            passes.append((x.shape[-1], [-int(f[0, 0]) for f in factors],
+                           [int(q) for q in np.ravel(p)]))
+        return real(x, factors, p, stride, mask)
+
+    monkeypatch.setattr(exactlin, "product_chain", spy)
+    assert all(c.passed for c in cli.run_command(cli.RunConfig()))
+    odd = [lam for lam in cli.S54_SPECTRUM.integer_window() if lam % 2]
+    assert [pass_[:2] for pass_ in passes] == [(54, [-5, 7, 11, 13]), (52, odd)]
+    b, c = cli.S54_SPECTRUM.quadratic
+    for (n, lams, primes), q_bound in zip(passes, (53 + abs(b) + abs(c), 1)):
+        bound = q_bound * math.prod(n - 1 + abs(lam) for lam in lams)
+        assert primes[0] == exactlin.PRIMES[-1] and len(set(primes)) == len(primes)
+        assert set(primes) <= set(exactlin.PRIMES)
+        assert math.prod(primes) > bound >= math.prod(primes[:-1])
 
 
 def test_maximality_control_run(tmp_path):

@@ -324,6 +324,25 @@ def test_verify_remark_matches_dot_loop_oracle(asche, final54):
     assert {"final_orthogonal_to_m", "intra_u_all_plus"} <= first
 
 
+def test_remark_fails_on_a_v_line_moved_out_of_its_clique(asche, final54):
+    # removed line 6, on the v side, moved by c_1 - c_31, the difference of
+    # two kept lines: its M pairing stays -24 (kept lines are orthogonal to
+    # M) and it stays at +16 with the same two u-side lines, so only its
+    # inner products inside the v clique change
+    coords, m = asche.coords, np.array(construct.M, dtype=np.int64)
+    gone = construct.removed_indices(asche, final54)
+    u_side = [i for i in gone if coords[i] @ m > 0]
+    moved = coords[6] + coords[1] - coords[31]
+    assert 6 in gone and coords[6] @ m == moved @ m == -24 and {1, 31}.isdisjoint(gone)
+    assert ((coords[u_side] @ moved == 16) == (coords[u_side] @ coords[6] == 16)).all()
+    new, old = remark_outcomes(*with_coords(asche, final54, [(6, moved)]))
+    assert new == old
+    assert {name for name, ok in new["details"]["checks"].items() if not ok} == {
+        "intra_v_all_plus"}
+    assert new["details"]["first_failure"] == {
+        "check": "intra_v_all_plus", "witness": [(0, 1), (0, 5), (0, 6)]}
+
+
 def test_final_system_and_seidel_from_word_a_defect_alike(asche, final54):
     kept = [i for i in range(72) if i not in construct.removed_indices(asche, final54)]
     words = []

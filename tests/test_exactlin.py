@@ -819,7 +819,7 @@ def test_s54_screen_and_chain_strides(s54, s54_window, monkeypatch):
 
     monkeypatch.setattr(exactlin, "product_chain", spy)
     assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
-    assert strides == [("chain", 2)] * 2           # modulo p0, then one more prime
+    assert set(strides) == {("chain", 2)}
     search.subseidel_scan(s54, s54_window, cli.ORDERS)
     assert set(strides) == {("chain", 2), ("screen", 2)}
     assert exactlin.product_stride(1, search.SCREEN_PRIME, 71, np.float32) == 2
@@ -848,7 +848,7 @@ def test_screen_runs_in_float32_and_the_chain_in_float64(s54, s54_window, monkey
 
     monkeypatch.setattr(exactlin, "product_chain", spy)
     assert seidel.certify_spectrum(s54, cli.S54_SPECTRUM).passed
-    assert calls == ["chain"] * 2
+    assert set(calls) == {"chain"}
     result = search.subseidel_scan(s54, s54_window, cli.ORDERS)
     assert len(result.hits) == 9 and result.screened_ambiguous == 0
     assert {"screen", "chain"} == set(calls)

@@ -59,6 +59,14 @@ def test_not_extendible(final54):
     assert report.patterns_examined == 1 << 18
 
 
+def test_empty_system_is_not_extendible():
+    # no members: the span is {0}, which holds no line, after the one
+    # pattern of an empty basis (the scan's bound takes no row maximum)
+    report = search.check_extendibility(construct.LineSystem(vectors=()))
+    assert report == search.ExtendibilityReport(
+        extendible=False, patterns_examined=1 << 0, basis_indices=(), witnesses=[])
+
+
 @pytest.mark.parametrize("rank", [16, 17, 19, None])
 def test_check_extendibility_ignores_a_declared_ambient_dim(final54, rank):
     # the search proves its rank from the basis: S54 declared with another

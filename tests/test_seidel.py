@@ -315,14 +315,14 @@ def certificate_fields(cert):
 
 def spectrum_routes(monkeypatch):
     """Spy on certify_spectrum's two sources of exact multiplicities: the
-    returned set gains "chain" when _chain_multiplicities gives them and
-    "nullity" when exactlin.nullity_at is called."""
+    returned set gains "chain" when _multiplicities gives them without a
+    nullity and "nullity" when exactlin.nullity_at is called."""
     used = set()
-    real_chain, real_nullity = seidel._chain_multiplicities, exactlin.nullity_at
+    real_chain, real_nullity = seidel._multiplicities, exactlin.nullity_at
 
     def chain(*args):
         mults = real_chain(*args)
-        if mults is not None:
+        if mults is not None and "nullity" not in used:
             used.add("chain")
         return mults
 
@@ -330,7 +330,7 @@ def spectrum_routes(monkeypatch):
         used.add("nullity")
         return real_nullity(m, lam)
 
-    monkeypatch.setattr(seidel, "_chain_multiplicities", chain)
+    monkeypatch.setattr(seidel, "_multiplicities", chain)
     monkeypatch.setattr(exactlin, "nullity_at", nullity)
     return used
 
@@ -1323,7 +1323,8 @@ def test_chain_primes_exceed_the_entry_bound(s54, t52, monkeypatch):
     # a vanishing chain modulo p0 alone proves nothing: the primes used
     # must multiply to more than the bound on every entry of the chain,
     # prod (n - 1 + |lam|) for T52, times 53 + 24 + 107 for S54's chain
-    # after its quadratic x^2 - 24x + 107
+    # after its quadratic x^2 - 24x + 107 (how many passes a whole run
+    # makes is pinned by test_a_whole_run_makes_one_float64_chain_pass_per_spectrum)
     real, calls = exactlin.product_chain, []
 
     def spy(x, factors, p, stride, mask=1.0):
@@ -1334,25 +1335,42 @@ def test_chain_primes_exceed_the_entry_bound(s54, t52, monkeypatch):
     for s, lams, quadratic, q_bound in [(*t52, None, 1),
                                         (s54, [-5, 7, 11, 13], (-24, 107), 53 + 24 + 107)]:
         calls.clear()
-        assert seidel._chain_multiplicities(s, lams, quadratic) is not None
+        assert seidel._multiplicities(s, lams, quadratic) is not None
         bound = q_bound * math.prod(s.n - 1 + abs(lam) for lam in lams)
         used = [p for primes in calls for p in primes]
-        assert calls[0] == (exactlin.PRIMES[-1],) and len(calls) == 2
+        assert used[0] == exactlin.PRIMES[-1]
         assert len(set(used)) == len(used) and set(used) <= set(exactlin.PRIMES)
         assert math.prod(used) > bound >= math.prod(used[:-1])
 
 
-def test_chain_without_enough_primes_raises(monkeypatch):
+def counted_nullities(monkeypatch):
+    """Spy on exactlin.nullity_at and exactlin.product_chain: the returned
+    dict counts the calls of each."""
+    counts = {"nullity_at": 0, "product_chain": 0}
+    for name in counts:
+        real = getattr(exactlin, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(exactlin, name, counted)
+    return counts
+
+
+def test_chain_without_enough_primes_takes_nullities(monkeypatch):
     # J - I of order 10 over range(-9, 10): the chain vanishes, but its
-    # entry bound 9 (18! / 9!)^2 > 2^71 needs three primes, and with two
-    # left a true integral spectrum must not be rejected silently
+    # entry bound 9 (18! / 9!)^2 > 2^71 needs three primes; with two left
+    # no chain runs and the nullities give the same exact answer
     s = clique_seidel(10)
+    counts = counted_nullities(monkeypatch)
     assert seidel.compute_spectrum(s, range(-9, 10)) == seidel.SpectrumClaim.make({-1: 9, 9: 1})
+    assert counts == {"nullity_at": 0, "product_chain": 1}
     monkeypatch.setattr(exactlin, "PRIMES", exactlin.PRIMES[-2:])
-    with pytest.raises(AssertionError, match="PRIMES is too short"):
-        seidel.compute_spectrum(s, range(-9, 10))
-    # a chain that does not vanish needs no more primes
+    assert seidel.compute_spectrum(s, range(-9, 10)) == seidel.SpectrumClaim.make({-1: 9, 9: 1})
+    assert counts == {"nullity_at": 19, "product_chain": 1}
+    # nor can a chain that does not vanish run: its nullities sum below n
     assert seidel.compute_spectrum(s, range(-9, 9)) is None
+    assert counts == {"nullity_at": 37, "product_chain": 1}
 
 
 def reference_chain(s, lams, p, quadratic=None):
@@ -1394,27 +1412,76 @@ def test_chain_matches_per_product_reference(s54, t52):
     strides, vanished = set(), 0
     for s, lams, quadratic in cases:
         norm = s.n - 1 + max(map(abs, lams), default=0)
-        strides.add(exactlin.product_stride(s.n, p0, norm, np.float64))
+        stride = exactlin.product_stride(s.n, p0, norm, np.float64)
+        strides.add(stride)
         primes = exactlin.PRIMES[-3:][::-1]
         expected = [reference_chain(s, lams, p, quadratic) for p in primes]
         for lane in range(3):
             order = primes[lane:] + primes[:lane]
-            vanishes, traces = seidel._annihilator_chain(s, lams, order, quadratic)
+            vanishes, traces = seidel._annihilator_chain(s, lams, order, stride, quadratic)
             assert traces == expected[lane][1], (s.n, lams, quadratic, lane)
             assert vanishes == all(v for v, _ in expected), (s.n, lams, quadratic)
         vanished += expected[0][0]
     assert {1, 2} <= strides and vanished >= 5
 
 
-def test_chain_beyond_exact_float64_raises():
+def test_chain_beyond_exact_float64_takes_nullities(monkeypatch):
     # the chain reads traces of n = 3 entries, so it needs 3 p0 (2 + 699,048)
-    # < 2^52 <= 3 p0 (2 + 699,049): one product between reductions, then none
-    with pytest.raises(ValueError, match="overflow the exact float64 chain"):
-        seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 21])
-    with pytest.raises(ValueError, match="overflow the exact float64 chain"):
-        seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_049])
-    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_048]) == (
-        seidel.SpectrumClaim.make({-1: 2, 2: 1}))
+    # < 2^52 <= 3 p0 (2 + 699,049): one product between reductions, then
+    # none, and there no chain runs and the nullities give the exact answer
+    counts = counted_nullities(monkeypatch)
+    expected = seidel.SpectrumClaim.make({-1: 2, 2: 1})
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 21]) == expected
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_049]) == expected
+    assert counts == {"nullity_at": 6, "product_chain": 0}
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_048]) == expected
+    assert counts == {"nullity_at": 6, "product_chain": 1}
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 699_049]) is None
+    assert counts == {"nullity_at": 8, "product_chain": 1}
+
+
+S72_SPECTRUM = seidel.SpectrumClaim.make({-5: 53, 13: 16, 19: 3})
+
+
+@pytest.fixture(scope="module")
+def s72(asche):
+    """The Seidel matrix of Asche's 72 lines, a second real input."""
+    return seidel.seidel_from(asche)
+
+
+def test_s72_spectrum_is_forced_by_an_int64_annihilator(s72, monkeypatch):
+    # (S + 5I)(S - 13I)(S - 19I) = 0 (every entry of the first two factors'
+    # product is at most 6 in absolute value) puts every eigenvalue in
+    # {-5, 13, 19}; n = 72, tr S = 0 and tr S^2 = 72 * 71 then force the
+    # multiplicities (a Vandermonde system), and the chain proves them
+    # with no nullity
+    a, i = s72.array, np.eye(72, dtype=np.int64)
+    assert not ((a + 5 * i) @ (a - 13 * i) @ (a - 19 * i)).any()
+    assert np.trace(a) == 0 and np.trace(a @ a) == 72 * 71
+    assert S72_SPECTRUM.total_multiplicity == 72
+    assert S72_SPECTRUM.eig_sum() == 0 and S72_SPECTRUM.eig_square_sum() == 72 * 71
+    counts = counted_nullities(monkeypatch)
+    assert seidel.certify_spectrum(s72, S72_SPECTRUM).passed
+    assert seidel.compute_spectrum(s72, range(-5, 20)) == S72_SPECTRUM
+    assert counts == {"nullity_at": 0, "product_chain": 2}
+
+
+def test_s72_moved_multiplicity_names_its_premises(s72, monkeypatch):
+    counts = counted_nullities(monkeypatch)
+    cert = seidel.certify_spectrum(s72, seidel.SpectrumClaim.make({-5: 53, 13: 15, 19: 4}))
+    failed = {"nullity_at_13": {"claimed": 15, "exact": 16},
+              "nullity_at_19": {"claimed": 4, "exact": 3},
+              "trace_identity": 6, "trace_square_identity": 5304}
+    assert {name for name, ok in cert.details["checks"].items() if not ok} == {
+        "char_poly_matches", *failed}
+    assert cert.details["first_failure"] == {
+        "check": "char_poly_matches", "witness": {"failed_premises": failed}}
+    assert counts == {"nullity_at": 0, "product_chain": 1}
+
+
+def test_s72_subscan_refuses_more_than_63_points(s72):
+    with pytest.raises(ValueError, match="72 points do not fit in int64 subset masks"):
+        search.subseidel_scan(s72, S72_SPECTRUM.integer_window(), (71,))
 
 
 def reference_signed_compose(a, b):
