@@ -239,7 +239,8 @@ def _orbit_levels(perms, n):
     distinct images needs no division: a set that is not a group gives a
     wrong total, never a truncated quotient.
 
-    - Masks. A set T is the int64 sum of 2^(n-1-t), t in T, so n <= 63.
+    - Masks. A set T is the int64 sum of 2^(n-1-t), t in T, so n <= 63
+      (subseidel_scan refuses more).
       For A != B of equal size, sorted A and sorted B first differ at the
       least element i of their symmetric difference; if i is in A then
       A <lex B, and bit n-1-i, the highest one that differs, is set in A's
@@ -265,8 +266,6 @@ def _orbit_levels(perms, n):
     parent kept has a candidate, so a block touches at most as many
     parents as it holds candidates, and its arrays hold at most k
     SCAN_BLOCK entries, whatever the level's size."""
-    if n > 63:
-        raise ValueError(f"{n} points do not fit in int64 subset masks (at most 63)")
     bits = np.left_shift(np.int64(1), n - 1 - np.array(list(perms), dtype=np.int64).T)
     own = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
     width = max(1, SCAN_BLOCK // bits.shape[1])             # candidates per block
@@ -301,8 +300,9 @@ def _orbit(perms, removed):
 def subseidel_scan(s, window, orders, progress=None):
     """Find all principal submatrices of the given orders with fully
     integral spectrum, grouped into switching-equivalence classes.
-    ValueError, before any orbit level is built, for an order outside
-    1..n, and for n > 63, which the subset masks of _orbit_levels refuse.
+    ValueError, before the signed group is searched, for an order outside
+    1..n, and for n > 63, which the subset masks of _orbit_levels cannot
+    hold.
 
     Precondition: window holds every integer in [lambda_min(s),
     lambda_max(s)] and none outside [1 - n, n - 1], as
@@ -369,6 +369,8 @@ def subseidel_scan(s, window, orders, progress=None):
     outside = sorted(set(orders) - set(range(1, n + 1)))
     if outside:
         raise ValueError(f"orders {outside} are not sub-matrix orders of a {n} x {n} matrix")
+    if n > 63:
+        raise ValueError(f"{n} points do not fit in int64 subset masks (at most 63)")
     perms = switching_automorphisms(s)
     rng = random.Random(SCREEN_SEED)
     v = np.array([rng.randrange(1, SCREEN_PRIME) for _ in range(n)], dtype=np.float32)

@@ -458,13 +458,6 @@ def _singles(mask):
         mask ^= low
 
 
-def _individualize(adj, cells, target, single):
-    """The refined child of an equitable partition: the cell at target
-    replaced by the vertex single and the rest of the cell."""
-    cell = cells[target]
-    return _refine(adj, cells[:target] + [single, cell ^ single] + cells[target + 1:], [single])
-
-
 def _root(forest, v):
     """The root of v in a union-find forest of parents, halving its path."""
     while forest[v] != v:
@@ -476,11 +469,6 @@ def _join(forest, images):
     """Merge the trees of v and images[v] in forest, for every v."""
     for v, u in enumerate(images):
         forest[_root(forest, v)] = _root(forest, u)
-
-
-def _target(cells):
-    """The position of the first cell of two or more vertices, or None."""
-    return next((i for i, c in enumerate(cells) if c & (c - 1)), None)
 
 
 def canonical_graph_form(n, adj):
@@ -532,10 +520,10 @@ def canonical_graph_form(n, adj):
     the whole tree are a canonical form, and a leaf q with the bits of the
     first leaf z gives the automorphism z[i] -> q[i].
 
-    The search walks the first path z_0, .., z_m = z, z_{k+1} the child
-    of z_k at its least vertex v_{k+1}, then the other children of z_k
-    for k = m - 1 down to 0, each subtree in leaf order: all in leaf
-    order. Two rules prune it.
+    The search is one depth-first walk in leaf order. Its first path is
+    z_0, .., z_m = z, z_{k+1} the child of z_k at its least vertex
+    v_{k+1}, so it reaches z first, then the other children of z_k for
+    k = m - 1 down to 0, each subtree in leaf order. Two rules prune it.
 
     - Backjump. Below a child w of z_k, the first leaf with z's bits
       gives g with g(z) below w; g fixes v_1..v_k and maps v_{k+1} to w,
@@ -563,56 +551,51 @@ def canonical_graph_form(n, adj):
     matrix = _adjacency_matrix(n, adj)
     orbit = list(range(n))              # a forest: the orbits of the automorphisms found
     gens = []
-
-    def leaf_bits(cells):
-        leaf = tuple(c.bit_length() - 1 for c in cells)
-        return leaf, _leaf_bits(matrix, leaf)
-
-    path = []
-    cells = [(1 << n) - 1] if n else []
-    cells = _refine(adj, cells, cells)
-    while (target := _target(cells)) is not None:
-        path.append((cells, target))
-        first_single = cells[target] & -cells[target]
-        cells = _individualize(adj, cells, target, first_single)
-    first, first_bits = best_leaf, best_bits = leaf_bits(cells)
-    first_inverse = _inverse(first)
-
-    def below(cells):
-        """Whether the subtree of cells, walked in leaf order, has a leaf
-        with the first leaf's bits; it is recorded when found."""
-        nonlocal best_leaf, best_bits
-        target = _target(cells)
-        if target is not None:
-            return any(below(_individualize(adj, cells, target, single))
-                       for single in _singles(cells[target]))
-        leaf, bits = leaf_bits(cells)
-        if bits < best_bits:
-            best_leaf, best_bits = leaf, bits
-        if bits != first_bits:
-            return False
-        g = _compose(leaf, first_inverse)
-        gens.append(g)
-        _join(orbit, g)
-        return True
-
+    first = best = None                 # (labelling, bits) of the first leaf and of the least
     order = 1
-    for cells, target in reversed(path):
+
+    def search(cells, on_path):
+        """Walk the subtree of an equitable partition in leaf order: whether
+        it has a leaf with the first leaf's bits, each recorded when found.
+        Off the first path the walk stops at the first such leaf."""
+        nonlocal first, best, order
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            leaf = tuple(c.bit_length() - 1 for c in cells)
+            bits = _leaf_bits(matrix, leaf)
+            if on_path:
+                first = best = leaf, bits
+                return True
+            if bits < best[1]:
+                best = leaf, bits
+            if bits != first[1]:
+                return False
+            g = _compose(leaf, _inverse(first[0]))
+            gens.append(g)
+            _join(orbit, g)
+            return True
         cell = cells[target]
-        first_single = cell & -cell
-        explored = [first_single.bit_length() - 1]
-        for single in _singles(cell ^ first_single):
+        explored = []
+        for single in _singles(cell):
             w = single.bit_length() - 1
-            if _root(orbit, w) not in {_root(orbit, u) for u in explored}:
-                explored.append(w)
-                below(_individualize(adj, cells, target, single))
-        r = _root(orbit, explored[0])
-        order *= sum(_root(orbit, single.bit_length() - 1) == r for single in _singles(cell))
+            if on_path and _root(orbit, w) in {_root(orbit, u) for u in explored}:
+                continue
+            child = cells[:target] + [single, cell ^ single] + cells[target + 1:]
+            if search(_refine(adj, child, [single]), on_path and not explored) and not on_path:
+                return True
+            explored.append(w)
+        if on_path:
+            r = _root(orbit, explored[0])
+            order *= sum(_root(orbit, single.bit_length() - 1) == r for single in _singles(cell))
+        return on_path
+
+    cells = [(1 << n) - 1] if n else []
+    search(_refine(adj, cells, cells), True)
     generators, group = _greedy_generators(tuple(range(n)), gens)
     if len(group) != order:
         raise AssertionError(
             f"automorphisms found generate {len(group)}, first-path orbits give {order}")
-    return CanonicalLabelling(best_bits, best_leaf, tuple(sorted(group)), tuple(generators))
+    return CanonicalLabelling(best[1], best[0], tuple(sorted(group)), tuple(generators))
 
 
 def enumerate_isomorphisms(n, adj_src, adj_dst):

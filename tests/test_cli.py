@@ -563,6 +563,33 @@ def test_permutation_group_on_relabelled_and_switched_copies(s54, fresh_switchin
         assert bfs_generate(tuple(range(54)), plain.generators, seidel._compose) == set(expected)
 
 
+def test_aut_generators_generate_the_carried_groups_on_ten_copies(s54, fresh_switching_caches):
+    # on each relabelled copy, switched at random or not at all, the
+    # reported generators of aut.order generate the golden signed group
+    # carried over, and its part with every sign +1 (order 36 unswitched)
+    golden = seidel.signed_automorphism_group(s54).elements
+    rng = random.Random(163)
+    for k in range(10):
+        perm = rng.sample(range(54), 54)
+        signs = [rng.choice((1, -1)) if k % 2 else 1 for _ in range(54)]
+        clear_switching_caches()
+        pipeline = cli.Pipeline(cli.RunConfig(command="aut"))
+        pipeline.__dict__["seidel_matrix"] = seidel.switch(seidel.permute(s54, perm), signs)
+        aut = cli.cmd_aut(pipeline)
+        assert aut.passed
+        # point (i, s) of the copy is point (perm[i], signs[i] s) of S54
+        onto = seidel._on_points(perm, signs)
+        back = seidel._inverse(onto)
+        carried = {seidel._compose(back, seidel._compose(m, onto)) for m in golden}
+        signed = [tuple(2 * (t - 1) + (sign * side > 0) for t, sign in g for side in (-1, 1))
+                  for g in aut.details["signed_generators_1based"]]
+        assert bfs_generate(tuple(range(108)), signed, seidel._compose) == carried
+        plain = {tuple(x // 2 for x in m[1::2]) for m in carried if all(x % 2 for x in m[1::2])}
+        reported = [tuple(i - 1 for i in g) for g in aut.details["permutation_generators_1based"]]
+        assert bfs_generate(tuple(range(54)), reported, seidel._compose) == plain
+        assert k % 2 or len(plain) == 36
+
+
 def test_construct_and_remark_agree_on_a_relabelled_copy():
     # a pure permutation of the 54 members keeps their octads: theorem1.count
     # passes with the golden details and digest, remark.cliques with the

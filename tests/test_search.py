@@ -9,7 +9,7 @@ import pytest
 
 from equilines import cli, construct, exactlin, search, seidel
 from test_exactlin import positive_definite, reference_adjugate, reference_mat_mul, transpose
-from test_seidel import nullity_spectrum
+from test_seidel import nullity_spectrum, random_seidel
 
 
 def subsystem(system, members):
@@ -57,6 +57,13 @@ def test_not_extendible(final54):
     assert not report.extendible
     assert report.witnesses == []
     assert report.patterns_examined == 1 << 18
+
+
+def test_asche_72_lines_are_not_extendible(asche):
+    report = search.check_extendibility(asche)
+    assert not report.extendible
+    assert report.witnesses == []
+    assert report.patterns_examined == 1 << 19
 
 
 def test_empty_system_is_not_extendible():
@@ -767,8 +774,10 @@ def test_orbit_representatives_mask_width():
     reps, sizes = as_lists(orbit_level([tuple(range(63)), mirror], 63, 1))
     assert reps == [(i,) for i in range(32)]
     assert sizes == [2] * 31 + [1]
-    with pytest.raises(ValueError):
-        orbit_level([tuple(range(64))], 64, 1)
+    # the scan refuses 64 points among its input checks, before any level
+    s = random_seidel(random.Random(64), 64)
+    with pytest.raises(ValueError, match="64 points do not fit in int64 subset masks"):
+        search.subseidel_scan(s, range(-63, 64), (1,))
 
 
 def test_automorphisms_map_hits_to_hits(s54, s54_window):

@@ -1479,9 +1479,81 @@ def test_s72_moved_multiplicity_names_its_premises(s72, monkeypatch):
     assert counts == {"nullity_at": 0, "product_chain": 1}
 
 
-def test_s72_subscan_refuses_more_than_63_points(s72):
+def test_s72_subscan_refuses_more_than_63_points(s72, fresh_switching_caches):
+    # among the input checks, before the signed group is searched
     with pytest.raises(ValueError, match="72 points do not fit in int64 subset masks"):
         search.subseidel_scan(s72, S72_SPECTRUM.integer_window(), (71,))
+    assert seidel.signed_automorphism_group.cache_info().misses == 0
+
+
+def test_s72_signed_group_is_the_closure_of_generators_that_preserve_it(s72,
+                                                                         fresh_switching_caches):
+    # the order needs no search. Lower bound: each reported generator
+    # preserves S72 entry by entry, and the 5,184 elements are their
+    # closure, breadth first, so every element preserves S72 too. Upper
+    # bound: an element fixing the point (0, +1) has signs S[0, j] S[0, t_j],
+    # so its permutation, which preserves descendant_0, determines it; in
+    # descendant_0 an automorphism keeps each cell of the coarsest
+    # equitable partition, and fixing a vertex of its 36-vertex cell
+    # refines to a discrete partition, so |Aut(descendant_0)| <= 36 and
+    # |group| <= 72 * 2 * 36 = 5,184
+    group = seidel.signed_automorphism_group(s72)
+    assert all(reference_signed_preserves(s72, as_pairs(g)) for g in group.generators)
+    assert bfs_generate(tuple(range(144)), group.generators, seidel._compose) == set(group.elements)
+    adj0 = reference_descendant(s72, 0)[1]
+    cell = max(reference_refine(71, adj0, [list(range(71))]), key=len)
+    assert len(cell) == 36
+    rest = [u for u in range(71) if u != cell[0]]
+    assert len(reference_refine(71, adj0, [[cell[0]], rest])) == 71
+    assert group.order == 5184 == 72 * 2 * len(cell)
+    # orbit-stabilizer at vertex 0: S72 is vertex-transitive, and its
+    # stabilizer is +/- Aut(descendant_0)
+    orbit = {as_pairs(m)[0][0] for m in group.elements}
+    stabilizer = [m for m in group.elements if as_pairs(m)[0][0] == 0]
+    descendant = seidel.canonical_graph_form(71, seidel._descendant(s72, 0)[1])
+    assert len(orbit) == 72 and len(stabilizer) == 2 * len(descendant.automorphisms) == 72
+    assert group.order == len(orbit) * len(stabilizer)
+
+
+def test_s72_plain_group_is_the_signed_elements_with_all_signs_plus(s72, fresh_switching_caches):
+    plain = seidel.automorphism_order(s72)
+    expected = [tuple(t for t, _ in pairs)
+                for pairs in map(as_pairs, seidel.signed_automorphism_group(s72).elements)
+                if all(sign == 1 for _, sign in pairs)]
+    assert plain.order == 864 and list(plain.elements) == expected
+    assert all(preserves(s72, g) for g in plain.generators)
+    assert bfs_generate(tuple(range(72)), plain.generators, seidel._compose) == set(expected)
+
+
+def test_s72_switching_form_is_equal_on_a_relabelled_and_switched_copy(s72,
+                                                                        fresh_switching_caches):
+    rng = random.Random(157)
+    moved = seidel.switch(seidel.permute(s72, rng.sample(range(72), 72)),
+                          [rng.choice((1, -1)) for _ in range(72)])
+    assert moved != s72
+    form = seidel.switching_canonical_form(s72)
+    clear_switching_caches()
+    assert seidel.switching_canonical_form(moved) == form
+
+
+@pytest.mark.parametrize("name, refinements, leaves, descendants", [
+    ("moved_s54", 14, 9, 3), ("s72", 232, 146, 2)])
+def test_cold_signed_group_work(name, refinements, leaves, descendants, request, monkeypatch,
+                                fresh_switching_caches):
+    # as test_switching_search_labels_few_descendants pins S54's: a cold
+    # signed group labels one descendant per orbit of the signed elements
+    # found so far, 3 on a relabelled and switched S54 and 2 on the
+    # vertex-transitive S72, and their pruned searches refine and read
+    # leaves this often
+    s = request.getfixturevalue(name)
+    calls = {"_refine": 0, "_leaf_bits": 0, "canonical_graph_form": 0}
+    for spied in calls:
+        def counted(*args, real=getattr(seidel, spied), spied=spied):
+            calls[spied] += 1
+            return real(*args)
+        monkeypatch.setattr(seidel, spied, counted)
+    seidel.signed_automorphism_group(s)
+    assert tuple(calls.values()) == (refinements, leaves, descendants)
 
 
 def reference_signed_compose(a, b):
