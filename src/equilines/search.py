@@ -79,14 +79,16 @@ def _sign_rows(bits):
 
 def _pattern_scan(a, d, inner):
     """The sign vectors s in {+1, -1}^r, r = len(a), that pass the
-    reduced norm and angle tests below, as bit masks g (bit j set means
-    s_j = +1) in the order of a Gray-code walk: by increasing k with
-    g = k ^ (k >> 1). a (symmetric) and inner are integer arrays, d > 0.
+    reduced norm and angle tests below, as the int64 rows of one (hits, r)
+    array in ascending order of their masks sum_{s_j = +1} 2^j, so
+    s_{r-1} is the most significant sign. a (symmetric) and inner are
+    integer arrays, d > 0.
 
     The norm test: SCALED_ANGLE^2 s^T a s = SCALED_NORM d. For integer
     q = s^T a s that is q = top and rem = 0, with top, rem the quotient
     and remainder of SCALED_NORM d by SCALED_ANGLE^2 (if rem != 0 no
-    pattern passes). The angle test: every entry of inner @ s is +d or -d.
+    pattern passes, nor for r = 0, where q = 0 < top). The angle test:
+    every entry of inner @ s is +d or -d.
 
     q is computed for all 2^r patterns at once from a split into the
     low r // 2 coordinates and the rest:
@@ -94,20 +96,20 @@ def _pattern_scan(a, d, inner):
     in blocks of SCAN_BLOCK entries, in float64. Every value computed,
     partial sums included, is an integer and a signed sum of entries of
     a, of a row of inner, or d, so its absolute value is at most the
-    bound checked, in Python ints, before the float64 cast: below 2^52,
-    so in any BLAS summation order every value is exact and nothing
-    rounds. (The cross term's factor 2 is covered because a is
+    bound, checked exactly by exactlin._row_sum before the float64 cast:
+    below 2^52, so in any BLAS summation order every value is exact and
+    nothing rounds. (The cross term's factor 2 is covered because a is
     symmetric: 2 sum |a_lh| = sum |a_lh| + sum |a_hl|.) A block with no
     norm hit is skipped before its hits are listed.
     """
     r = len(a)
     top, rem = divmod(SCALED_NORM * d, SCALED_ANGLE ** 2)
-    a, inner = a.astype(object), inner.astype(object)
-    bound = max(d, abs(a).sum(), abs(inner).sum(axis=1).max(initial=0))
+    bound = max(d, exactlin._row_sum(a.reshape(1, -1)), exactlin._row_sum(inner))
     if bound >= 1 << 52:
         raise AssertionError(f"reduced entries reach {bound}, beyond the exact float64 scan")
-    if rem:
-        return []
+    hits = [np.zeros((0, r), dtype=np.int64)]
+    if rem or not r:
+        return hits[0]
     a, inner = a.astype(float), inner.astype(float)
     lo = r // 2
     s_lo, s_hi = _sign_rows(lo), _sign_rows(r - lo)
@@ -115,7 +117,6 @@ def _pattern_scan(a, d, inner):
     q_hi = ((s_hi @ a[lo:, lo:]) * s_hi).sum(axis=1)
     x_lo = 2 * (s_lo @ a[:lo, lo:])
     step = max(1, SCAN_BLOCK >> (r - lo))
-    hits = []
     for b in range(0, len(s_lo), step):
         q = x_lo[b:b + step] @ s_hi.T
         q += q_lo[b:b + step, None]
@@ -125,18 +126,9 @@ def _pattern_scan(a, d, inner):
             continue
         i, j = np.nonzero(norm_ok)
         signs = np.hstack([s_lo[b + i], s_hi[j]])
-        angles_ok = (np.abs(signs @ inner.T) == d).all(axis=1)
-        hits.extend((j[angles_ok] << lo | (b + i[angles_ok])).tolist())
-    return sorted(hits, key=_gray_index)
-
-
-def _gray_index(g):
-    """The k with k ^ (k >> 1) == g."""
-    k = 0
-    while g:
-        k ^= g
-        g >>= 1
-    return k
+        hits.append(signs[(np.abs(signs @ inner.T) == d).all(axis=1)])
+    hits = np.concatenate(hits).astype(np.int64)
+    return hits[np.lexsort(hits.T)]
 
 
 def check_extendibility(system):
@@ -171,13 +163,14 @@ def check_extendibility(system):
     check. Multiplying by d > 0 and dividing by 16, the norm test
     eps^T G^-1 eps = 80 is 256 s^T a s = 80 d, and the angle test
     V w = +-16 is inner @ s = +-d in every entry. _pattern_scan runs
-    these tests exactly, in float64 below 2^52. Every pattern it returns
-    is rebuilt as the integer vector d w = B^T (a eps), an object-array
-    product of Python ints, and re-checked against every member's
-    coordinates by _verify_witness; only then is each coordinate x / d of
-    w reported, as an int where d divides x and otherwise as a Fraction in
-    lowest terms, so that a receiver re-checks the witness in the cheapest
-    exact type.
+    these tests exactly, in float64 below 2^52, and returns the sign rows
+    s that pass in ascending mask order (s_{r-1} most significant), the
+    order of the witnesses. Each is rebuilt as the integer vector
+    d w = B^T (a eps), an object-array product of Python ints, and
+    re-checked against every member's coordinates by _verify_witness;
+    only then is each coordinate x / d of w reported, as an int where d
+    divides x and otherwise as a Fraction in lowest terms, so that a
+    receiver re-checks the witness in the cheapest exact type.
 
     The search decides only where exactlin.inverse can reconstruct G^-1
     modulo one prime: every entry, in lowest terms, needs numerator and
@@ -198,9 +191,8 @@ def check_extendibility(system):
         raise AssertionError(f"member {outside[0]} is outside the span of the {r}-member "
                              f"basis: {exactlin.PRIMES[-1]} divides a minor")
     witnesses = []
-    for pattern in _pattern_scan(a, d, inner):
-        eps = np.where(pattern >> np.arange(r) & 1, SCALED_ANGLE, -SCALED_ANGLE)
-        dw = a.astype(object) @ eps @ coords[basis]
+    for signs in _pattern_scan(a, d, inner):
+        dw = a.astype(object) @ (SCALED_ANGLE * signs) @ coords[basis]
         _verify_witness(coords, dw, d)
         witnesses.append(tuple(Fraction(x, d) if x % d else x // d for x in dw))
     return ExtendibilityReport(

@@ -200,6 +200,9 @@ def _multiplicities(s, lams, quadratic=None):
     _annihilator_chain. The one source of multiplicities for both
     spectral callers, certify_spectrum and compute_spectrum.
 
+    - Far values. Every eigenvalue mu of S has |mu| <= n - 1, its largest
+      absolute row sum, so each lam with |lam| > n - 1 has multiplicity 0;
+      everything below runs on the other values only.
     - Chain or nullities. p0 = PRIMES[-1], the largest prime, then the
       fewest further PRIMES whose product with p0 exceeds the entry bound
       below, prove X = 0; the chain runs once, over all of them, p0 in
@@ -233,6 +236,10 @@ def _multiplicities(s, lams, quadratic=None):
       without q, is asserted.
     """
     n, p0 = s.n, exactlin.PRIMES[-1]
+    near = [lam for lam in lams if abs(lam) < n]
+    if len(near) < len(lams):
+        mults = _multiplicities(s, near, quadratic)
+        return None if mults is None else [dict(zip(near, mults)).get(lam, 0) for lam in lams]
     column = [1] * len(lams)            # column j: q(lam_j) prod_{i<k} (lam_j - lam_i)
     bound = math.prod(n - 1 + abs(lam) for lam in lams)
     if quadratic:
@@ -697,7 +704,9 @@ def automorphism_order(s):
 
     P preserves S iff the signed matrix (P, all signs +1) does, so the
     group is the permutation parts (permutation_parts) of the signed
-    elements whose signs are all +1, in their order. It is complete
+    elements whose signs are all +1, in their order, which is ascending:
+    the signed elements are sorted by m[1::2], and with every sign +1,
+    m[2i + 1] = 2 pi(i) + 1 rises with pi(i). It is complete
     because the signed group is (its order is checked by
     orbit-stabilizer), and it is a subgroup: products and inverses of
     permutation matrices are permutation matrices. The greedy generators
@@ -708,7 +717,7 @@ def automorphism_order(s):
     # number of signs +1
     plain = permutation_parts([g for g in signed_automorphism_group(s).elements
                                if sum(g[1::2]) == s.n * s.n], s.n)
-    generators = _greedy_generators(tuple(range(s.n)), sorted(plain))[0]
+    generators = _greedy_generators(tuple(range(s.n)), plain)[0]
     return AutGroupResult(generators=tuple(generators), elements=tuple(plain))
 
 

@@ -414,9 +414,12 @@ def test_char_poly_matches_agrees_with_interpolation_oracle(monkeypatch):
 
 def test_certify_spectrum_edge_claims_match_reference(s54, monkeypatch):
     # a reducible quadratic with a root among the claimed values (q(v) = 0
-    # stops the chain), values beyond the chain's exact float64 range,
-    # and a quadratic whose entry bound no set of PRIMES covers: each
-    # takes the nullities and gives the oracle's certificate
+    # stops the chain) and a quadratic whose entry bound no set of PRIMES
+    # covers take the nullities. A value beyond n - 1, which no eigenvalue
+    # reaches, is dropped before the chain, which then runs on the rest;
+    # where the rest miss an eigenvalue (2 of J - I) the chain proves it
+    # and the nullities name the failed premises. Each claim gives the
+    # oracle's certificate
     claims = [
         (clique_seidel(3), seidel.SpectrumClaim.make({-1: 1}, quadratic=(-1, -2))),
         (clique_seidel(3), seidel.SpectrumClaim.make({-1: 0, 2: 1}, quadratic=(2, 1))),
@@ -426,13 +429,14 @@ def test_certify_spectrum_edge_claims_match_reference(s54, monkeypatch):
         (s54, seidel.SpectrumClaim.make({-5: 36, 7: 6, 11: 8, 13: 2, 1 << 40: 0},
                                         quadratic=(-24, 107))),
     ]
-    used = spectrum_routes(monkeypatch)
+    used, routes = spectrum_routes(monkeypatch), []
     for s, claim in claims:
         used.clear()
         cert = seidel.certify_spectrum(s, claim)
-        assert used == {"nullity"}, claim
+        routes.append(set(used))
         assert certificate_fields(cert) == certificate_fields(
             reference_certify_spectrum(s, claim)), claim
+    assert routes == [{"nullity"}, {"nullity"}, {"chain"}, {"nullity"}, {"nullity"}, {"chain"}]
     passed = [seidel.certify_spectrum(s, claim).passed for s, claim in claims]
     assert passed == [False, False, True, False, False, True]
 
@@ -1426,18 +1430,31 @@ def test_chain_matches_per_product_reference(s54, t52):
 
 
 def test_chain_beyond_exact_float64_takes_nullities(monkeypatch):
-    # the chain reads traces of n = 3 entries, so it needs 3 p0 (2 + 699,048)
-    # < 2^52 <= 3 p0 (2 + 699,049): one product between reductions, then
-    # none, and there no chain runs and the nullities give the exact answer
+    # a candidate beyond n - 1 = 2 is no eigenvalue of J - I of order 3,
+    # so it gets 0 and the chain runs on the rest, however far it is (at
+    # 699,049 the chain over it would take no product between reductions:
+    # 3 p0 (2 + 699,049) >= 2^52). With a stride of 0, which over
+    # candidates up to n - 1 needs n (2n - 2) p0 >= 2^52, about 1,025
+    # points, no chain runs and the nullities of the rest give the answer
     counts = counted_nullities(monkeypatch)
     expected = seidel.SpectrumClaim.make({-1: 2, 2: 1})
-    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 21]) == expected
-    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_049]) == expected
-    assert counts == {"nullity_at": 6, "product_chain": 0}
-    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 699_048]) == expected
-    assert counts == {"nullity_at": 6, "product_chain": 1}
+    for far in (1 << 21, 699_049, 699_048):
+        assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, far]) == expected
     assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 699_049]) is None
-    assert counts == {"nullity_at": 8, "product_chain": 1}
+    assert counts == {"nullity_at": 0, "product_chain": 4}
+    monkeypatch.setattr(exactlin, "product_stride", lambda *args: 0)
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 2, 1 << 21]) == expected
+    assert seidel.compute_spectrum(clique_seidel(3), candidates=[-1, 699_049]) is None
+    assert counts == {"nullity_at": 3, "product_chain": 4}
+
+
+def test_candidates_beyond_n_minus_1_cost_no_work(s54, monkeypatch):
+    # all but 107 of these 2^16 candidates lie beyond n - 1 = 53 and get 0
+    # with no bound, chain or nullity; the chain over the 107 others finds
+    # the eigenvalues outside them, the quadratic's roots: None
+    counts = counted_nullities(monkeypatch)
+    assert seidel.compute_spectrum(s54, range(-2 ** 15, 2 ** 15)) is None
+    assert counts == {"nullity_at": 0, "product_chain": 1}
 
 
 S72_SPECTRUM = seidel.SpectrumClaim.make({-5: 53, 13: 16, 19: 3})
@@ -1520,7 +1537,7 @@ def test_s72_plain_group_is_the_signed_elements_with_all_signs_plus(s72, fresh_s
     expected = [tuple(t for t, _ in pairs)
                 for pairs in map(as_pairs, seidel.signed_automorphism_group(s72).elements)
                 if all(sign == 1 for _, sign in pairs)]
-    assert plain.order == 864 and list(plain.elements) == expected
+    assert plain.order == 864 and list(plain.elements) == expected == sorted(expected)
     assert all(preserves(s72, g) for g in plain.generators)
     assert bfs_generate(tuple(range(72)), plain.generators, seidel._compose) == set(expected)
 
