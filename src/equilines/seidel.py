@@ -4,8 +4,8 @@ A Seidel matrix is symmetric with zero diagonal and +/-1 off-diagonal.
 Both spectral callers, certify_spectrum and compute_spectrum, take exact
 multiplicities from one source, _multiplicities: one annihilator chain
 pass over every prime it needs, or nullities where the chain cannot run;
-certify_spectrum also takes nullities where the chain proves an
-eigenvalue outside the claim, to name the premises that fail.
+where it proves an eigenvalue outside a claim, a second chain proves the
+claim completed by a guess (_completion), or, failing that, nullities.
 Every graph question goes to one engine, canonical_graph_form: an
 individualization-refinement search, pruned by the automorphisms it
 finds (McKay), that returns a graph's canonical form, a canonical
@@ -38,7 +38,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -193,12 +193,13 @@ def _annihilator_chain(s, lams, primes, stride, quadratic=None):
     return not x.any(), traces
 
 
-def _multiplicities(s, lams, quadratic=None):
+def _multiplicities(s, lams, quadratic=None, *, nullities=True):
     """The exact multiplicity in S of each of lams, a sorted list of
     distinct integers, or None where the chain proves that some eigenvalue
     of S is neither in lams nor a root of q, with q as in
-    _annihilator_chain. The one source of multiplicities for both
-    spectral callers, certify_spectrum and compute_spectrum.
+    _annihilator_chain, and, with nullities=False, where it cannot run.
+    The one source of multiplicities for both spectral callers,
+    certify_spectrum and compute_spectrum.
 
     - Far values. Every eigenvalue mu of S has |mu| <= n - 1, its largest
       absolute row sum, so each lam with |lam| > n - 1 has multiplicity 0;
@@ -238,7 +239,7 @@ def _multiplicities(s, lams, quadratic=None):
     n, p0 = s.n, exactlin.PRIMES[-1]
     near = [lam for lam in lams if abs(lam) < n]
     if len(near) < len(lams):
-        mults = _multiplicities(s, near, quadratic)
+        mults = _multiplicities(s, near, quadratic, nullities=nullities)
         return None if mults is None else [dict(zip(near, mults)).get(lam, 0) for lam in lams]
     column = [1] * len(lams)            # column j: q(lam_j) prod_{i<k} (lam_j - lam_i)
     bound = math.prod(n - 1 + abs(lam) for lam in lams)
@@ -250,7 +251,7 @@ def _multiplicities(s, lams, quadratic=None):
     count = next((k for k in range(1, len(primes) + 1) if math.prod(primes[:k]) > bound), 0)
     stride = exactlin.product_stride(n, p0, n - 1 + max(map(abs, lams), default=0), np.float64)
     if not count or not stride or 0 in column:
-        return [exactlin.nullity_at(s.array, lam) for lam in lams]
+        return [exactlin.nullity_at(s.array, lam) for lam in lams] if nullities else None
     vanishes, traces = _annihilator_chain(s, lams, primes[:count], stride, quadratic)
     if not vanishes:
         return None
@@ -265,6 +266,47 @@ def _multiplicities(s, lams, quadratic=None):
     if max(mults, default=0) > n or sum(mults) > n or not quadratic and sum(mults) != n:
         raise AssertionError(f"chain multiplicities {mults} do not sum to {n}")
     return mults
+
+
+def _completion(s, values, quadratic):
+    """A guess (lams, quadratic) at S's spectrum where the chain over a
+    claim's sorted distinct values, after its quadratic q (or None), did
+    not vanish: the values and the integer roots found, sorted, and a
+    quadratic; or None. certify_spectrum's chain proves it or refuses it.
+
+    y = prod (S - vI) w over the values with |v| < n, w_i = 3^i mod p0,
+    p0 = PRIMES[-1]: one product_chain (terms 1) gives y, Sy, ..., S^n y
+    mod p0, their number doubled until, with them as columns, _echelon's
+    reduced form R has the pivots 0..k-1 and not k: then S^k y =
+    sum_{i<k} R[i, k] S^i y, so r(x) = x^k - sum R[i, k] x^i is y's
+    minimal polynomial mod p0 (Wiedemann). Its roots in [1 - n, n - 1],
+    which holds every integer eigenvalue, are divided out; the rest must
+    be 1 (q is kept) or a quadratic, lifted to (-p0/2, p0/2) (it replaces
+    q). q(S) is left out of y, as no exact product takes it.
+    """
+    n, p0 = s.n, exactlin.PRIMES[-1]
+    near = [v for v in values if abs(v) < n]
+    # not 0: at least the stride of the claim's chain, which ran (terms n, same width)
+    stride = exactlin.product_stride(1, p0, n - 1 + max(map(abs, near), default=0), np.float64)
+    a = s.array.astype(float)
+    w = np.array([[pow(3, i, p0) for i in range(n)]], dtype=float)
+    vectors = exactlin.product_chain(w, [a - v * np.eye(n) for v in near] + [a] * n, p0, stride)
+    krylov, cols, vectors = [], [], islice(vectors, len(near), None)
+    while len(cols) == len(krylov):     # independent so far: twice as many vectors
+        krylov += islice(vectors, max(1, len(krylov)))
+        cols, x = exactlin._echelon(np.concatenate(krylov).T.astype(np.int64), p0)
+    r = [1] + [-int(c) % p0 for c in x[:len(cols), len(cols)][::-1]]      # x^k first
+    t = np.arange(1 - n, n)
+    roots = t[functools.reduce(lambda at, c: (at * t + c) % p0, r, 0) == 0].tolist()
+    for root in roots:                  # r / (x - root), by synthetic division
+        for i in range(1, len(r)):
+            r[i] = (r[i] + root * r[i - 1]) % p0
+        r.pop()
+    if len(r) == 3:
+        quadratic = tuple((c + p0 // 2) % p0 - p0 // 2 for c in r[1:])
+    elif len(r) != 1:
+        return None
+    return sorted(set(values) | set(roots)), quadratic
 
 
 def compute_spectrum(s, candidates):
@@ -294,9 +336,10 @@ def certify_spectrum(s, claim):
       values after q(S) for the claim's quadratic q where it vanishes, as
       for a true claim, and from nullities where the chain cannot run.
       Where the chain proves an eigenvalue outside the values and the
-      roots of q, it gives None, and the multiplicity is nullity_at(S,
-      v): S is symmetric, so the nullity at v is the multiplicity of v.
-      nullity_at_<v> compares the same number either way.
+      roots of q, it gives None, and a chain over _completion's guess
+      proves them, as for any claim; where it cannot (taking no nullity),
+      the multiplicity is nullity_at(S, v): S is symmetric, so the
+      nullity at v is the multiplicity of v. Each way gives one number.
     - If the claimed multiplicities equal the exact ones (nullity_at_<v>)
       and sum to n - d (multiplicities_sum_to_n), with d = 2 for a
       quadratic and 0 without, the claim's values (distinct) hold n - d
@@ -331,6 +374,9 @@ def certify_spectrum(s, claim):
                 disc)
     values = [value for value, _ in claim.integer_eigs]
     mults = _multiplicities(s, values, claim.quadratic)
+    if mults is None and (guess := _completion(s, values, claim.quadratic)):
+        proved = _multiplicities(s, *guess, nullities=False)
+        mults = None if proved is None else [dict(zip(guess[0], proved))[v] for v in values]
     if mults is None:
         mults = [exactlin.nullity_at(s.array, value) for value in values]
     exact = dict(zip(values, mults))

@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 from equilines import cli, construct, exactlin, golay, search, seidel
 from equilines.certificate import digest_of
-from conftest import clear_switching_caches, subprocess_report
+from conftest import SRC, clear_switching_caches, subprocess_report
 from test_search import masked_calls
 from test_seidel import bfs_generate
 
@@ -29,6 +32,17 @@ def test_golay_command_passes(tmp_path):
     assert cert["claim_id"] == "golay.gates"
     assert cert["status"] == "pass"
     assert cert["details"]["octad_count"] == 759
+
+
+def test_python_m_equilines_runs_the_cli(tmp_path):
+    # the package runs as a module, with cli.main's exit code: 0 for a
+    # passing certificate, 1 for a failing one, 2 for bad input
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for argv, code in [(["golay"], 0), (["golay", "--corrupt-generator"], 1), (["--bogus"], 2)]:
+        done = subprocess.run([sys.executable, "-m", "equilines", *argv, "--out",
+                               str(tmp_path / "report.json")], env=env, capture_output=True)
+        assert done.returncode == code, done.stderr
 
 
 def test_golay_corrupt_generator_fails(tmp_path):

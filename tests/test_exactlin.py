@@ -925,9 +925,12 @@ def test_float_mod_is_used_only_by_the_product_chain():
 def test_the_programs_ranks_need_no_hadamard_bound(monkeypatch):
     # every rank of the program's own inputs is proved by PRIMES[0], by
     # full rank or a verified kernel: the construction ranks, the 54
-    # drop-line systems and the nullities of a wrong claim of each kind the
-    # benchmark draws (a moved multiplicity, a replaced value, a changed
-    # quadratic constant), whose exact values the failure's witness shows
+    # drop-line systems and S54's nullities at the values of a wrong claim
+    # of each kind the benchmark draws (a moved multiplicity, a replaced
+    # value, a changed quadratic constant), whose exact values the
+    # failure's witness shows. Chains now prove those claims (the Krylov
+    # vectors' elimination runs at PRIMES[-1]), so the nullities, which
+    # serve where no chain can, are also taken directly
     refuse_later_primes(monkeypatch)
     pipeline = cli.Pipeline(cli.RunConfig(command="all"))
     final = pipeline.final
@@ -947,3 +950,5 @@ def test_the_programs_ranks_need_no_hadamard_bound(monkeypatch):
                                        seidel.SpectrumClaim.make(eigs, quadratic))
         assert cert.details["first_failure"] == {
             "check": "char_poly_matches", "witness": {"failed_premises": failed}}
+    s54 = pipeline.seidel_matrix.array
+    assert [exactlin.nullity_at(s54, lam) for lam in (-5, 3, 7, 11, 13)] == [36, 0, 6, 8, 2]

@@ -320,8 +320,8 @@ def spectrum_routes(monkeypatch):
     used = set()
     real_chain, real_nullity = seidel._multiplicities, exactlin.nullity_at
 
-    def chain(*args):
-        mults = real_chain(*args)
+    def chain(*args, **kwargs):
+        mults = real_chain(*args, **kwargs)
         if mults is not None and "nullity" not in used:
             used.add("chain")
         return mults
@@ -417,9 +417,9 @@ def test_certify_spectrum_edge_claims_match_reference(s54, monkeypatch):
     # stops the chain) and a quadratic whose entry bound no set of PRIMES
     # covers take the nullities. A value beyond n - 1, which no eigenvalue
     # reaches, is dropped before the chain, which then runs on the rest;
-    # where the rest miss an eigenvalue (2 of J - I) the chain proves it
-    # and the nullities name the failed premises. Each claim gives the
-    # oracle's certificate
+    # where the rest miss an eigenvalue (2 of J - I) the chain proves it,
+    # and a second chain, over the rest completed by 2, names the failed
+    # premises. Each claim gives the oracle's certificate
     claims = [
         (clique_seidel(3), seidel.SpectrumClaim.make({-1: 1}, quadratic=(-1, -2))),
         (clique_seidel(3), seidel.SpectrumClaim.make({-1: 0, 2: 1}, quadratic=(2, 1))),
@@ -436,7 +436,7 @@ def test_certify_spectrum_edge_claims_match_reference(s54, monkeypatch):
         routes.append(set(used))
         assert certificate_fields(cert) == certificate_fields(
             reference_certify_spectrum(s, claim)), claim
-    assert routes == [{"nullity"}, {"nullity"}, {"chain"}, {"nullity"}, {"nullity"}, {"chain"}]
+    assert routes == [{"nullity"}, {"nullity"}, {"chain"}, {"chain"}, {"nullity"}, {"chain"}]
     passed = [seidel.certify_spectrum(s, claim).passed for s, claim in claims]
     assert passed == [False, False, True, False, False, True]
 
@@ -1494,6 +1494,100 @@ def test_s72_moved_multiplicity_names_its_premises(s72, monkeypatch):
     assert cert.details["first_failure"] == {
         "check": "char_poly_matches", "witness": {"failed_premises": failed}}
     assert counts == {"nullity_at": 0, "product_chain": 1}
+
+
+def test_s72_shifted_value_is_proved_by_a_completed_chain(s72, monkeypatch):
+    # 19 claimed as 17: the chain over -5, 13, 17 proves an eigenvalue
+    # outside them, the minimal polynomial of a Krylov vector (its second
+    # chain) adds 19, and a third chain, over -5, 13, 17, 19, names the
+    # oracle's failed premises with no nullity
+    claim = seidel.SpectrumClaim.make({-5: 53, 13: 16, 17: 3})
+    expected = certificate_fields(reference_certify_spectrum(s72, claim))
+    counts = counted_nullities(monkeypatch)
+    cert = seidel.certify_spectrum(s72, claim)
+    assert counts == {"nullity_at": 0, "product_chain": 3}
+    assert certificate_fields(cert) == expected
+    assert cert.details["first_failure"] == {"check": "char_poly_matches", "witness": {
+        "failed_premises": {"nullity_at_17": {"claimed": 3, "exact": 0},
+                            "trace_identity": -6, "trace_square_identity": 4896}}}
+
+
+def test_failed_s54_claims_are_proved_by_a_completed_chain(s54, monkeypatch):
+    # the three kinds of wrong claim the benchmark draws: a moved
+    # multiplicity keeps the values, so the claim's chain vanishes; a
+    # shifted value (each of the four in turn, -5 among them) or a moved
+    # quadratic constant leaves an eigenvalue outside the claim, which the
+    # Krylov chain finds, and a third chain proves: no nullity, and the
+    # nullity oracle's certificate
+    rng = random.Random(40)
+    eigs, (b, c) = {-5: 36, 7: 6, 11: 8, 13: 2}, (-24, 107)
+    claims = []
+    for _ in range(3):
+        src, dst = rng.sample(sorted(eigs), 2)
+        claims.append((1, {**eigs, src: eigs[src] - 1, dst: eigs[dst] + 1}, (b, c)))
+    for old in sorted(eigs):
+        shifted = {v: m for v, m in eigs.items() if v != old}
+        shifted[rng.choice([v for v in range(-5, 19) if v not in eigs])] = eigs[old]
+        claims.append((3, shifted, (b, c)))
+    for shift in rng.sample([-3, -2, -1, 1, 2, 3], 3):
+        claims.append((3, eigs, (b, c + shift)))
+    claims = [(chains, seidel.SpectrumClaim.make(e, q)) for chains, e, q in claims]
+    expected = [certificate_fields(reference_certify_spectrum(s54, claim)) for _, claim in claims]
+    counts = counted_nullities(monkeypatch)
+    for (chains, claim), fields in zip(claims, expected):
+        counts.update(nullity_at=0, product_chain=0)
+        cert = seidel.certify_spectrum(s54, claim)
+        assert counts == {"nullity_at": 0, "product_chain": chains}, claim
+        assert certificate_fields(cert) == fields and not cert.passed, claim
+
+
+def test_the_completed_chain_refuses_a_wrong_guess(s54, monkeypatch):
+    # the guess proves nothing: one that misses an eigenvalue, leaves its
+    # quadratic unlifted, names another quadratic or none, or stops its
+    # chain (q(13) = 0) is refused, and the nullities of the claimed values,
+    # never more, give the oracle's certificate; the right guess needs none
+    p0 = exactlin.PRIMES[-1]
+    claim = seidel.SpectrumClaim.make({-5: 36, 7: 6, 11: 8, 15: 2}, quadratic=(-24, 107))
+    expected = certificate_fields(reference_certify_spectrum(s54, claim))
+    lams = [-5, 7, 11, 13, 15]
+    guesses = [([-5, 7, 11, 15], (-24, 107), 4, 2), (lams, (p0 - 24, 107), 4, 2),
+               (lams, (-24, 106), 4, 2), (lams, None, 4, 2), (lams, (-14, 13), 4, 1),
+               (lams, (-24, 107), 0, 2)]
+    counts = counted_nullities(monkeypatch)
+    for guess_lams, quadratic, nullities, chains in guesses:
+        monkeypatch.setattr(seidel, "_completion",
+                            lambda *args, guess=(guess_lams, quadratic): guess)
+        counts.update(nullity_at=0, product_chain=0)
+        cert = seidel.certify_spectrum(s54, claim)
+        assert certificate_fields(cert) == expected, (guess_lams, quadratic)
+        assert counts == {"nullity_at": nullities, "product_chain": chains}
+
+
+def test_a_completion_that_cannot_run_takes_only_the_claims_nullities(s72, monkeypatch):
+    # {-5: 70} after (x - 1)(x - 13): the chain over -5 proves 19 outside
+    # it; the completion adds 13 and 19 and keeps the quadratic, whose
+    # root 13 stops the completed chain, so only -5's nullity is taken
+    claim = seidel.SpectrumClaim.make({-5: 70}, quadratic=(-14, 13))
+    expected = certificate_fields(reference_certify_spectrum(s72, claim))
+    assert seidel._completion(s72, [-5], (-14, 13)) == ([-5, 13, 19], (-14, 13))
+    counts = counted_nullities(monkeypatch)
+    assert certificate_fields(seidel.certify_spectrum(s72, claim)) == expected
+    assert counts == {"nullity_at": 1, "product_chain": 2}
+
+
+def test_a_completion_beyond_a_quadratic_takes_the_nullities(monkeypatch):
+    # a random S of order 6 (seed 1) has the eigenvalue 1 three times and
+    # the roots of x^3 + 3x^2 - 9x - 19, none an integer: over the claimed
+    # 1 and 3, the Krylov vector's minimal polynomial leaves that cubic, so
+    # no chain runs after the Krylov chain, and the two nullities give the
+    # oracle's certificate
+    s = random_seidel(random.Random(1), 6)
+    assert [exactlin.nullity_at(s.rows, lam) for lam in range(-5, 6)] == [0] * 6 + [3] + [0] * 4
+    claim = seidel.SpectrumClaim.make({1: 3, 3: 3})
+    expected = certificate_fields(reference_certify_spectrum(s, claim))
+    counts = counted_nullities(monkeypatch)
+    assert certificate_fields(seidel.certify_spectrum(s, claim)) == expected
+    assert counts == {"nullity_at": 2, "product_chain": 2}
 
 
 def test_s72_subscan_refuses_more_than_63_points(s72, fresh_switching_caches):

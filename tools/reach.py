@@ -1,13 +1,13 @@
 """Reachability gate for src/equilines: which of its defs the program runs.
 
 The entries are the package import, every command through cli.main and
-three API controls: a wrong spectrum claim of S54, a relabelled and
-switched S54, and a drop-line system. Each runs under a sys.setprofile
-hook, installed before equilines is first imported so that module-level
-calls count, and with the package's lru_caches cleared first, so that
-each entry is credited with every def it runs. A code object is matched
-to its ast def by file, first line (its first decorator's, if any) and
-name; co_qualname would need Python 3.11.
+four API controls: a wrong spectrum claim of S54, a claim whose chain
+cannot run, a relabelled and switched S54, and a drop-line system. Each
+runs under a sys.setprofile hook, installed before equilines is first
+imported so that module-level calls count, and with the package's
+lru_caches cleared first, so that each entry is credited with every def
+it runs. A code object is matched to its ast def by file, first line (its
+first decorator's, if any) and name; co_qualname would need Python 3.11.
 
 Prints each def with the entries that reach it, or its reason for being
 unreached, and exits 1 unless the unreached defs are exactly the keys of
@@ -119,14 +119,24 @@ def cli_run(mods, argv, code):
 
 def wrong_claim(mods):
     """S54's claim with 13 replaced by 15: a value changes, not only a
-    multiplicity, so the annihilator chain does not vanish and nullity_at
-    names the failed premises."""
+    multiplicity, so the claim's annihilator chain does not vanish, and the
+    chain over the values completed by the minimal polynomial of a Krylov
+    vector names the failed premises."""
     s = mods.cli.Pipeline(mods.cli.RunConfig()).seidel_matrix
     claim = mods.seidel.SpectrumClaim.make({-5: 36, 7: 6, 11: 8, 15: 2},
                                            quadratic=mods.cli.S54_SPECTRUM.quadratic)
     cert = mods.seidel.certify_spectrum(s, claim)
     if cert.passed or cert.details["first_failure"]["check"] != "char_poly_matches":
         raise AssertionError("the wrong S54 claim did not fail char_poly_matches")
+
+
+def nullity_fallback(mods):
+    """The 3-clique's claim {-1: 1} with the reducible quadratic (x - 2)(x + 1):
+    q(-1) = 0 stops the chain, so nullity_at gives the multiplicities."""
+    s = mods.seidel.SeidelMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    claim = mods.seidel.SpectrumClaim.make({-1: 1}, quadratic=(-1, -2))
+    if mods.seidel.certify_spectrum(s, claim).passed:
+        raise AssertionError("the claim with a reducible quadratic passed")
 
 
 def relabel(mods):
@@ -164,7 +174,7 @@ def main():
     for argv, code in CLI_RUNS:
         by_entry["equilines " + " ".join(argv)] = run_entry(
             functools.partial(cli_run, mods, argv, code))
-    for control in (wrong_claim, relabel, drop_line):
+    for control in (wrong_claim, nullity_fallback, relabel, drop_line):
         by_entry[f"api {control.__name__}"] = run_entry(functools.partial(control, mods))
 
     defs = package_defs(SRC / "equilines")
